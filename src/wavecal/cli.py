@@ -89,9 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate components from a CSV dataset")
     est.add_argument("--input", required=True,
-                     help="CSV with columns t,sample_id,value")
+                     help="CSV with columns t,sample_id,value; sample_id is an "
+                          "integer, and samples are taken in increasing numeric "
+                          "sample_id order")
     est.add_argument("--weights", required=True,
-                     help="CSV holding the L x I mixing matrix")
+                     help="CSV holding the L x I mixing matrix; column i weights "
+                          "the sample with the i-th smallest sample_id")
     est.add_argument("--rule", choices=RULE_NAMES, default="log")
     est.add_argument("--j0", type=int, default=3)
     est.add_argument("--vanishing-moments", type=int, default=10)
@@ -120,15 +123,24 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _sample_id(path, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}: sample_id {text!r} is not an integer") from None
+
+
 def _read_samples(path):
-    by_sample: dict[str, list[tuple[float, float]]] = {}
+    """(grid, M x I observations), one column per sample_id in increasing
+    numeric order."""
+    by_sample: dict[int, list[tuple[float, float]]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         needed = {"t", "sample_id", "value"}
         if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected columns t,sample_id,value")
         for row in reader:
-            by_sample.setdefault(row["sample_id"], []).append(
+            by_sample.setdefault(_sample_id(path, row["sample_id"]), []).append(
                 (float(row["t"]), float(row["value"])))
     if not by_sample:
         raise ValueError(f"{path}: no data rows")
@@ -149,6 +161,9 @@ def _read_samples(path):
 def _cmd_estimate(args) -> int:
     grid, observed = _read_samples(args.input)
     weights = np.atleast_2d(np.loadtxt(args.weights, delimiter=",", dtype=float))
+    if weights.shape[1] != observed.shape[1]:
+        raise ValueError(f"{args.input} has {observed.shape[1]} distinct sample_ids "
+                         f"but {args.weights} has {weights.shape[1]} weight columns")
     rule, use_policy = _make_rule(args.rule)
     filt = make_filter("daubechies", args.vanishing_moments)
     config = EstimationConfig(

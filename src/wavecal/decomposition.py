@@ -1,9 +1,10 @@
 """End-to-end estimation of component curves from aggregated samples.
 
 Pipeline: transform the observed M x I matrix to the wavelet domain column
-by column, estimate the noise scale, shrink every detail coefficient, solve
-a least-squares system for the component coefficients through the known
-mixing weights, and invert the transform.
+by column, estimate the noise scale, shrink every detail coefficient of the
+M x I coefficient matrix one level slice at a time, solve a least-squares
+system for the component coefficients through the known mixing weights, and
+invert the transform.
 """
 
 from __future__ import annotations
@@ -99,18 +100,14 @@ def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return gamma_t.T
 
 
-def _sigma_per_column(D: np.ndarray, J: int) -> np.ndarray:
-    finest = D[2 ** (J - 1):]
-    return np.array([estimate_sigma(finest[:, i]) for i in range(D.shape[1])])
-
-
 def estimate_components(observed: np.ndarray, weights: np.ndarray,
                         config: EstimationConfig) -> np.ndarray:
     """Estimate the M x L component matrix from M x I aggregated samples.
 
     Stages: forward transform -> noise-scale estimation -> coefficientwise
     shrinkage -> least squares through the weights -> inverse transform.
-    Errors carry the failing stage name.
+    Errors carry the failing stage name; NaN or inf in either input is
+    rejected at the ``input`` stage.
     """
     A = np.asarray(observed, dtype=float)
     y = np.asarray(weights, dtype=float)
@@ -119,29 +116,31 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
     if y.ndim != 2 or y.shape[1] != A.shape[1]:
         raise PipelineError("input", f"weights shape {y.shape} incompatible with "
                                      f"{A.shape[1]} observed samples")
+    for name, values in (("observed", A), ("weights", y)):
+        bad = np.flatnonzero(~np.all(np.isfinite(values), axis=0))
+        if bad.size:
+            raise PipelineError("input", f"{name} has NaN or inf in sample column(s) "
+                                         f"{', '.join(map(str, bad))}")
 
     try:
         D = transform_columns(A, config.filter, config.J0, "forward")
     except ValueError as exc:
         raise PipelineError("transform", str(exc)) from exc
 
-    J = int(np.log2(A.shape[0]))
     try:
         if config.sigma_mode == "fixed":
-            sigmas = np.full(A.shape[1], float(config.sigma_value))
+            sigma = float(config.sigma_value)
         else:
-            per_col = _sigma_per_column(D, J)
-            sigmas = per_col if config.sigma_mode == "per-column" \
-                else np.full(A.shape[1], float(np.mean(per_col)))
+            per_column = estimate_sigma(D[A.shape[0] // 2:])
+            sigma = per_column if config.sigma_mode == "per-column" \
+                else float(np.mean(per_column))
     except ValueError as exc:
         raise PipelineError("sigma", str(exc)) from exc
 
     try:
-        shrunk = np.empty_like(D)
-        for i in range(D.shape[1]):
-            pyr = Pyramid.from_flat(D[:, i], config.J0)
-            rule = resolve_rule(config.rule, float(sigmas[i]), pyr)
-            shrunk[:, i] = shrink_pyramid(pyr, rule, config.policy).to_flat()
+        pyr = Pyramid.from_flat(D, config.J0)
+        rule = resolve_rule(config.rule, sigma, pyr)
+        shrunk = shrink_pyramid(pyr, rule, config.policy).to_flat()
     except (ValueError, TypeError) as exc:
         raise PipelineError("shrinkage", str(exc)) from exc
 

@@ -144,10 +144,13 @@ def make_filter(family: str, vanishing_moments: int) -> WaveletFilter:
 
 @dataclass
 class Pyramid:
-    """Multilevel wavelet coefficient layout for one signal.
+    """Multilevel wavelet coefficient layout for one signal, or for the
+    columns of an M x I matrix.
 
     ``coarse`` holds the 2^J0 scaling coefficients; ``details[i]`` holds the
-    2^(J0+i) detail coefficients at level j = J0 + i, for j = J0..J-1.
+    2^(J0+i) detail coefficients at level j = J0 + i, for j = J0..J-1.  An
+    optional trailing column axis, the same on every block, makes
+    ``details[i]`` the (2^j x I) level slice of I signals.
     """
 
     coarse: np.ndarray
@@ -158,17 +161,19 @@ class Pyramid:
     def __post_init__(self):
         if not 0 <= self.J0 < self.J:
             raise ValueError(f"invalid levels: J0={self.J0}, J={self.J}")
-        if self.coarse.shape != (2 ** self.J0,):
+        columns = self.coarse.shape[1:]
+        if self.coarse.shape != (2 ** self.J0,) + columns or len(columns) > 1:
             raise ValueError(
-                f"coarse block has {self.coarse.shape[0]} entries, expected {2 ** self.J0}")
+                f"coarse block has shape {self.coarse.shape}, expected "
+                f"{2 ** self.J0} entries with at most one column axis")
         if len(self.details) != self.J - self.J0:
             raise ValueError(
                 f"expected {self.J - self.J0} detail levels, got {len(self.details)}")
         for i, d in enumerate(self.details):
-            if d.shape != (2 ** (self.J0 + i),):
+            if d.shape != (2 ** (self.J0 + i),) + columns:
                 raise ValueError(
-                    f"detail level {self.J0 + i} has {d.shape[0]} entries, "
-                    f"expected {2 ** (self.J0 + i)}")
+                    f"detail level {self.J0 + i} has shape {d.shape}, "
+                    f"expected {(2 ** (self.J0 + i),) + columns}")
 
     @property
     def n_coefficients(self) -> int:
@@ -186,8 +191,12 @@ class Pyramid:
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, J0: int) -> "Pyramid":
+        """Split the flat layout of :meth:`to_flat` (a vector, or a matrix
+        with one flat column per signal) into blocks; the blocks are views."""
         flat = np.asarray(flat, dtype=float)
-        J = _dyadic_depth(flat.size)
+        if flat.ndim not in (1, 2):
+            raise ValueError(f"expected a flat vector or matrix, got shape {flat.shape}")
+        J = _dyadic_depth(flat.shape[0])
         coarse = flat[: 2 ** J0]
         details, off = [], 2 ** J0
         for j in range(J0, J):
@@ -286,13 +295,6 @@ def transform_columns(matrix: np.ndarray, filt: WaveletFilter, J0: int,
         coarse, details = _dwt_matrix(a, filt, J0)
         return np.concatenate([coarse] + details, axis=0)
     if direction == "inverse":
-        J = _dyadic_depth(a.shape[0])
-        if not 0 <= J0 < J:
-            raise ValueError(f"J0={J0} must satisfy 0 <= J0 < J={J}")
-        coarse = a[: 2 ** J0]
-        details, off = [], 2 ** J0
-        for j in range(J0, J):
-            details.append(a[off: off + 2 ** j])
-            off += 2 ** j
-        return _idwt_matrix(coarse, details, filt)
+        pyr = Pyramid.from_flat(a, J0)
+        return _idwt_matrix(pyr.coarse, pyr.details, filt)
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")

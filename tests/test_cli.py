@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from wavecal.cli import main
+from wavecal.decomposition import EstimationConfig, estimate_components
+from wavecal.shrinkage import Lpm
 from wavecal.testbed import DatasetSpec, dataset_to_csv, generate_dataset
+from wavecal.wavelet import make_filter
 
 
 def test_rules_show(capsys):
@@ -64,6 +67,57 @@ def test_estimate_round_trip(tmp_path, capsys):
         est[m, int(row["component_index"])] = float(row["estimate"])
     # denoised estimate should be in the right ballpark
     assert np.mean((est - ds.truth) ** 2) < np.var(ds.truth)
+
+
+def read_alpha_hat(path, M, L):
+    est = np.full((M, L), np.nan)
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            m = int(round(float(row["t"]) * M)) - 1
+            est[m, int(row["component_index"])] = float(row["estimate"])
+    return est
+
+
+def test_estimate_orders_samples_numerically(tmp_path):
+    # with I >= 11, sorting ids as strings (0, 1, 10, 11, 2, ...) would pair
+    # observed columns with the wrong weight columns
+    spec = DatasetSpec(components=("bumps", "blocks"), M=128, I=12, snr=5.0, seed=22)
+    ds = generate_dataset(spec)
+    data_csv, weights_csv = tmp_path / "data.csv", tmp_path / "y.csv"
+    dataset_to_csv(ds, data_csv)
+    np.savetxt(weights_csv, ds.weights, delimiter=",", fmt="%.17g")
+    rc = main(["estimate", "--input", str(data_csv), "--weights", str(weights_csv),
+               "--rule", "lpm", "--out", str(tmp_path / "est")])
+    assert rc == 0
+    want = estimate_components(ds.observed, ds.weights, EstimationConfig(
+        filter=make_filter("daubechies", 10), rule=Lpm(), J0=3))
+    np.testing.assert_array_equal(read_alpha_hat(tmp_path / "est" / "alpha_hat.csv",
+                                                 128, 2), want)
+
+
+def test_estimate_sample_count_must_match_weights(tmp_path, capsys):
+    spec = DatasetSpec(components=("bumps",), M=64, I=4, snr=5.0, seed=23)
+    ds = generate_dataset(spec)
+    data_csv, weights_csv = tmp_path / "data.csv", tmp_path / "y.csv"
+    dataset_to_csv(ds, data_csv)
+    np.savetxt(weights_csv, np.ones((1, 5)), delimiter=",")
+    rc = main(["estimate", "--input", str(data_csv), "--weights", str(weights_csv),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "[input]" in err and "4 distinct sample_ids" in err and "5 weight columns" in err
+
+
+def test_estimate_non_integer_sample_id_rejected(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    with open(data_csv, "w") as fh:
+        fh.write("t,sample_id,value\n0.5,a,1.0\n1.0,a,2.0\n")
+    weights_csv = tmp_path / "y.csv"
+    np.savetxt(weights_csv, np.ones((1, 1)), delimiter=",")
+    rc = main(["estimate", "--input", str(data_csv), "--weights", str(weights_csv),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "[input]" in capsys.readouterr().err
 
 
 def test_estimate_bad_grid_fails_with_label(tmp_path, capsys):

@@ -11,7 +11,17 @@ from wavecal.decomposition import (
     estimates_to_csv,
     solve_gamma,
 )
-from wavecal.shrinkage import Abe, Bams, Beta, LevelPolicy, Logistic, Lpm
+from wavecal.shrinkage import (
+    Abe,
+    Bams,
+    Beta,
+    LevelPolicy,
+    Logistic,
+    Lpm,
+    estimate_sigma,
+    resolve_rule,
+    shrink_pyramid,
+)
 from wavecal.testbed import (
     DatasetSpec,
     component_function,
@@ -19,7 +29,23 @@ from wavecal.testbed import (
     sample_grid,
     standard_normal,
 )
-from wavecal.wavelet import make_filter
+from wavecal.wavelet import Pyramid, make_filter, transform_columns
+
+
+def column_by_column(observed, weights, config):
+    """The pipeline with one Pyramid, one resolve_rule and one shrink_pyramid
+    call per observed column."""
+    D = transform_columns(observed, config.filter, config.J0, "forward")
+    per_column = [estimate_sigma(D[D.shape[0] // 2:, i]) for i in range(D.shape[1])]
+    sigmas = {"fixed": [config.sigma_value] * D.shape[1], "per-column": per_column,
+              "pooled": [float(np.mean(per_column))] * D.shape[1]}[config.sigma_mode]
+    shrunk = np.empty_like(D)
+    for i in range(D.shape[1]):
+        pyr = Pyramid.from_flat(D[:, i], config.J0)
+        rule = resolve_rule(config.rule, sigmas[i], pyr)
+        shrunk[:, i] = shrink_pyramid(pyr, rule, config.policy).to_flat()
+    return transform_columns(solve_gamma(shrunk, weights), config.filter, config.J0,
+                             "inverse")
 
 
 def normal_equations_longdouble(shrunk, weights):
@@ -154,6 +180,50 @@ class TestEstimateComponents:
             alpha_hat = estimate_components(observed, y, config)
             mses.append(float(np.mean((alpha_hat - truth) ** 2)))
         assert all(b < a for a, b in zip(mses, mses[1:]))
+
+    @pytest.mark.parametrize("rule,policy", [
+        (Logistic(), LevelPolicy(J0=3)),
+        (Beta(), LevelPolicy(J0=3)),
+        (Beta(), None),
+        (Lpm(), None),
+        (Abe(), None),
+        (Bams(), None),
+    ])
+    @pytest.mark.parametrize("mode,value", [("pooled", None), ("per-column", None),
+                                            ("fixed", 0.4)])
+    def test_matches_column_by_column_pipeline(self, db10, rule, policy, mode, value):
+        spec = DatasetSpec(components=("bumps", "blocks", "doppler"), M=256, I=12,
+                           snr=4.0, seed=29)
+        ds = generate_dataset(spec)
+        config = EstimationConfig(filter=db10, rule=rule, J0=3, policy=policy,
+                                  sigma_mode=mode, sigma_value=value)
+        got = estimate_components(ds.observed, ds.weights, config)
+        want = column_by_column(ds.observed, ds.weights, config)
+        if isinstance(rule, (Logistic, Beta)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observations_rejected(self, db10, bad):
+        ds = generate_dataset(DatasetSpec(components=("bumps",), M=64, I=6,
+                                          snr=3.0, seed=31))
+        observed = ds.observed.copy()
+        observed[10, 4] = bad
+        config = EstimationConfig(filter=db10, rule=Lpm(), J0=3)
+        with pytest.raises(PipelineError, match=r"\[input\] observed .* column\(s\) 4$"):
+            estimate_components(observed, ds.weights, config)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, db10, bad):
+        ds = generate_dataset(DatasetSpec(components=("bumps", "blocks"), M=64, I=6,
+                                          snr=3.0, seed=31))
+        weights = ds.weights.copy()
+        weights[1, 2] = bad
+        weights[0, 5] = bad
+        config = EstimationConfig(filter=db10, rule=Lpm(), J0=3)
+        with pytest.raises(PipelineError, match=r"\[input\] weights .* column\(s\) 2, 5$"):
+            estimate_components(ds.observed, weights, config)
 
     def test_sigma_modes_differ_only_in_scale_source(self, db10):
         spec = DatasetSpec(components=("heavisine",), M=128, I=6, snr=3.0, seed=17)

@@ -33,6 +33,8 @@ LOGISTIC_SPOT = 0.27789667054691214
 # frozen quadrature-oracle value for d=2, alpha=0.5, tau=2, mu=1
 BAMS_SPOT = 1.1339149425426418
 
+ALL_RULES = ("log", "beta", "lpm", "abe", "bams")
+
 
 # ---------------------------------------------------------------------------
 # independent oracles (library-free evaluation paths)
@@ -128,6 +130,13 @@ class TestEstimateSigma:
         with pytest.raises(ValueError):
             estimate_sigma(np.array([]))
 
+    def test_matrix_gives_one_estimate_per_column(self):
+        rng = np.random.default_rng(5)
+        d = rng.standard_normal((64, 7)) * np.arange(1, 8)
+        got = estimate_sigma(d)
+        assert got.shape == (7,)
+        np.testing.assert_array_equal(got, [estimate_sigma(d[:, i]) for i in range(7)])
+
 
 # ---------------------------------------------------------------------------
 # logistic rule
@@ -202,6 +211,38 @@ class TestBetaRule:
         for d in (0.5, 2.0, 4.0, 9.0):
             assert beta_rule(d, spec) == pytest.approx(
                 beta_oracle(d, 0.9, 2.0, 5.0, 1.0), abs=1e-8)
+
+    def test_wide_support_matches_trapezoid_oracle(self):
+        # m / sigma = 100: 128 fixed Gauss-Legendre nodes on [-m, m] are far
+        # coarser than the likelihood (errors up to 0.1 here); the closed form
+        # is exact up to round-off
+        spec = Beta(p=0.9, a=2.0, m=100.0, sigma=1.0)
+        for d in (0.5, 3.0, 40.0, 97.0):
+            assert beta_rule(d, spec) == pytest.approx(
+                beta_oracle(d, 0.9, 2.0, 100.0, 1.0), abs=1e-8)
+
+    def test_far_outside_support(self):
+        # d = -(m + 6 sigma) puts both standardized endpoints in the upper
+        # tail, where Phi(hi) - Phi(lo) cancels; d = m + 6 sigma is its mirror
+        m, sigma = 5.0, 1.0
+        spec = Beta(p=0.9, a=2.0, m=m, sigma=sigma)
+        d = m + 6.0 * sigma
+        assert beta_rule(-d, spec) == pytest.approx(-beta_rule(d, spec), abs=1e-12)
+        for x in (d, -d):
+            assert beta_rule(x, spec) == pytest.approx(
+                beta_oracle(x, 0.9, 2.0, m, sigma, panels=2_000_000), abs=1e-8)
+
+    def test_closed_form_matches_quadrature_across_shapes(self):
+        # integer shapes, including narrow supports and d far outside the
+        # support, where the closed form hands over to quadrature; reference:
+        # 2048 Gauss-Legendre nodes, accurate while m / sigma stays moderate
+        q2048 = QuadratureSpec.gauss_legendre_interval(2048)
+        for a in (1.0, 2.0, 3.0, 5.0, 8.0, 16.0):
+            for m in (0.01, 0.3, 1.0, 4.0, 12.0, 25.0):
+                spec = Beta(p=0.5, a=a, m=m, sigma=1.0)
+                d = np.linspace(-1.5 * m - 4.0, 1.5 * m + 4.0, 41)
+                np.testing.assert_allclose(beta_rule(d, spec), beta_rule(d, spec, q2048),
+                                           rtol=0, atol=1e-10 * m)
 
     def test_bounded_by_half_support(self):
         spec = Beta(p=0.1, a=1.5, m=2.0, sigma=1.0)
@@ -388,6 +429,56 @@ class TestShrinkPyramid:
         np.testing.assert_array_equal(out.coarse, pyr.coarse)
         assert all(np.all(d == 0.0) for d in out.details)  # all |d| < sqrt(3)*10
 
+    @pytest.mark.parametrize("name", ALL_RULES)
+    @pytest.mark.parametrize("use_policy", [False, True])
+    @pytest.mark.parametrize("sigma_mode", ["pooled", "per-column"])
+    def test_level_slices_match_column_by_column(self, name, use_policy, sigma_mode):
+        rng = np.random.default_rng(24)
+        flat = rng.standard_normal((128, 6)) * np.array([0.5, 1.0, 2.0, 1.0, 4.0, 0.7])
+        flat[:16] *= 20.0  # large coarse-level coefficients, as from a signal
+        flat[8:16, 2] = 0.0  # column 2 has an all-zero level j = 3
+        pyr = Pyramid.from_flat(flat, 3)
+        per_column = estimate_sigma(flat[64:])
+        sigma = per_column if sigma_mode == "per-column" else float(np.mean(per_column))
+        spec = {"log": Logistic(), "beta": Beta(), "lpm": Lpm(), "abe": Abe(),
+                "bams": Bams()}[name]
+        policy = LevelPolicy(J0=3) if use_policy else None
+
+        got = shrink_pyramid(pyr, resolve_rule(spec, sigma, pyr), policy).to_flat()
+        assert got.shape == flat.shape
+        for i in range(flat.shape[1]):
+            column = Pyramid.from_flat(flat[:, i], 3)
+            sigma_i = float(np.broadcast_to(sigma, (6,))[i])
+            want = shrink_pyramid(column, resolve_rule(spec, sigma_i, column), policy).to_flat()
+            if name in ("lpm", "abe", "bams"):
+                np.testing.assert_array_equal(got[:, i], want)
+            else:
+                np.testing.assert_allclose(got[:, i], want, rtol=1e-12, atol=0)
+        if use_policy and name in ("log", "beta"):
+            assert np.all(got[8:16, 2] == 0.0)
+
+    def test_bams_per_column_scales_either_side_of_noise_scale(self):
+        # s = 1/sqrt(2 mu); columns 0 and 2 have tau < s, columns 1 and 3 tau > s
+        tau = np.array([0.5, 3.0, 0.2, 1.5])
+        mu = np.array([0.5, 1.0, 2.0, 4.0])
+        d = np.random.default_rng(25).uniform(-12.0, 12.0, size=(40, 4))
+        got = bams_rule(d, Bams(alpha=0.6, tau=tau, mu=mu))
+        for i in range(4):
+            np.testing.assert_array_equal(
+                got[:, i], bams_rule(d[:, i], Bams(alpha=0.6, tau=tau[i], mu=mu[i])))
+
+    def test_per_column_parameters_validated_elementwise(self):
+        with pytest.raises(ValueError):
+            Beta(m=np.array([1.0, 0.0]), sigma=1.0)
+        with pytest.raises(ValueError):
+            Logistic(sigma=np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            Lpm(sigma=np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            Bams(tau=np.array([1.0, 1.0 / np.sqrt(2.0)]), mu=np.array([2.0, 1.0]))
+        with pytest.raises(ValueError):
+            resolve_rule(Bams(), np.array([0.5, 0.0]))
+
     def test_policy_overrides_mixture_weight(self):
         rng = np.random.default_rng(23)
         pyr = Pyramid.from_flat(rng.standard_normal(64), 2)
@@ -448,8 +539,6 @@ def _rule_callable(name, sigma=1.0):
         return lambda d: abe_rule(d, Abe(sigma=sigma))
     return lambda d: bams_rule(d, Bams(alpha=0.8, tau=3.0 * sigma, mu=1.0 / sigma ** 2))
 
-
-ALL_RULES = ("log", "beta", "lpm", "abe", "bams")
 
 
 class TestProperties:

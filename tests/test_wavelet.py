@@ -203,6 +203,28 @@ class TestPyramid:
         assert p.n_coefficients == 1024
         assert p.J == 10 and p.J0 == 3
 
+    def test_matrix_levels_are_column_slices(self):
+        rng = np.random.default_rng(4)
+        flat = rng.standard_normal((64, 5))
+        p = Pyramid.from_flat(flat, 2)
+        assert p.coarse.shape == (4, 5)
+        assert [d.shape for d in p.details] == [(4, 5), (8, 5), (16, 5), (32, 5)]
+        np.testing.assert_array_equal(p.level(3), flat[8:16])
+        np.testing.assert_array_equal(p.to_flat(), flat)
+        for i in range(5):
+            np.testing.assert_array_equal(
+                Pyramid.from_flat(flat[:, i], 2).to_flat(), p.to_flat()[:, i])
+
+    def test_column_axis_must_agree(self):
+        p = Pyramid.from_flat(np.zeros((64, 3)), 2)
+        with pytest.raises(ValueError):
+            Pyramid(coarse=p.coarse, details=p.details[:-1] + [np.zeros((32, 2))],
+                    J=6, J0=2)
+        with pytest.raises(ValueError):
+            Pyramid(coarse=np.zeros((4, 3, 1)), details=p.details, J=6, J0=2)
+        with pytest.raises(ValueError):
+            Pyramid.from_flat(np.zeros((64, 3, 2)), 2)
+
 
 class TestTransformColumns:
     def test_single_column_matches_dwt(self):
