@@ -91,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", required=True,
                      help="CSV with columns t,sample_id,value; sample_id is an "
                           "integer, and samples are taken in increasing numeric "
-                          "sample_id order")
+                          "sample_id order; every sample has the same uniformly "
+                          "spaced t values, without duplicates")
     est.add_argument("--weights", required=True,
                      help="CSV holding the L x I mixing matrix; column i weights "
                           "the sample with the i-th smallest sample_id")
@@ -132,7 +133,8 @@ def _sample_id(path, text: str) -> int:
 
 def _read_samples(path):
     """(grid, M x I observations), one column per sample_id in increasing
-    numeric order."""
+    numeric order.  Every sample must have distinct t values on one common,
+    uniformly spaced grid (each step within 1% of the mean step)."""
     by_sample: dict[int, list[tuple[float, float]]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -151,10 +153,16 @@ def _read_samples(path):
         pairs = sorted(by_sample[sid])
         grids.append(np.array([t for t, _ in pairs]))
         columns.append(np.array([v for _, v in pairs]))
+        if np.any(np.diff(grids[-1]) == 0.0):
+            raise ValueError(f"{path}: sample_id {sid} has duplicate t values")
     grid = grids[0]
     for g in grids[1:]:
         if g.shape != grid.shape or not np.allclose(g, grid, rtol=0, atol=1e-12):
             raise ValueError(f"{path}: samples are not on a common grid")
+    steps = np.diff(grid)
+    if steps.size and np.any(np.abs(steps - steps.mean()) > 0.01 * steps.mean()):
+        raise ValueError(f"{path}: the t grid is not uniformly spaced (steps from "
+                         f"{steps.min():.6g} to {steps.max():.6g})")
     return grid, np.column_stack(columns)
 
 

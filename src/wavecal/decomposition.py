@@ -69,6 +69,9 @@ class EstimationConfig:
             raise ValueError("sigma_value only applies to sigma_mode='fixed'")
         if self.J0 < 0:
             raise ValueError(f"J0 must be >= 0, got {self.J0}")
+        if self.policy is not None and self.policy.J0 != self.J0:
+            raise ValueError(f"policy J0 = {self.policy.J0} differs from the "
+                             f"configured J0 = {self.J0}")
 
 
 def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -19,6 +19,13 @@ the BAMS scales) may also be a length-I vector, one value per column of a
 (rows x I) coefficient block, broadcast along the rows.  `shrink_pyramid`
 applies a rule coefficientwise to the detail level slices of a Pyramid,
 leaving the coarse block untouched.
+
+`shrink_pyramid` hands a level slice to the rule in blocks of whole rows,
+at most 4096 coefficients each (one row when a row is longer), which bounds
+the elementwise temporaries of every rule.  The two quadrature rules
+evaluate their densities on a (coefficients x nodes) grid; `_grid_sums`
+builds that grid in chunks of at most 32768 values in one reused buffer, so
+no block ever holds its whole grid.
 """
 
 from __future__ import annotations
@@ -68,10 +75,14 @@ DEFAULT_BAMS_ALPHA = 0.8
 DEFAULT_GH_NODES = 64
 DEFAULT_GL_NODES = 128
 
-# Largest number of coefficients `shrink_pyramid` hands to one rule call.  The
-# quadrature rules build a (coefficients x nodes) temporary, so this bounds
-# their memory; 512 is the largest level of one column at M = 1024.
-_BLOCK_COEFFICIENTS = 512
+# Largest number of coefficients `shrink_pyramid` hands to one rule call.  It
+# bounds the elementwise temporaries of a rule, 32 KiB each; the node grids of
+# the quadrature rules are bounded by _GRID_VALUES instead.
+_BLOCK_COEFFICIENTS = 4096
+
+# Largest number of node-grid values `_grid_sums` holds at once: 256 KiB,
+# which stays in L2 cache and is reused for every chunk of a rule call.
+_GRID_VALUES = 32768
 
 
 class ShrinkageUnderflowWarning(RuntimeWarning):
@@ -317,15 +328,53 @@ def estimate_sigma(finest_details: np.ndarray):
 # the five rules
 # ---------------------------------------------------------------------------
 
-def _phi(x):
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
+def _phi(x, out=None):
+    # exp(-x^2 / 2) / sqrt(2 pi), written into ``out`` when it is given
+    g = np.multiply(x, x, out=out)
+    g = np.multiply(g, -0.5, out=out)
+    g = np.exp(g, out=out)
+    return np.divide(g, _SQRT_2PI, out=out)
 
 
-def _logistic_pdf(x, tau):
-    # exp(-x/tau) / (tau (1 + exp(-x/tau))^2), evaluated via |x| for stability;
-    # the density is symmetric so this is exact.
-    e = np.exp(-np.abs(x) / tau)
-    return e / (tau * (1.0 + e) ** 2)
+def _logistic_pdf(x, tau, out=None):
+    # exp(-x/tau) / (tau (1 + exp(-x/tau))^2) = (1 / (2 tau)) / (1 + cosh(x/tau)),
+    # written into ``out`` when it is given.  Where cosh overflows to inf the
+    # density underflows, and the division gives that 0.
+    with np.errstate(over="ignore"):
+        g = np.cosh(np.multiply(x, 1.0 / tau, out=out), out=out)
+    g = np.add(g, 1.0, out=out)
+    return np.divide(0.5 / tau, g, out=out)
+
+
+def _grid_sums(center, step, nodes, weights, kernel):
+    """sum_i weights[i, :] * kernel(center + step * nodes[i]) for every
+    coefficient.
+
+    ``center`` and ``step`` broadcast to the coefficients' shape; the result
+    has that shape plus a trailing axis with one sum per column of
+    ``weights`` (nodes x K).  The (coefficients x nodes) grid is never built
+    whole: one buffer of at most _GRID_VALUES values is filled a chunk of
+    coefficients at a time by the matmul [center, step] @ [1; nodes], the
+    kernel is applied to it in place, and a second matmul reduces it.  The
+    kernel is called as ``kernel(grid, out=grid)`` on a view with one more
+    axis than the coefficients.
+    """
+    center, step = np.broadcast_arrays(center, step)
+    shape = center.shape
+    affine = np.stack([center.ravel(), step.ravel()], axis=1)
+    lift = np.stack([np.ones_like(nodes), nodes])
+    count = affine.shape[0]
+    rows = max(1, min(count, _GRID_VALUES // nodes.size))
+    buffer = np.empty((rows, nodes.size))
+    sums = np.empty((count, weights.shape[1]))
+    expand = (None,) * (len(shape) - 1)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        grid = buffer[:stop - start]
+        np.matmul(affine[start:stop], lift, out=grid)
+        kernel(grid[expand], out=grid[expand])
+        np.matmul(grid, weights, out=sums[start:stop])
+    return sums.reshape(shape + (weights.shape[1],))
 
 
 def _as_array(d):
@@ -352,16 +401,13 @@ def _require(value, name, rule):
     return value
 
 
-def _per_node(value):
-    """A scalar or per-column parameter with a trailing axis for the nodes."""
-    return np.asarray(value, dtype=float)[..., None]
-
-
 def logistic_rule(d, spec: Logistic, quad: Optional[QuadratureSpec] = None):
     """Posterior mean under the logistic mixture prior.
 
     Both integrals (numerator and denominator) are approximated on the same
-    Gauss-Hermite nodes adapted to the standard normal weight.
+    Gauss-Hermite nodes u adapted to the standard normal weight, at
+    theta = d + sigma u: with S0 = sum w g(theta) and S1 = sum w u g(theta),
+    the denominator integral is S0 and the numerator one d S0 + sigma S1.
     """
     sigma = _require(spec.sigma, "sigma", "Logistic")
     if quad is None:
@@ -369,17 +415,14 @@ def logistic_rule(d, spec: Logistic, quad: Optional[QuadratureSpec] = None):
     if quad.kind != "gauss-hermite-standard-normal":
         raise ValueError("logistic_rule needs a gauss-hermite-standard-normal rule")
     arr, scalar = _as_array(d)
-    theta = _per_node(sigma) * quad.nodes + arr[..., None]
-    g = _logistic_pdf(theta, spec.tau)
-    num = (1.0 - spec.p) * (g * theta) @ quad.weights
-    den = (spec.p / sigma) * _phi(arr / sigma) + (1.0 - spec.p) * g @ quad.weights
+    weights = np.stack([quad.weights, quad.weights * quad.nodes], axis=1)
+    sums = _grid_sums(arr, sigma, quad.nodes, weights,
+                      lambda x, out: _logistic_pdf(x, spec.tau, out=out))
+    z = sums[..., 0]
+    num = (1.0 - spec.p) * (arr * z + sigma * sums[..., 1])
+    den = (spec.p / sigma) * _phi(arr / sigma) + (1.0 - spec.p) * z
     out = _ratio_or_zero(num, den, "logistic_rule")
     return float(out) if scalar else out
-
-
-def _beta_pdf(theta, a, m):
-    return (m * m - theta * theta) ** (a - 1.0) / ((2.0 * m) ** (2.0 * a - 1.0)
-                                                   * _beta_function(a, a))
 
 
 def _beta_moments(arr, a: int, m, sigma):
@@ -424,13 +467,20 @@ def _beta_moments(arr, a: int, m, sigma):
 
 
 def _beta_quadrature(arr, a: float, m, sigma, quad: QuadratureSpec):
-    """The (Z, N) integrals of `_beta_moments` on Gauss-Legendre nodes mapped
-    onto [-m, m]."""
-    m, sigma = _per_node(m), _per_node(sigma)
-    theta = m * quad.nodes
-    wg = m * quad.weights * _beta_pdf(theta, a, m)
-    lik = _phi((arr[..., None] - theta) / sigma) / sigma
-    return np.sum(lik * wg, axis=-1), np.sum(lik * (wg * theta), axis=-1)
+    """The (Z, N) integrals of `_beta_moments` on Gauss-Legendre nodes x
+    mapped onto [-m, m].
+
+    At theta = m x the prior term h(x) = m g(m x) = (1 - x^2)^(a-1) /
+    (2^(2a-1) B(a, a)) is the same for every m, and the likelihood is
+    phi(d/sigma - (m/sigma) x) / sigma.  With the sums
+    S_k = sum w h(x) x^k phi(d/sigma - (m/sigma) x), Z = S0 / sigma and
+    N = m S1 / sigma.
+    """
+    x = quad.nodes
+    wh = quad.weights * (1.0 - x * x) ** (a - 1.0) / (2.0 ** (2.0 * a - 1.0)
+                                                      * _beta_function(a, a))
+    sums = _grid_sums(arr / sigma, -m / sigma, x, np.stack([wh, wh * x], axis=1), _phi)
+    return sums[..., 0] / sigma, m * sums[..., 1] / sigma
 
 
 def _moments_lose_accuracy(arr, a: int, m, sigma):
@@ -499,9 +549,9 @@ def abe_rule(d, spec: Abe):
     sigma = _require(spec.sigma, "sigma", "Abe")
     arr, scalar = _as_array(d)
     excess = arr * arr - 3.0 * sigma * sigma
-    keep = excess > 0.0
-    safe = np.where(arr == 0.0, 1.0, arr)
-    out = np.where(keep & (arr != 0.0), excess / safe, 0.0)
+    keep = excess > 0.0  # implies d != 0
+    # divide only where kept: excess / d overflows for a subnormal d
+    out = np.where(keep, excess / np.where(keep, arr, 1.0), 0.0)
     return float(out) if scalar else out
 
 

@@ -132,6 +132,54 @@ def test_estimate_bad_grid_fails_with_label(tmp_path, capsys):
     assert "common grid" in capsys.readouterr().err
 
 
+def write_sample_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "sample_id", "value"])
+        writer.writerows(rows)
+
+
+def test_estimate_duplicate_t_rejected(tmp_path, capsys):
+    # both samples repeat t = 0.5 in place of t = 0.75: a common grid of
+    # dyadic length, four rows per sample
+    grid = [0.25, 0.5, 0.5, 1.0]
+    write_sample_rows(tmp_path / "data.csv", [(t, i, 1.0) for i in range(2) for t in grid])
+    np.savetxt(tmp_path / "y.csv", np.ones((1, 2)), delimiter=",")
+    rc = main(["estimate", "--input", str(tmp_path / "data.csv"),
+               "--weights", str(tmp_path / "y.csv"), "--j0", "0",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "[input]" in err and "sample_id 0 has duplicate t values" in err
+
+
+def test_estimate_non_uniform_grid_rejected(tmp_path, capsys):
+    # a common grid of dyadic length with one gap: 8 of the points t = m/9
+    grid = [m / 9 for m in range(1, 10) if m != 5]
+    write_sample_rows(tmp_path / "data.csv",
+                      [(t, i, float(k % 3)) for i in range(2) for k, t in enumerate(grid)])
+    np.savetxt(tmp_path / "y.csv", np.ones((1, 2)), delimiter=",")
+    rc = main(["estimate", "--input", str(tmp_path / "data.csv"),
+               "--weights", str(tmp_path / "y.csv"), "--j0", "0",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "[input]" in err and "not uniformly spaced" in err
+
+
+def test_estimate_policy_rule_at_other_j0(tmp_path):
+    # the CLI builds the level policy from --j0, so the two always agree
+    spec = DatasetSpec(components=("bumps", "blocks"), M=128, I=6, snr=5.0, seed=24)
+    ds = generate_dataset(spec)
+    dataset_to_csv(ds, tmp_path / "data.csv")
+    np.savetxt(tmp_path / "y.csv", ds.weights, delimiter=",", fmt="%.17g")
+    for rule in ("log", "beta"):
+        rc = main(["estimate", "--input", str(tmp_path / "data.csv"),
+                   "--weights", str(tmp_path / "y.csv"), "--rule", rule,
+                   "--j0", "2", "--out", str(tmp_path / rule)])
+        assert rc == 0
+
+
 def test_estimate_non_dyadic_length_fails_with_stage(tmp_path, capsys):
     spec = DatasetSpec(components=("logit",), M=64, I=2, snr=5.0, seed=2)
     ds = generate_dataset(spec)

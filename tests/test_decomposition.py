@@ -277,6 +277,14 @@ class TestEstimateComponents:
         with pytest.raises(ValueError):
             EstimationConfig(filter=db10, rule=Abe(), sigma_value=1.0)
 
+    @pytest.mark.parametrize("policy_j0", [1, 5])
+    def test_policy_j0_must_match_config(self, db10, policy_j0):
+        # a smaller policy J0 would silently shift p(j); a larger one would
+        # fail deep in the shrinkage stage
+        with pytest.raises(ValueError, match=f"policy J0 = {policy_j0} differs"):
+            EstimationConfig(filter=db10, rule=Logistic(), J0=3,
+                             policy=LevelPolicy(J0=policy_j0))
+
 
 def test_estimates_csv_round_trip(tmp_path):
     import csv as csvmod

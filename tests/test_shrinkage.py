@@ -1,9 +1,13 @@
 """Shrinkage rules against independent oracles, plus the property suite."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import beta as beta_function, ndtr
 
+from wavecal import shrinkage
 from wavecal.shrinkage import (
     Abe,
     Bams,
@@ -615,6 +619,150 @@ class TestProperties:
             for d in np.linspace(-10, 10, 81):
                 assert abs(beta_rule(float(d), spec, q128)
                            - beta_rule(float(d), spec, q256)) < 1e-8
+
+
+def _odd_and_shrinks(rule, d, sigma):
+    """delta(-d) = -delta(d) and |delta(d)| <= |d|, up to rounding in the
+    quadrature sums (1e-12 of |d| + sigma); no warning other than a
+    ShrinkageUnderflowWarning may escape."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", ShrinkageUnderflowWarning)
+        plus, minus = rule(d), rule(-d)
+    slack = 1e-12 * (abs(d) + sigma)
+    assert abs(plus + minus) <= slack
+    assert abs(plus) <= abs(d) + slack
+
+
+_SIGMA = st.floats(1e-3, 1e3)
+_WEIGHT = st.floats(0.0, 0.999)
+_PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                              database=None)
+
+
+class TestHypothesisProperties:
+    """Every rule is odd and shrinks, for random d, sigma and mixture weight."""
+
+    @_PROPERTY_SETTINGS
+    @given(d=st.floats(-1e6, 1e6), tau=st.floats(0.01, 100.0), ratio=st.floats(1e-3, 2.0),
+           p=_WEIGHT)
+    def test_logistic(self, d, tau, ratio, p):
+        # sigma <= 2 tau: the 64 Gauss-Hermite nodes resolve the prior there
+        # (error below 1e-8 sigma); for sigma > 2.5 tau see the xfail below
+        spec = Logistic(p=p, tau=tau, sigma=ratio * tau)
+        _odd_and_shrinks(lambda x: logistic_rule(x, spec), d, ratio * tau)
+
+    @pytest.mark.xfail(strict=True, reason="64 Gauss-Hermite nodes on the likelihood "
+                       "scale cannot resolve a logistic prior much narrower than sigma")
+    def test_logistic_prior_narrow_against_sigma(self):
+        _odd_and_shrinks(lambda x: logistic_rule(x, Logistic(p=0.0, tau=1.0, sigma=16.0)),
+                         1.0, 16.0)
+
+    @_PROPERTY_SETTINGS
+    @given(t=st.floats(-60.0, 60.0), sigma=_SIGMA, p=_WEIGHT,
+           a=st.sampled_from([1.0, 2.0, 3.0, 5.0]), ratio=st.floats(0.01, 200.0))
+    def test_beta_integer_shape(self, t, sigma, p, a, ratio):
+        spec = Beta(p=p, a=a, m=ratio * sigma, sigma=sigma)
+        _odd_and_shrinks(lambda x: beta_rule(x, spec), t * sigma, sigma)
+
+    @_PROPERTY_SETTINGS
+    @given(t=st.floats(-60.0, 60.0), sigma=_SIGMA, p=_WEIGHT, ratio=st.floats(0.01, 30.0))
+    def test_beta_non_integer_shape(self, t, sigma, p, ratio):
+        # m <= 30 sigma: the range where 128 Gauss-Legendre nodes resolve the
+        # likelihood; for wider supports see the xfail below
+        spec = Beta(p=p, a=1.5, m=ratio * sigma, sigma=sigma)
+        _odd_and_shrinks(lambda x: beta_rule(x, spec), t * sigma, sigma)
+
+    @pytest.mark.xfail(strict=True, reason="128 Gauss-Legendre nodes on [-m, m] cannot "
+                       "resolve a likelihood narrower than about m / 30")
+    def test_beta_non_integer_shape_wide_support(self):
+        _odd_and_shrinks(lambda x: beta_rule(x, Beta(p=0.0, a=1.5, m=53.0, sigma=1.0)),
+                         0.0625, 1.0)
+
+    @_PROPERTY_SETTINGS
+    @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA, k=st.floats(0.51, 5.0))
+    def test_lpm(self, d, sigma, k):
+        _odd_and_shrinks(lambda x: lpm_rule(x, Lpm(k=k, sigma=sigma)), d, sigma)
+
+    @_PROPERTY_SETTINGS
+    @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA)
+    def test_abe(self, d, sigma):
+        _odd_and_shrinks(lambda x: abe_rule(x, Abe(sigma=sigma)), d, sigma)
+
+    @_PROPERTY_SETTINGS
+    @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA, alpha=st.floats(0.001, 0.999),
+           scale=st.floats(0.1, 10.0))
+    def test_bams(self, d, sigma, alpha, scale):
+        tau, mu = scale * sigma, 1.0 / sigma ** 2
+        if abs(2.0 * mu * tau * tau - 1.0) <= 1e-6:
+            return  # the closed form's singular manifold, rejected by Bams
+        spec = Bams(alpha=alpha, tau=tau, mu=mu)
+        _odd_and_shrinks(lambda x: bams_rule(x, spec), d, sigma)
+
+
+# ---------------------------------------------------------------------------
+# node-grid chunks
+# ---------------------------------------------------------------------------
+
+class TestNodeGridChunks:
+    """The quadrature rules evaluate their node grids in chunks of at most
+    _GRID_VALUES values; a level slice whose grid spans several chunks and
+    ends in a partial one must equal coefficient-by-coefficient evaluation."""
+
+    @staticmethod
+    def slice_spanning_chunks(nodes):
+        chunk = shrinkage._GRID_VALUES // nodes
+        rows, columns = 2 * chunk // 7 + 5, 7
+        assert rows * columns > 2 * chunk and (rows * columns) % chunk
+        rng = np.random.default_rng(41)
+        return rng.standard_normal((rows, columns)) * np.array([0.3, 1, 2, 4, 8, 0.5, 3])
+
+    def test_logistic_per_column_sigma(self):
+        d = self.slice_spanning_chunks(64)
+        sigma = np.array([0.2, 0.5, 1.0, 1.5, 2.0, 0.7, 3.0])
+        got = logistic_rule(d, Logistic(p=0.8, tau=1.5, sigma=sigma))
+        want = [[logistic_rule(float(d[r, i]), Logistic(p=0.8, tau=1.5, sigma=sigma[i]))
+                 for i in range(d.shape[1])] for r in range(d.shape[0])]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_beta_non_integer_shape(self):
+        d = self.slice_spanning_chunks(shrinkage.DEFAULT_GL_NODES)
+        m = np.array([1.0, 2.0, 4.0, 8.0, 12.0, 3.0, 6.0])
+        got = beta_rule(d, Beta(p=0.7, a=1.5, m=m, sigma=1.0))
+        want = [[beta_rule(float(d[r, i]), Beta(p=0.7, a=1.5, m=m[i], sigma=1.0))
+                 for i in range(d.shape[1])] for r in range(d.shape[0])]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_beta_explicit_quadrature(self):
+        quad = QuadratureSpec.gauss_legendre_interval(96)
+        d = self.slice_spanning_chunks(96)
+        spec = Beta(p=0.6, a=2.0, m=5.0, sigma=0.8)
+        got = beta_rule(d, spec, quad)
+        want = [[beta_rule(float(v), spec, quad) for v in row] for row in d]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("rule,nodes", [
+        (Logistic(sigma=1.0), shrinkage.DEFAULT_GH_NODES),
+        (Beta(a=1.5, sigma=1.0), shrinkage.DEFAULT_GL_NODES),
+    ])
+    def test_grids_stay_within_bound(self, monkeypatch, rule, nodes):
+        # a 512 x 50 level, as at M = 1024 with I = 50
+        rng = np.random.default_rng(42)
+        pyr = Pyramid.from_flat(rng.standard_normal((1024, 50)) * 3.0, 9)
+        grids = []
+
+        def recording(kernel):
+            def wrapped(x, *args, **kwargs):
+                if np.ndim(x) > 2:  # a node grid of a (rows x I) block
+                    grids.append(np.size(x))
+                return kernel(x, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(shrinkage, "_logistic_pdf", recording(shrinkage._logistic_pdf))
+        monkeypatch.setattr(shrinkage, "_phi", recording(shrinkage._phi))
+        shrink_pyramid(pyr, resolve_rule(rule, 1.0, pyr), LevelPolicy(J0=9))
+        assert max(grids) <= shrinkage._GRID_VALUES
+        assert sum(grids) == 512 * 50 * nodes  # every kernel evaluation seen once
 
 
 class TestQuadratureSpec:

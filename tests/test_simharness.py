@@ -72,6 +72,12 @@ class TestRunStudy:
         for row in report.rows:
             assert row.n == 1 and np.isnan(row.sd)
 
+    def test_level_policy_follows_study_j0(self):
+        cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,), replicates=1,
+                          rules=("log", "beta"), seed=0, n_samples=8, J0=2)
+        _, stream, failures = run_study(cfg)
+        assert not failures and len(stream) == 2 * 2
+
     def test_paired_rules_multiply_counts(self):
         cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
                           replicates=2, rules=("lpm", "abe"), seed=0, n_samples=8)
