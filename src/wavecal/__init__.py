@@ -7,8 +7,6 @@ from .wavelet import (
     Pyramid,
     UnsupportedFilterError,
     WaveletFilter,
-    dwt,
-    idwt,
     make_filter,
     transform_columns,
 )
@@ -20,6 +18,7 @@ from .shrinkage import (
     Logistic,
     Lpm,
     QuadratureSpec,
+    RULES,
     RuleSpec,
     abe_rule,
     av_policy,
@@ -61,9 +60,9 @@ from .simharness import (
 __all__ = [
     "__version__",
     "Pyramid", "UnsupportedFilterError", "WaveletFilter",
-    "dwt", "idwt", "make_filter", "transform_columns",
+    "make_filter", "transform_columns",
     "Abe", "Bams", "Beta", "LevelPolicy", "Logistic", "Lpm",
-    "QuadratureSpec", "RuleSpec",
+    "QuadratureSpec", "RULES", "RuleSpec",
     "abe_rule", "av_policy", "bams_rule", "beta_rule", "estimate_sigma",
     "logistic_rule", "lpm_rule", "resolve_rule", "shrink_pyramid",
     "COMPONENT_NAMES", "Dataset", "DatasetSpec", "component_function",

@@ -22,7 +22,7 @@ from .decomposition import (
     estimate_components,
     estimates_to_csv,
 )
-from .shrinkage import LevelPolicy, rule_defaults
+from .shrinkage import RULES, LevelPolicy, rule_defaults
 from .simharness import (
     DESK_REPLICATES,
     FULL_REPLICATES,
@@ -30,7 +30,6 @@ from .simharness import (
     StudyConfig,
     emit_reports,
     run_study,
-    _make_rule,
 )
 from .wavelet import make_filter
 
@@ -172,11 +171,9 @@ def _cmd_estimate(args) -> int:
     if weights.shape[1] != observed.shape[1]:
         raise ValueError(f"{args.input} has {observed.shape[1]} distinct sample_ids "
                          f"but {args.weights} has {weights.shape[1]} weight columns")
-    rule, use_policy = _make_rule(args.rule)
-    filt = make_filter("daubechies", args.vanishing_moments)
     config = EstimationConfig(
-        filter=filt, rule=rule, J0=args.j0,
-        policy=LevelPolicy(J0=args.j0) if use_policy else None)
+        filter=make_filter("daubechies", args.vanishing_moments),
+        rule=RULES[args.rule](), J0=args.j0, policy=LevelPolicy(J0=args.j0))
     alpha_hat = estimate_components(observed, weights, config)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "alpha_hat.csv")

@@ -13,6 +13,11 @@ signal part of a noisy coefficient d = theta + eps, eps ~ N(0, sigma^2):
   - bams_rule: Bayesian Adaptive Multiresolution Smoother (Vidakovic and
     Ruggeri, 2001).
 
+`RULES` maps each rule's name ("log", "beta", "lpm", "abe", "bams") to its
+parameter dataclass; a default instance is the unresolved spec that
+`resolve_rule` completes from the data.  Only Logistic and Beta take the
+Angelini-Vidakovic `LevelPolicy`; `shrink_pyramid` ignores it for the others.
+
 Rules accept a scalar or an array of coefficients and are pure functions of
 their arguments.  A data-dependent parameter (sigma, the beta half-support m,
 the BAMS scales) may also be a length-I vector, one value per column of a
@@ -31,7 +36,7 @@ no block ever holds its whole grid.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -49,6 +54,7 @@ __all__ = [
     "Abe",
     "Bams",
     "RuleSpec",
+    "RULES",
     "estimate_sigma",
     "logistic_rule",
     "beta_rule",
@@ -83,6 +89,11 @@ _BLOCK_COEFFICIENTS = 4096
 # Largest number of node-grid values `_grid_sums` holds at once: 256 KiB,
 # which stays in L2 cache and is reused for every chunk of a rule call.
 _GRID_VALUES = 32768
+
+# Past this magnitude d * d or sigma * sigma may overflow; `_downscaled`
+# divides such coefficients, and sigma, by _UPSCALE (both powers of two).
+_SQUARE_LIMIT = 2.0 ** 500
+_UPSCALE = 2.0 ** 600
 
 
 class ShrinkageUnderflowWarning(RuntimeWarning):
@@ -303,6 +314,9 @@ class Bams:
 
 
 RuleSpec = Union[Logistic, Beta, Lpm, Abe, Bams]
+
+RULES: dict[str, type] = {"log": Logistic, "beta": Beta, "lpm": Lpm, "abe": Abe,
+                          "bams": Bams}
 
 
 # ---------------------------------------------------------------------------
@@ -531,27 +545,40 @@ def beta_rule(d, spec: Beta, quad: Optional[QuadratureSpec] = None):
     return float(out) if scalar else out
 
 
+def _downscaled(arr, sigma):
+    """(d, sigma, factor) with d and sigma divided by ``factor``: _UPSCALE
+    where |d| or sigma exceeds _SQUARE_LIMIT, else 1.  Both rules below are
+    homogeneous of degree one in (d, sigma) and power-of-two scaling is
+    exact, so multiplying a rule's result by ``factor`` changes no bit
+    except where d * d would have overflowed."""
+    big = np.maximum(np.abs(arr), sigma) > _SQUARE_LIMIT
+    if not big.any():
+        return arr, sigma, 1.0
+    factor = np.where(big, _UPSCALE, 1.0)
+    return arr / factor, sigma / factor, factor
+
+
 def lpm_rule(d, spec: Lpm):
     """Large Posterior Mode thresholding: zero below lambda = 2 sigma
     sqrt(2k-1), else the larger posterior mode (closed interval at lambda)."""
-    sigma = _require(spec.sigma, "sigma", "Lpm")
     arr, scalar = _as_array(d)
+    arr, sigma, factor = _downscaled(arr, _require(spec.sigma, "sigma", "Lpm"))
     lam_sq = 4.0 * sigma * sigma * (2.0 * spec.k - 1.0)
     keep = arr * arr >= lam_sq
     disc = np.sqrt(np.maximum(arr * arr - lam_sq, 0.0))
-    out = np.where(keep, 0.5 * (arr + np.sign(arr) * disc), 0.0)
+    out = np.where(keep, 0.5 * (arr + np.sign(arr) * disc), 0.0) * factor
     return float(out) if scalar else out
 
 
 def abe_rule(d, spec: Abe):
     """Amplitude-scale invariant Bayes Estimator: (d^2 - 3 sigma^2)_+ / d,
     with the value at d = 0 defined as 0."""
-    sigma = _require(spec.sigma, "sigma", "Abe")
     arr, scalar = _as_array(d)
+    arr, sigma, factor = _downscaled(arr, _require(spec.sigma, "sigma", "Abe"))
     excess = arr * arr - 3.0 * sigma * sigma
     keep = excess > 0.0  # implies d != 0
     # divide only where kept: excess / d overflows for a subnormal d
-    out = np.where(keep, excess / np.where(keep, arr, 1.0), 0.0)
+    out = np.where(keep, excess / np.where(keep, arr, 1.0), 0.0) * factor
     return float(out) if scalar else out
 
 
@@ -657,11 +684,9 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
             # every rule maps 0 to 0: a column whose level is all zeros is
             # masked rather than given a degenerate support m(j) = 0
             live = m > 0.0
-            if isinstance(rule, Logistic):
-                level_rule = Logistic(p=p, tau=rule.tau, sigma=rule.sigma)
-            else:
-                level_rule = Beta(p=p, a=rule.a, m=np.where(live, m, 1.0),
-                                  sigma=rule.sigma)
+            level_rule = replace(rule, p=p)
+            if isinstance(rule, Beta):
+                level_rule = replace(level_rule, m=np.where(live, m, 1.0))
         new_details.append(np.where(live, _apply_rule(d, level_rule), 0.0))
     return Pyramid(coarse=pyr.coarse.copy(), details=new_details,
                    J=pyr.J, J0=pyr.J0)
@@ -680,30 +705,22 @@ def resolve_rule(spec: RuleSpec, sigma, pyr: Optional[Pyramid] = None) -> RuleSp
     tau = 3 sigma and mu = 1/sigma^2, i.e. the prior mean of the noise
     variance (1/mu under this parameterization) matches the plug-in sigma^2.
     """
-    if isinstance(spec, Logistic):
-        return Logistic(p=spec.p, tau=spec.tau,
-                        sigma=spec.sigma if spec.sigma is not None else sigma)
-    if isinstance(spec, Beta):
-        m = spec.m
-        if m is None:
-            if pyr is None:
-                raise ValueError("resolving Beta.m requires a pyramid")
-            m = np.max([np.max(np.abs(d), axis=0) for d in pyr.details], axis=0)
-            # all-zero details: every rule maps 0 to 0, so any support will do
-            m = np.where(m > 0.0, m, 1.0)
-        return Beta(p=spec.p, a=spec.a, m=m,
-                    sigma=spec.sigma if spec.sigma is not None else sigma)
-    if isinstance(spec, Lpm):
-        return Lpm(k=spec.k, sigma=spec.sigma if spec.sigma is not None else sigma)
-    if isinstance(spec, Abe):
-        return Abe(sigma=spec.sigma if spec.sigma is not None else sigma)
+    if not isinstance(spec, tuple(RULES.values())):
+        raise TypeError(f"unknown rule spec {spec!r}")
     if isinstance(spec, Bams):
         if np.any(np.asarray(sigma) <= 0) and (spec.tau is None or spec.mu is None):
             raise ValueError("BAMS defaults require a positive sigma estimate")
         tau = spec.tau if spec.tau is not None else 3.0 * sigma
         mu = spec.mu if spec.mu is not None else 1.0 / sigma ** 2
-        return Bams(alpha=spec.alpha, tau=tau, mu=mu)
-    raise TypeError(f"unknown rule spec {spec!r}")
+        return replace(spec, tau=tau, mu=mu)
+    unset = {} if spec.sigma is not None else {"sigma": sigma}
+    if isinstance(spec, Beta) and spec.m is None:
+        if pyr is None:
+            raise ValueError("resolving Beta.m requires a pyramid")
+        m = np.max([np.max(np.abs(d), axis=0) for d in pyr.details], axis=0)
+        # all-zero details: every rule maps 0 to 0, so any support will do
+        unset["m"] = np.where(m > 0.0, m, 1.0)
+    return replace(spec, **unset)
 
 
 def rule_defaults() -> dict[str, dict[str, object]]:

@@ -20,16 +20,7 @@ import numpy as np
 
 from . import __version__
 from .decomposition import EstimationConfig, PipelineError, estimate_components
-from .shrinkage import (
-    Abe,
-    Bams,
-    Beta,
-    LevelPolicy,
-    Logistic,
-    Lpm,
-    RuleSpec,
-    rule_defaults,
-)
+from .shrinkage import RULES, LevelPolicy, rule_defaults
 from .testbed import COMPONENT_NAMES, DatasetSpec, generate_dataset
 from .wavelet import make_filter
 
@@ -53,25 +44,10 @@ STUDY_COMPONENTS: dict[int, tuple[str, ...]] = {
     3: COMPONENT_NAMES,
 }
 
-RULE_NAMES = ("log", "beta", "lpm", "abe", "bams")
+RULE_NAMES = tuple(RULES)
 
 DESK_REPLICATES = 20
 FULL_REPLICATES = 100
-
-
-def _make_rule(name: str) -> tuple[RuleSpec, bool]:
-    """Unresolved rule spec for a CLI name; second element: use level policy."""
-    if name == "log":
-        return Logistic(), True
-    if name == "beta":
-        return Beta(), True
-    if name == "lpm":
-        return Lpm(), False
-    if name == "abe":
-        return Abe(), False
-    if name == "bams":
-        return Bams(), False
-    raise ValueError(f"unknown rule {name!r}; choose from {RULE_NAMES}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +79,8 @@ class StudyConfig:
         if not self.rules:
             raise ValueError("need at least one rule")
         for r in self.rules:
-            _make_rule(r)
+            if r not in RULES:
+                raise ValueError(f"unknown rule {r!r}; choose from {RULE_NAMES}")
         if self.n_samples < len(self.components):
             raise ValueError(f"I={self.n_samples} < L={len(self.components)}")
 
@@ -181,6 +158,9 @@ def run_study(config: StudyConfig):
     """
     filt = make_filter("daubechies", config.vanishing_moments)
     policy = LevelPolicy(gamma_exponent=config.policy_gamma, J0=config.J0)
+    est_configs = {name: EstimationConfig(filter=filt, rule=RULES[name](),
+                                          J0=config.J0, policy=policy)
+                   for name in config.rules}
     results: list[ReplicateResult] = []
     failures: list[ReplicateFailure] = []
     for M in config.m_values:
@@ -193,13 +173,9 @@ def run_study(config: StudyConfig):
                     config.seed, spawn_key=(M, snr_index, rep))
                 dataset = generate_dataset(spec, seed_seq=seed_seq)
                 for rule_name in config.rules:
-                    rule, use_policy = _make_rule(rule_name)
-                    est_config = EstimationConfig(
-                        filter=filt, rule=rule, J0=config.J0,
-                        policy=policy if use_policy else None)
                     try:
                         alpha_hat = estimate_components(
-                            dataset.observed, dataset.weights, est_config)
+                            dataset.observed, dataset.weights, est_configs[rule_name])
                     except PipelineError as exc:
                         failures.append(ReplicateFailure(
                             study=config.study_id, rule=rule_name, M=M, snr=snr,

@@ -11,6 +11,11 @@ Conventions (fixed, documented, both directions consistent):
   - synthesis is the exact transpose of the analysis map.
   - high-pass taps: g[n] = (-1)^n * h[2V - 1 - n]  (quadrature mirror).
 
+`transform_columns` is the only transform entry point: it transforms every
+column of an M x I matrix, and a single signal is a one-column matrix.  Its
+flat layout keeps detail level j in rows 2^j .. 2^(j+1) - 1; `Pyramid`
+names those level slices.
+
 Correctness is defined by round-trip identity and energy preservation, not by
 matching any external tool's coefficient signs.
 """
@@ -27,8 +32,6 @@ __all__ = [
     "WaveletFilter",
     "Pyramid",
     "make_filter",
-    "dwt",
-    "idwt",
     "transform_columns",
 ]
 
@@ -175,16 +178,6 @@ class Pyramid:
                     f"detail level {self.J0 + i} has shape {d.shape}, "
                     f"expected {(2 ** (self.J0 + i),) + columns}")
 
-    @property
-    def n_coefficients(self) -> int:
-        return 2 ** self.J
-
-    def level(self, j: int) -> np.ndarray:
-        """Detail coefficients at resolution level j (J0 <= j <= J-1)."""
-        if not self.J0 <= j < self.J:
-            raise ValueError(f"level {j} outside [{self.J0}, {self.J - 1}]")
-        return self.details[j - self.J0]
-
     def to_flat(self) -> np.ndarray:
         """Flatten as [coarse | details J0 | ... | details J-1]."""
         return np.concatenate([self.coarse] + self.details)
@@ -236,65 +229,32 @@ def _synthesis_stage(approx: np.ndarray, detail: np.ndarray,
     return wc @ filt.low_pass[::-1].copy() + wd @ filt.high_pass[::-1].copy()
 
 
-def _dwt_matrix(x: np.ndarray, filt: WaveletFilter, J0: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    J = _dyadic_depth(x.shape[0])
-    if not 0 <= J0 < J:
-        raise ValueError(f"J0={J0} must satisfy 0 <= J0 < J={J}")
-    a = x
-    details: list[np.ndarray] = []
-    for _ in range(J - J0):
-        a, d = _analysis_stage(a, filt)
-        details.append(d)
-    details.reverse()
-    return a, details
-
-
-def _idwt_matrix(coarse: np.ndarray, details: list[np.ndarray],
-                 filt: WaveletFilter) -> np.ndarray:
-    a = coarse
-    for d in details:
-        if d.shape[0] != a.shape[0]:
-            raise ValueError(
-                f"detail block of length {d.shape[0]} does not match "
-                f"approximation of length {a.shape[0]}")
-        a = _synthesis_stage(a, d, filt)
-    return a
-
-
-def dwt(signal: np.ndarray, filt: WaveletFilter, J0: int) -> Pyramid:
-    """Forward periodic DWT of a length-2^J signal down to level J0."""
-    x = np.asarray(signal, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("dwt expects a 1-D signal")
-    coarse, details = _dwt_matrix(x[:, None], filt, J0)
-    J = _dyadic_depth(x.size)
-    return Pyramid(coarse=coarse[:, 0], details=[d[:, 0] for d in details],
-                   J=J, J0=J0)
-
-
-def idwt(pyramid: Pyramid, filt: WaveletFilter) -> np.ndarray:
-    """Inverse periodic DWT; exact inverse of :func:`dwt` up to round-off."""
-    coarse = pyramid.coarse[:, None]
-    details = [d[:, None] for d in pyramid.details]
-    return _idwt_matrix(coarse, details, filt)[:, 0]
-
-
 def transform_columns(matrix: np.ndarray, filt: WaveletFilter, J0: int,
                       direction: str = "forward") -> np.ndarray:
-    """Apply the DWT (or its inverse) to every column of an M x I matrix.
+    """Apply the periodic DWT down to level J0 (or its inverse) to every
+    column of an M x I matrix, M = 2^J.
 
     Forward output columns use the flat pyramid layout
-    [coarse | details J0 | ... | details J-1]; inverse expects that layout.
-    Columns are independent and the result does not depend on evaluation
-    order.
+    [coarse | details J0 | ... | details J-1], so rows 2^j .. 2^(j+1) - 1
+    hold level j for j >= J0; inverse expects that layout.  Columns are
+    independent and the result does not depend on evaluation order.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("transform_columns expects a 2-D matrix")
     if direction == "forward":
-        coarse, details = _dwt_matrix(a, filt, J0)
-        return np.concatenate([coarse] + details, axis=0)
+        J = _dyadic_depth(a.shape[0])
+        if not 0 <= J0 < J:
+            raise ValueError(f"J0={J0} must satisfy 0 <= J0 < J={J}")
+        details = []
+        for _ in range(J - J0):
+            a, d = _analysis_stage(a, filt)
+            details.append(d)
+        return np.concatenate([a] + details[::-1], axis=0)
     if direction == "inverse":
         pyr = Pyramid.from_flat(a, J0)
-        return _idwt_matrix(pyr.coarse, pyr.details, filt)
+        a = pyr.coarse
+        for d in pyr.details:
+            a = _synthesis_stage(a, d, filt)
+        return a
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")

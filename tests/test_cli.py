@@ -10,7 +10,7 @@ import pytest
 
 from wavecal.cli import main
 from wavecal.decomposition import EstimationConfig, estimate_components
-from wavecal.shrinkage import Lpm
+from wavecal.shrinkage import RULES, LevelPolicy
 from wavecal.testbed import DatasetSpec, dataset_to_csv, generate_dataset
 from wavecal.wavelet import make_filter
 
@@ -78,7 +78,8 @@ def read_alpha_hat(path, M, L):
     return est
 
 
-def test_estimate_orders_samples_numerically(tmp_path):
+@pytest.mark.parametrize("rule", tuple(RULES))
+def test_estimate_orders_samples_numerically(tmp_path, rule):
     # with I >= 11, sorting ids as strings (0, 1, 10, 11, 2, ...) would pair
     # observed columns with the wrong weight columns
     spec = DatasetSpec(components=("bumps", "blocks"), M=128, I=12, snr=5.0, seed=22)
@@ -87,10 +88,11 @@ def test_estimate_orders_samples_numerically(tmp_path):
     dataset_to_csv(ds, data_csv)
     np.savetxt(weights_csv, ds.weights, delimiter=",", fmt="%.17g")
     rc = main(["estimate", "--input", str(data_csv), "--weights", str(weights_csv),
-               "--rule", "lpm", "--out", str(tmp_path / "est")])
+               "--rule", rule, "--out", str(tmp_path / "est")])
     assert rc == 0
     want = estimate_components(ds.observed, ds.weights, EstimationConfig(
-        filter=make_filter("daubechies", 10), rule=Lpm(), J0=3))
+        filter=make_filter("daubechies", 10), rule=RULES[rule](), J0=3,
+        policy=LevelPolicy(J0=3)))
     np.testing.assert_array_equal(read_alpha_hat(tmp_path / "est" / "alpha_hat.csv",
                                                  128, 2), want)
 

@@ -12,6 +12,7 @@ from wavecal.decomposition import (
     solve_gamma,
 )
 from wavecal.shrinkage import (
+    RULES,
     Abe,
     Bams,
     Beta,
@@ -22,6 +23,7 @@ from wavecal.shrinkage import (
     resolve_rule,
     shrink_pyramid,
 )
+from wavecal.simharness import STUDY_COMPONENTS
 from wavecal.testbed import (
     DatasetSpec,
     component_function,
@@ -157,15 +159,21 @@ class TestEstimateComponents:
         alpha_hat = estimate_components(ds.observed, ds.weights, config)
         assert alpha_hat.shape == (128, 3)
 
-    def test_permutation_consistency(self, db10):
-        spec = DatasetSpec(components=("bumps", "logit"), M=128, I=12,
-                           snr=3.0, seed=13)
+    @pytest.mark.parametrize("rule", tuple(RULES))
+    @pytest.mark.parametrize("mode", ["pooled", "per-column"])
+    def test_permutation_consistency(self, db10, rule, mode):
+        # permuting the samples together with their weight columns permutes
+        # the columns of every stage up to least squares; only the order of
+        # floating-point sums changes
+        spec = DatasetSpec(components=STUDY_COMPONENTS[2], M=512, I=50, snr=3.0, seed=13)
         ds = generate_dataset(spec)
-        config = EstimationConfig(filter=db10, rule=Abe(), J0=3)
+        config = EstimationConfig(filter=db10, rule=RULES[rule](), J0=3,
+                                  policy=LevelPolicy(J0=3), sigma_mode=mode)
         base = estimate_components(ds.observed, ds.weights, config)
-        perm = np.random.default_rng(0).permutation(12)
+        perm = np.random.default_rng(0).permutation(50)
         swapped = estimate_components(ds.observed[:, perm], ds.weights[:, perm], config)
-        np.testing.assert_allclose(swapped, base, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(swapped, base, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(base)))
 
     def test_mse_decreases_with_more_samples(self, db10):
         # L=1 with unit weights: averaging I samples shrinks the noise floor

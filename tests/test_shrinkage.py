@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import beta as beta_function, ndtr
 
 from wavecal import shrinkage
@@ -37,7 +37,7 @@ LOGISTIC_SPOT = 0.27789667054691214
 # frozen quadrature-oracle value for d=2, alpha=0.5, tau=2, mu=1
 BAMS_SPOT = 1.1339149425426418
 
-ALL_RULES = ("log", "beta", "lpm", "abe", "bams")
+ALL_RULES = tuple(shrinkage.RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +444,7 @@ class TestShrinkPyramid:
         pyr = Pyramid.from_flat(flat, 3)
         per_column = estimate_sigma(flat[64:])
         sigma = per_column if sigma_mode == "per-column" else float(np.mean(per_column))
-        spec = {"log": Logistic(), "beta": Beta(), "lpm": Lpm(), "abe": Abe(),
-                "bams": Bams()}[name]
+        spec = shrinkage.RULES[name]()
         policy = LevelPolicy(J0=3) if use_policy else None
 
         got = shrink_pyramid(pyr, resolve_rule(spec, sigma, pyr), policy).to_flat()
@@ -491,10 +490,10 @@ class TestShrinkPyramid:
         # than the static p = 0.9
         with_policy = shrink_pyramid(pyr, Logistic(p=0.9, tau=1.0, sigma=1.0), policy)
         static = shrink_pyramid(pyr, Logistic(p=0.9, tau=1.0, sigma=1.0))
-        d0 = pyr.level(2)
-        assert np.all(np.abs(with_policy.level(2)) >= np.abs(static.level(2)))
-        assert not np.allclose(with_policy.level(2), static.level(2))
-        assert np.any(np.abs(static.level(2)) < np.abs(d0))
+        d0, p0, s0 = pyr.details[0], with_policy.details[0], static.details[0]
+        assert np.all(np.abs(p0) >= np.abs(s0))
+        assert not np.allclose(p0, s0)
+        assert np.any(np.abs(s0) < np.abs(d0))
 
 
 # ---------------------------------------------------------------------------
@@ -680,14 +679,35 @@ class TestHypothesisProperties:
                          0.0625, 1.0)
 
     @_PROPERTY_SETTINGS
-    @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA, k=st.floats(0.51, 5.0))
+    @given(d=st.floats(-1e300, 1e300), sigma=_SIGMA, k=st.floats(0.51, 5.0))
     def test_lpm(self, d, sigma, k):
+        # d * d overflows beyond |d| = 1.3e154
         _odd_and_shrinks(lambda x: lpm_rule(x, Lpm(k=k, sigma=sigma)), d, sigma)
 
     @_PROPERTY_SETTINGS
-    @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA)
+    @given(d=st.floats(-1e300, 1e300), sigma=_SIGMA)
     def test_abe(self, d, sigma):
         _odd_and_shrinks(lambda x: abe_rule(x, Abe(sigma=sigma)), d, sigma)
+
+    @_PROPERTY_SETTINGS
+    @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA, k=st.floats(0.51, 5.0),
+           power=st.integers(-40, 40), c=st.floats(1e-3, 1e3))
+    def test_lpm_scale_equivariant(self, d, sigma, k, power, c):
+        # delta(c d; c sigma) = c delta(d; sigma): exact for a power of two c,
+        # to rounding otherwise.  Away from the jump at |d| = lambda, where
+        # rounding c lambda can move a coefficient across the threshold.
+        rule = lambda x, s: lpm_rule(x, Lpm(k=k, sigma=s))
+        assert rule(2.0 ** power * d, 2.0 ** power * sigma) == 2.0 ** power * rule(d, sigma)
+        assume(abs(abs(d) - Lpm(k=k, sigma=sigma).threshold) > 1e-12 * abs(d))
+        assert abs(rule(c * d, c * sigma) - c * rule(d, sigma)) <= 1e-13 * abs(c * d)
+
+    @_PROPERTY_SETTINGS
+    @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA, power=st.integers(-40, 40),
+           c=st.floats(1e-3, 1e3))
+    def test_abe_scale_equivariant(self, d, sigma, power, c):
+        rule = lambda x, s: abe_rule(x, Abe(sigma=s))
+        assert rule(2.0 ** power * d, 2.0 ** power * sigma) == 2.0 ** power * rule(d, sigma)
+        assert abs(rule(c * d, c * sigma) - c * rule(d, sigma)) <= 1e-13 * abs(c * d)
 
     @_PROPERTY_SETTINGS
     @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA, alpha=st.floats(0.001, 0.999),

@@ -8,6 +8,7 @@ import pytest
 
 import wavecal.simharness as sh
 from wavecal.decomposition import PipelineError
+from wavecal.shrinkage import RULES, rule_defaults
 from wavecal.simharness import (
     AmseReport,
     ReplicateResult,
@@ -35,6 +36,10 @@ class TestComputeMse:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compute_mse(np.zeros(3), np.zeros(4))
+
+
+def test_one_rule_table():
+    assert tuple(RULES) == sh.RULE_NAMES == tuple(rule_defaults())
 
 
 class TestStudyConfig:

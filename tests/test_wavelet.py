@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavecal.wavelet import (
     DAUBECHIES_LOWPASS,
     Pyramid,
     UnsupportedFilterError,
     WaveletFilter,
-    dwt,
-    idwt,
     make_filter,
     transform_columns,
 )
@@ -29,6 +28,16 @@ def haar_butterfly(x, J0):
         a = nxt
     details.reverse()
     return np.array(a), details
+
+
+def forward(x, f, J0):
+    """Flat-layout coefficients of one signal: rows 2^j .. 2^(j+1) - 1 hold
+    detail level j."""
+    return transform_columns(np.asarray(x, dtype=float)[:, None], f, J0, "forward")[:, 0]
+
+
+def inverse(flat, f, J0):
+    return transform_columns(np.asarray(flat, dtype=float)[:, None], f, J0, "inverse")[:, 0]
 
 
 class TestMakeFilter:
@@ -80,16 +89,15 @@ class TestMakeFilter:
             WaveletFilter(np.array([0.5, 0.5]), 1)  # sums to 1, not sqrt(2)
 
 
-class TestDwt:
+class TestForward:
     def test_constant_signal_concentrates(self):
         f = make_filter("daubechies", 10)
         for J in (6, 9):
             M = 2 ** J
-            p = dwt(np.full(M, 2.5), f, 0)
-            for d in p.details:
-                assert np.max(np.abs(d)) < 1e-10
-            assert p.coarse.shape == (1,)
-            np.testing.assert_allclose(p.coarse[0], 2.5 * np.sqrt(M), rtol=1e-12)
+            flat = forward(np.full(M, 2.5), f, 0)
+            assert flat.shape == (M,)
+            assert np.max(np.abs(flat[1:])) < 1e-10
+            np.testing.assert_allclose(flat[0], 2.5 * np.sqrt(M), rtol=1e-12)
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(42)
@@ -97,22 +105,21 @@ class TestDwt:
             f = make_filter("daubechies", v)
             for M in (64, 512, 1024):
                 x = rng.standard_normal(M)
-                p = dwt(x, f, 3)
-                assert np.max(np.abs(idwt(p, f) - x)) < 1e-8
+                assert np.max(np.abs(inverse(forward(x, f, 3), f, 3) - x)) < 1e-8
 
     def test_energy_preserved(self):
         rng = np.random.default_rng(7)
         f = make_filter("daubechies", 10)
         x = rng.standard_normal(512)
-        p = dwt(x, f, 2)
-        assert abs(np.linalg.norm(p.to_flat()) - np.linalg.norm(x)) < 1e-8 * np.linalg.norm(x)
+        flat = forward(x, f, 2)
+        assert abs(np.linalg.norm(flat) - np.linalg.norm(x)) < 1e-8 * np.linalg.norm(x)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
         f = make_filter("daubechies", 6)
         x, z = rng.standard_normal((2, 256))
-        pa = dwt(2.5 * x - 1.25 * z, f, 3).to_flat()
-        pb = 2.5 * dwt(x, f, 3).to_flat() - 1.25 * dwt(z, f, 3).to_flat()
+        pa = forward(2.5 * x - 1.25 * z, f, 3)
+        pb = 2.5 * forward(x, f, 3) - 1.25 * forward(z, f, 3)
         assert np.max(np.abs(pa - pb)) < 1e-10
 
     def test_vanishing_moments_on_polynomials(self):
@@ -122,13 +129,13 @@ class TestDwt:
         M, J, J0 = 512, 9, 3
         t = np.arange(M, dtype=float) / M
         x = 2.0 - 3.0 * t + 0.5 * t ** 2 + 8.0 * t ** 3
-        p = dwt(x, f, J0)
+        flat = forward(x, f, J0)
         T = len(f)
         checked = 0
         for j in range(J0, J):
             levels_below = J - j  # analysis stages feeding this detail block
             span = (T - 1) * (2 ** levels_below - 1) + 1
-            d = p.level(j)
+            d = flat[2 ** j: 2 ** (j + 1)]
             for k in range(d.size):
                 if 2 ** levels_below * k + span <= M:
                     assert abs(d[k]) < 1e-6
@@ -139,43 +146,42 @@ class TestDwt:
         rng = np.random.default_rng(11)
         f = make_filter("daubechies", 1)
         x = rng.standard_normal(64)
-        p = dwt(x, f, 2)
+        flat = forward(x, f, 2)
         coarse, details = haar_butterfly(x, 2)
-        np.testing.assert_allclose(p.coarse, coarse, rtol=0, atol=1e-12)
-        for got, want in zip(p.details, details):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(flat[:4], coarse, rtol=0, atol=1e-12)
+        for j, want in enumerate(details, start=2):
+            np.testing.assert_allclose(flat[2 ** j: 2 ** (j + 1)], want, rtol=0, atol=1e-12)
 
     def test_non_power_of_two_rejected(self):
         f = make_filter("daubechies", 2)
         with pytest.raises(ValueError):
-            dwt(np.zeros(100), f, 2)
+            forward(np.zeros(100), f, 2)
 
     def test_bad_j0_rejected(self):
         f = make_filter("daubechies", 2)
         with pytest.raises(ValueError):
-            dwt(np.zeros(64), f, 6)
+            forward(np.zeros(64), f, 6)
+        with pytest.raises(ValueError):
+            inverse(np.zeros(64), f, 6)
 
 
-class TestIdwt:
+class TestInverse:
     def test_zero_pyramid(self):
         f = make_filter("daubechies", 4)
-        p = Pyramid.from_flat(np.zeros(128), 3)
-        assert np.max(np.abs(idwt(p, f))) == 0.0
+        assert np.max(np.abs(inverse(np.zeros(128), f, 3))) == 0.0
 
     def test_coarse_only_pyramid_gives_constant(self):
         f = make_filter("daubechies", 10)
         M = 256
         flat = np.zeros(M)
         flat[0] = 4.0 * np.sqrt(M)
-        p = Pyramid.from_flat(flat, 0)
-        np.testing.assert_allclose(idwt(p, f), 4.0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(inverse(flat, f, 0), 4.0, rtol=0, atol=1e-10)
 
     def test_two_sided_inverse(self):
         rng = np.random.default_rng(19)
         f = make_filter("daubechies", 5)
-        p = Pyramid.from_flat(rng.standard_normal(256), 2)
-        q = dwt(idwt(p, f), f, 2)
-        assert np.max(np.abs(q.to_flat() - p.to_flat())) < 1e-8
+        flat = rng.standard_normal(256)
+        assert np.max(np.abs(forward(inverse(flat, f, 2), f, 2) - flat)) < 1e-8
 
     def test_level_length_mismatch_rejected(self):
         p = Pyramid.from_flat(np.zeros(64), 2)
@@ -192,15 +198,15 @@ class TestPyramid:
         assert [d.size for d in p.details] == [8, 16, 32, 64]
         np.testing.assert_array_equal(p.to_flat(), flat)
 
-    def test_level_accessor(self):
-        p = Pyramid.from_flat(np.arange(64.0), 2)
-        np.testing.assert_array_equal(p.level(2), np.arange(4.0, 8.0))
-        with pytest.raises(ValueError):
-            p.level(6)
+    def test_details_are_level_slices_of_the_flat_layout(self):
+        flat = np.arange(64.0)
+        p = Pyramid.from_flat(flat, 2)
+        for j, d in enumerate(p.details, start=2):
+            np.testing.assert_array_equal(d, flat[2 ** j: 2 ** (j + 1)])
+            assert np.shares_memory(d, flat)
 
     def test_counts(self):
         p = Pyramid.from_flat(np.zeros(1024), 3)
-        assert p.n_coefficients == 1024
         assert p.J == 10 and p.J0 == 3
 
     def test_matrix_levels_are_column_slices(self):
@@ -209,7 +215,7 @@ class TestPyramid:
         p = Pyramid.from_flat(flat, 2)
         assert p.coarse.shape == (4, 5)
         assert [d.shape for d in p.details] == [(4, 5), (8, 5), (16, 5), (32, 5)]
-        np.testing.assert_array_equal(p.level(3), flat[8:16])
+        np.testing.assert_array_equal(p.details[1], flat[8:16])
         np.testing.assert_array_equal(p.to_flat(), flat)
         for i in range(5):
             np.testing.assert_array_equal(
@@ -227,12 +233,16 @@ class TestPyramid:
 
 
 class TestTransformColumns:
-    def test_single_column_matches_dwt(self):
+    def test_columns_transform_independently(self):
         rng = np.random.default_rng(2)
         f = make_filter("daubechies", 4)
-        x = rng.standard_normal(128)
-        cols = transform_columns(x[:, None], f, 3, "forward")
-        np.testing.assert_allclose(cols[:, 0], dwt(x, f, 3).to_flat(), rtol=0, atol=1e-14)
+        a = rng.standard_normal((128, 6))
+        for direction in ("forward", "inverse"):
+            cols = transform_columns(a, f, 3, direction)
+            for i in range(a.shape[1]):
+                np.testing.assert_allclose(
+                    cols[:, i], transform_columns(a[:, i:i + 1], f, 3, direction)[:, 0],
+                    rtol=0, atol=1e-14)
 
     def test_forward_inverse_identity(self):
         rng = np.random.default_rng(8)
@@ -259,6 +269,23 @@ class TestTransformColumns:
         with pytest.raises(ValueError):
             transform_columns(np.zeros((100, 2)), f, 1, "forward")
 
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(v=st.integers(1, 10), J=st.integers(1, 9), data=st.data(),
+           columns=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3))
+    def test_linear_and_energy_preserving(self, v, J, data, columns, seed, a, b):
+        J0 = data.draw(st.integers(0, J - 1), label="J0")
+        f = make_filter("daubechies", v)
+        x, z = np.random.default_rng(seed).standard_normal((2, 2 ** J, columns))
+        tx, tz = (transform_columns(m, f, J0, "forward") for m in (x, z))
+        combined = transform_columns(a * x + b * z, f, J0, "forward")
+        scale = (abs(a) + abs(b)) * max(np.max(np.abs(x)), np.max(np.abs(z)))
+        assert np.max(np.abs(combined - (a * tx + b * tz))) <= 1e-12 * scale
+        np.testing.assert_allclose(np.linalg.norm(tx, axis=0), np.linalg.norm(x, axis=0),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(transform_columns(tx, f, J0, "inverse"), x,
+                                   rtol=0, atol=1e-12 * np.max(np.abs(x)))
 
 def test_bulk_perfect_reconstruction_and_energy():
     # 1000 random signals per (M, V) pair; part of the acceptance gate too
