@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -123,46 +124,47 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _sample_id(path, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{path}: sample_id {text!r} is not an integer") from None
+# the columns `estimate` reads, by header name, in the order of the fields
+_SAMPLE_ROW = np.dtype([("t", float), ("sample_id", np.int64), ("value", float)])
 
 
 def _read_samples(path):
     """(grid, M x I observations), one column per sample_id in increasing
     numeric order.  Every sample must have distinct t values on one common,
     uniformly spaced grid (each step within 1% of the mean step)."""
-    by_sample: dict[int, list[tuple[float, float]]] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"t", "sample_id", "value"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
+        header = next(csv.reader(fh), None)
+        if header is None or not set(_SAMPLE_ROW.names).issubset(header):
             raise ValueError(f"{path}: expected columns t,sample_id,value")
-        for row in reader:
-            by_sample.setdefault(_sample_id(path, row["sample_id"]), []).append(
-                (float(row["t"]), float(row["value"])))
-    if not by_sample:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: reported below
+            try:
+                rows = np.loadtxt(fh, dtype=_SAMPLE_ROW, delimiter=",", quotechar='"',
+                                  usecols=[header.index(n) for n in _SAMPLE_ROW.names],
+                                  ndmin=1)
+            except ValueError as exc:  # includes a sample_id that is not an integer
+                raise ValueError(f"{path}: {exc}") from None
+    if rows.size == 0:
         raise ValueError(f"{path}: no data rows")
-    sample_ids = sorted(by_sample)
-    grids = []
-    columns = []
-    for sid in sample_ids:
-        pairs = sorted(by_sample[sid])
-        grids.append(np.array([t for t, _ in pairs]))
-        columns.append(np.array([v for _, v in pairs]))
-        if np.any(np.diff(grids[-1]) == 0.0):
-            raise ValueError(f"{path}: sample_id {sid} has duplicate t values")
+    rows = rows[np.lexsort((rows["value"], rows["t"], rows["sample_id"]))]
+    t, ids = rows["t"], rows["sample_id"]
+    same_sample = ids[1:] == ids[:-1]
+    duplicate = same_sample & (t[1:] == t[:-1])
+    if duplicate.any():
+        raise ValueError(f"{path}: sample_id {ids[np.argmax(duplicate)]} "
+                         f"has duplicate t values")
+    counts = np.diff(np.flatnonzero(np.r_[True, ~same_sample, True]))
+    if np.any(counts != counts[0]):
+        raise ValueError(f"{path}: samples are not on a common grid")
+    grids = t.reshape(counts.size, counts[0])
     grid = grids[0]
-    for g in grids[1:]:
-        if g.shape != grid.shape or not np.allclose(g, grid, rtol=0, atol=1e-12):
-            raise ValueError(f"{path}: samples are not on a common grid")
+    if not np.allclose(grids, grid, rtol=0, atol=1e-12):
+        raise ValueError(f"{path}: samples are not on a common grid")
     steps = np.diff(grid)
     if steps.size and np.any(np.abs(steps - steps.mean()) > 0.01 * steps.mean()):
         raise ValueError(f"{path}: the t grid is not uniformly spaced (steps from "
                          f"{steps.min():.6g} to {steps.max():.6g})")
-    return grid, np.column_stack(columns)
+    return grid, np.ascontiguousarray(rows["value"].reshape(grids.shape).T)
 
 
 def _cmd_estimate(args) -> int:

@@ -5,13 +5,20 @@ by column, estimate the noise scale, shrink every detail coefficient of the
 M x I coefficient matrix one level slice at a time, solve a least-squares
 system for the component coefficients through the known mixing weights, and
 invert the transform.
+
+The forward transform and the per-column noise estimates do not depend on
+the rule, and a study runs every rule on the same dataset, so
+`estimate_components` keeps them for the last (observed, filter, J0) it
+saw: a one-entry memo whose key is a bit-for-bit copy of ``observed``.  A
+hit returns the same bits as a recomputation; the memo's arrays are
+read-only.  The least-squares stage takes one thin SVD of the weights, which
+serves both the rank check and the pseudo-inverse.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -78,9 +85,10 @@ def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Least-squares recovery of component coefficients.
 
     Returns the M x L matrix minimizing ||shrunk - gamma @ weights||_F,
-    computed through an orthogonal factorization of weights^T (never by
-    forming (y y^T)^-1).  Raises RankDeficiencyError when the smallest
-    singular value of the weights falls below 1e-10 times the largest.
+    computed as shrunk @ pinv(weights) from the thin SVD
+    weights = U diag(s) V^T, i.e. shrunk @ V diag(1/s) U^T (never by forming
+    (y y^T)^-1).  Raises RankDeficiencyError when the smallest singular value
+    of the weights falls below 1e-10 times the largest.
     """
     D = np.asarray(shrunk, dtype=float)
     y = np.asarray(weights, dtype=float)
@@ -91,16 +99,70 @@ def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise ValueError(f"coefficient matrix has {D.shape[1]} columns, weights have {I}")
     if I < L:
         raise RankDeficiencyError(f"underdetermined mixing: L={L} components, I={I} samples")
-    svals = np.linalg.svd(y, compute_uv=False)
+    u, svals, vt = np.linalg.svd(y, full_matrices=False)
     if svals[-1] < _RANK_RTOL * svals[0]:
         raise RankDeficiencyError(
             f"weights are rank deficient: singular values span "
             f"[{svals[-1]:.3e}, {svals[0]:.3e}], effective rank "
             f"{int(np.sum(svals >= _RANK_RTOL * svals[0]))} < {L}")
-    gamma_t, _, rank, _ = np.linalg.lstsq(y.T, D.T, rcond=_RANK_RTOL)
+    # the rank a least-squares solver with rcond = _RANK_RTOL would use
+    rank = int(np.sum(svals > _RANK_RTOL * svals[0]))
     if rank < L:
         raise RankDeficiencyError(f"least-squares rank {rank} < {L}")
-    return gamma_t.T
+    return D @ (vt.T / svals @ u.T)
+
+
+class _Transformed(NamedTuple):
+    """The rule-independent stages of one dataset: the key (a copy of the
+    observed matrix, the filter taps, J0), the flat coefficient matrix and,
+    once a non-fixed sigma_mode has asked for it, the per-column sigma-hat."""
+
+    observed: np.ndarray
+    taps: np.ndarray
+    J0: int
+    coefficients: np.ndarray
+    sigma: Optional[np.ndarray] = None
+
+    def matches(self, observed: np.ndarray, config: EstimationConfig) -> bool:
+        # compared bit for bit, so that a hit returns exactly what a
+        # recomputation would (array_equal alone equates 0.0 and -0.0)
+        return (self.J0 == config.J0
+                and np.array_equal(self.taps, config.filter.low_pass)
+                and np.array_equal(self.observed.view(np.uint64),
+                                   observed.view(np.uint64)))
+
+
+# The last dataset's rule-independent stages.  Each call reads the entry once
+# and replaces it whole, so concurrent callers never see a torn entry.
+_memo: Optional[_Transformed] = None
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _rule_independent_stages(A: np.ndarray, config: EstimationConfig):
+    """(flat coefficients, per-column sigma-hat or None under fixed sigma)
+    of the observed matrix, from the memo when it holds this dataset."""
+    global _memo
+    entry = _memo
+    if entry is None or not entry.matches(A, config):
+        try:
+            D = transform_columns(A, config.filter, config.J0, "forward")
+        except ValueError as exc:
+            raise PipelineError("transform", str(exc)) from exc
+        entry = _Transformed(_read_only(A.copy()), config.filter.low_pass, config.J0,
+                             _read_only(D))
+        _memo = entry
+    if entry.sigma is None and config.sigma_mode != "fixed":
+        try:
+            sigma = estimate_sigma(entry.coefficients[A.shape[0] // 2:])
+        except ValueError as exc:
+            raise PipelineError("sigma", str(exc)) from exc
+        entry = entry._replace(sigma=_read_only(sigma))
+        _memo = entry
+    return entry.coefficients, entry.sigma
 
 
 def estimate_components(observed: np.ndarray, weights: np.ndarray,
@@ -109,8 +171,10 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
 
     Stages: forward transform -> noise-scale estimation -> coefficientwise
     shrinkage -> least squares through the weights -> inverse transform.
-    Errors carry the failing stage name; NaN or inf in either input is
-    rejected at the ``input`` stage.
+    The first two are shared with the previous call when it had the same
+    observed matrix, filter and J0 (see the module docstring).  Errors carry
+    the failing stage name; NaN or inf in either input is rejected at the
+    ``input`` stage.
     """
     A = np.asarray(observed, dtype=float)
     y = np.asarray(weights, dtype=float)
@@ -120,25 +184,17 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
         raise PipelineError("input", f"weights shape {y.shape} incompatible with "
                                      f"{A.shape[1]} observed samples")
     for name, values in (("observed", A), ("weights", y)):
-        bad = np.flatnonzero(~np.all(np.isfinite(values), axis=0))
-        if bad.size:
+        if not np.isfinite(values).all():
+            bad = np.flatnonzero(~np.all(np.isfinite(values), axis=0))
             raise PipelineError("input", f"{name} has NaN or inf in sample column(s) "
                                          f"{', '.join(map(str, bad))}")
 
-    try:
-        D = transform_columns(A, config.filter, config.J0, "forward")
-    except ValueError as exc:
-        raise PipelineError("transform", str(exc)) from exc
-
-    try:
-        if config.sigma_mode == "fixed":
-            sigma = float(config.sigma_value)
-        else:
-            per_column = estimate_sigma(D[A.shape[0] // 2:])
-            sigma = per_column if config.sigma_mode == "per-column" \
-                else float(np.mean(per_column))
-    except ValueError as exc:
-        raise PipelineError("sigma", str(exc)) from exc
+    D, per_column = _rule_independent_stages(A, config)
+    if config.sigma_mode == "fixed":
+        sigma = float(config.sigma_value)
+    else:
+        sigma = per_column if config.sigma_mode == "per-column" \
+            else float(np.mean(per_column))
 
     try:
         pyr = Pyramid.from_flat(D, config.J0)
@@ -159,12 +215,12 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
 
 
 def estimates_to_csv(alpha_hat: np.ndarray, grid: np.ndarray, path) -> None:
-    """Write estimated component curves as rows (t, component_index, estimate)."""
+    """Write estimated component curves as rows (t, component_index, estimate),
+    with CSV line endings (CRLF)."""
+    M, L = alpha_hat.shape
+    t = [format(float(v), ".17g") for v in grid[:M]]
+    lines = ["t,component_index,estimate"]
+    lines += [f"{t[m]},{l},{format(float(alpha_hat[m, l]), '.17g')}"
+              for l in range(L) for m in range(M)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "component_index", "estimate"])
-        M, L = alpha_hat.shape
-        for l in range(L):
-            for m in range(M):
-                writer.writerow([format(float(grid[m]), ".17g"), l,
-                                 format(float(alpha_hat[m, l]), ".17g")])
+        fh.write("\r\n".join(lines) + "\r\n")

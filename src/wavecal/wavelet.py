@@ -8,8 +8,17 @@ V = 1..10 vanishing moments, embedded as tabulated constants.
 Conventions (fixed, documented, both directions consistent):
   - analysis:   approx[k] = sum_n h[n] * a[(2k + n) mod N]
                 detail[k] = sum_n g[n] * a[(2k + n) mod N]
-  - synthesis is the exact transpose of the analysis map.
+  - synthesis is the exact transpose of the analysis map:
+                a[m] = sum over k, n with (2k + n) mod N = m of
+                       h[n] * approx[k] + g[n] * detail[k]
   - high-pass taps: g[n] = (-1)^n * h[2V - 1 - n]  (quadrature mirror).
+
+Each level runs as one batched matrix product (BLAS GEMMs).  The level
+input, extended periodically, is cut into overlapping windows 2b apart, and a
+block operator built once per filter maps each window to b approximation and
+b detail coefficients, interleaved; synthesis applies the transposed operator
+to windows of the interleaved (approx, detail) sequence and yields 2b
+samples per window.  b is `_BLOCK` rows, or N/2 on a shorter level.
 
 `transform_columns` is the only transform entry point: it transforms every
 column of an M x I matrix, and a single signal is a one-column matrix.  Its
@@ -23,9 +32,9 @@ matching any external tool's coefficient signs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "UnsupportedFilterError",
@@ -89,6 +98,10 @@ DAUBECHIES_LOWPASS: dict[int, tuple[float, ...]] = {
 
 _ORTHO_TOL = 1e-12
 
+# Output rows per block of a level's batched product.  Larger blocks mean fewer,
+# larger GEMMs, but each block also multiplies the T - 2 zeros of its band.
+_BLOCK = 8
+
 
 @dataclass(frozen=True)
 class WaveletFilter:
@@ -97,11 +110,18 @@ class WaveletFilter:
     ``low_pass`` holds the scaling taps h[0..2V-1]; ``high_pass`` is derived
     by the quadrature-mirror construction g[n] = (-1)^n h[2V-1-n].  Instances
     are immutable and safe to share across threads.
+
+    ``analysis_block`` and ``synthesis_block`` are the read-only
+    (2 * _BLOCK) x (2 * _BLOCK + 2V - 2) block operators of one transform
+    level; a level with b < _BLOCK uses their leading 2b x (2b + 2V - 2)
+    corner.
     """
 
     low_pass: np.ndarray
     vanishing_moments: int
     high_pass: np.ndarray = field(init=False)
+    analysis_block: np.ndarray = field(init=False, repr=False, compare=False)
+    synthesis_block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.low_pass, dtype=float)
@@ -117,13 +137,33 @@ class WaveletFilter:
         if abs(np.dot(h, h) - 1.0) > _ORTHO_TOL:
             raise UnsupportedFilterError("taps not normalized")
         g = ((-1.0) ** np.arange(n)) * h[::-1]
-        h.flags.writeable = False
-        g.flags.writeable = False
+        # Analysis rows 2k and 2k + 1 give approx[k] and detail[k] of a block.
+        # Synthesis output r of a block takes tap r + n - 2 - 2i of h and of g
+        # from the i-th (approx, detail) pair of its window: columns n - 2 ..
+        # n - 3 + 2 * _BLOCK of an analysis band n/2 - 1 pairs taller, transposed.
+        taps = np.stack([h, g])
+        analysis = _band(taps, _BLOCK)
+        synthesis = np.ascontiguousarray(
+            _band(taps, _BLOCK + n // 2 - 1)[:, n - 2: n - 2 + 2 * _BLOCK].T)
+        for array in (h, g, analysis, synthesis):
+            array.flags.writeable = False
         object.__setattr__(self, "low_pass", h)
         object.__setattr__(self, "high_pass", g)
+        object.__setattr__(self, "analysis_block", analysis)
+        object.__setattr__(self, "synthesis_block", synthesis)
 
     def __len__(self) -> int:
         return self.low_pass.size
+
+
+def _band(taps: np.ndarray, b: int) -> np.ndarray:
+    """(2b) x (2b + T - 2) operator whose rows 2k and 2k + 1 hold the two
+    rows of ``taps`` (2 x T) starting at column 2k."""
+    T = taps.shape[1]
+    op = np.zeros((2 * b, 2 * b + T - 2))
+    for k in range(b):
+        op[2 * k: 2 * k + 2, 2 * k: 2 * k + T] = taps
+    return op
 
 
 def make_filter(family: str, vanishing_moments: int) -> WaveletFilter:
@@ -205,28 +245,44 @@ def _dyadic_depth(m: int) -> int:
     return J
 
 
+@lru_cache(maxsize=None)  # one entry per level size and filter length
+def _periodic_index(n: int, start: int, length: int) -> np.ndarray:
+    """Read-only rows (start + i) mod n for i = 0 .. length - 1."""
+    idx = (np.arange(length) + start) % n
+    idx.flags.writeable = False
+    return idx
+
+
+def _apply_blocks(op: np.ndarray, ext: np.ndarray, b: int) -> np.ndarray:
+    """One batched GEMM: rows 2qb .. 2qb + 2b - 1 of the result are the
+    leading 2b x (2b + T - 2) corner of the block operator ``op`` times the
+    q-th window ext[2qb : 2qb + 2b + T - 2] of the extended level, which must
+    be C-contiguous."""
+    width = 2 * b + op.shape[1] - op.shape[0]
+    rows, columns = ext.strides
+    # a read-only strided view, as as_strided would build it, without its overhead
+    windows = np.ndarray(((ext.shape[0] - width) // (2 * b) + 1, width, ext.shape[1]),
+                         ext.dtype, ext, 0, (2 * b * rows, rows, columns))
+    windows.flags.writeable = False
+    return np.matmul(op[: 2 * b, :width], windows).reshape(-1, ext.shape[1])
+
+
 def _analysis_stage(a: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
     # a: (N, C) with N even; returns (N/2, C) approx and detail blocks.
     N = a.shape[0]
-    T = len(filt)
-    ext = a[np.arange(N + T - 1) % N]
-    win = sliding_window_view(ext, T, axis=0)[::2]  # (N/2, C, T)
-    return win @ filt.low_pass, win @ filt.high_pass
+    ext = a[_periodic_index(N, 0, N + len(filt) - 2)]
+    out = _apply_blocks(filt.analysis_block, ext, min(_BLOCK, N // 2))
+    return out[0::2], out[1::2]
 
 
 def _synthesis_stage(approx: np.ndarray, detail: np.ndarray,
                      filt: WaveletFilter) -> np.ndarray:
-    # transpose of _analysis_stage: a[m] = sum_k h[(m-2k)%N] c[k] + g[(m-2k)%N] d[k]
-    N = 2 * approx.shape[0]
-    T = len(filt)
-    up_c = np.zeros((N, approx.shape[1]))
-    up_d = np.zeros_like(up_c)
-    up_c[0::2] = approx
-    up_d[0::2] = detail
-    idx = (np.arange(N + T - 1) - (T - 1)) % N
-    wc = sliding_window_view(up_c[idx], T, axis=0)
-    wd = sliding_window_view(up_d[idx], T, axis=0)
-    return wc @ filt.low_pass[::-1].copy() + wd @ filt.high_pass[::-1].copy()
+    # transpose of _analysis_stage on the interleaved (approx, detail) pairs,
+    # each window starting T/2 - 1 pairs before its block
+    half, lead = approx.shape[0], len(filt) // 2 - 1
+    pairs = np.stack((approx, detail), axis=1).reshape(2 * half, -1)
+    ext = pairs[_periodic_index(2 * half, -2 * lead, 2 * (half + lead))]
+    return _apply_blocks(filt.synthesis_block, ext, min(_BLOCK, half))
 
 
 def transform_columns(matrix: np.ndarray, filt: WaveletFilter, J0: int,

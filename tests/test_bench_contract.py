@@ -1,0 +1,29 @@
+"""The benchmark's traced run still works against this program.
+
+The benchmark (`bench/`) traces the program by swapping the module-level
+names through which its modules call each other, and checks that traced and
+untraced outputs are equal byte for byte.  This runs a short traced run the
+way the benchmark's own tests do, from the repository root, so a refactor
+that breaks that contract fails here.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_run_is_correct_and_reports_every_layer():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "mc_threshold_s1m512",
+         "--seed", "0", "--seconds", "0.1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] > 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {name: metric["unit"] for name, metric in result["metrics"].items()} \
+        == {metric["name"]: metric["unit"] for metric in declared}

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from wavecal.cli import main
+from wavecal.cli import _read_samples, main
 from wavecal.decomposition import EstimationConfig, estimate_components
 from wavecal.shrinkage import RULES, LevelPolicy
 from wavecal.testbed import DatasetSpec, dataset_to_csv, generate_dataset
@@ -95,6 +95,51 @@ def test_estimate_orders_samples_numerically(tmp_path, rule):
         policy=LevelPolicy(J0=3)))
     np.testing.assert_array_equal(read_alpha_hat(tmp_path / "est" / "alpha_hat.csv",
                                                  128, 2), want)
+
+
+def read_samples_by_row(path):
+    """One sorted (t, value) list per integer sample_id, in id order."""
+    by_sample = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            by_sample.setdefault(int(row["sample_id"]), []).append(
+                (float(row["t"]), float(row["value"])))
+    columns = [sorted(by_sample[sid]) for sid in sorted(by_sample)]
+    return (np.array([t for t, _ in columns[0]]),
+            np.array([[v for _, v in column] for column in columns]).T)
+
+
+def test_read_samples_matches_row_by_row_reading(tmp_path):
+    # rows shuffled, columns in another order, an extra column, quoted ids
+    ds = generate_dataset(DatasetSpec(components=("bumps",), M=32, I=12, snr=5.0, seed=25))
+    rows = [(repr(float(ds.observed[m, i])), "x", repr(float(ds.grid[m])),
+             f'"{i * 7 - 30}"') for i in range(12) for m in range(32)]
+    order = np.random.default_rng(0).permutation(len(rows))
+    with open(tmp_path / "data.csv", "w", newline="") as fh:
+        fh.write("value,note,t,sample_id\n")
+        fh.writelines(",".join(rows[k]) + "\n" for k in order)
+    grid, observed = _read_samples(tmp_path / "data.csv")
+    want_grid, want = read_samples_by_row(tmp_path / "data.csv")
+    np.testing.assert_array_equal(grid, want_grid)
+    np.testing.assert_array_equal(observed, want)
+    np.testing.assert_array_equal(observed, ds.observed)
+    assert observed.flags.c_contiguous
+
+
+@pytest.mark.parametrize("body,message", [
+    ("", "no data rows"),
+    ("0.5,1,1.0\n1.0,1\n", "[input]"),
+    ("0.5,1.5,1.0\n", "int64"),
+    ("0.5,0,1.0\n1.0,0,2.0\n0.5,1,1.0\n", "not on a common grid"),
+])
+def test_estimate_malformed_rows_rejected(tmp_path, capsys, body, message):
+    (tmp_path / "data.csv").write_text("t,sample_id,value\n" + body)
+    np.savetxt(tmp_path / "y.csv", np.ones((1, 2)), delimiter=",")
+    rc = main(["estimate", "--input", str(tmp_path / "data.csv"),
+               "--weights", str(tmp_path / "y.csv"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "[input]" in err and message in err
 
 
 def test_estimate_sample_count_must_match_weights(tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Least-squares recovery and the end-to-end estimation pipeline."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from wavecal import decomposition
 from wavecal.decomposition import (
     EstimationConfig,
     PipelineError,
@@ -138,6 +142,50 @@ class TestSolveGamma:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_gamma(np.zeros((4, 5)), np.ones((2, 6)))
+
+    @pytest.mark.parametrize("spread", [None, 1e-1, 1e-2])
+    def test_matches_lstsq(self, spread):
+        # study-like weights (spread None), and weights whose singular values
+        # fall geometrically from 1 to ``spread``
+        rng = np.random.default_rng(41)
+        for trial in range(30):
+            L = (2, 4, 6)[trial % 3]
+            if spread is None:
+                y = rng.uniform(0.5, 1.5, (L, 50))
+            else:
+                u = np.linalg.qr(rng.standard_normal((L, L)))[0]
+                v = np.linalg.qr(rng.standard_normal((50, L)))[0]
+                y = (u * np.geomspace(1.0, spread, L)) @ v.T
+            D = rng.standard_normal((64, 50))
+            want = np.linalg.lstsq(y.T, D.T, rcond=decomposition._RANK_RTOL)[0].T
+            np.testing.assert_allclose(solve_gamma(D, y), want, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("ratio", [1.5e-10, 1.01e-10])
+    def test_matches_lstsq_just_inside_rank_tolerance(self, ratio):
+        # Singular values a factor 1.01 - 1.5 above the rank cutoff.  Both
+        # solvers then agree only to about eps / ratio unless the SVD itself
+        # is exact, as it is for weights with orthogonal coordinate rows.
+        rng = np.random.default_rng(43)
+        y = np.zeros((3, 9))
+        y[[0, 1, 2], [4, 1, 7]] = [1.0, 0.5, ratio]
+        D = rng.standard_normal((16, 9))
+        want = np.linalg.lstsq(y.T, D.T, rcond=decomposition._RANK_RTOL)[0].T
+        np.testing.assert_allclose(solve_gamma(D, y), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("ratio", [0.99e-10, 1e-12, 0.0])
+    def test_rank_tolerance_just_outside(self, ratio):
+        rng = np.random.default_rng(47)
+        u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((9, 3)))[0]
+        y = (u * [1.0, 0.5, ratio]) @ v.T
+        assert np.linalg.lstsq(y.T, np.zeros((9, 1)), rcond=decomposition._RANK_RTOL)[2] < 3
+        with pytest.raises(RankDeficiencyError, match=r"effective rank 2 < 3"):
+            solve_gamma(rng.standard_normal((16, 9)), y)
+
+    def test_all_zero_weights(self):
+        with pytest.raises(RankDeficiencyError, match=r"least-squares rank 0 < 2"):
+            solve_gamma(np.ones((4, 3)), np.zeros((2, 3)))
 
 
 class TestEstimateComponents:
@@ -294,6 +342,136 @@ class TestEstimateComponents:
                              policy=LevelPolicy(J0=policy_j0))
 
 
+RULE_CONFIGS = [(rule, mode) for rule in RULES
+                for mode in ("pooled", "per-column", "fixed")]
+
+
+class TestRuleIndependentMemo:
+    """estimate_components shares the forward transform and sigma-hat of the
+    last (observed, filter, J0) it saw."""
+
+    @pytest.fixture
+    def forward_calls(self, monkeypatch):
+        calls = []
+        transform = decomposition.transform_columns
+
+        def counted(matrix, filt, J0, direction="forward"):
+            if direction == "forward":
+                calls.append(J0)
+            return transform(matrix, filt, J0, direction)
+
+        monkeypatch.setattr(decomposition, "transform_columns", counted)
+        monkeypatch.setattr(decomposition, "_memo", None)
+        return calls
+
+    @staticmethod
+    def config(filt, rule="lpm", mode="pooled", J0=3):
+        return EstimationConfig(filter=filt, rule=RULES[rule](), J0=J0,
+                                policy=LevelPolicy(J0=J0), sigma_mode=mode,
+                                sigma_value=0.3 if mode == "fixed" else None)
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[2], M=128,
+                                            I=12, snr=3.0, seed=53))
+
+    @pytest.mark.parametrize("rule,mode", RULE_CONFIGS)
+    def test_hit_is_bit_equal_to_cleared_memo(self, db10, dataset, forward_calls,
+                                              monkeypatch, rule, mode):
+        config = self.config(db10, rule, mode)
+        estimate_components(dataset.observed, dataset.weights, self.config(db10))
+        hit = estimate_components(dataset.observed, dataset.weights, config)
+        assert len(forward_calls) == 1
+        monkeypatch.setattr(decomposition, "_memo", None)
+        miss = estimate_components(dataset.observed, dataset.weights, config)
+        assert len(forward_calls) == 2
+        assert hit.tobytes() == miss.tobytes()
+
+    def test_in_place_change_recomputes(self, db10, dataset, forward_calls):
+        observed = dataset.observed.copy()
+        config = self.config(db10)
+        first = estimate_components(observed, dataset.weights, config)
+        observed[5, 3] += 1.0
+        second = estimate_components(observed, dataset.weights, config)
+        assert len(forward_calls) == 2
+        assert not np.array_equal(first, second)
+        observed[5, 3] -= 1.0
+        np.testing.assert_array_equal(
+            estimate_components(observed, dataset.weights, config), first)
+        assert len(forward_calls) == 3
+
+    def test_key_is_bitwise(self, db10, forward_calls):
+        # 0.0 == -0.0, but the two may transform to zeros of different sign
+        observed = np.zeros((16, 2))
+        config = self.config(db10, "abe", "fixed", J0=1)
+        estimate_components(observed, np.ones((1, 2)), config)
+        observed[3, 1] = -0.0
+        estimate_components(observed, np.ones((1, 2)), config)
+        assert len(forward_calls) == 2
+
+    def test_other_filter_or_j0_misses(self, db10, dataset, forward_calls):
+        db4 = make_filter("daubechies", 4)
+        for filt, J0 in ((db10, 3), (db10, 2), (db4, 2), (db4, 2)):
+            estimate_components(dataset.observed, dataset.weights,
+                                self.config(filt, J0=J0))
+        assert forward_calls == [3, 2, 2]
+
+    def test_cached_arrays_are_read_only(self, db10, dataset, forward_calls):
+        estimate_components(dataset.observed, dataset.weights, self.config(db10))
+        memo = decomposition._memo
+        for array in (memo.observed, memo.coefficients, memo.sigma):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert dataset.observed.flags.writeable
+
+    def test_fixed_sigma_never_estimates_sigma(self, db10, dataset, forward_calls,
+                                               monkeypatch):
+        # sigma-hat is computed only when a call needs it, so fixed sigma
+        # fails on no input that it accepted before the memo
+        def unusable(details):
+            raise ValueError("no sigma-hat for these coefficients")
+
+        monkeypatch.setattr(decomposition, "estimate_sigma", unusable)
+        fixed = self.config(db10, "lpm", "fixed")
+        estimate_components(dataset.observed, dataset.weights, fixed)
+        with pytest.raises(PipelineError, match=r"\[sigma\] no sigma-hat"):
+            estimate_components(dataset.observed, dataset.weights, self.config(db10))
+        estimate_components(dataset.observed, dataset.weights, fixed)
+        assert len(forward_calls) == 1
+
+    def test_threads_sharing_the_memo(self, db10):
+        # each call reads the memo once and replaces it whole; alternating
+        # datasets across threads must never mix one's coefficients into another
+        datasets = [generate_dataset(DatasetSpec(components=("bumps", "blocks"), M=64,
+                                                 I=6, snr=3.0, seed=s)) for s in (1, 2)]
+        configs = [self.config(db10, rule) for rule in ("lpm", "bams")]
+        want = [[column_by_column(d.observed, d.weights, c) for c in configs]
+                for d in datasets]
+        wrong = []
+
+        def work(offset):
+            for k in range(60):
+                i, j = (k + offset) % 2, (k // 2) % 2
+                got = estimate_components(datasets[i].observed, datasets[i].weights,
+                                          configs[j])
+                if not np.array_equal(got, want[i][j]):
+                    wrong.append((i, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
 def test_estimates_csv_round_trip(tmp_path):
     import csv as csvmod
 
@@ -310,3 +488,21 @@ def test_estimates_csv_round_trip(tmp_path):
         m = int(round(float(row["t"]) * 8)) - 1
         got[m, int(row["component_index"])] = float(row["estimate"])
     np.testing.assert_array_equal(got, alpha)
+
+
+def test_estimates_csv_bytes_match_csv_writer(tmp_path):
+    import csv as csvmod
+
+    rng = np.random.default_rng(5)
+    alpha = rng.standard_normal((16, 3)) * np.logspace(-20, 20, 16)[:, None]
+    alpha[0, 0], alpha[1, 1] = -0.0, 1e-310
+    grid = sample_grid(16)
+    estimates_to_csv(alpha, grid, tmp_path / "fast.csv")
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csvmod.writer(fh)
+        writer.writerow(["t", "component_index", "estimate"])
+        for l in range(3):
+            for m in range(16):
+                writer.writerow([format(float(grid[m]), ".17g"), l,
+                                 format(float(alpha[m, l]), ".17g")])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -173,6 +173,18 @@ class TestLogisticRule:
         with pytest.warns(ShrinkageUnderflowWarning):
             assert logistic_rule(1e6, spec) == 0.0
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="beyond |d| of about 710 tau the logistic density underflows "
+                              "on every Gauss-Hermite node, and the rule returns 0")
+    def test_large_coefficient_kept(self):
+        # far in the tail the posterior mean is d - sigma^2 / tau
+        spec = Logistic(tau=1.0, sigma=1.0)
+        assert logistic_rule(700.0, spec) == pytest.approx(699.0, abs=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShrinkageUnderflowWarning)
+            kept = logistic_rule(720.0, spec)
+        assert kept == pytest.approx(719.0, abs=1e-6)
+
     def test_vectorized_matches_scalar(self):
         spec = Logistic(p=0.8, tau=1.5, sigma=0.7)
         d = np.linspace(-4, 4, 9)

@@ -287,6 +287,49 @@ class TestTransformColumns:
         np.testing.assert_allclose(transform_columns(tx, f, J0, "inverse"), x,
                                    rtol=0, atol=1e-12 * np.max(np.abs(x)))
 
+def level_matrices(f, N):
+    """N/2 x N analysis matrices of one level, straight from the module
+    docstring: approx[k] = sum_n h[n] a[(2k + n) mod N], detail[k] the same
+    with g.  Taps that wrap onto one sample (N < 2V) add up."""
+    H, G = np.zeros((N // 2, N)), np.zeros((N // 2, N))
+    k = np.arange(N // 2)
+    for n in range(len(f)):
+        np.add.at(H, (k, (2 * k + n) % N), f.low_pass[n])
+        np.add.at(G, (k, (2 * k + n) % N), f.high_pass[n])
+    return H, G
+
+
+def periodic_convolution_transform(x, f, J0, direction):
+    """transform_columns by one direct O(N T) periodic convolution per level;
+    synthesis is the transpose of the analysis map."""
+    sizes = [x.shape[0] >> i for i in range(x.shape[0].bit_length() - 1 - J0)]
+    if direction == "forward":
+        a, details = x, []
+        for N in sizes:
+            H, G = level_matrices(f, N)
+            a, d = H @ a, G @ a
+            details.append(d)
+        return np.concatenate([a] + details[::-1])
+    a = x[: 2 ** J0]
+    for N in reversed(sizes):
+        H, G = level_matrices(f, N)
+        a = H.T @ a + G.T @ x[N // 2: N]
+    return a
+
+
+@pytest.mark.parametrize("v", range(1, 11))
+@pytest.mark.parametrize("M", [2, 8, 1024])
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_block_operators_match_periodic_convolution(v, M, direction):
+    # J0 = 0 runs every level size from M down to 2, including the levels
+    # shorter than one block (N < 2 * _BLOCK) and than the filter (N < 2V)
+    f = make_filter("daubechies", v)
+    x = np.random.default_rng(v * M).standard_normal((M, 3))
+    want = periodic_convolution_transform(x, f, 0, direction)
+    np.testing.assert_allclose(transform_columns(x, f, 0, direction), want,
+                               rtol=0, atol=1e-13)
+
+
 def test_bulk_perfect_reconstruction_and_energy():
     # 1000 random signals per (M, V) pair; part of the acceptance gate too
     rng = np.random.default_rng(123)
