@@ -27,20 +27,30 @@ leaving the coarse block untouched.
 
 `shrink_pyramid` hands a level slice to the rule in blocks of whole rows,
 at most 4096 coefficients each (one row when a row is longer), which bounds
-the elementwise temporaries of every rule.  The two quadrature rules
-evaluate their densities on a (coefficients x nodes) grid; `_grid_sums`
-builds that grid in chunks of at most 32768 values in one reused buffer, so
-no block ever holds its whole grid.
+the elementwise temporaries of every rule.
+
+The logistic rule's prior integrals depend on a coefficient only through
+|d|, and not on the mixture weight, so `shrink_pyramid` tabulates them once
+per sigma value for the whole pyramid (`_LogisticTable`): piecewise
+Chebyshev interpolants in |d|, built from factorised Gauss-Hermite sums
+(sigma <= 2 tau) or sums on the prior's scale (sigma > 2 tau), with exact
+asymptotes past a cutoff.  Each coefficient then costs two Horner
+evaluations and one exponential, and the scaled kernel cannot underflow at
+any |d|.  The beta rule's Gauss-Legendre path evaluates its density on a
+(coefficients x nodes) grid; `_grid_sums` builds such grids, and the
+logistic table's (points x nodes) grid, in chunks of at most 32768 values
+in one reused buffer.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from functools import lru_cache
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.special import beta as _beta_function, ndtr
+from scipy.special import beta as _beta_function, erfcx, log_ndtr, ndtr
 
 from .wavelet import Pyramid
 
@@ -350,14 +360,15 @@ def _phi(x, out=None):
     return np.divide(g, _SQRT_2PI, out=out)
 
 
-def _logistic_pdf(x, tau, out=None):
-    # exp(-x/tau) / (tau (1 + exp(-x/tau))^2) = (1 / (2 tau)) / (1 + cosh(x/tau)),
-    # written into ``out`` when it is given.  Where cosh overflows to inf the
-    # density underflows, and the division gives that 0.
-    with np.errstate(over="ignore"):
-        g = np.cosh(np.multiply(x, 1.0 / tau, out=out), out=out)
-    g = np.add(g, 1.0, out=out)
-    return np.divide(0.5 / tau, g, out=out)
+def _logistic_pdf(y, out=None):
+    # The logistic density in factorised form: at x = |d| + sigma u, with
+    # y = e^(-x / tau) = F c, F = e^(-|d| / tau) and c = e^(-sigma u / tau),
+    # g(x) e^(|d| / tau) = (c / tau) / (1 + y)^2.  This is the factor
+    # 1 / (1 + y)^2, written into ``out`` when it is given; it cannot
+    # underflow, and it needs no transcendental function.
+    g = np.add(y, 1.0, out=out)
+    g = np.multiply(g, g, out=out)
+    return np.divide(1.0, g, out=out)
 
 
 def _grid_sums(center, step, nodes, weights, kernel):
@@ -415,28 +426,229 @@ def _require(value, name, rule):
     return value
 
 
-def logistic_rule(d, spec: Logistic, quad: Optional[QuadratureSpec] = None):
-    """Posterior mean under the logistic mixture prior.
+# ---------------------------------------------------------------------------
+# the logistic table
+# ---------------------------------------------------------------------------
 
-    Both integrals (numerator and denominator) are approximated on the same
-    Gauss-Hermite nodes u adapted to the standard normal weight, at
-    theta = d + sigma u: with S0 = sum w g(theta) and S1 = sum w u g(theta),
-    the denominator integral is S0 and the numerator one d S0 + sigma S1.
+class _LogisticTable(NamedTuple):
+    """Piecewise polynomials in a = |d| of the two functions that carry the
+    logistic rule's integrals, for each distinct sigma value (a table row).
+
+    With Z(a) = int g(theta) phi_sigma(a - theta) dtheta and
+    N(a) = int theta g(theta) phi_sigma(a - theta) dtheta, the table holds
+    ell(a) = log(tau Z(a) e^(a / tau)) and R(a) = N(a) / (a Z(a)) as degree
+    _CHEB_DEGREE polynomials in t in [-1, 1] on panels [k h, (k + 1) h].
+    ``coef`` column first[i] + k holds panel k of row i: the coefficients of
+    the powers of t for ell, then those for R.  From ``cutoff`` on, the exact
+    asymptotes ell = sigma^2 / (2 tau^2) and R = 1 - sigma^2 / (tau a) hold.
     """
-    sigma = _require(spec.sigma, "sigma", "Logistic")
-    if quad is None:
-        quad = _default_gh()
+
+    tau: float
+    sigma: object          # the spec's sigma the table was built for
+    row: np.ndarray        # the table row of each entry of sigma
+    values: np.ndarray     # the distinct sigma values, one per row
+    scale: np.ndarray      # 2 / h, per row
+    last: np.ndarray       # the last panel, per row
+    first: np.ndarray      # the row's first panel in ``coef``
+    cutoff: np.ndarray     # per row
+    coef: np.ndarray
+
+
+# Degree of the table's polynomials; they interpolate at the first-kind
+# Chebyshev points, and _CHEB_TO_POWERS maps the values there to the
+# coefficients of 1, t, ..., t^_CHEB_DEGREE.
+_CHEB_DEGREE = 8
+_CHEB_POINTS = np.cos(np.pi * (np.arange(_CHEB_DEGREE + 1) + 0.5) / (_CHEB_DEGREE + 1))
+_CHEB_TO_POWERS = np.linalg.inv(np.vander(_CHEB_POINTS, increasing=True))
+
+# Gauss-Hermite nodes whose weight is below this fraction of the largest
+# change no sum of the table (44 of the 64 default nodes stay).
+_GH_KEEP = 1e-18
+
+# Beyond sigma = _PRIOR_SCALE * tau the table's sums are taken on the prior's
+# scale (`_prior_scale_sums`), whose rule covers y = theta / tau in
+# [-_PRIOR_SPAN, _PRIOR_SPAN] with _PRIOR_NODES Gauss-Legendre nodes on each
+# panel of width _PRIOR_PANEL.
+_PRIOR_SCALE = 2.0
+_PRIOR_SPAN = 40.0
+_PRIOR_PANEL = 4.0
+_PRIOR_NODES = 16
+
+_LOG_EPS = 53.0 * np.log(2.0)  # -log of the double precision unit roundoff
+
+
+def _logistic_nodes(quad: Optional[QuadratureSpec]):
+    """The standard-normal Gauss-Hermite nodes and weights the table sums
+    use below sigma = 2 tau, without those of negligible weight."""
+    quad = quad if quad is not None else _default_gh()
     if quad.kind != "gauss-hermite-standard-normal":
         raise ValueError("logistic_rule needs a gauss-hermite-standard-normal rule")
+    keep = quad.weights > _GH_KEEP * quad.weights.max()
+    return quad.nodes[keep], quad.weights[keep]
+
+
+@lru_cache(maxsize=1)
+def _prior_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and log weights of a rule for the probability density
+    S'(y) = 2 e^(-y) / (1 + e^(-y))^3, the derivative of the logistic
+    distribution function squared, S(y) = (1 + e^(-y))^(-2)."""
+    x, w = np.polynomial.legendre.leggauss(_PRIOR_NODES)
+    left = np.arange(-_PRIOR_SPAN, _PRIOR_SPAN, _PRIOR_PANEL)
+    y = (left[:, None] + 0.5 * _PRIOR_PANEL * (x + 1.0)).ravel()
+    e = np.exp(-np.abs(y))
+    density = 2.0 * np.where(y >= 0.0, e, e * e) / (1.0 + e) ** 3
+    return y, np.log(np.tile(0.5 * _PRIOR_PANEL * w, left.size) * density)
+
+
+def _likelihood_scale_sums(a, sigma: float, tau: float, nodes):
+    """(ell, R) at a > 0 from the factorised Gauss-Hermite sums.
+
+    With u_i, w_i the nodes and weights, c_i = e^(-sigma u_i / tau) and
+    F = e^(-a / tau), tau Z e^(a / tau) = sum_i w_i c_i k(F c_i) and
+    tau S1 e^(a / tau) = sum_i w_i u_i c_i k(F c_i), where k = `_logistic_pdf`
+    and N = a Z + sigma S1.
+    """
+    u, w = nodes
+    c = np.exp(-(sigma / tau) * u)
+    sums = _grid_sums(0.0, np.exp(-a / tau), c, np.stack([w * c, w * u * c], axis=1),
+                      _logistic_pdf)
+    z, s1 = sums[:, 0], sums[:, 1]
+    return np.log(z), 1.0 + sigma * s1 / (a * z)
+
+
+def _prior_scale_sums(a, sigma: float, tau: float):
+    """(ell, R) at a > 0 from sums over the prior's scale, for sigma > 2 tau.
+
+    Shifting the Gauss-Hermite variable by sigma / tau turns the sums of
+    `_likelihood_scale_sums` into tau Z e^(a / tau) = e^(sigma^2 / (2 tau^2)) Q
+    and R = 1 + (sigma / a) (P / Q - sigma / tau), with mu = a - sigma^2 / tau,
+    Q = E[S(mu / tau + sigma V / tau)] and P = E[V S(...)], V ~ N(0, 1).  By
+    parts both are integrals against the fixed density S'(y) of
+    `_prior_rule`: Q = sum_i w_i Phi(z_i) and P = sum_i w_i phi(z_i) at
+    z_i = (mu - tau y_i) / sigma.  Q is summed from logarithms, so that
+    nothing underflows at any sigma / tau, and P / Q as the mean of
+    phi(z_i) / Phi(z_i) = sqrt(2 / pi) / erfcx(-z_i / sqrt 2) under the
+    weights w_i Phi(z_i), which keeps its full precision.
+    """
+    y, log_w = _prior_rule()
+    mu = a - sigma * sigma / tau
+    log_q, mills = np.empty_like(a), np.empty_like(a)
+    rows = max(1, _GRID_VALUES // y.size)
+    for start in range(0, a.size, rows):
+        z = (mu[start:start + rows, None] - tau * y) / sigma
+        weights = log_ndtr(z) + log_w
+        top = weights.max(axis=1)
+        weights = np.exp(weights - top[:, None])
+        total = weights.sum(axis=1)
+        log_q[start:start + rows] = top + np.log(total)
+        z *= -np.sqrt(0.5)
+        mills[start:start + rows] = (weights / erfcx(z)).sum(axis=1) \
+            * np.sqrt(2.0 / np.pi) / total
+    ell = sigma * sigma / (2.0 * tau * tau) + log_q
+    return ell, 1.0 + (sigma / a) * (mills - sigma / tau)
+
+
+def _logistic_sums(a, sigma: float, tau: float, nodes):
+    """(ell, R) of `_LogisticTable` at the points a > 0, for one sigma."""
+    if sigma <= _PRIOR_SCALE * tau:
+        return _likelihood_scale_sums(a, sigma, tau, nodes)
+    return _prior_scale_sums(a, sigma, tau)
+
+
+def _logistic_table(spec: Logistic, top: float,
+                    quad: Optional[QuadratureSpec] = None) -> _LogisticTable:
+    """The `_LogisticTable` of ``spec``'s tau and sigma for |d| <= ``top``.
+
+    Panels are max(tau, sigma / 2) / 4 wide and cover [0, min(top, cutoff)].
+    The cutoff is where the sums reach their asymptotes to double precision:
+    F c_i < 2^-53 on every Gauss-Hermite node, or for sigma > 2 tau
+    Phi(z_i) = 1 and phi(z_i) = 0 on every node of the prior-scale rule.
+    """
+    tau = float(spec.tau)
+    sigma = _require(spec.sigma, "sigma", "Logistic")
+    values, row = np.unique(np.asarray(sigma, dtype=float), return_inverse=True)
+    nodes = _logistic_nodes(quad)
+    widths = np.maximum(tau, values / 2.0) / 4.0
+    cutoff = np.where(values <= _PRIOR_SCALE * tau,
+                      values * np.max(np.abs(nodes[0])) + _LOG_EPS * tau,
+                      values * values / tau + _PRIOR_SPAN * tau + 8.5 * values)
+    panels = (np.fmin(top, cutoff) // widths).astype(np.intp) + 1
+    stride = int(panels.max())
+    coef = np.zeros((2 * (_CHEB_DEGREE + 1), values.size * stride))
+    for i, (s, h, n) in enumerate(zip(values, widths, panels)):
+        points = (np.arange(n)[:, None] + 0.5 * (_CHEB_POINTS + 1.0)) * h
+        ell, ratio = _logistic_sums(points.ravel(), float(s), tau, nodes)
+        coef[:, i * stride: i * stride + n] = np.concatenate(
+            [_CHEB_TO_POWERS @ ell.reshape(n, -1).T, _CHEB_TO_POWERS @ ratio.reshape(n, -1).T])
+    return _LogisticTable(tau, sigma, row.reshape(np.shape(sigma)), values, 2.0 / widths,
+                          panels - 1, np.arange(values.size) * stride, cutoff, coef)
+
+
+def _logistic_from_table(arr, p: float, table: _LogisticTable):
+    """The logistic rule at the coefficients ``arr`` from the table.
+
+    delta = sign(d) a R(a) / (1 + K e^x), with K = p / (1 - p) * tau /
+    (sigma sqrt(2 pi)) and x = a / tau - a^2 / (2 sigma^2) - ell(a): K e^x is
+    the point mass's share p phi_sigma(a) over (1 - p) Z(a).
+    """
+    r, tau = table.row, table.tau
+    sigma, cutoff = table.values[r], table.cutoff[r]
+    a = np.abs(arr)
+    beyond = a >= cutoff
+    t = np.fmin(a, cutoff)
+    t *= table.scale[r]  # in half panels
+    if np.any((t > 2.0 * (table.last[r] + 1.0)) & ~beyond):
+        raise ValueError("coefficient beyond the range of the logistic table")
+    panel = (0.5 * t).astype(np.intp)
+    np.minimum(panel, table.last[r], out=panel)
+    t -= 2.0 * panel + 1.0
+    panel += table.first[r]
+    c = table.coef.take(panel, axis=1)
+    ell, ratio = c[_CHEB_DEGREE] * t, c[-1] * t
+    for j in range(_CHEB_DEGREE - 1, 0, -1):
+        ell += c[j]
+        ell *= t
+        ratio += c[_CHEB_DEGREE + 1 + j]
+        ratio *= t
+    ell += c[0]
+    ratio += c[_CHEB_DEGREE + 1]
+    if np.any(beyond):
+        ell = np.where(beyond, sigma * sigma / (2.0 * tau * tau), ell)
+        ratio = np.where(beyond, 1.0 - sigma * sigma / (tau * np.fmax(a, cutoff)), ratio)
+    ratio *= a
+    if p > 0.0:
+        # past cutoff + 40 sigma, e^x < e^-800 K: the point mass has no weight
+        x = np.fmin(a, cutoff + 40.0 * sigma)
+        x *= 1.0 / tau - x / (2.0 * sigma * sigma)
+        x -= ell
+        x += np.log(p / (1.0 - p) * tau / (sigma * _SQRT_2PI))
+        np.minimum(x, 700.0, out=x)
+        np.exp(x, out=x)
+        x += 1.0
+        ratio /= x
+    return np.copysign(ratio, arr, out=ratio)
+
+
+def logistic_rule(d, spec: Logistic, quad: Optional[QuadratureSpec] = None, *,
+                  table: Optional[_LogisticTable] = None):
+    """Posterior mean under the logistic mixture prior.
+
+    The prior integrals Z and N (see `_LogisticTable`) depend on d only
+    through a = |d|, and on p not at all, so they are tabulated once per
+    (tau, sigma) as piecewise polynomials in a and combined with p only in
+    the final ratio (`_logistic_from_table`).  ``table`` is a table built by
+    `_logistic_table` for this spec's tau and sigma and every |d|; without
+    it the rule builds one over its input.  The table's source sums use the
+    Gauss-Hermite rule ``quad`` (64 nodes by default) while sigma <= 2 tau and
+    a rule on the prior's scale beyond.  The rule is odd, and |result| <= |d|.
+    """
     arr, scalar = _as_array(d)
-    weights = np.stack([quad.weights, quad.weights * quad.nodes], axis=1)
-    sums = _grid_sums(arr, sigma, quad.nodes, weights,
-                      lambda x, out: _logistic_pdf(x, spec.tau, out=out))
-    z = sums[..., 0]
-    num = (1.0 - spec.p) * (arr * z + sigma * sums[..., 1])
-    den = (spec.p / sigma) * _phi(arr / sigma) + (1.0 - spec.p) * z
-    out = _ratio_or_zero(num, den, "logistic_rule")
-    return float(out) if scalar else out
+    if table is None:
+        table = _logistic_table(spec, float(np.max(np.abs(arr), initial=0.0)), quad)
+    elif table.tau != spec.tau or not np.array_equal(table.sigma, spec.sigma):
+        raise ValueError("the logistic table was built for another tau or sigma")
+    out = _logistic_from_table(arr.reshape(-1) if scalar else arr, spec.p, table)
+    return float(out[0]) if scalar else out
 
 
 def _beta_moments(arr, a: int, m, sigma):
@@ -641,9 +853,9 @@ def av_policy(j: int, detail_coefficients: np.ndarray, policy: LevelPolicy):
     return p, m
 
 
-def _evaluate(d: np.ndarray, rule: RuleSpec) -> np.ndarray:
+def _evaluate(d: np.ndarray, rule: RuleSpec, table: Optional[_LogisticTable]) -> np.ndarray:
     if isinstance(rule, Logistic):
-        return logistic_rule(d, rule)
+        return logistic_rule(d, rule, table=table)
     if isinstance(rule, Beta):
         return beta_rule(d, rule)
     if isinstance(rule, Lpm):
@@ -655,13 +867,14 @@ def _evaluate(d: np.ndarray, rule: RuleSpec) -> np.ndarray:
     raise TypeError(f"unknown rule spec {rule!r}")
 
 
-def _apply_rule(d: np.ndarray, rule: RuleSpec) -> np.ndarray:
+def _apply_rule(d: np.ndarray, rule: RuleSpec,
+                table: Optional[_LogisticTable]) -> np.ndarray:
     """Evaluate the rule on a level slice in row blocks of at most
     _BLOCK_COEFFICIENTS coefficients (one row when a row is longer)."""
     rows = max(1, _BLOCK_COEFFICIENTS // max(1, d[0].size))
     if d.shape[0] <= rows:
-        return _evaluate(d, rule)
-    return np.concatenate([_evaluate(d[k:k + rows], rule)
+        return _evaluate(d, rule, table)
+    return np.concatenate([_evaluate(d[k:k + rows], rule, table)
                            for k in range(0, d.shape[0], rows)])
 
 
@@ -676,6 +889,11 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
     weight (and the per-column beta half-support) are taken from the policy
     per level instead of the static spec values.
     """
+    table = None
+    if isinstance(rule, Logistic):
+        # one table for every level and row block: p(j) enters only its last step
+        top = max((float(np.max(np.abs(d))) for d in pyr.details if d.size), default=0.0)
+        table = _logistic_table(rule, top)
     new_details = []
     for i, d in enumerate(pyr.details):
         level_rule, live = rule, True
@@ -687,7 +905,7 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
             level_rule = replace(rule, p=p)
             if isinstance(rule, Beta):
                 level_rule = replace(level_rule, m=np.where(live, m, 1.0))
-        new_details.append(np.where(live, _apply_rule(d, level_rule), 0.0))
+        new_details.append(np.where(live, _apply_rule(d, level_rule, table), 0.0))
     return Pyramid(coarse=pyr.coarse.copy(), details=new_details,
                    J=pyr.J, J0=pyr.J0)
 

@@ -18,7 +18,9 @@ input, extended periodically, is cut into overlapping windows 2b apart, and a
 block operator built once per filter maps each window to b approximation and
 b detail coefficients, interleaved; synthesis applies the transposed operator
 to windows of the interleaved (approx, detail) sequence and yields 2b
-samples per window.  b is `_BLOCK` rows, or N/2 on a shorter level.
+samples per window.  b is `_BLOCK` rows, or N/2 on a shorter level.  The
+forward transform runs every level in the same few buffers, allocated once
+per call.
 
 `transform_columns` is the only transform entry point: it transforms every
 column of an M x I matrix, and a single signal is a one-column matrix.  Its
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -103,7 +106,7 @@ _ORTHO_TOL = 1e-12
 _BLOCK = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletFilter:
     """Orthonormal two-channel filter pair.
 
@@ -114,7 +117,8 @@ class WaveletFilter:
     ``analysis_block`` and ``synthesis_block`` are the read-only
     (2 * _BLOCK) x (2 * _BLOCK + 2V - 2) block operators of one transform
     level; a level with b < _BLOCK uses their leading 2b x (2b + 2V - 2)
-    corner.
+    corner.  Filters are equal, and hash alike, when their taps are: for
+    the tabulated filters, when family and V agree.
     """
 
     low_pass: np.ndarray
@@ -154,6 +158,15 @@ class WaveletFilter:
 
     def __len__(self) -> int:
         return self.low_pass.size
+
+    # the generated dataclass methods would compare arrays elementwise
+    def __eq__(self, other):
+        if not isinstance(other, WaveletFilter):
+            return NotImplemented
+        return np.array_equal(self.low_pass, other.low_pass)
+
+    def __hash__(self) -> int:
+        return hash(self.low_pass.tobytes())
 
 
 def _band(taps: np.ndarray, b: int) -> np.ndarray:
@@ -253,26 +266,35 @@ def _periodic_index(n: int, start: int, length: int) -> np.ndarray:
     return idx
 
 
-def _apply_blocks(op: np.ndarray, ext: np.ndarray, b: int) -> np.ndarray:
+def _apply_blocks(op: np.ndarray, ext: np.ndarray, b: int,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """One batched GEMM: rows 2qb .. 2qb + 2b - 1 of the result are the
     leading 2b x (2b + T - 2) corner of the block operator ``op`` times the
     q-th window ext[2qb : 2qb + 2b + T - 2] of the extended level, which must
-    be C-contiguous."""
+    be C-contiguous.  The result is written to ``out`` when it is given."""
     width = 2 * b + op.shape[1] - op.shape[0]
     rows, columns = ext.strides
+    count = (ext.shape[0] - width) // (2 * b) + 1
     # a read-only strided view, as as_strided would build it, without its overhead
-    windows = np.ndarray(((ext.shape[0] - width) // (2 * b) + 1, width, ext.shape[1]),
+    windows = np.ndarray((count, width, ext.shape[1]),
                          ext.dtype, ext, 0, (2 * b * rows, rows, columns))
     windows.flags.writeable = False
-    return np.matmul(op[: 2 * b, :width], windows).reshape(-1, ext.shape[1])
+    if out is None:
+        return np.matmul(op[:2 * b, :width], windows).reshape(-1, ext.shape[1])
+    np.matmul(op[:2 * b, :width], windows, out=out.reshape(count, 2 * b, ext.shape[1]))
+    return out
 
 
-def _analysis_stage(a: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
-    # a: (N, C) with N even; returns (N/2, C) approx and detail blocks.
-    N = a.shape[0]
-    ext = a[_periodic_index(N, 0, N + len(filt) - 2)]
-    out = _apply_blocks(filt.analysis_block, ext, min(_BLOCK, N // 2))
-    return out[0::2], out[1::2]
+def _analysis_stage(ext: np.ndarray, N: int, filt: WaveletFilter, products: np.ndarray,
+                    approx: np.ndarray, detail: np.ndarray) -> None:
+    """One analysis level of a length-N input held, extended periodically,
+    in ext[:N + T - 2]: one batched GEMM writes the interleaved
+    (approximation, detail) rows to ``products``, whence they are copied to
+    ``approx`` and ``detail``."""
+    _apply_blocks(filt.analysis_block, ext[:N + len(filt) - 2], min(_BLOCK, N // 2),
+                  products[:N])
+    approx[...] = products[0:N:2]
+    detail[...] = products[1:N:2]
 
 
 def _synthesis_stage(approx: np.ndarray, detail: np.ndarray,
@@ -302,11 +324,25 @@ def transform_columns(matrix: np.ndarray, filt: WaveletFilter, J0: int,
         J = _dyadic_depth(a.shape[0])
         if not 0 <= J0 < J:
             raise ValueError(f"J0={J0} must satisfy 0 <= J0 < J={J}")
-        details = []
-        for _ in range(J - J0):
-            a, d = _analysis_stage(a, filt)
-            details.append(d)
-        return np.concatenate([a] + details[::-1], axis=0)
+        # Each level reads its input, extended periodically, from one of two
+        # buffers, and its GEMM writes into one scratch matrix; from there the
+        # approximation goes to the other buffer, where the next level extends
+        # it in place, and the details to their rows of the output, so that
+        # the levels allocate nothing.
+        M, T = a.shape[0], len(filt)
+        out, products = np.empty_like(a), np.empty_like(a)
+        buffers = np.empty((M + T - 2, a.shape[1])), np.empty((M // 2 + T - 2, a.shape[1]))
+        np.take(a, _periodic_index(M, 0, M + T - 2), axis=0, out=buffers[0], mode="clip")
+        for level in range(J - J0):
+            N = M >> level
+            ext, approx = buffers[level % 2], buffers[1 - level % 2]
+            half = N // 2
+            _analysis_stage(ext, N, filt, products, approx[:half], out[half:N])
+            if level + 1 < J - J0:
+                np.take(approx[:half], _periodic_index(half, 0, T - 2), axis=0,
+                        out=approx[half:half + T - 2], mode="clip")
+        out[:half] = approx[:half]
+        return out
     if direction == "inverse":
         pyr = Pyramid.from_flat(a, J0)
         a = pyr.coarse

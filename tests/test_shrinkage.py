@@ -168,22 +168,21 @@ class TestLogisticRule:
             assert 0.0 < v < d
             assert -d < logistic_rule(-d, spec) < 0.0
 
-    def test_underflow_returns_zero_with_flag(self):
-        spec = Logistic(p=0.9, tau=1.0, sigma=1.0)
-        with pytest.warns(ShrinkageUnderflowWarning):
-            assert logistic_rule(1e6, spec) == 0.0
+    def test_no_underflow_far_in_the_tail(self):
+        # the factorised kernel cannot underflow: far in the tail the
+        # posterior mean is d - sigma^2 / tau, and no warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert logistic_rule(1e6, Logistic(tau=1.0, sigma=1.0)) == pytest.approx(
+                1e6 - 1.0, rel=1e-15)
+            assert logistic_rule(-1e6, Logistic(tau=2.0, sigma=0.5)) == pytest.approx(
+                -1e6 + 0.125, rel=1e-15)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="beyond |d| of about 710 tau the logistic density underflows "
-                              "on every Gauss-Hermite node, and the rule returns 0")
     def test_large_coefficient_kept(self):
         # far in the tail the posterior mean is d - sigma^2 / tau
         spec = Logistic(tau=1.0, sigma=1.0)
         assert logistic_rule(700.0, spec) == pytest.approx(699.0, abs=1e-6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ShrinkageUnderflowWarning)
-            kept = logistic_rule(720.0, spec)
-        assert kept == pytest.approx(719.0, abs=1e-6)
+        assert logistic_rule(720.0, spec) == pytest.approx(719.0, abs=1e-6)
 
     def test_vectorized_matches_scalar(self):
         spec = Logistic(p=0.8, tau=1.5, sigma=0.7)
@@ -655,16 +654,13 @@ class TestHypothesisProperties:
     """Every rule is odd and shrinks, for random d, sigma and mixture weight."""
 
     @_PROPERTY_SETTINGS
-    @given(d=st.floats(-1e6, 1e6), tau=st.floats(0.01, 100.0), ratio=st.floats(1e-3, 2.0),
+    @given(d=st.floats(-1e300, 1e300), tau=st.floats(0.01, 100.0), ratio=st.floats(1e-3, 20.0),
            p=_WEIGHT)
     def test_logistic(self, d, tau, ratio, p):
-        # sigma <= 2 tau: the 64 Gauss-Hermite nodes resolve the prior there
-        # (error below 1e-8 sigma); for sigma > 2.5 tau see the xfail below
+        # sigma above 2 tau takes the table's sums on the prior's scale
         spec = Logistic(p=p, tau=tau, sigma=ratio * tau)
         _odd_and_shrinks(lambda x: logistic_rule(x, spec), d, ratio * tau)
 
-    @pytest.mark.xfail(strict=True, reason="64 Gauss-Hermite nodes on the likelihood "
-                       "scale cannot resolve a logistic prior much narrower than sigma")
     def test_logistic_prior_narrow_against_sigma(self):
         _odd_and_shrinks(lambda x: logistic_rule(x, Logistic(p=0.0, tau=1.0, sigma=16.0)),
                          1.0, 16.0)
@@ -737,9 +733,10 @@ class TestHypothesisProperties:
 # ---------------------------------------------------------------------------
 
 class TestNodeGridChunks:
-    """The quadrature rules evaluate their node grids in chunks of at most
-    _GRID_VALUES values; a level slice whose grid spans several chunks and
-    ends in a partial one must equal coefficient-by-coefficient evaluation."""
+    """Node grids are evaluated in chunks of at most _GRID_VALUES values; a
+    level slice whose grid spans several chunks and ends in a partial one
+    must equal coefficient-by-coefficient evaluation.  `log` builds no grid
+    per coefficient, but the same check holds for its per-column tables."""
 
     @staticmethod
     def slice_spanning_chunks(nodes):
@@ -773,28 +770,133 @@ class TestNodeGridChunks:
         want = [[beta_rule(float(v), spec, quad) for v in row] for row in d]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("rule,nodes", [
-        (Logistic(sigma=1.0), shrinkage.DEFAULT_GH_NODES),
-        (Beta(a=1.5, sigma=1.0), shrinkage.DEFAULT_GL_NODES),
-    ])
-    def test_grids_stay_within_bound(self, monkeypatch, rule, nodes):
+    def test_grids_stay_within_bound(self, monkeypatch):
         # a 512 x 50 level, as at M = 1024 with I = 50
         rng = np.random.default_rng(42)
         pyr = Pyramid.from_flat(rng.standard_normal((1024, 50)) * 3.0, 9)
-        grids = []
+        grids, phi = [], shrinkage._phi
 
-        def recording(kernel):
-            def wrapped(x, *args, **kwargs):
-                if np.ndim(x) > 2:  # a node grid of a (rows x I) block
-                    grids.append(np.size(x))
-                return kernel(x, *args, **kwargs)
-            return wrapped
+        def recording(x, *args, **kwargs):
+            if np.ndim(x) > 2:  # a node grid of a (rows x I) block
+                grids.append(np.size(x))
+            return phi(x, *args, **kwargs)
 
-        monkeypatch.setattr(shrinkage, "_logistic_pdf", recording(shrinkage._logistic_pdf))
-        monkeypatch.setattr(shrinkage, "_phi", recording(shrinkage._phi))
+        monkeypatch.setattr(shrinkage, "_phi", recording)
+        rule = Beta(a=1.5, sigma=1.0)
         shrink_pyramid(pyr, resolve_rule(rule, 1.0, pyr), LevelPolicy(J0=9))
         assert max(grids) <= shrinkage._GRID_VALUES
-        assert sum(grids) == 512 * 50 * nodes  # every kernel evaluation seen once
+        # every kernel evaluation seen once
+        assert sum(grids) == 512 * 50 * shrinkage.DEFAULT_GL_NODES
+
+    def test_logistic_table_grid_stays_within_bound(self, monkeypatch):
+        # `log` evaluates no (coefficients x nodes) grid: its kernel runs only
+        # on the (table points x nodes) grid of the table build, in chunks
+        rng = np.random.default_rng(42)
+        pyr = Pyramid.from_flat(rng.standard_normal((1024, 50)) * 3.0, 9)
+        grids, points = [], []
+        pdf, sums = shrinkage._logistic_pdf, shrinkage._logistic_sums
+
+        def recording_pdf(x, *args, **kwargs):
+            grids.append(np.shape(x))
+            return pdf(x, *args, **kwargs)
+
+        def recording_sums(a, *args, **kwargs):
+            points.append(np.size(a))
+            return sums(a, *args, **kwargs)
+
+        monkeypatch.setattr(shrinkage, "_logistic_pdf", recording_pdf)
+        monkeypatch.setattr(shrinkage, "_logistic_sums", recording_sums)
+        shrink_pyramid(pyr, resolve_rule(Logistic(), 1.0, pyr), LevelPolicy(J0=9))
+        nodes = shrinkage._logistic_nodes(None)[0].size
+        assert nodes == 44
+        assert all(len(shape) == 2 and shape[1] == nodes for shape in grids)
+        assert max(np.prod(shape) for shape in grids) <= shrinkage._GRID_VALUES
+        assert sum(np.prod(shape) for shape in grids) == sum(points) * nodes
+
+
+# ---------------------------------------------------------------------------
+# the logistic table
+# ---------------------------------------------------------------------------
+
+def factorised_logistic(d, p, tau, sigma):
+    """The logistic rule from the factorised Gauss-Hermite sums, evaluated
+    directly at every coefficient: with c_i = e^(-sigma u_i / tau) and
+    F = e^(-|d| / tau), Z e^(|d|/tau) = sum w c / (tau (1 + F c)^2) and S1 the
+    same with weights w u."""
+    u, w = shrinkage._logistic_nodes(None)
+    a = np.abs(np.asarray(d, dtype=float))
+    c = np.exp(-sigma * u / tau)
+    k = 1.0 / (1.0 + np.exp(-a / tau)[:, None] * c) ** 2
+    z, s1 = k @ (w * c) / tau, k @ (w * u * c) / tau
+    point = p / (sigma * SQRT_2PI) * np.exp(a / tau - a * a / (2.0 * sigma * sigma))
+    return np.sign(d) * (1.0 - p) * (a * z + sigma * s1) / (point + (1.0 - p) * z)
+
+
+class TestLogisticTable:
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("ratio", [1e-3, 0.1, 0.5, 1.0, 1.5, 2.0])
+    def test_matches_direct_factorised_sums(self, tau, ratio):
+        sigma = ratio * tau
+        table = shrinkage._logistic_table(Logistic(tau=tau, sigma=sigma), 1e4)
+        width = 2.0 / table.scale[0]
+        edges = np.append(np.arange(1, table.last[0] + 1) * width, table.cutoff[0])
+        d = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                            np.geomspace(1e-12, 1e4, 400), [0.0, 1e4]])
+        d = np.concatenate([d, -d[:50]])
+        for p in (0.0, 0.75, 0.9):
+            got = logistic_rule(d, Logistic(p=p, tau=tau, sigma=sigma), table=table)
+            want = factorised_logistic(d, p, tau, sigma)
+            assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(d) + sigma))
+
+    @pytest.mark.parametrize("ratio", [2.5, 4.0, 16.0, 20.0, 60.0, 200.0])
+    def test_prior_narrower_than_noise_matches_dense_oracle(self, ratio):
+        # sums on the prior's scale, against a dense trapezoid over theta whose
+        # integrand is scaled by its largest value, so that it cannot underflow
+        tau, sigma = 1.0, ratio
+        for d in (0.01 * sigma, 0.3 * sigma, 2.0 * sigma, sigma * sigma, sigma * sigma + 5.0 * sigma):
+            lim = max(60.0 * tau, d + 12.0 * sigma)
+            theta = np.linspace(-lim, lim, 400_001)
+            log_g = -np.abs(theta) / tau - np.log(tau) - 2.0 * np.log1p(np.exp(-np.abs(theta) / tau))
+            log_f = log_g - 0.5 * ((d - theta) / sigma) ** 2
+            top = log_f.max()
+            f = np.exp(log_f - top)
+            for p in (0.0, 0.9):
+                num = (1 - p) * np.trapezoid(theta * f, theta)
+                den = p * np.exp(-0.5 * (d / sigma) ** 2 - top) + (1 - p) * np.trapezoid(f, theta)
+                got = logistic_rule(d, Logistic(p=p, tau=tau, sigma=sigma))
+                assert abs(got - num / den) <= 1e-12 * (d + sigma)
+
+    @pytest.mark.parametrize("sigma_mode", ["pooled", "per-column"])
+    def test_one_table_per_sigma_value_per_pyramid(self, monkeypatch, sigma_mode):
+        rng = np.random.default_rng(43)
+        flat = rng.standard_normal((1024, 50)) * 2.0  # levels 3..9, row blocks
+        pyr = Pyramid.from_flat(flat, 3)
+        sigma = np.repeat([0.5, 1.0, 3.0, 1.7, 0.8], 10)  # above and below 2 tau
+        if sigma_mode == "pooled":
+            sigma = 1.2
+        built = []
+        sums = shrinkage._logistic_sums
+
+        def recording(a, s, *args, **kwargs):
+            built.append(s)
+            return sums(a, s, *args, **kwargs)
+
+        monkeypatch.setattr(shrinkage, "_logistic_sums", recording)
+        for policy in (None, LevelPolicy(J0=3)):
+            built.clear()
+            shrink_pyramid(pyr, Logistic(sigma=sigma), policy)
+            assert sorted(built) == sorted(np.unique(sigma))
+
+    def test_table_must_fit_spec_and_coefficients(self):
+        table = shrinkage._logistic_table(Logistic(sigma=1.0), 3.0)
+        assert logistic_rule(2.5, Logistic(p=0.5, sigma=1.0), table=table) \
+            == pytest.approx(logistic_rule(2.5, Logistic(p=0.5, sigma=1.0)), rel=1e-15)
+        with pytest.raises(ValueError, match="another tau or sigma"):
+            logistic_rule(2.5, Logistic(sigma=2.0), table=table)
+        with pytest.raises(ValueError, match="beyond the range"):
+            logistic_rule(5.0, Logistic(sigma=1.0), table=table)
+        # beyond the cutoff the asymptotes need no table
+        assert logistic_rule(1e3, Logistic(sigma=1.0), table=table) == 999.0
 
 
 class TestQuadratureSpec:

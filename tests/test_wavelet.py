@@ -88,6 +88,18 @@ class TestMakeFilter:
         with pytest.raises(UnsupportedFilterError):
             WaveletFilter(np.array([0.5, 0.5]), 1)  # sums to 1, not sqrt(2)
 
+    def test_equality_and_hash_by_family_and_moments(self):
+        a, b = make_filter("daubechies", 10), make_filter("db", 10)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert make_filter("haar", 1) == make_filter("daubechies", 1)
+        assert a != make_filter("daubechies", 9) and a != "daubechies"
+        assert len({make_filter("daubechies", v) for v in (1, 2, 2, 10, 10)}) == 3
+        # a frozen config holding separately built filters compares and hashes too
+        from wavecal import EstimationConfig, Lpm
+        one, two = (EstimationConfig(filter=make_filter("daubechies", 10), rule=Lpm())
+                    for _ in range(2))
+        assert one == two and hash(one) == hash(two)
+
 
 class TestForward:
     def test_constant_signal_concentrates(self):
@@ -343,3 +355,32 @@ def test_bulk_perfect_reconstruction_and_energy():
             e_in = np.linalg.norm(x, axis=0)
             e_out = np.linalg.norm(d, axis=0)
             assert np.max(np.abs(e_out - e_in) / e_in) < 1e-8
+
+
+def per_level_forward(x, f, J0):
+    """The forward transform as it was first written: each level gathers a
+    fresh periodic extension, runs the block GEMM into a fresh array, and the
+    levels are concatenated at the end."""
+    from wavecal.wavelet import _BLOCK, _apply_blocks, _periodic_index
+    a, details = x, []
+    while a.shape[0] > 2 ** J0:
+        N = a.shape[0]
+        ext = a[_periodic_index(N, 0, N + len(f) - 2)]
+        out = _apply_blocks(f.analysis_block, ext, min(_BLOCK, N // 2))
+        a, d = out[0::2], out[1::2]
+        details.append(d)
+    return np.concatenate([a] + details[::-1], axis=0)
+
+
+@pytest.mark.parametrize("v", [1, 2, 5, 10])
+def test_forward_buffers_keep_the_per_level_bits(v):
+    # writing into reused buffers changes no bit of any level size or J0
+    f = make_filter("daubechies", v)
+    rng = np.random.default_rng(77 + v)
+    for J in range(1, 11):
+        for columns in (1, 3, 50):
+            x = rng.standard_normal((2 ** J, columns))
+            for J0 in range(J):
+                got = transform_columns(x, f, J0, "forward")
+                want = per_level_forward(x, f, J0)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
