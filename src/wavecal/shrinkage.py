@@ -36,7 +36,15 @@ Chebyshev interpolants in |d|, built from factorised Gauss-Hermite sums
 (sigma <= 2 tau) or sums on the prior's scale (sigma > 2 tau), with exact
 asymptotes past a cutoff.  Each coefficient then costs two Horner
 evaluations and one exponential, and the scaled kernel cannot underflow at
-any |d|.  The beta rule's Gauss-Legendre path evaluates its density on a
+any |d|.
+
+The beta rule is evaluated at c = |d| / sigma, with the sign of d restored
+last.  At the default shape a = 2 its prior integrals are three terms in
+Phi and exp at c +- m / sigma (`_beta_two`): two `ndtr` calls, three
+exponentials and a few dozen in-place array passes per coefficient block.
+Other integer shapes sum truncated normal moments (`_beta_moments`).  Where
+the closed form is ill-conditioned, for non-integer shapes, and for a
+caller's own rule, Gauss-Legendre quadrature evaluates the density on a
 (coefficients x nodes) grid; `_grid_sums` builds such grids, and the
 logistic table's (points x nodes) grid, in chunks of at most 32768 values
 in one reused buffer.
@@ -651,110 +659,181 @@ def logistic_rule(d, spec: Logistic, quad: Optional[QuadratureSpec] = None, *,
     return float(out[0]) if scalar else out
 
 
-def _beta_moments(arr, a: int, m, sigma):
-    """Closed-form prior integrals of the beta rule for integer shape a.
+def _beta_moments(c, a: int, w):
+    """Closed-form prior integrals of the beta rule for integer shape a, at
+    c = |d| / sigma >= 0 and w = m / sigma.
 
-    Returns (Z, N) with Z = int g(theta) phi_sigma(d - theta) dtheta and
-    N = int theta g(theta) phi_sigma(d - theta) dtheta over [-m, m].  With
-    theta = d + sigma u, the kernel (m^2 - theta^2)^(a-1) is
-    sigma^(2a-2) q(u)^(a-1) with q(u) = (hi - u)(u - lo), lo = (-m - d)/sigma,
-    hi = (m - d)/sigma: a polynomial in u.  Both integrals are therefore sums
-    of the truncated normal moments I_k = int_lo^hi u^k phi(u) du, which obey
+    Returns (sigma Z, N) with Z = int g(theta) phi_sigma(|d| - theta) dtheta
+    and N = int theta g(theta) phi_sigma(|d| - theta) dtheta over [-m, m].
+    With theta = sigma (c + u), the kernel (m^2 - theta^2)^(a-1) is
+    sigma^(2a-2) q(u)^(a-1) with q(u) = (hi - u)(u - lo), lo = -w - c and
+    hi = w - c: a polynomial in u.  Both integrals are therefore sums of the
+    truncated normal moments I_k = int_lo^hi u^k phi(u) du, which obey
 
         I_k = lo^(k-1) phi(lo) - hi^(k-1) phi(hi) + (k-1) I_(k-2).
+
+    `_beta_two` is this at a = 2, summed in three terms.
     """
     n = a - 1
-    lo = (-m - arr) / sigma
-    hi = (m - arr) / sigma
+    lo = -w - c
+    hi = w - c
     phi_lo, phi_hi = _phi(lo), _phi(hi)
-    # I_0 = Phi(hi) - Phi(lo), taken as Phi(-lo) - Phi(-hi) when both
-    # endpoints lie in the upper tail, where the direct difference cancels
-    flip = np.where(lo > 0.0, -1.0, 1.0)
-    moments = [flip * (ndtr(flip * hi) - ndtr(flip * lo)), phi_lo - phi_hi]
+    # lo <= 0, so Phi(hi) - Phi(lo) never cancels in the upper tail
+    moments = [ndtr(hi) - ndtr(lo), phi_lo - phi_hi]
     lo_pow = hi_pow = 1.0
     for k in range(2, 2 * n + 2):
         lo_pow, hi_pow = lo_pow * lo, hi_pow * hi
         moments.append(lo_pow * phi_lo - hi_pow * phi_hi + (k - 1) * moments[k - 2])
-    # coefficients of (q(u) / w^2)^n in powers of u, w = hi - lo = 2m / sigma,
-    # so that sigma^(2n) q^n / (2m)^(2a-1) = (q / w^2)^n / (2m)
-    w2 = (2.0 * m / sigma) ** 2
+    # coefficients of (q(u) / (hi - lo)^2)^n in powers of u, hi - lo = 2w, so
+    # that sigma^(2n) q^n / (2m)^(2a-1) = (q / (2w)^2)^n / (2w sigma)
+    w2 = (2.0 * w) ** 2
     q = (-lo * hi / w2, (lo + hi) / w2, -1.0 / w2)
     coef = [1.0]
     for _ in range(n):
         product = [0.0] * (len(coef) + 2)
-        for i, c in enumerate(coef):
+        for i, ci in enumerate(coef):
             for j, qj in enumerate(q):
-                product[i + j] = product[i + j] + c * qj
+                product[i + j] = product[i + j] + ci * qj
         coef = product
-    s0 = sum(c * moments[k] for k, c in enumerate(coef))
-    s1 = sum(c * moments[k + 1] for k, c in enumerate(coef))
-    scale = 2.0 * m * _beta_function(a, a)
-    return s0 / scale, (arr * s0 + sigma * s1) / scale
+    s0 = sum(ci * moments[i] for i, ci in enumerate(coef))
+    s1 = sum(ci * moments[i + 1] for i, ci in enumerate(coef))
+    scale = 2.0 * w * _beta_function(a, a)
+    return s0 / scale, (c * s0 + s1) / scale
 
 
-def _beta_quadrature(arr, a: float, m, sigma, quad: QuadratureSpec):
-    """The (Z, N) integrals of `_beta_moments` on Gauss-Legendre nodes x
-    mapped onto [-m, m].
+def _beta_two(c, w, p: float):
+    """|delta| / sigma of the beta rule at shape a = 2, from c = |d| / sigma
+    and w = m / sigma.
+
+    With G = sqrt(2 pi) [Phi(w - c) - Phi(-w - c)], P = e^(-(w + c)^2 / 2)
+    and H = e^(-(w - c)^2 / 2), the truncated normal moments of
+    `_beta_moments` collapse to three terms:
+
+        s0 = ((w - c)(w + c) - 1) G + (w - c) P + (w + c) H
+        num = c s0 - 2 (c G + P - H)
+        |delta| / sigma = num / (s0 + r e^(-c^2 / 2)),  r = p / (1 - p) (4 / 3) w^3,
+
+    where s0 and num are sqrt(2 pi) (4 / 3) w^3 times sigma Z and N, and
+    r e^(-c^2 / 2) is the point mass's share on that scale.  The terms are
+    evaluated in place, a few whole-array passes each.  The denominator is
+    positive wherever `_moments_lose_accuracy` does not hold.
+    """
+    hi = np.subtract(w, c)
+    sm = np.add(w, c)
+    g = ndtr(hi)
+    t = np.negative(sm)
+    g -= ndtr(t, out=t)
+    g *= _SQRT_2PI
+    big_p = np.multiply(sm, sm, out=t)
+    big_p *= -0.5
+    np.exp(big_p, out=big_p)
+    big_h = np.multiply(hi, hi)
+    big_h *= -0.5
+    np.exp(big_h, out=big_h)
+    s0 = np.multiply(hi, sm)
+    s0 -= 1.0
+    s0 *= g
+    hi *= big_p
+    s0 += hi
+    sm *= big_h
+    s0 += sm
+    big_p -= big_h
+    g *= c
+    g += big_p
+    g *= 2.0
+    num = np.multiply(c, s0, out=hi)
+    num -= g
+    if p > 0.0:
+        den = np.multiply(c, c, out=sm)
+        den *= -0.5
+        np.exp(den, out=den)
+        den *= p / (1.0 - p) * (4.0 / 3.0) * np.power(w, 3)
+        s0 += den
+    num /= s0
+    return num
+
+
+def _beta_quadrature(c, a: float, w, quad: QuadratureSpec):
+    """The (sigma Z, N) integrals of `_beta_moments` on Gauss-Legendre nodes
+    x mapped onto [-m, m].
 
     At theta = m x the prior term h(x) = m g(m x) = (1 - x^2)^(a-1) /
     (2^(2a-1) B(a, a)) is the same for every m, and the likelihood is
-    phi(d/sigma - (m/sigma) x) / sigma.  With the sums
-    S_k = sum w h(x) x^k phi(d/sigma - (m/sigma) x), Z = S0 / sigma and
-    N = m S1 / sigma.
+    phi(c - w x) / sigma.  With the sums S_k = sum w h(x) x^k phi(c - w x),
+    sigma Z = S0 and N = w S1.
     """
     x = quad.nodes
     wh = quad.weights * (1.0 - x * x) ** (a - 1.0) / (2.0 ** (2.0 * a - 1.0)
                                                       * _beta_function(a, a))
-    sums = _grid_sums(arr / sigma, -m / sigma, x, np.stack([wh, wh * x], axis=1), _phi)
-    return sums[..., 0] / sigma, m * sums[..., 1] / sigma
+    sums = _grid_sums(c, -w, x, np.stack([wh, wh * x], axis=1), _phi)
+    return sums[..., 0], w * sums[..., 1]
 
 
-def _moments_lose_accuracy(arr, a: int, m, sigma):
-    """Where the closed form of `_beta_moments` is ill-conditioned.
+def _beta_ratio(z, n, c, p: float):
+    """|delta| / sigma from the integrals (sigma Z, N) at c = |d| / sigma."""
+    return _ratio_or_zero((1.0 - p) * n, p * _phi(c) + (1.0 - p) * z, "beta_rule")
+
+
+def _moments_lose_accuracy(c, a: int, w):
+    """Where the closed form of `_beta_moments` is ill-conditioned, at
+    c = |d| / sigma and w = m / sigma.
 
     Two cases, both worse for larger a: a support narrow against sigma, where
-    the moment recurrence cancels, and d so far outside [-m, m] that the
+    the moment recurrence cancels, and |d| so far outside [-m, m] that the
     polynomial's terms cancel, by a factor of about (1 + 2 t^2)^(a-1) at
-    t = (|d| - m) / sigma; that factor is held below 100.  Against 2048-node
+    t = c - w; that factor is held below 100.  Against 2048-node
     Gauss-Legendre the closed form then stays within 1e-11 * m for a <= 16,
     and 128-node Gauss-Legendre is as accurate in the two cases while
-    m / sigma <= 30.
+    w <= 30.
     """
     outside = np.sqrt((100.0 ** (1.0 / (a - 1)) - 1.0) / 2.0) if a > 1 else np.inf
-    return (np.asarray(m) < 0.6 * (a - 1.5) * np.asarray(sigma)) \
-        | (np.abs(arr) > m + outside * np.asarray(sigma))
+    return (w < 0.6 * (a - 1.5)) | (c > w + outside)
 
 
 def beta_rule(d, spec: Beta, quad: Optional[QuadratureSpec] = None):
     """Posterior mean under the symmetric beta mixture prior on [-m, m].
 
-    For integer shape a the prior integrals are evaluated in closed form from
-    truncated normal moments (see `_beta_moments`), except where that is
-    ill-conditioned (see `_moments_lose_accuracy`).  Non-integer shapes,
-    those cases, and any call that passes ``quad`` use Gauss-Legendre
-    quadrature mapped onto [-m, m] (128 nodes by default).
-    |result| <= m always.
+    The rule is evaluated at |d| / sigma and the sign of d restored last, so
+    it is odd bit for bit.  For integer shape a the prior integrals have a
+    closed form in truncated normal moments (see `_beta_moments`); at the
+    default a = 2 it is three terms (see `_beta_two`).  Where that is
+    ill-conditioned (see `_moments_lose_accuracy`), for non-integer shapes,
+    and in any call that passes ``quad``, Gauss-Legendre quadrature mapped
+    onto [-m, m] (128 nodes by default) is used instead.  |result| <= m
+    always.
     """
     sigma = _require(spec.sigma, "sigma", "Beta")
     m = _require(spec.m, "m", "Beta")
     if quad is not None and quad.kind != "gauss-legendre-interval":
         raise ValueError("beta_rule needs a gauss-legendre-interval rule")
     arr, scalar = _as_array(d)
-    if quad is None and float(spec.a).is_integer():
-        a = int(spec.a)
-        z, n = _beta_moments(arr, a, m, sigma)
-        hard = _moments_lose_accuracy(arr, a, m, sigma)
-        if np.any(hard):
-            z, n = np.array(z), np.array(n)  # writable, also for a scalar d
-            z[hard], n[hard] = _beta_quadrature(
-                arr[hard], a, np.broadcast_to(m, arr.shape)[hard],
-                np.broadcast_to(sigma, arr.shape)[hard], _default_gl())
+    arr = arr.reshape(-1) if scalar else arr
+    c = np.abs(arr) / sigma
+    w = m / sigma
+    a = spec.a
+
+    def closed(c, w):
+        if a == 2:
+            return _beta_two(c, w, spec.p)
+        return _beta_ratio(*_beta_moments(c, int(a), w), c, spec.p)
+
+    def numeric(c, w):
+        return _beta_ratio(*_beta_quadrature(c, a, w, quad or _default_gl()), c, spec.p)
+
+    integer = quad is None and float(a).is_integer()
+    hard = _moments_lose_accuracy(c, int(a), w) if integer else np.True_
+    if not hard.any():
+        out = closed(c, w)
+    elif hard.all():
+        out = numeric(c, w)
     else:
-        z, n = _beta_quadrature(arr, spec.a, m, sigma, quad or _default_gl())
-    num = (1.0 - spec.p) * n
-    den = spec.p * _phi(arr / sigma) / sigma + (1.0 - spec.p) * z
-    out = _ratio_or_zero(num, den, "beta_rule")
-    return float(out) if scalar else out
+        c, w = np.broadcast_arrays(c, w)
+        out = np.empty(c.shape)
+        out[~hard] = closed(c[~hard], w[~hard])
+        out[hard] = numeric(c[hard], w[hard])
+    out *= sigma
+    np.copysign(out, arr, out=out)
+    return out.item() if scalar else out
 
 
 def _downscaled(arr, sigma):

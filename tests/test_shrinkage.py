@@ -27,7 +27,9 @@ from wavecal.shrinkage import (
     resolve_rule,
     shrink_pyramid,
 )
-from wavecal.wavelet import Pyramid
+from wavecal.simharness import STUDY_COMPONENTS
+from wavecal.testbed import DatasetSpec, generate_dataset
+from wavecal.wavelet import Pyramid, make_filter, transform_columns
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -258,6 +260,67 @@ class TestBetaRule:
                 d = np.linspace(-1.5 * m - 4.0, 1.5 * m + 4.0, 41)
                 np.testing.assert_allclose(beta_rule(d, spec), beta_rule(d, spec, q2048),
                                            rtol=0, atol=1e-10 * m)
+
+    @staticmethod
+    def moments_reference(d, p, m, sigma):
+        """The a = 2 rule from the generic truncated-moment sums."""
+        c = np.abs(d) / sigma
+        z, n = shrinkage._beta_moments(c, 2, m / sigma)
+        return np.sign(d) * sigma * (1 - p) * n / (p * phi(c) + (1 - p) * z)
+
+    def test_three_terms_match_moments(self):
+        # c = |d| / sigma from 0 through w = m / sigma up to w + 7, the edge of
+        # the closed form's region.  For w < 2 and c > w + 2 both forms
+        # subtract terms about (c / w)^2 larger than the result: there,
+        # given the same Phi and phi values, the moment sums alone err by up
+        # to 7e-13 (|d| + sigma) against 50-digit arithmetic, the three
+        # terms by 1.4e-13.
+        for sigma in (1.0, 0.37):
+            for w in (0.3, 0.5, 1.0, 2.0, 5.0, 12.0, 40.0, 100.0, 200.0):
+                c = np.concatenate([[0.0, w], np.linspace(0.0, w + 7.0, 301)])
+                tol = np.where((w < 2.0) & (c > w + 2.0), 2e-12, 1e-13)
+                for p in (0.0, 0.5, 0.98):
+                    d = c * sigma
+                    got = beta_rule(d, Beta(p=p, a=2.0, m=w * sigma, sigma=sigma))
+                    want = self.moments_reference(d, p, w * sigma, sigma)
+                    assert np.all(np.abs(got - want) <= tol * (d + sigma))
+
+    @pytest.mark.parametrize("study", [1, 2, 3])
+    def test_three_terms_match_moments_on_level_slices(self, study):
+        policy = LevelPolicy(J0=3)
+        for M, snr in ((512, 3.0), (1024, 9.0)):
+            data = generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[study], M=M,
+                                                I=20, snr=snr, seed=study))
+            coefficients = transform_columns(data.observed, make_filter("daubechies", 10),
+                                             3, "forward")
+            pyr = Pyramid.from_flat(coefficients, 3)
+            sigma = estimate_sigma(pyr.details[-1])
+            for j, d in enumerate(pyr.details, start=3):
+                p, m = av_policy(j, d, policy)
+                got = beta_rule(d, Beta(p=p, a=2.0, m=m, sigma=sigma))
+                want = self.moments_reference(d, p, m, sigma)
+                assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(d) + sigma))
+
+    @pytest.mark.parametrize("a", [1.0, 2.0, 3.0, 5.0])
+    def test_odd_bit_for_bit(self, a):
+        # per-column supports; some d lie beyond m + 7 sigma, where the
+        # closed form hands over to quadrature
+        rng = np.random.default_rng(int(a))
+        m = rng.uniform(0.5, 30.0, 40)
+        d = rng.uniform(-1.0, 1.0, (500, 40)) * (m + 9.0)
+        spec = Beta(p=0.7, a=a, m=m, sigma=1.0)
+        np.testing.assert_array_equal(beta_rule(-d, spec), -beta_rule(d, spec))
+
+    @pytest.mark.xfail(strict=True, reason="far outside an explicit support the "
+                       "Gauss-Legendre fallback's likelihood underflows on every node, "
+                       "and the rule returns 0 with a ShrinkageUnderflowWarning")
+    def test_far_outside_explicit_support(self):
+        # the posterior is about Gamma(2, rate d - m) below m: mean m - 2 / (d - m)
+        spec = Beta(m=5.0, sigma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert beta_rule(40.0, spec) == pytest.approx(5.0 - 2.0 / 35.0, abs=2e-3)
+            assert beta_rule(45.0, spec) == pytest.approx(5.0 - 2.0 / 40.0, abs=2e-3)
 
     def test_bounded_by_half_support(self):
         spec = Beta(p=0.1, a=1.5, m=2.0, sigma=1.0)
