@@ -17,7 +17,6 @@ from .shrinkage import (
     LevelPolicy,
     Logistic,
     Lpm,
-    QuadratureSpec,
     RULES,
     RuleSpec,
     abe_rule,
@@ -62,7 +61,7 @@ __all__ = [
     "Pyramid", "UnsupportedFilterError", "WaveletFilter",
     "make_filter", "transform_columns",
     "Abe", "Bams", "Beta", "LevelPolicy", "Logistic", "Lpm",
-    "QuadratureSpec", "RULES", "RuleSpec",
+    "RULES", "RuleSpec",
     "abe_rule", "av_policy", "bams_rule", "beta_rule", "estimate_sigma",
     "logistic_rule", "lpm_rule", "resolve_rule", "shrink_pyramid",
     "COMPONENT_NAMES", "Dataset", "DatasetSpec", "component_function",

@@ -50,9 +50,12 @@ def _parse_m(value: str) -> tuple[int, ...]:
 
 def _parse_snr(value: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in value.split(","))
+        snrs = tuple(float(v) for v in value.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad --snr value {value!r}")
+    if not all(0.0 < snr < np.inf for snr in snrs):
+        raise argparse.ArgumentTypeError(f"bad --snr value {value!r}: not finite and > 0")
+    return snrs
 
 
 def _parse_rules(value: str) -> tuple[str, ...]:

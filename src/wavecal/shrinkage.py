@@ -36,18 +36,19 @@ Chebyshev interpolants in |d|, built from factorised Gauss-Hermite sums
 (sigma <= 2 tau) or sums on the prior's scale (sigma > 2 tau), with exact
 asymptotes past a cutoff.  Each coefficient then costs two Horner
 evaluations and one exponential, and the scaled kernel cannot underflow at
-any |d|.
+any |d|.  `_grid_sums` builds the table's (points x nodes) grid in chunks of
+at most 32768 values in one reused buffer.
 
-The beta rule is evaluated at c = |d| / sigma, with the sign of d restored
-last.  At the default shape a = 2 its prior integrals are three terms in
-Phi and exp at c +- m / sigma (`_beta_two`): two `ndtr` calls, three
-exponentials and a few dozen in-place array passes per coefficient block.
-Other integer shapes sum truncated normal moments (`_beta_moments`).  Where
-the closed form is ill-conditioned, for non-integer shapes, and for a
-caller's own rule, Gauss-Legendre quadrature evaluates the density on a
-(coefficients x nodes) grid; `_grid_sums` builds such grids, and the
-logistic table's (points x nodes) grid, in chunks of at most 32768 values
-in one reused buffer.
+The beta rule takes integer shapes a >= 1 and is evaluated at c = |d| / sigma
+and w = m / sigma, with the sign of d restored last.  At the default shape
+a = 2 its prior integrals are three terms in Phi and exp at c +- w
+(`_beta_two`): two `ndtr` calls, three exponentials and a few dozen in-place
+array passes per coefficient block.  Other shapes sum truncated normal
+moments (`_beta_moments`).  On a support narrow against sigma, where those
+closed forms cancel, a Hermite series of the likelihood across the support
+takes over (`_beta_series`).  Coefficients so far outside an explicit
+support that the closed form loses accuracy are rejected (`_beta_outside`);
+a support resolved from the data, m >= max |d|, never gets there.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .wavelet import Pyramid
 
 __all__ = [
     "ShrinkageUnderflowWarning",
-    "QuadratureSpec",
     "LevelPolicy",
     "Logistic",
     "Beta",
@@ -96,12 +96,9 @@ DEFAULT_BETA_P = 0.9
 DEFAULT_BETA_A = 2.0
 DEFAULT_LPM_K = 1.0
 DEFAULT_BAMS_ALPHA = 0.8
-DEFAULT_GH_NODES = 64
-DEFAULT_GL_NODES = 128
 
 # Largest number of coefficients `shrink_pyramid` hands to one rule call.  It
-# bounds the elementwise temporaries of a rule, 32 KiB each; the node grids of
-# the quadrature rules are bounded by _GRID_VALUES instead.
+# bounds the elementwise temporaries of a rule, 32 KiB each.
 _BLOCK_COEFFICIENTS = 4096
 
 # Largest number of node-grid values `_grid_sums` holds at once: 256 KiB,
@@ -116,73 +113,6 @@ _UPSCALE = 2.0 ** 600
 
 class ShrinkageUnderflowWarning(RuntimeWarning):
     """A rule denominator underflowed to zero; full shrinkage was applied."""
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Fixed Gauss quadrature nodes and weights.
-
-    ``gauss-hermite-standard-normal`` integrates f against the standard
-    normal density (the density is absorbed into the weights, which sum
-    to 1).  ``gauss-legendre-interval`` holds reference nodes on [-1, 1];
-    callers map them onto the integration interval.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-D arrays of equal length")
-        if np.any(weights <= 0):
-            raise ValueError("quadrature weights must be positive")
-        if self.kind == "gauss-hermite-standard-normal":
-            if abs(weights.sum() - 1.0) > 1e-10:
-                raise ValueError("standard-normal weights must sum to 1")
-        elif self.kind != "gauss-legendre-interval":
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def gauss_hermite_standard_normal(cls, n: int = DEFAULT_GH_NODES) -> "QuadratureSpec":
-        """Nodes u_i and weights w_i with sum_i w_i f(u_i) ~ E[f(U)], U ~ N(0,1)."""
-        v, w = np.polynomial.hermite.hermgauss(n)
-        return cls(nodes=v * np.sqrt(2.0), weights=w / np.sqrt(np.pi),
-                   kind="gauss-hermite-standard-normal")
-
-    @classmethod
-    def gauss_legendre_interval(cls, n: int = DEFAULT_GL_NODES) -> "QuadratureSpec":
-        """Reference Gauss-Legendre rule on [-1, 1]."""
-        x, w = np.polynomial.legendre.leggauss(n)
-        return cls(nodes=x, weights=w, kind="gauss-legendre-interval")
-
-
-_DEFAULT_GH: Optional[QuadratureSpec] = None
-_DEFAULT_GL: Optional[QuadratureSpec] = None
-
-
-def _default_gh() -> QuadratureSpec:
-    global _DEFAULT_GH
-    if _DEFAULT_GH is None:
-        _DEFAULT_GH = QuadratureSpec.gauss_hermite_standard_normal()
-    return _DEFAULT_GH
-
-
-def _default_gl() -> QuadratureSpec:
-    global _DEFAULT_GL
-    if _DEFAULT_GL is None:
-        _DEFAULT_GL = QuadratureSpec.gauss_legendre_interval()
-    return _DEFAULT_GL
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +173,9 @@ class Logistic:
 class Beta:
     """Point mass at zero mixed with a beta prior on [-m, m].
 
-    Shapes a < 1 are rejected: the density is unbounded at the endpoints
-    and fixed-node quadrature is unreliable there.  Integer shapes have a
-    closed form; other shapes are integrated numerically.  ``m=None`` /
-    ``sigma=None`` mark values to be resolved from the data.
+    The shape a must be an integer >= 1 (a = 1 is the uniform prior): the
+    prior integrals then have a closed form.  ``m=None`` / ``sigma=None``
+    mark values to be resolved from the data.
     """
 
     p: float = DEFAULT_BETA_P
@@ -257,8 +186,8 @@ class Beta:
     def __post_init__(self):
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must be in [0, 1), got {self.p}")
-        if not self.a >= 1.0:
-            raise ValueError(f"a must be >= 1, got {self.a}")
+        if not (self.a >= 1.0 and float(self.a).is_integer()):
+            raise ValueError(f"a must be an integer >= 1, got {self.a}")
         if self.m is not None:
             _check_open("m", self.m)
         if self.sigma is not None:
@@ -379,35 +308,25 @@ def _logistic_pdf(y, out=None):
     return np.divide(1.0, g, out=out)
 
 
-def _grid_sums(center, step, nodes, weights, kernel):
-    """sum_i weights[i, :] * kernel(center + step * nodes[i]) for every
-    coefficient.
+def _grid_sums(x, nodes, weights):
+    """sum_i weights[i, :] * _logistic_pdf(x * nodes[i]) at every point x.
 
-    ``center`` and ``step`` broadcast to the coefficients' shape; the result
-    has that shape plus a trailing axis with one sum per column of
-    ``weights`` (nodes x K).  The (coefficients x nodes) grid is never built
-    whole: one buffer of at most _GRID_VALUES values is filled a chunk of
-    coefficients at a time by the matmul [center, step] @ [1; nodes], the
-    kernel is applied to it in place, and a second matmul reduces it.  The
-    kernel is called as ``kernel(grid, out=grid)`` on a view with one more
-    axis than the coefficients.
+    The result has one row per point and one column per column of
+    ``weights`` (nodes x K).  The (points x nodes) grid is never built whole:
+    one buffer of at most _GRID_VALUES values is filled a chunk of points at
+    a time by an outer product, the kernel is applied to it in place, and a
+    matmul reduces it.
     """
-    center, step = np.broadcast_arrays(center, step)
-    shape = center.shape
-    affine = np.stack([center.ravel(), step.ravel()], axis=1)
-    lift = np.stack([np.ones_like(nodes), nodes])
-    count = affine.shape[0]
-    rows = max(1, min(count, _GRID_VALUES // nodes.size))
+    rows = max(1, min(x.size, _GRID_VALUES // nodes.size))
     buffer = np.empty((rows, nodes.size))
-    sums = np.empty((count, weights.shape[1]))
-    expand = (None,) * (len(shape) - 1)
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
+    sums = np.empty((x.size, weights.shape[1]))
+    for start in range(0, x.size, rows):
+        stop = min(start + rows, x.size)
         grid = buffer[:stop - start]
-        np.matmul(affine[start:stop], lift, out=grid)
-        kernel(grid[expand], out=grid[expand])
+        np.multiply.outer(x[start:stop], nodes, out=grid)
+        _logistic_pdf(grid, out=grid)
         np.matmul(grid, weights, out=sums[start:stop])
-    return sums.reshape(shape + (weights.shape[1],))
+    return sums
 
 
 def _as_array(d):
@@ -470,7 +389,7 @@ _CHEB_POINTS = np.cos(np.pi * (np.arange(_CHEB_DEGREE + 1) + 0.5) / (_CHEB_DEGRE
 _CHEB_TO_POWERS = np.linalg.inv(np.vander(_CHEB_POINTS, increasing=True))
 
 # Gauss-Hermite nodes whose weight is below this fraction of the largest
-# change no sum of the table (44 of the 64 default nodes stay).
+# change no sum of the table (44 of the 64 nodes stay).
 _GH_KEEP = 1e-18
 
 # Beyond sigma = _PRIOR_SCALE * tau the table's sums are taken on the prior's
@@ -485,14 +404,15 @@ _PRIOR_NODES = 16
 _LOG_EPS = 53.0 * np.log(2.0)  # -log of the double precision unit roundoff
 
 
-def _logistic_nodes(quad: Optional[QuadratureSpec]):
-    """The standard-normal Gauss-Hermite nodes and weights the table sums
-    use below sigma = 2 tau, without those of negligible weight."""
-    quad = quad if quad is not None else _default_gh()
-    if quad.kind != "gauss-hermite-standard-normal":
-        raise ValueError("logistic_rule needs a gauss-hermite-standard-normal rule")
-    keep = quad.weights > _GH_KEEP * quad.weights.max()
-    return quad.nodes[keep], quad.weights[keep]
+@lru_cache(maxsize=1)
+def _logistic_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u_i and weights w_i with sum_i w_i f(u_i) ~ E[f(U)], U ~ N(0, 1):
+    the Gauss-Hermite rule the table sums use below sigma = 2 tau, without
+    the nodes of negligible weight."""
+    v, w = np.polynomial.hermite.hermgauss(64)
+    u, w = v * np.sqrt(2.0), w / np.sqrt(np.pi)
+    keep = w > _GH_KEEP * w.max()
+    return u[keep], w[keep]
 
 
 @lru_cache(maxsize=1)
@@ -518,9 +438,7 @@ def _likelihood_scale_sums(a, sigma: float, tau: float, nodes):
     """
     u, w = nodes
     c = np.exp(-(sigma / tau) * u)
-    sums = _grid_sums(0.0, np.exp(-a / tau), c, np.stack([w * c, w * u * c], axis=1),
-                      _logistic_pdf)
-    z, s1 = sums[:, 0], sums[:, 1]
+    z, s1 = _grid_sums(np.exp(-a / tau), c, np.stack([w * c, w * u * c], axis=1)).T
     return np.log(z), 1.0 + sigma * s1 / (a * z)
 
 
@@ -563,8 +481,7 @@ def _logistic_sums(a, sigma: float, tau: float, nodes):
     return _prior_scale_sums(a, sigma, tau)
 
 
-def _logistic_table(spec: Logistic, top: float,
-                    quad: Optional[QuadratureSpec] = None) -> _LogisticTable:
+def _logistic_table(spec: Logistic, top: float) -> _LogisticTable:
     """The `_LogisticTable` of ``spec``'s tau and sigma for |d| <= ``top``.
 
     Panels are max(tau, sigma / 2) / 4 wide and cover [0, min(top, cutoff)].
@@ -575,7 +492,7 @@ def _logistic_table(spec: Logistic, top: float,
     tau = float(spec.tau)
     sigma = _require(spec.sigma, "sigma", "Logistic")
     values, row = np.unique(np.asarray(sigma, dtype=float), return_inverse=True)
-    nodes = _logistic_nodes(quad)
+    nodes = _logistic_nodes()
     widths = np.maximum(tau, values / 2.0) / 4.0
     cutoff = np.where(values <= _PRIOR_SCALE * tau,
                       values * np.max(np.abs(nodes[0])) + _LOG_EPS * tau,
@@ -637,8 +554,7 @@ def _logistic_from_table(arr, p: float, table: _LogisticTable):
     return np.copysign(ratio, arr, out=ratio)
 
 
-def logistic_rule(d, spec: Logistic, quad: Optional[QuadratureSpec] = None, *,
-                  table: Optional[_LogisticTable] = None):
+def logistic_rule(d, spec: Logistic, *, table: Optional[_LogisticTable] = None):
     """Posterior mean under the logistic mixture prior.
 
     The prior integrals Z and N (see `_LogisticTable`) depend on d only
@@ -646,13 +562,13 @@ def logistic_rule(d, spec: Logistic, quad: Optional[QuadratureSpec] = None, *,
     (tau, sigma) as piecewise polynomials in a and combined with p only in
     the final ratio (`_logistic_from_table`).  ``table`` is a table built by
     `_logistic_table` for this spec's tau and sigma and every |d|; without
-    it the rule builds one over its input.  The table's source sums use the
-    Gauss-Hermite rule ``quad`` (64 nodes by default) while sigma <= 2 tau and
-    a rule on the prior's scale beyond.  The rule is odd, and |result| <= |d|.
+    it the rule builds one over its input.  The table's source sums use a
+    64-node Gauss-Hermite rule while sigma <= 2 tau and a rule on the prior's
+    scale beyond.  The rule is odd, and |result| <= |d|.
     """
     arr, scalar = _as_array(d)
     if table is None:
-        table = _logistic_table(spec, float(np.max(np.abs(arr), initial=0.0)), quad)
+        table = _logistic_table(spec, float(np.max(np.abs(arr), initial=0.0)))
     elif table.tau != spec.tau or not np.array_equal(table.sigma, spec.sigma):
         raise ValueError("the logistic table was built for another tau or sigma")
     out = _logistic_from_table(arr.reshape(-1) if scalar else arr, spec.p, table)
@@ -716,7 +632,7 @@ def _beta_two(c, w, p: float):
     where s0 and num are sqrt(2 pi) (4 / 3) w^3 times sigma Z and N, and
     r e^(-c^2 / 2) is the point mass's share on that scale.  The terms are
     evaluated in place, a few whole-array passes each.  The denominator is
-    positive wherever `_moments_lose_accuracy` does not hold.
+    positive wherever `beta_rule` uses this form.
     """
     hi = np.subtract(w, c)
     sm = np.add(w, c)
@@ -753,84 +669,104 @@ def _beta_two(c, w, p: float):
     return num
 
 
-def _beta_quadrature(c, a: float, w, quad: QuadratureSpec):
-    """The (sigma Z, N) integrals of `_beta_moments` on Gauss-Legendre nodes
-    x mapped onto [-m, m].
+def _beta_series(c, a: int, w, p: float):
+    """|delta| / sigma of the beta rule on a support narrow against sigma,
+    from c = |d| / sigma and w = m / sigma.
 
-    At theta = m x the prior term h(x) = m g(m x) = (1 - x^2)^(a-1) /
-    (2^(2a-1) B(a, a)) is the same for every m, and the likelihood is
-    phi(c - w x) / sigma.  With the sums S_k = sum w h(x) x^k phi(c - w x),
-    sigma Z = S0 and N = w S1.
+    The likelihood across the support is a Hermite series,
+    phi(c - w x) / phi(c) = e^(c w x - w^2 x^2 / 2) = sum_n He_n(c) (w x)^n / n!,
+    so the prior integrals need only the even moments of the prior on
+    [-1, 1], mu_0 = 1 and mu_2j = mu_(2j-2) (2j - 1) / (2a + 2j - 1):
+
+        S0 = sum_j w^(2j) He_2j(c) mu_2j / (2j)!
+        S1 = sum_j w^(2j+1) He_(2j+1)(c) mu_(2j+2) / (2j+1)!
+        |delta| / sigma = (1 - p) w S1 / (p + (1 - p) S0).
+
+    phi(c) cancels, so nothing underflows.  The terms E_n = He_n(c) w^n / n!
+    follow from the Hermite recurrence as E_(n+1) = (c w E_n - w^2 E_(n-1)) /
+    (n + 1), which keeps them finite where He_n(c) and n! are not; summing
+    stops once a term changes neither sum at any coefficient (a NaN c gives
+    NaN and is not waited for).
     """
-    x = quad.nodes
-    wh = quad.weights * (1.0 - x * x) ** (a - 1.0) / (2.0 ** (2.0 * a - 1.0)
-                                                      * _beta_function(a, a))
-    sums = _grid_sums(c, -w, x, np.stack([wh, wh * x], axis=1), _phi)
-    return sums[..., 0], w * sums[..., 1]
+    cw = c * w
+    live = ~np.isnan(cw)
+    w2 = w * w
+    even, odd = np.ones_like(cw), cw  # E_0, E_1
+    mu = 1.0 / (2 * a + 1)            # mu_2
+    s0, s1 = np.ones_like(cw), mu * odd
+    n = 1
+    while True:
+        even = (cw * odd - w2 * even) / (n + 1)  # E_2j, with 2j = n + 1
+        odd = (cw * even - w2 * odd) / (n + 2)
+        t0 = even * mu
+        mu *= (n + 2) / (2 * a + n + 2)
+        t1 = odd * mu
+        if not np.any((s0 + t0 != s0) | (s1 + t1 != s1), where=live):
+            break
+        s0 += t0
+        s1 += t1
+        n += 2
+    return (1.0 - p) * w * s1 / (p + (1.0 - p) * s0)
 
 
-def _beta_ratio(z, n, c, p: float):
-    """|delta| / sigma from the integrals (sigma Z, N) at c = |d| / sigma."""
-    return _ratio_or_zero((1.0 - p) * n, p * _phi(c) + (1.0 - p) * z, "beta_rule")
+def _beta_outside(a: int) -> float:
+    """How far |d| may lie outside [-m, m], in units of sigma, for the beta
+    rule at shape a.
 
-
-def _moments_lose_accuracy(c, a: int, w):
-    """Where the closed form of `_beta_moments` is ill-conditioned, at
-    c = |d| / sigma and w = m / sigma.
-
-    Two cases, both worse for larger a: a support narrow against sigma, where
-    the moment recurrence cancels, and |d| so far outside [-m, m] that the
-    polynomial's terms cancel, by a factor of about (1 + 2 t^2)^(a-1) at
-    t = c - w; that factor is held below 100.  Against 2048-node
-    Gauss-Legendre the closed form then stays within 1e-11 * m for a <= 16,
-    and 128-node Gauss-Legendre is as accurate in the two cases while
-    w <= 30.
+    Past the support the terms of `_beta_moments` cancel by a factor of
+    about (1 + 2 t^2)^(a-1) at t = (|d| - m) / sigma; t_a holds it at 100
+    (t_2 = 7.04), where the closed form stays within 1e-11 * m of 2048-node
+    Gauss-Legendre quadrature for a <= 16.  At a = 1 nothing cancels, but
+    Phi(w - c) reaches the end of the normal doubles near t = 37.5, and the
+    closed form fails past it (at t = 38 it returns -2e8 for m = sigma / 2).
     """
-    outside = np.sqrt((100.0 ** (1.0 / (a - 1)) - 1.0) / 2.0) if a > 1 else np.inf
-    return (w < 0.6 * (a - 1.5)) | (c > w + outside)
+    return float(np.sqrt((100.0 ** (1.0 / (a - 1)) - 1.0) / 2.0)) if a > 1 else 37.0
 
 
-def beta_rule(d, spec: Beta, quad: Optional[QuadratureSpec] = None):
+def beta_rule(d, spec: Beta):
     """Posterior mean under the symmetric beta mixture prior on [-m, m].
 
-    The rule is evaluated at |d| / sigma and the sign of d restored last, so
-    it is odd bit for bit.  For integer shape a the prior integrals have a
-    closed form in truncated normal moments (see `_beta_moments`); at the
-    default a = 2 it is three terms (see `_beta_two`).  Where that is
-    ill-conditioned (see `_moments_lose_accuracy`), for non-integer shapes,
-    and in any call that passes ``quad``, Gauss-Legendre quadrature mapped
-    onto [-m, m] (128 nodes by default) is used instead.  |result| <= m
-    always.
+    The rule is evaluated at c = |d| / sigma and w = m / sigma, and the sign
+    of d restored last, so it is odd bit for bit.  The prior integrals have
+    a closed form in truncated normal moments (see `_beta_moments`); at the
+    default a = 2 it is three terms (see `_beta_two`).  On a support narrow
+    against sigma, w < 0.6 max(a - 1.5, 0.5), the closed form cancels and a
+    Hermite series of the likelihood is summed instead (see `_beta_series`).  A
+    coefficient more than `_beta_outside` (a) sigma outside the support is
+    rejected with a ValueError; a support resolved from the data,
+    m >= max |d|, never gets there.  |result| <= m always.
     """
     sigma = _require(spec.sigma, "sigma", "Beta")
     m = _require(spec.m, "m", "Beta")
-    if quad is not None and quad.kind != "gauss-legendre-interval":
-        raise ValueError("beta_rule needs a gauss-legendre-interval rule")
     arr, scalar = _as_array(d)
     arr = arr.reshape(-1) if scalar else arr
     c = np.abs(arr) / sigma
     w = m / sigma
-    a = spec.a
+    a = int(spec.a)
+    outside = _beta_outside(a)
+    far = c > w + outside
+    if np.any(far):
+        raise ValueError(
+            f"beta_rule: {int(np.count_nonzero(far))} coefficient(s) lie more than "
+            f"{outside:.3g} sigma outside the support [-m, m] of the beta prior")
 
     def closed(c, w):
         if a == 2:
             return _beta_two(c, w, spec.p)
-        return _beta_ratio(*_beta_moments(c, int(a), w), c, spec.p)
+        z, n = _beta_moments(c, a, w)
+        return _ratio_or_zero((1.0 - spec.p) * n, spec.p * _phi(c) + (1.0 - spec.p) * z,
+                              "beta_rule")
 
-    def numeric(c, w):
-        return _beta_ratio(*_beta_quadrature(c, a, w, quad or _default_gl()), c, spec.p)
-
-    integer = quad is None and float(a).is_integer()
-    hard = _moments_lose_accuracy(c, int(a), w) if integer else np.True_
-    if not hard.any():
+    narrow = w < 0.6 * max(a - 1.5, 0.5)
+    if not np.any(narrow):
         out = closed(c, w)
-    elif hard.all():
-        out = numeric(c, w)
+    elif np.all(narrow):
+        out = _beta_series(c, a, w, spec.p)
     else:
-        c, w = np.broadcast_arrays(c, w)
+        c, w, narrow = np.broadcast_arrays(c, w, narrow)
         out = np.empty(c.shape)
-        out[~hard] = closed(c[~hard], w[~hard])
-        out[hard] = numeric(c[hard], w[hard])
+        out[~narrow] = closed(c[~narrow], w[~narrow])
+        out[narrow] = _beta_series(c[narrow], a, w[narrow], spec.p)
     out *= sigma
     np.copysign(out, arr, out=out)
     return out.item() if scalar else out

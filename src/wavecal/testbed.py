@@ -164,7 +164,7 @@ def sigma_for_snr(truth: np.ndarray, weights: np.ndarray, snr: float) -> float:
     sigma = sd(vec(truth @ weights)) / snr with the population standard
     deviation pooled over all noiseless aggregated values.
     """
-    if snr <= 0:
+    if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
     sd = float(np.std(truth @ weights))
     if sd == 0.0:
@@ -188,7 +188,7 @@ class DatasetSpec:
             raise ValueError(f"M must be a power of two >= 2, got {self.M}")
         if self.I < len(self.components):
             raise ValueError(f"I={self.I} < L={len(self.components)}")
-        if self.snr <= 0:
+        if not self.snr > 0:
             raise ValueError(f"snr must be positive, got {self.snr}")
         if not self.components:
             raise ValueError("need at least one component")

@@ -251,6 +251,19 @@ def test_bad_rule_name_rejected():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("snr", ["nan", "3,nan", "inf", "0", "-3"])
+def test_snr_not_finite_and_positive_rejected(tmp_path, capsys, snr):
+    # NaN would otherwise reach the generated data and fail every replicate
+    # at the input stage, with an empty amse.csv and exit code 0
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--study", "1", "--m", "64", "--snr", snr, "--replicates", "1",
+              "--rules", "abe", "--samples", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     rc = subprocess.run(
         [sys.executable, "-m", "wavecal", "rules", "--show"],

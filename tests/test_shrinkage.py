@@ -1,5 +1,6 @@
 """Shrinkage rules against independent oracles, plus the property suite."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from wavecal.shrinkage import (
     LevelPolicy,
     Logistic,
     Lpm,
-    QuadratureSpec,
     ShrinkageUnderflowWarning,
     abe_rule,
     av_policy,
@@ -27,6 +27,7 @@ from wavecal.shrinkage import (
     resolve_rule,
     shrink_pyramid,
 )
+from wavecal.decomposition import EstimationConfig, PipelineError, estimate_components
 from wavecal.simharness import STUDY_COMPONENTS
 from wavecal.testbed import DatasetSpec, generate_dataset
 from wavecal.wavelet import Pyramid, make_filter, transform_columns
@@ -83,6 +84,27 @@ def truncated_normal_mean(d, m, sigma):
     """Closed-form posterior mean for a uniform prior on [-m, m] (beta a=1, p=0)."""
     lo, hi = (-m - d) / sigma, (m - d) / sigma
     return d + sigma * (phi(lo) - phi(hi)) / (ndtr(hi) - ndtr(lo))
+
+
+@functools.lru_cache(maxsize=None)
+def leggauss(nodes):
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def beta_gauss_legendre(d, p, a, m, sigma, nodes=2048):
+    """The beta posterior mean from Gauss-Legendre quadrature on [-m, m].
+
+    At theta = m x the prior is h(x) = (1 - x^2)^(a-1) / (2^(2a-1) B(a, a))
+    on [-1, 1] and the likelihood phi(c - w x) / sigma, with c = |d| / sigma
+    and w = m / sigma; accurate while w stays moderate against ``nodes``.
+    """
+    x, weights = leggauss(nodes)
+    h = weights * (1.0 - x * x) ** (a - 1) / (2.0 ** (2 * a - 1) * beta_function(a, a))
+    c = np.abs(np.asarray(d, dtype=float)) / sigma
+    w = m / sigma
+    likelihood = phi(c[:, None] - w * x)
+    z, n = likelihood @ h, w * (likelihood @ (h * x))
+    return np.sign(d) * sigma * (1 - p) * n / (p * phi(c) + (1 - p) * z)
 
 
 def laplace_pdf(x, scale):
@@ -193,11 +215,6 @@ class TestLogisticRule:
                                    [logistic_rule(v, spec) for v in d],
                                    rtol=0, atol=1e-12)
 
-    def test_requires_gauss_hermite_kind(self):
-        quad = QuadratureSpec.gauss_legendre_interval(16)
-        with pytest.raises(ValueError):
-            logistic_rule(1.0, Logistic(sigma=1.0), quad)
-
     def test_unresolved_sigma_rejected(self):
         with pytest.raises(ValueError):
             logistic_rule(1.0, Logistic())
@@ -230,9 +247,7 @@ class TestBetaRule:
                 beta_oracle(d, 0.9, 2.0, 5.0, 1.0), abs=1e-8)
 
     def test_wide_support_matches_trapezoid_oracle(self):
-        # m / sigma = 100: 128 fixed Gauss-Legendre nodes on [-m, m] are far
-        # coarser than the likelihood (errors up to 0.1 here); the closed form
-        # is exact up to round-off
+        # m / sigma = 100: the likelihood is far narrower than the support
         spec = Beta(p=0.9, a=2.0, m=100.0, sigma=1.0)
         for d in (0.5, 3.0, 40.0, 97.0):
             assert beta_rule(d, spec) == pytest.approx(
@@ -250,15 +265,20 @@ class TestBetaRule:
                 beta_oracle(x, 0.9, 2.0, m, sigma, panels=2_000_000), abs=1e-8)
 
     def test_closed_form_matches_quadrature_across_shapes(self):
-        # integer shapes, including narrow supports and d far outside the
-        # support, where the closed form hands over to quadrature; reference:
-        # 2048 Gauss-Legendre nodes, accurate while m / sigma stays moderate
-        q2048 = QuadratureSpec.gauss_legendre_interval(2048)
-        for a in (1.0, 2.0, 3.0, 5.0, 8.0, 16.0):
-            for m in (0.01, 0.3, 1.0, 4.0, 12.0, 25.0):
+        # every shape on narrow supports, where the Hermite series takes
+        # over below m / sigma = 0.6 max(a - 1.5, 0.5), on both sides of that
+        # switch, and out to m + t_a sigma; reference: 2048 Gauss-Legendre
+        # nodes, accurate while m / sigma stays moderate
+        for a in (1, 2, 3, 5, 8, 16):
+            switch = 0.6 * max(a - 1.5, 0.5)
+            reach = shrinkage._beta_outside(a)
+            for m in (1e-6, 1e-3, 0.01, 0.3, 1.0, 4.0, 12.0, 25.0,
+                      0.98 * switch, 1.02 * switch):
                 spec = Beta(p=0.5, a=a, m=m, sigma=1.0)
-                d = np.linspace(-1.5 * m - 4.0, 1.5 * m + 4.0, 41)
-                np.testing.assert_allclose(beta_rule(d, spec), beta_rule(d, spec, q2048),
+                top = min(1.5 * m + 4.0, m + reach)
+                d = np.linspace(-top, top, 41)
+                np.testing.assert_allclose(beta_rule(d, spec),
+                                           beta_gauss_legendre(d, 0.5, a, m, 1.0),
                                            rtol=0, atol=1e-10 * m)
 
     @staticmethod
@@ -303,33 +323,57 @@ class TestBetaRule:
 
     @pytest.mark.parametrize("a", [1.0, 2.0, 3.0, 5.0])
     def test_odd_bit_for_bit(self, a):
-        # per-column supports; some d lie beyond m + 7 sigma, where the
-        # closed form hands over to quadrature
+        # per-column supports, some narrow enough for the Hermite series;
+        # d out to m + t_a sigma, as far as the rule accepts
         rng = np.random.default_rng(int(a))
-        m = rng.uniform(0.5, 30.0, 40)
-        d = rng.uniform(-1.0, 1.0, (500, 40)) * (m + 9.0)
+        m = rng.uniform(0.05, 30.0, 40)
+        d = rng.uniform(-1.0, 1.0, (500, 40)) * (m + shrinkage._beta_outside(a))
         spec = Beta(p=0.7, a=a, m=m, sigma=1.0)
         np.testing.assert_array_equal(beta_rule(-d, spec), -beta_rule(d, spec))
 
-    @pytest.mark.xfail(strict=True, reason="far outside an explicit support the "
-                       "Gauss-Legendre fallback's likelihood underflows on every node, "
-                       "and the rule returns 0 with a ShrinkageUnderflowWarning")
-    def test_far_outside_explicit_support(self):
-        # the posterior is about Gamma(2, rate d - m) below m: mean m - 2 / (d - m)
+    def test_far_outside_explicit_support_rejected(self):
+        # past m + t_a sigma the closed form cancels; the rule refuses such d
+        # rather than return a wrong value
         spec = Beta(m=5.0, sigma=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert beta_rule(40.0, spec) == pytest.approx(5.0 - 2.0 / 35.0, abs=2e-3)
-            assert beta_rule(45.0, spec) == pytest.approx(5.0 - 2.0 / 40.0, abs=2e-3)
+        assert shrinkage._beta_outside(2) == pytest.approx(7.04, abs=5e-3)
+        beta_rule(np.array([-12.0, 12.0]), spec)  # within 7 sigma of the support
+        for d in (45.0, np.array([1.0, -45.0]), 12.1):
+            with pytest.raises(ValueError, match=r"outside the support \[-m, m\]"):
+                beta_rule(d, spec)
+        for a in (1, 3, 5, 8, 16):
+            reach = shrinkage._beta_outside(a)
+            with pytest.raises(ValueError, match="outside the support"):
+                beta_rule(0.3 + 1.01 * reach, Beta(p=0.5, a=a, m=0.3, sigma=1.0))
+
+    def test_far_outside_explicit_support_fails_the_pipeline(self):
+        # a support set by hand below the data's max |d| fails at the
+        # shrinkage stage; one resolved from the data never does
+        data = generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[1], M=256, I=10,
+                                            snr=3.0, seed=1))
+        config = EstimationConfig(filter=make_filter("daubechies", 10), rule=Beta(m=0.5),
+                                  policy=None)
+        with pytest.raises(PipelineError) as excinfo:
+            estimate_components(data.observed, data.weights, config)
+        assert excinfo.value.stage == "shrinkage"
+        assert "outside the support" in str(excinfo.value)
+
+    @pytest.mark.parametrize("m", [0.1, 5.0])
+    def test_nan_maps_to_nan(self, m):
+        # on a narrow support (the Hermite series) as in the closed form
+        got = beta_rule(np.array([np.nan, 1.0]), Beta(p=0.5, a=2, m=m, sigma=1.0))
+        assert np.isnan(got[0]) and np.isfinite(got[1])
 
     def test_bounded_by_half_support(self):
-        spec = Beta(p=0.1, a=1.5, m=2.0, sigma=1.0)
-        for d in np.linspace(-20, 20, 41):
-            assert abs(beta_rule(d, spec)) <= 2.0 + 1e-12
+        for a in (1, 2, 3):
+            spec = Beta(p=0.1, a=a, m=2.0, sigma=1.0)
+            top = 2.0 + shrinkage._beta_outside(a)
+            for d in np.linspace(-top, top, 41):
+                assert abs(beta_rule(d, spec)) <= 2.0 + 1e-12
 
     def test_shape_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            Beta(p=0.5, a=0.5, m=1.0, sigma=1.0)
+        for a in (0.5, 1.5):
+            with pytest.raises(ValueError, match="a must be an integer >= 1"):
+                Beta(p=0.5, a=a, m=1.0, sigma=1.0)
 
     def test_unresolved_support_rejected(self):
         with pytest.raises(ValueError):
@@ -675,23 +719,17 @@ class TestProperties:
             assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_quadrature_node_doubling_logistic(self):
-        q64 = QuadratureSpec.gauss_hermite_standard_normal(64)
-        q128 = QuadratureSpec.gauss_hermite_standard_normal(128)
-        for p, tau, sigma in [(0.9, 1.0, 1.0), (0.5, 2.0, 1.0), (0.8, 1.5, 0.5)]:
-            spec = Logistic(p=p, tau=tau, sigma=sigma)
-            for d in np.linspace(-10, 10, 81):
-                assert abs(logistic_rule(float(d), spec, q64)
-                           - logistic_rule(float(d), spec, q128)) < 1e-8
-
-    def test_quadrature_node_doubling_beta(self):
-        q128 = QuadratureSpec.gauss_legendre_interval(128)
-        q256 = QuadratureSpec.gauss_legendre_interval(256)
-        for p, a, m, sigma in [(0.9, 2.0, 5.0, 1.0), (0.5, 3.0, 8.0, 2.0),
-                               (0.0, 1.0, 10.0, 1.0)]:
-            spec = Beta(p=p, a=a, m=m, sigma=sigma)
-            for d in np.linspace(-10, 10, 81):
-                assert abs(beta_rule(float(d), spec, q128)
-                           - beta_rule(float(d), spec, q256)) < 1e-8
+        # the table's Gauss-Hermite sums at the rule's 64 nodes against all
+        # 128 nodes of the doubled rule: ell and |delta| = a R at p = 0
+        v, w = np.polynomial.hermite.hermgauss(128)
+        q128 = (v * np.sqrt(2.0), w / np.sqrt(np.pi))
+        a = np.linspace(0.125, 10.0, 80)
+        for tau, sigma in [(1.0, 1.0), (2.0, 1.0), (1.5, 0.5)]:
+            ell64, r64 = shrinkage._likelihood_scale_sums(a, sigma, tau,
+                                                          shrinkage._logistic_nodes())
+            ell128, r128 = shrinkage._likelihood_scale_sums(a, sigma, tau, q128)
+            assert np.all(np.abs(ell64 - ell128) < 1e-8)
+            assert np.all(np.abs(a * r64 - a * r128) < 1e-8)
 
 
 def _odd_and_shrinks(rule, d, sigma):
@@ -729,25 +767,13 @@ class TestHypothesisProperties:
                          1.0, 16.0)
 
     @_PROPERTY_SETTINGS
-    @given(t=st.floats(-60.0, 60.0), sigma=_SIGMA, p=_WEIGHT,
-           a=st.sampled_from([1.0, 2.0, 3.0, 5.0]), ratio=st.floats(0.01, 200.0))
+    @given(t=st.floats(-1.0, 1.0), sigma=_SIGMA, p=_WEIGHT,
+           a=st.sampled_from([1, 2, 3, 5]), ratio=st.floats(0.01, 200.0))
     def test_beta_integer_shape(self, t, sigma, p, a, ratio):
+        # d within m + t_a sigma, as far as the rule accepts
         spec = Beta(p=p, a=a, m=ratio * sigma, sigma=sigma)
-        _odd_and_shrinks(lambda x: beta_rule(x, spec), t * sigma, sigma)
-
-    @_PROPERTY_SETTINGS
-    @given(t=st.floats(-60.0, 60.0), sigma=_SIGMA, p=_WEIGHT, ratio=st.floats(0.01, 30.0))
-    def test_beta_non_integer_shape(self, t, sigma, p, ratio):
-        # m <= 30 sigma: the range where 128 Gauss-Legendre nodes resolve the
-        # likelihood; for wider supports see the xfail below
-        spec = Beta(p=p, a=1.5, m=ratio * sigma, sigma=sigma)
-        _odd_and_shrinks(lambda x: beta_rule(x, spec), t * sigma, sigma)
-
-    @pytest.mark.xfail(strict=True, reason="128 Gauss-Legendre nodes on [-m, m] cannot "
-                       "resolve a likelihood narrower than about m / 30")
-    def test_beta_non_integer_shape_wide_support(self):
-        _odd_and_shrinks(lambda x: beta_rule(x, Beta(p=0.0, a=1.5, m=53.0, sigma=1.0)),
-                         0.0625, 1.0)
+        d = t * (ratio + shrinkage._beta_outside(a)) * sigma
+        _odd_and_shrinks(lambda x: beta_rule(x, spec), d, sigma)
 
     @_PROPERTY_SETTINGS
     @given(d=st.floats(-1e300, 1e300), sigma=_SIGMA, k=st.floats(0.51, 5.0))
@@ -796,10 +822,10 @@ class TestHypothesisProperties:
 # ---------------------------------------------------------------------------
 
 class TestNodeGridChunks:
-    """Node grids are evaluated in chunks of at most _GRID_VALUES values; a
-    level slice whose grid spans several chunks and ends in a partial one
-    must equal coefficient-by-coefficient evaluation.  `log` builds no grid
-    per coefficient, but the same check holds for its per-column tables."""
+    """The logistic table's node grids are evaluated in chunks of at most
+    _GRID_VALUES values; a level slice whose grid spans several chunks and
+    ends in a partial one must equal coefficient-by-coefficient evaluation,
+    with one table per column's sigma."""
 
     @staticmethod
     def slice_spanning_chunks(nodes):
@@ -816,40 +842,6 @@ class TestNodeGridChunks:
         want = [[logistic_rule(float(d[r, i]), Logistic(p=0.8, tau=1.5, sigma=sigma[i]))
                  for i in range(d.shape[1])] for r in range(d.shape[0])]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-
-    def test_beta_non_integer_shape(self):
-        d = self.slice_spanning_chunks(shrinkage.DEFAULT_GL_NODES)
-        m = np.array([1.0, 2.0, 4.0, 8.0, 12.0, 3.0, 6.0])
-        got = beta_rule(d, Beta(p=0.7, a=1.5, m=m, sigma=1.0))
-        want = [[beta_rule(float(d[r, i]), Beta(p=0.7, a=1.5, m=m[i], sigma=1.0))
-                 for i in range(d.shape[1])] for r in range(d.shape[0])]
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-
-    def test_beta_explicit_quadrature(self):
-        quad = QuadratureSpec.gauss_legendre_interval(96)
-        d = self.slice_spanning_chunks(96)
-        spec = Beta(p=0.6, a=2.0, m=5.0, sigma=0.8)
-        got = beta_rule(d, spec, quad)
-        want = [[beta_rule(float(v), spec, quad) for v in row] for row in d]
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-
-    def test_grids_stay_within_bound(self, monkeypatch):
-        # a 512 x 50 level, as at M = 1024 with I = 50
-        rng = np.random.default_rng(42)
-        pyr = Pyramid.from_flat(rng.standard_normal((1024, 50)) * 3.0, 9)
-        grids, phi = [], shrinkage._phi
-
-        def recording(x, *args, **kwargs):
-            if np.ndim(x) > 2:  # a node grid of a (rows x I) block
-                grids.append(np.size(x))
-            return phi(x, *args, **kwargs)
-
-        monkeypatch.setattr(shrinkage, "_phi", recording)
-        rule = Beta(a=1.5, sigma=1.0)
-        shrink_pyramid(pyr, resolve_rule(rule, 1.0, pyr), LevelPolicy(J0=9))
-        assert max(grids) <= shrinkage._GRID_VALUES
-        # every kernel evaluation seen once
-        assert sum(grids) == 512 * 50 * shrinkage.DEFAULT_GL_NODES
 
     def test_logistic_table_grid_stays_within_bound(self, monkeypatch):
         # `log` evaluates no (coefficients x nodes) grid: its kernel runs only
@@ -870,7 +862,7 @@ class TestNodeGridChunks:
         monkeypatch.setattr(shrinkage, "_logistic_pdf", recording_pdf)
         monkeypatch.setattr(shrinkage, "_logistic_sums", recording_sums)
         shrink_pyramid(pyr, resolve_rule(Logistic(), 1.0, pyr), LevelPolicy(J0=9))
-        nodes = shrinkage._logistic_nodes(None)[0].size
+        nodes = shrinkage._logistic_nodes()[0].size
         assert nodes == 44
         assert all(len(shape) == 2 and shape[1] == nodes for shape in grids)
         assert max(np.prod(shape) for shape in grids) <= shrinkage._GRID_VALUES
@@ -886,7 +878,7 @@ def factorised_logistic(d, p, tau, sigma):
     directly at every coefficient: with c_i = e^(-sigma u_i / tau) and
     F = e^(-|d| / tau), Z e^(|d|/tau) = sum w c / (tau (1 + F c)^2) and S1 the
     same with weights w u."""
-    u, w = shrinkage._logistic_nodes(None)
+    u, w = shrinkage._logistic_nodes()
     a = np.abs(np.asarray(d, dtype=float))
     c = np.exp(-sigma * u / tau)
     k = 1.0 / (1.0 + np.exp(-a / tau)[:, None] * c) ** 2
@@ -961,17 +953,3 @@ class TestLogisticTable:
         # beyond the cutoff the asymptotes need no table
         assert logistic_rule(1e3, Logistic(sigma=1.0), table=table) == 999.0
 
-
-class TestQuadratureSpec:
-    def test_standard_normal_weights_sum_to_one(self):
-        q = QuadratureSpec.gauss_hermite_standard_normal(64)
-        assert abs(q.weights.sum() - 1.0) < 1e-10
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes=np.zeros(3), weights=np.ones(4),
-                           kind="gauss-legendre-interval")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes=np.zeros(3), weights=np.ones(3), kind="monte-carlo")

@@ -162,9 +162,10 @@ class TestSigmaForSnr:
             sigma_for_snr(np.ones((8, 1)), np.ones((1, 2)), 3.0)
 
     def test_nonpositive_snr_rejected(self):
-        with pytest.raises(ValueError):
-            sigma_for_snr(np.random.default_rng(0).standard_normal((8, 1)),
-                          np.ones((1, 2)), 0.0)
+        for snr in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                sigma_for_snr(np.random.default_rng(0).standard_normal((8, 1)),
+                              np.ones((1, 2)), snr)
 
 
 class TestGenerateDataset:
@@ -212,6 +213,11 @@ class TestGenerateDataset:
             DatasetSpec(components=("bumps", "blocks"), M=64, I=1, snr=3.0)
         with pytest.raises(ValueError):
             DatasetSpec(components=(), M=64, I=4, snr=3.0)
+
+    @pytest.mark.parametrize("snr", [0.0, float("nan")])
+    def test_snr_not_positive_rejected(self, snr):
+        with pytest.raises(ValueError, match="snr must be positive"):
+            DatasetSpec(components=("bumps",), M=64, I=4, snr=snr)
 
 
 class TestCsvExport:
