@@ -28,6 +28,7 @@ from .simharness import (
     DESK_REPLICATES,
     FULL_REPLICATES,
     RULE_NAMES,
+    VANISHING_MOMENTS,
     StudyConfig,
     emit_reports,
     run_study,
@@ -101,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "the sample with the i-th smallest sample_id")
     est.add_argument("--rule", choices=RULE_NAMES, default="log")
     est.add_argument("--j0", type=int, default=3)
-    est.add_argument("--vanishing-moments", type=int, default=10)
+    est.add_argument("--vanishing-moments", type=int, default=VANISHING_MOMENTS)
     est.add_argument("--out", required=True, help="output directory")
 
     rules = sub.add_parser("rules", help="describe the shrinkage rules")

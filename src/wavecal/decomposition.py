@@ -6,8 +6,8 @@ M x I coefficient matrix one level slice at a time, solve a least-squares
 system for the component coefficients through the known mixing weights, and
 invert the transform.
 
-The forward transform and the per-column noise estimates do not depend on
-the rule, and a study runs every rule on the same dataset, so
+The forward transform and the pooled noise estimate do not depend on the
+rule, and a study runs every rule on the same dataset, so
 `estimate_components` keeps them for the last (observed, filter, J0) it
 saw: a one-entry memo whose key is a bit-for-bit copy of ``observed``.  A
 hit returns the same bits as a recomputation; the memo's arrays are
@@ -53,27 +53,17 @@ class RankDeficiencyError(ValueError):
 class EstimationConfig:
     """Configuration of the estimation pipeline.
 
-    sigma_mode selects how the noise sd reaches the shrinkage rule:
-    ``pooled`` averages the per-sample robust estimates into one value,
-    ``per-column`` keeps one estimate per observed sample, and ``fixed``
-    uses ``sigma_value`` verbatim.
+    The rule gets one noise sd for all samples: the pooled sigma-hat, the
+    mean of the per-sample robust estimates, unless the rule spec carries
+    its own sigma.
     """
 
     filter: WaveletFilter
     rule: RuleSpec
     J0: int = 3
     policy: Optional[LevelPolicy] = None
-    sigma_mode: str = "pooled"
-    sigma_value: Optional[float] = None
 
     def __post_init__(self):
-        if self.sigma_mode not in ("pooled", "per-column", "fixed"):
-            raise ValueError(f"unknown sigma_mode {self.sigma_mode!r}")
-        if self.sigma_mode == "fixed":
-            if self.sigma_value is None or self.sigma_value < 0:
-                raise ValueError("fixed sigma_mode needs a nonnegative sigma_value")
-        elif self.sigma_value is not None:
-            raise ValueError("sigma_value only applies to sigma_mode='fixed'")
         if self.J0 < 0:
             raise ValueError(f"J0 must be >= 0, got {self.J0}")
         if self.policy is not None and self.policy.J0 != self.J0:
@@ -114,14 +104,14 @@ def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 class _Transformed(NamedTuple):
     """The rule-independent stages of one dataset: the key (a copy of the
-    observed matrix, the filter taps, J0), the flat coefficient matrix and,
-    once a non-fixed sigma_mode has asked for it, the per-column sigma-hat."""
+    observed matrix, the filter taps, J0), the flat coefficient matrix and
+    the pooled sigma-hat."""
 
     observed: np.ndarray
     taps: np.ndarray
     J0: int
     coefficients: np.ndarray
-    sigma: Optional[np.ndarray] = None
+    sigma: float
 
     def matches(self, observed: np.ndarray, config: EstimationConfig) -> bool:
         # compared bit for bit, so that a hit returns exactly what a
@@ -143,8 +133,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _rule_independent_stages(A: np.ndarray, config: EstimationConfig):
-    """(flat coefficients, per-column sigma-hat or None under fixed sigma)
-    of the observed matrix, from the memo when it holds this dataset."""
+    """(flat coefficients, pooled sigma-hat) of the observed matrix, from
+    the memo when it holds this dataset."""
     global _memo
     entry = _memo
     if entry is None or not entry.matches(A, config):
@@ -152,15 +142,12 @@ def _rule_independent_stages(A: np.ndarray, config: EstimationConfig):
             D = transform_columns(A, config.filter, config.J0, "forward")
         except ValueError as exc:
             raise PipelineError("transform", str(exc)) from exc
-        entry = _Transformed(_read_only(A.copy()), config.filter.low_pass, config.J0,
-                             _read_only(D))
-        _memo = entry
-    if entry.sigma is None and config.sigma_mode != "fixed":
         try:
-            sigma = estimate_sigma(entry.coefficients[A.shape[0] // 2:])
+            sigma = float(np.mean(estimate_sigma(D[A.shape[0] // 2:])))
         except ValueError as exc:
             raise PipelineError("sigma", str(exc)) from exc
-        entry = entry._replace(sigma=_read_only(sigma))
+        entry = _Transformed(_read_only(A.copy()), config.filter.low_pass, config.J0,
+                             _read_only(D), sigma)
         _memo = entry
     return entry.coefficients, entry.sigma
 
@@ -189,13 +176,7 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
             raise PipelineError("input", f"{name} has NaN or inf in sample column(s) "
                                          f"{', '.join(map(str, bad))}")
 
-    D, per_column = _rule_independent_stages(A, config)
-    if config.sigma_mode == "fixed":
-        sigma = float(config.sigma_value)
-    else:
-        sigma = per_column if config.sigma_mode == "per-column" \
-            else float(np.mean(per_column))
-
+    D, sigma = _rule_independent_stages(A, config)
     try:
         pyr = Pyramid.from_flat(D, config.J0)
         rule = resolve_rule(config.rule, sigma, pyr)

@@ -19,11 +19,11 @@ parameter dataclass; a default instance is the unresolved spec that
 Angelini-Vidakovic `LevelPolicy`; `shrink_pyramid` ignores it for the others.
 
 Rules accept a scalar or an array of coefficients and are pure functions of
-their arguments.  A data-dependent parameter (sigma, the beta half-support m,
-the BAMS scales) may also be a length-I vector, one value per column of a
-(rows x I) coefficient block, broadcast along the rows.  `shrink_pyramid`
-applies a rule coefficientwise to the detail level slices of a Pyramid,
-leaving the coarse block untouched.
+their arguments.  The noise sd sigma and the other hyperparameters are
+scalars; only the beta half-support m may also be a length-I vector, one
+value per column of a (rows x I) coefficient block, broadcast along the rows.
+`shrink_pyramid` applies a rule coefficientwise to the detail level slices of
+a Pyramid, leaving the coarse block untouched.
 
 `shrink_pyramid` hands a level slice to the rule in blocks of whole rows,
 at most 4096 coefficients each (one row when a row is longer), which bounds
@@ -31,7 +31,7 @@ the elementwise temporaries of every rule.
 
 The logistic rule's prior integrals depend on a coefficient only through
 |d|, and not on the mixture weight, so `shrink_pyramid` tabulates them once
-per sigma value for the whole pyramid (`_LogisticTable`): piecewise
+for the whole pyramid (`_LogisticTable`): piecewise
 Chebyshev interpolants in |d|, built from factorised Gauss-Hermite sums
 (sigma <= 2 tau) or sums on the prior's scale (sigma > 2 tau), with exact
 asymptotes past a cutoff.  Each coefficient then costs two Horner
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -97,6 +97,9 @@ DEFAULT_BETA_A = 2.0
 DEFAULT_LPM_K = 1.0
 DEFAULT_BAMS_ALPHA = 0.8
 
+# The exponent gamma of the level policy's mixture weight p(j) (`av_policy`).
+POLICY_GAMMA = 2.0
+
 # Largest number of coefficients `shrink_pyramid` hands to one rule call.  It
 # bounds the elementwise temporaries of a rule, 32 KiB each.
 _BLOCK_COEFFICIENTS = 4096
@@ -123,28 +126,26 @@ class ShrinkageUnderflowWarning(RuntimeWarning):
 class LevelPolicy:
     """Level-dependent hyperparameters (Angelini and Vidakovic, 2004).
 
-    At detail level j the mixture weight is p(j) = 1 - (j - J0 + 1)^(-gamma)
-    and the beta half-support is m(j) = max_k |d_jk|.
+    At detail level j the mixture weight is p(j) = 1 - (j - J0 + 1)^(-gamma),
+    gamma = POLICY_GAMMA, and the beta half-support is m(j) = max_k |d_jk|.
     """
 
-    gamma_exponent: float = 2.0
     J0: int = 0
 
     def __post_init__(self):
-        if not self.gamma_exponent > 0:
-            raise ValueError("gamma_exponent must be > 0")
         if self.J0 < 0:
             raise ValueError("J0 must be >= 0")
 
 
 def _check_open(name: str, value, low: float = 0.0) -> None:
-    """Reject a scalar or per-column parameter unless every value is > low."""
+    """Reject a parameter (a scalar, or Beta's m with one value per column)
+    unless every value is > low."""
     if not np.all(np.asarray(value) > low):
         raise ValueError(f"{name} must be > {low}, got {value}")
 
 
 def _check_nonnegative(name: str, value) -> None:
-    if value is not None and not np.all(np.asarray(value) >= 0):
+    if value is not None and not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
 
 
@@ -253,17 +254,14 @@ class Bams:
         if self.mu is not None:
             _check_open("mu", self.mu)
         if self.tau is not None and self.mu is not None:
-            manifold = 2.0 * np.asarray(self.mu) * np.asarray(self.tau) ** 2
-            if np.any(abs(manifold - 1.0) <= _BAMS_SINGULARITY_TOL):
+            manifold = 2.0 * self.mu * self.tau ** 2
+            if abs(manifold - 1.0) <= _BAMS_SINGULARITY_TOL:
                 raise ValueError(
                     f"parameters too close to the singular manifold "
                     f"2*mu*tau^2 = 1 (got {manifold})")
 
 
 RuleSpec = Union[Logistic, Beta, Lpm, Abe, Bams]
-
-RULES: dict[str, type] = {"log": Logistic, "beta": Beta, "lpm": Lpm, "abe": Abe,
-                          "bams": Bams}
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +357,22 @@ def _require(value, name, rule):
 
 class _LogisticTable(NamedTuple):
     """Piecewise polynomials in a = |d| of the two functions that carry the
-    logistic rule's integrals, for each distinct sigma value (a table row).
+    logistic rule's integrals at one (tau, sigma).
 
     With Z(a) = int g(theta) phi_sigma(a - theta) dtheta and
     N(a) = int theta g(theta) phi_sigma(a - theta) dtheta, the table holds
     ell(a) = log(tau Z(a) e^(a / tau)) and R(a) = N(a) / (a Z(a)) as degree
     _CHEB_DEGREE polynomials in t in [-1, 1] on panels [k h, (k + 1) h].
-    ``coef`` column first[i] + k holds panel k of row i: the coefficients of
-    the powers of t for ell, then those for R.  From ``cutoff`` on, the exact
-    asymptotes ell = sigma^2 / (2 tau^2) and R = 1 - sigma^2 / (tau a) hold.
+    ``coef`` column k holds panel k: the coefficients of the powers of t for
+    ell, then those for R.  From ``cutoff`` on, the exact asymptotes
+    ell = sigma^2 / (2 tau^2) and R = 1 - sigma^2 / (tau a) hold.
     """
 
     tau: float
-    sigma: object          # the spec's sigma the table was built for
-    row: np.ndarray        # the table row of each entry of sigma
-    values: np.ndarray     # the distinct sigma values, one per row
-    scale: np.ndarray      # 2 / h, per row
-    last: np.ndarray       # the last panel, per row
-    first: np.ndarray      # the row's first panel in ``coef``
-    cutoff: np.ndarray     # per row
+    sigma: float
+    scale: float           # 2 / h
+    last: int              # the last panel
+    cutoff: float
     coef: np.ndarray
 
 
@@ -475,7 +470,7 @@ def _prior_scale_sums(a, sigma: float, tau: float):
 
 
 def _logistic_sums(a, sigma: float, tau: float, nodes):
-    """(ell, R) of `_LogisticTable` at the points a > 0, for one sigma."""
+    """(ell, R) of `_LogisticTable` at the points a > 0."""
     if sigma <= _PRIOR_SCALE * tau:
         return _likelihood_scale_sums(a, sigma, tau, nodes)
     return _prior_scale_sums(a, sigma, tau)
@@ -490,23 +485,19 @@ def _logistic_table(spec: Logistic, top: float) -> _LogisticTable:
     Phi(z_i) = 1 and phi(z_i) = 0 on every node of the prior-scale rule.
     """
     tau = float(spec.tau)
-    sigma = _require(spec.sigma, "sigma", "Logistic")
-    values, row = np.unique(np.asarray(sigma, dtype=float), return_inverse=True)
+    sigma = float(_require(spec.sigma, "sigma", "Logistic"))
     nodes = _logistic_nodes()
-    widths = np.maximum(tau, values / 2.0) / 4.0
-    cutoff = np.where(values <= _PRIOR_SCALE * tau,
-                      values * np.max(np.abs(nodes[0])) + _LOG_EPS * tau,
-                      values * values / tau + _PRIOR_SPAN * tau + 8.5 * values)
-    panels = (np.fmin(top, cutoff) // widths).astype(np.intp) + 1
-    stride = int(panels.max())
-    coef = np.zeros((2 * (_CHEB_DEGREE + 1), values.size * stride))
-    for i, (s, h, n) in enumerate(zip(values, widths, panels)):
-        points = (np.arange(n)[:, None] + 0.5 * (_CHEB_POINTS + 1.0)) * h
-        ell, ratio = _logistic_sums(points.ravel(), float(s), tau, nodes)
-        coef[:, i * stride: i * stride + n] = np.concatenate(
-            [_CHEB_TO_POWERS @ ell.reshape(n, -1).T, _CHEB_TO_POWERS @ ratio.reshape(n, -1).T])
-    return _LogisticTable(tau, sigma, row.reshape(np.shape(sigma)), values, 2.0 / widths,
-                          panels - 1, np.arange(values.size) * stride, cutoff, coef)
+    width = max(tau, sigma / 2.0) / 4.0
+    if sigma <= _PRIOR_SCALE * tau:
+        cutoff = sigma * np.max(np.abs(nodes[0])) + _LOG_EPS * tau
+    else:
+        cutoff = sigma * sigma / tau + _PRIOR_SPAN * tau + 8.5 * sigma
+    panels = int(np.fmin(top, cutoff) // width) + 1
+    points = (np.arange(panels)[:, None] + 0.5 * (_CHEB_POINTS + 1.0)) * width
+    ell, ratio = _logistic_sums(points.ravel(), sigma, tau, nodes)
+    coef = np.concatenate([_CHEB_TO_POWERS @ ell.reshape(panels, -1).T,
+                           _CHEB_TO_POWERS @ ratio.reshape(panels, -1).T])
+    return _LogisticTable(tau, sigma, 2.0 / width, panels - 1, cutoff, coef)
 
 
 def _logistic_from_table(arr, p: float, table: _LogisticTable):
@@ -516,18 +507,16 @@ def _logistic_from_table(arr, p: float, table: _LogisticTable):
     (sigma sqrt(2 pi)) and x = a / tau - a^2 / (2 sigma^2) - ell(a): K e^x is
     the point mass's share p phi_sigma(a) over (1 - p) Z(a).
     """
-    r, tau = table.row, table.tau
-    sigma, cutoff = table.values[r], table.cutoff[r]
+    tau, sigma, cutoff = table.tau, table.sigma, table.cutoff
     a = np.abs(arr)
     beyond = a >= cutoff
     t = np.fmin(a, cutoff)
-    t *= table.scale[r]  # in half panels
-    if np.any((t > 2.0 * (table.last[r] + 1.0)) & ~beyond):
+    t *= table.scale  # in half panels
+    if np.any((t > 2.0 * (table.last + 1.0)) & ~beyond):
         raise ValueError("coefficient beyond the range of the logistic table")
     panel = (0.5 * t).astype(np.intp)
-    np.minimum(panel, table.last[r], out=panel)
+    np.minimum(panel, table.last, out=panel)
     t -= 2.0 * panel + 1.0
-    panel += table.first[r]
     c = table.coef.take(panel, axis=1)
     ell, ratio = c[_CHEB_DEGREE] * t, c[-1] * t
     for j in range(_CHEB_DEGREE - 1, 0, -1):
@@ -569,7 +558,7 @@ def logistic_rule(d, spec: Logistic, *, table: Optional[_LogisticTable] = None):
     arr, scalar = _as_array(d)
     if table is None:
         table = _logistic_table(spec, float(np.max(np.abs(arr), initial=0.0)))
-    elif table.tau != spec.tau or not np.array_equal(table.sigma, spec.sigma):
+    elif table.tau != spec.tau or table.sigma != spec.sigma:
         raise ValueError("the logistic table was built for another tau or sigma")
     out = _logistic_from_table(arr.reshape(-1) if scalar else arr, spec.p, table)
     return float(out[0]) if scalar else out
@@ -834,11 +823,9 @@ def bams_rule(d, spec: Bams):
     tqdiff = tau * tau - s * s
     # divide everything by the larger of e^{-|d|/tau} and e^{-|d|/s}, which
     # leaves r_tau and r_s: one of them 1, the other r = e^{-|d| |1/s - 1/tau|}
-    # in (0, 1].  tau and s may be per-column vectors.
+    # in (0, 1]
     r = np.exp(-ad * np.abs(1.0 / s - 1.0 / tau))
-    tau_larger = tau >= s
-    r_tau = np.where(tau_larger, 1.0, r)
-    r_s = np.where(tau_larger, r, 1.0)
+    r_tau, r_s = (1.0, r) if tau >= s else (r, 1.0)
     delta = (tau * tqdiff * arr * r_tau + 2.0 * s * s * tau * tau * sgn * (r_s - r_tau)) \
         / (tqdiff * (tau * r_tau - s * r_s))
     marg = (tau * r_tau - s * r_s) / (2.0 * tqdiff)
@@ -846,6 +833,24 @@ def bams_rule(d, spec: Bams):
     weight = (1.0 - spec.alpha) * marg
     out = weight * delta / (weight + spec.alpha * noise)
     return float(out) if scalar else out
+
+
+RULES: dict[str, type] = {"log": Logistic, "beta": Beta, "lpm": Lpm, "abe": Abe,
+                          "bams": Bams}
+
+# the name of each spec type's rule function: `_rule_function` looks it up on
+# the module when called, so a wrapper set on the module attribute (as the
+# benchmark's tracer sets) is the one that runs
+_RULE_FUNCTIONS = {Logistic: "logistic_rule", Beta: "beta_rule", Lpm: "lpm_rule",
+                   Abe: "abe_rule", Bams: "bams_rule"}
+
+
+def _rule_function(spec: RuleSpec):
+    """The rule function of a spec; TypeError for a type not in RULES."""
+    name = _RULE_FUNCTIONS.get(type(spec))
+    if name is None:
+        raise TypeError(f"unknown rule spec {spec!r}")
+    return globals()[name]
 
 
 # ---------------------------------------------------------------------------
@@ -856,40 +861,25 @@ def av_policy(j: int, detail_coefficients: np.ndarray, policy: LevelPolicy):
     """Level-dependent (p, m) for resolution level j.
 
     p = 1 - (j - J0 + 1)^(-gamma), m = max_k |d_jk|; for a (2^j x I) level
-    slice m is the length-I vector of per-column maxima.
+    slice m is the length-I vector of column maxima.
     """
     if j < policy.J0:
         raise ValueError(f"level {j} below primary resolution level {policy.J0}")
     d = np.asarray(detail_coefficients, dtype=float)
     if d.size == 0:
         raise ValueError(f"no detail coefficients supplied for level {j}")
-    p = 1.0 - (j - policy.J0 + 1) ** (-policy.gamma_exponent)
+    p = 1.0 - (j - policy.J0 + 1) ** (-POLICY_GAMMA)
     m = np.max(np.abs(d), axis=0)
     return p, m
 
 
-def _evaluate(d: np.ndarray, rule: RuleSpec, table: Optional[_LogisticTable]) -> np.ndarray:
-    if isinstance(rule, Logistic):
-        return logistic_rule(d, rule, table=table)
-    if isinstance(rule, Beta):
-        return beta_rule(d, rule)
-    if isinstance(rule, Lpm):
-        return lpm_rule(d, rule)
-    if isinstance(rule, Abe):
-        return abe_rule(d, rule)
-    if isinstance(rule, Bams):
-        return bams_rule(d, rule)
-    raise TypeError(f"unknown rule spec {rule!r}")
-
-
-def _apply_rule(d: np.ndarray, rule: RuleSpec,
-                table: Optional[_LogisticTable]) -> np.ndarray:
+def _apply_rule(d: np.ndarray, rule: RuleSpec, evaluate) -> np.ndarray:
     """Evaluate the rule on a level slice in row blocks of at most
     _BLOCK_COEFFICIENTS coefficients (one row when a row is longer)."""
     rows = max(1, _BLOCK_COEFFICIENTS // max(1, d[0].size))
     if d.shape[0] <= rows:
-        return _evaluate(d, rule, table)
-    return np.concatenate([_evaluate(d[k:k + rows], rule, table)
+        return evaluate(d, rule)
+    return np.concatenate([evaluate(d[k:k + rows], rule)
                            for k in range(0, d.shape[0], rows)])
 
 
@@ -899,16 +889,16 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
 
     Coarse scaling coefficients pass through unchanged.  The rule sees one
     level slice at a time; the columns of a 2-D pyramid are independent
-    signals, and per-column rule parameters broadcast along the rows.  When
-    a LevelPolicy is supplied and the rule is Logistic or Beta, the mixture
-    weight (and the per-column beta half-support) are taken from the policy
-    per level instead of the static spec values.
+    signals, and a beta half-support with one value per column broadcasts
+    along the rows.  When a LevelPolicy is supplied and the rule is Logistic
+    or Beta, the mixture weight (and the beta half-support) are taken from
+    the policy per level instead of the static spec values.
     """
-    table = None
+    evaluate = _rule_function(rule)
     if isinstance(rule, Logistic):
         # one table for every level and row block: p(j) enters only its last step
         top = max((float(np.max(np.abs(d))) for d in pyr.details if d.size), default=0.0)
-        table = _logistic_table(rule, top)
+        evaluate = partial(evaluate, table=_logistic_table(rule, top))
     new_details = []
     for i, d in enumerate(pyr.details):
         level_rule, live = rule, True
@@ -920,7 +910,7 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
             level_rule = replace(rule, p=p)
             if isinstance(rule, Beta):
                 level_rule = replace(level_rule, m=np.where(live, m, 1.0))
-        new_details.append(np.where(live, _apply_rule(d, level_rule, table), 0.0))
+        new_details.append(np.where(live, _apply_rule(d, level_rule, evaluate), 0.0))
     return Pyramid(coarse=pyr.coarse.copy(), details=new_details,
                    J=pyr.J, J0=pyr.J0)
 
@@ -932,16 +922,15 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
 def resolve_rule(spec: RuleSpec, sigma, pyr: Optional[Pyramid] = None) -> RuleSpec:
     """Fill the data-dependent fields of a rule spec.
 
-    sigma, a float or one value per pyramid column, plugs into
-    Logistic/Beta/Lpm/Abe.  Unset Beta half-support becomes the max |d| over
+    sigma, a float, plugs into Logistic/Beta/Lpm/Abe unless the spec carries
+    its own.  Unset Beta half-support becomes the max |d| over
     all detail levels of ``pyr``, per column.  Unset BAMS scales become
     tau = 3 sigma and mu = 1/sigma^2, i.e. the prior mean of the noise
     variance (1/mu under this parameterization) matches the plug-in sigma^2.
     """
-    if not isinstance(spec, tuple(RULES.values())):
-        raise TypeError(f"unknown rule spec {spec!r}")
+    _rule_function(spec)  # rejects a spec type not in RULES
     if isinstance(spec, Bams):
-        if np.any(np.asarray(sigma) <= 0) and (spec.tau is None or spec.mu is None):
+        if sigma <= 0 and (spec.tau is None or spec.mu is None):
             raise ValueError("BAMS defaults require a positive sigma estimate")
         tau = spec.tau if spec.tau is not None else 3.0 * sigma
         mu = spec.mu if spec.mu is not None else 1.0 / sigma ** 2

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .decomposition import EstimationConfig, PipelineError, estimate_components
-from .shrinkage import RULES, LevelPolicy, rule_defaults
+from .shrinkage import POLICY_GAMMA, RULES, LevelPolicy, rule_defaults
 from .testbed import COMPONENT_NAMES, DatasetSpec, generate_dataset
 from .wavelet import make_filter
 
@@ -46,6 +46,11 @@ STUDY_COMPONENTS: dict[int, tuple[str, ...]] = {
 
 RULE_NAMES = tuple(RULES)
 
+# The paper's design, fixed for every study: Daubechies filters with 10
+# vanishing moments, uniform mixing weights (`draw_weights`) and the level
+# policy's exponent POLICY_GAMMA.
+VANISHING_MOMENTS = 10
+
 DESK_REPLICATES = 20
 FULL_REPLICATES = 100
 
@@ -63,9 +68,6 @@ class StudyConfig:
     rules: tuple[str, ...] = RULE_NAMES
     seed: int = 0
     J0: int = 3
-    vanishing_moments: int = 10
-    weight_scheme: str = "uniform"
-    policy_gamma: float = 2.0
 
     def __post_init__(self):
         if self.study is not None:
@@ -81,6 +83,15 @@ class StudyConfig:
         for r in self.rules:
             if r not in RULES:
                 raise ValueError(f"unknown rule {r!r}; choose from {RULE_NAMES}")
+        # a repeated value would merge its cells, counting each replicate twice
+        for name, values in (("rules", self.rules), ("m_values", self.m_values),
+                             ("snr_values", self.snr_values)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"duplicate value in {name}: {values}")
+        for M in self.m_values:
+            if M < 2 ** (self.J0 + 1):
+                raise ValueError(f"M={M} has no detail level at J0={self.J0}: "
+                                 f"need M >= 2^(J0+1) = {2 ** (self.J0 + 1)}")
         if self.n_samples < len(self.components):
             raise ValueError(f"I={self.n_samples} < L={len(self.components)}")
 
@@ -156,8 +167,8 @@ def run_study(config: StudyConfig):
     of execution order or thread count.  A failing pipeline aborts only its
     (rule, replicate) cell and is recorded with its stage label.
     """
-    filt = make_filter("daubechies", config.vanishing_moments)
-    policy = LevelPolicy(gamma_exponent=config.policy_gamma, J0=config.J0)
+    filt = make_filter("daubechies", VANISHING_MOMENTS)
+    policy = LevelPolicy(J0=config.J0)
     est_configs = {name: EstimationConfig(filter=filt, rule=RULES[name](),
                                           J0=config.J0, policy=policy)
                    for name in config.rules}
@@ -166,8 +177,7 @@ def run_study(config: StudyConfig):
     for M in config.m_values:
         for snr_index, snr in enumerate(config.snr_values):
             spec = DatasetSpec(components=config.components, M=M,
-                               I=config.n_samples, snr=snr, seed=config.seed,
-                               weight_scheme=config.weight_scheme)
+                               I=config.n_samples, snr=snr, seed=config.seed)
             for rep in range(config.replicates):
                 seed_seq = np.random.SeedSequence(
                     config.seed, spawn_key=(M, snr_index, rep))
@@ -248,10 +258,10 @@ def emit_reports(report: AmseReport, stream: Sequence[ReplicateResult], outdir,
             "seed": config.seed,
             "J0": config.J0,
             "filter": {"family": "daubechies",
-                       "vanishing_moments": config.vanishing_moments},
-            "weight_scheme": config.weight_scheme,
+                       "vanishing_moments": VANISHING_MOMENTS},
+            "weight_scheme": "uniform",
             "sigma_mode": "pooled",
-            "level_policy": {"gamma": config.policy_gamma,
+            "level_policy": {"gamma": POLICY_GAMMA,
                              "applies_to": ["log", "beta"]},
             "rule_defaults": rule_defaults(),
         }

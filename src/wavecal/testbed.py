@@ -135,20 +135,15 @@ def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri((k + 0.5) / 2 ** 53)
 
 
-def draw_weights(L: int, I: int, scheme: str = "uniform",
-                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def draw_weights(L: int, I: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Draw the L x I mixing matrix linking components to observed samples.
 
-    ``uniform``: entries i.i.d. on [0.5, 1.5] (bounded away from zero so every
+    Entries are i.i.d. uniform on [0.5, 1.5] (bounded away from zero so every
     component is present in every sample); redrawn in the measure-zero event
-    of rank deficiency.  ``constant``: all ones, for testing.
+    of rank deficiency.
     """
     if I < L:
         raise ValueError(f"need at least as many samples as components (I={I} < L={L})")
-    if scheme == "constant":
-        return np.ones((L, I))
-    if scheme != "uniform":
-        raise ValueError(f"unknown weight scheme {scheme!r}")
     if rng is None:
         rng = _rng_from(0)
     for _ in range(100):
@@ -181,7 +176,6 @@ class DatasetSpec:
     I: int
     snr: float
     seed: int = 0
-    weight_scheme: str = "uniform"
 
     def __post_init__(self):
         if self.M < 2 or self.M & (self.M - 1):
@@ -221,7 +215,7 @@ def generate_dataset(spec: DatasetSpec,
     rng = _rng_from(seed_seq if seed_seq is not None else spec.seed)
     grid = sample_grid(spec.M)
     truth = np.column_stack([_EVALUATORS[name](grid) for name in spec.components])
-    weights = draw_weights(len(spec.components), spec.I, spec.weight_scheme, rng)
+    weights = draw_weights(len(spec.components), spec.I, rng)
     sigma = sigma_for_snr(truth, weights, spec.snr)
     noise = sigma * standard_normal(rng, (spec.M, spec.I))
     observed = truth @ weights + noise

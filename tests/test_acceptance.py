@@ -259,11 +259,10 @@ def test_criterion_5_exact_recovery():
     for study in (1, 3):
         names = STUDY_COMPONENTS[study]
         truth = np.column_stack([component_function(n)(grid) for n in names])
-        y = draw_weights(len(names), 50, "uniform", rng)
+        y = draw_weights(len(names), 50, rng)
         observed = truth @ y
-        for rule in (Lpm(), Abe()):
-            config = EstimationConfig(filter=filt, rule=rule, J0=3,
-                                      sigma_mode="fixed", sigma_value=0.0)
+        for rule in (Lpm(sigma=0.0), Abe(sigma=0.0)):
+            config = EstimationConfig(filter=filt, rule=rule, J0=3)
             alpha_hat = estimate_components(observed, y, config)
             worst = max(worst, float(np.max(np.abs(alpha_hat - truth))))
     ok = worst < 1e-6

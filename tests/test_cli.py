@@ -264,6 +264,28 @@ def test_snr_not_finite_and_positive_rejected(tmp_path, capsys, snr):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    # M < 2^(J0+1) would fail every replicate at the transform stage and
+    # leave an amse.csv with only its header
+    (["--m", "8"], "M=8 has no detail level"),
+    (["--m", "512", "--j0", "9"], "M=512 has no detail level"),
+    # a repeated value would merge two cells into one, counting every
+    # replicate twice in replicates.csv and in the AMSE
+    (["--snr", "3,3"], "duplicate value in snr_values"),
+    (["--snr", "3,3.0"], "duplicate value in snr_values"),
+    (["--rules", "lpm,lpm"], "duplicate value in rules"),
+    (["--m", "64,64"], "duplicate value in m_values"),
+])
+def test_simulate_bad_design_rejected(tmp_path, capsys, args, message):
+    out = tmp_path / "r"
+    # the last of a repeated option wins, so ``args`` overrides these values
+    rc = main(["simulate", "--study", "1", "--m", "64", "--snr", "3", "--rules", "lpm",
+               "--replicates", "2", "--samples", "4", "--out", str(out), *args])
+    assert rc == 1
+    assert f"error: [input] {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     rc = subprocess.run(
         [sys.executable, "-m", "wavecal", "rules", "--show"],

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -42,13 +43,12 @@ def column_by_column(observed, weights, config):
     """The pipeline with one Pyramid, one resolve_rule and one shrink_pyramid
     call per observed column."""
     D = transform_columns(observed, config.filter, config.J0, "forward")
-    per_column = [estimate_sigma(D[D.shape[0] // 2:, i]) for i in range(D.shape[1])]
-    sigmas = {"fixed": [config.sigma_value] * D.shape[1], "per-column": per_column,
-              "pooled": [float(np.mean(per_column))] * D.shape[1]}[config.sigma_mode]
+    sigma = float(np.mean([estimate_sigma(D[D.shape[0] // 2:, i])
+                           for i in range(D.shape[1])]))
     shrunk = np.empty_like(D)
     for i in range(D.shape[1]):
         pyr = Pyramid.from_flat(D[:, i], config.J0)
-        rule = resolve_rule(config.rule, sigmas[i], pyr)
+        rule = resolve_rule(config.rule, sigma, pyr)
         shrunk[:, i] = shrink_pyramid(pyr, rule, config.policy).to_flat()
     return transform_columns(solve_gamma(shrunk, weights), config.filter, config.J0,
                              "inverse")
@@ -70,6 +70,14 @@ def normal_equations_longdouble(shrunk, weights):
             if r != col:
                 a[r] -= a[r, col] * a[col]
     return np.asarray(a[:, L:].T, dtype=float)
+
+
+def carrying_sigma(rule, sigma):
+    """``rule`` with its own noise sd ``sigma``; for BAMS, the scales that
+    resolve_rule derives from it."""
+    if isinstance(rule, Bams):
+        return replace(rule, tau=3.0 * sigma, mu=1.0 / sigma ** 2)
+    return replace(rule, sigma=sigma)
 
 
 @pytest.fixture(scope="module")
@@ -189,13 +197,12 @@ class TestSolveGamma:
 
 
 class TestEstimateComponents:
-    @pytest.mark.parametrize("rule", [Lpm(), Abe()])
+    @pytest.mark.parametrize("rule", [Lpm(sigma=0.0), Abe(sigma=0.0)])
     def test_noise_free_recovery(self, db10, rule):
         spec = DatasetSpec(components=("bumps", "blocks"), M=512, I=50,
                            snr=3.0, seed=7)
         ds = generate_dataset(spec)
-        config = EstimationConfig(filter=db10, rule=rule, J0=3,
-                                  sigma_mode="fixed", sigma_value=0.0)
+        config = EstimationConfig(filter=db10, rule=rule, J0=3)
         alpha_hat = estimate_components(ds.truth @ ds.weights, ds.weights, config)
         assert np.max(np.abs(alpha_hat - ds.truth)) < 1e-6
 
@@ -208,15 +215,15 @@ class TestEstimateComponents:
         assert alpha_hat.shape == (128, 3)
 
     @pytest.mark.parametrize("rule", tuple(RULES))
-    @pytest.mark.parametrize("mode", ["pooled", "per-column"])
-    def test_permutation_consistency(self, db10, rule, mode):
+    @pytest.mark.parametrize("sigma", [None, 0.4], ids=["pooled", "fixed"])
+    def test_permutation_consistency(self, db10, rule, sigma):
         # permuting the samples together with their weight columns permutes
         # the columns of every stage up to least squares; only the order of
         # floating-point sums changes
         spec = DatasetSpec(components=STUDY_COMPONENTS[2], M=512, I=50, snr=3.0, seed=13)
         ds = generate_dataset(spec)
-        config = EstimationConfig(filter=db10, rule=RULES[rule](), J0=3,
-                                  policy=LevelPolicy(J0=3), sigma_mode=mode)
+        rule = RULES[rule]() if sigma is None else carrying_sigma(RULES[rule](), sigma)
+        config = EstimationConfig(filter=db10, rule=rule, J0=3, policy=LevelPolicy(J0=3))
         base = estimate_components(ds.observed, ds.weights, config)
         perm = np.random.default_rng(0).permutation(50)
         swapped = estimate_components(ds.observed[:, perm], ds.weights[:, perm], config)
@@ -245,14 +252,14 @@ class TestEstimateComponents:
         (Abe(), None),
         (Bams(), None),
     ])
-    @pytest.mark.parametrize("mode,value", [("pooled", None), ("per-column", None),
-                                            ("fixed", 0.4)])
-    def test_matches_column_by_column_pipeline(self, db10, rule, policy, mode, value):
+    @pytest.mark.parametrize("source,sigma", [("pooled", None), ("fixed", 0.4)])
+    def test_matches_column_by_column_pipeline(self, db10, rule, policy, source, sigma):
         spec = DatasetSpec(components=("bumps", "blocks", "doppler"), M=256, I=12,
                            snr=4.0, seed=29)
         ds = generate_dataset(spec)
-        config = EstimationConfig(filter=db10, rule=rule, J0=3, policy=policy,
-                                  sigma_mode=mode, sigma_value=value)
+        if sigma is not None:
+            rule = carrying_sigma(rule, sigma)
+        config = EstimationConfig(filter=db10, rule=rule, J0=3, policy=policy)
         got = estimate_components(ds.observed, ds.weights, config)
         want = column_by_column(ds.observed, ds.weights, config)
         if isinstance(rule, (Logistic, Beta)):
@@ -281,15 +288,20 @@ class TestEstimateComponents:
         with pytest.raises(PipelineError, match=r"\[input\] weights .* column\(s\) 2, 5$"):
             estimate_components(ds.observed, weights, config)
 
-    def test_sigma_modes_differ_only_in_scale_source(self, db10):
-        spec = DatasetSpec(components=("heavisine",), M=128, I=6, snr=3.0, seed=17)
-        ds = generate_dataset(spec)
-        for mode, value in (("pooled", None), ("per-column", None), ("fixed", 0.5)):
-            config = EstimationConfig(filter=db10, rule=Lpm(), J0=3,
-                                      sigma_mode=mode, sigma_value=value)
-            alpha_hat = estimate_components(ds.observed, ds.weights, config)
-            assert alpha_hat.shape == (128, 1)
-            assert np.all(np.isfinite(alpha_hat))
+    @pytest.mark.parametrize("rule", tuple(RULES))
+    def test_sigma_on_the_spec_replaces_only_the_scale_source(self, db10, rule):
+        # a spec carrying the pooled sigma-hat itself reproduces the pooled run
+        # bit for bit: the two routes differ in where sigma comes from, nothing else
+        ds = generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[2], M=256, I=12,
+                                          snr=3.0, seed=17))
+        pooled = EstimationConfig(filter=db10, rule=RULES[rule](), J0=3,
+                                  policy=LevelPolicy(J0=3))
+        want = estimate_components(ds.observed, ds.weights, pooled)
+        D = transform_columns(ds.observed, db10, 3, "forward")
+        sigma_hat = float(np.mean(estimate_sigma(D[D.shape[0] // 2:])))
+        fixed = replace(pooled, rule=carrying_sigma(RULES[rule](), sigma_hat))
+        np.testing.assert_array_equal(
+            estimate_components(ds.observed, ds.weights, fixed), want)
 
     @pytest.mark.parametrize("rule,policy", [
         (Logistic(), LevelPolicy(J0=3)),
@@ -326,12 +338,15 @@ class TestEstimateComponents:
             estimate_components(observed, y, config)
 
     def test_config_validation(self, db10):
-        with pytest.raises(ValueError):
+        # sigma comes from the data or the rule spec; the config has no say in it
+        assert [f.name for f in fields(EstimationConfig)] == ["filter", "rule", "J0",
+                                                              "policy"]
+        with pytest.raises(TypeError):
             EstimationConfig(filter=db10, rule=Abe(), sigma_mode="fixed")
-        with pytest.raises(ValueError):
-            EstimationConfig(filter=db10, rule=Abe(), sigma_mode="guess")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             EstimationConfig(filter=db10, rule=Abe(), sigma_value=1.0)
+        with pytest.raises(ValueError, match="J0 must be >= 0"):
+            EstimationConfig(filter=db10, rule=Abe(), J0=-1)
 
     @pytest.mark.parametrize("policy_j0", [1, 5])
     def test_policy_j0_must_match_config(self, db10, policy_j0):
@@ -342,8 +357,8 @@ class TestEstimateComponents:
                              policy=LevelPolicy(J0=policy_j0))
 
 
-RULE_CONFIGS = [(rule, mode) for rule in RULES
-                for mode in ("pooled", "per-column", "fixed")]
+RULE_CONFIGS = [pytest.param(rule, sigma, id=f"{rule}-{source}") for rule in RULES
+                for source, sigma in (("pooled", None), ("fixed", 0.3))]
 
 
 class TestRuleIndependentMemo:
@@ -365,20 +380,19 @@ class TestRuleIndependentMemo:
         return calls
 
     @staticmethod
-    def config(filt, rule="lpm", mode="pooled", J0=3):
-        return EstimationConfig(filter=filt, rule=RULES[rule](), J0=J0,
-                                policy=LevelPolicy(J0=J0), sigma_mode=mode,
-                                sigma_value=0.3 if mode == "fixed" else None)
+    def config(filt, rule="lpm", sigma=None, J0=3):
+        spec = RULES[rule]() if sigma is None else carrying_sigma(RULES[rule](), sigma)
+        return EstimationConfig(filter=filt, rule=spec, J0=J0, policy=LevelPolicy(J0=J0))
 
     @pytest.fixture(scope="class")
     def dataset(self):
         return generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[2], M=128,
                                             I=12, snr=3.0, seed=53))
 
-    @pytest.mark.parametrize("rule,mode", RULE_CONFIGS)
+    @pytest.mark.parametrize("rule,sigma", RULE_CONFIGS)
     def test_hit_is_bit_equal_to_cleared_memo(self, db10, dataset, forward_calls,
-                                              monkeypatch, rule, mode):
-        config = self.config(db10, rule, mode)
+                                              monkeypatch, rule, sigma):
+        config = self.config(db10, rule, sigma)
         estimate_components(dataset.observed, dataset.weights, self.config(db10))
         hit = estimate_components(dataset.observed, dataset.weights, config)
         assert len(forward_calls) == 1
@@ -403,7 +417,7 @@ class TestRuleIndependentMemo:
     def test_key_is_bitwise(self, db10, forward_calls):
         # 0.0 == -0.0, but the two may transform to zeros of different sign
         observed = np.zeros((16, 2))
-        config = self.config(db10, "abe", "fixed", J0=1)
+        config = self.config(db10, "abe", 0.3, J0=1)
         estimate_components(observed, np.ones((1, 2)), config)
         observed[3, 1] = -0.0
         estimate_components(observed, np.ones((1, 2)), config)
@@ -419,26 +433,21 @@ class TestRuleIndependentMemo:
     def test_cached_arrays_are_read_only(self, db10, dataset, forward_calls):
         estimate_components(dataset.observed, dataset.weights, self.config(db10))
         memo = decomposition._memo
-        for array in (memo.observed, memo.coefficients, memo.sigma):
+        for array in (memo.observed, memo.coefficients):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
         assert dataset.observed.flags.writeable
 
-    def test_fixed_sigma_never_estimates_sigma(self, db10, dataset, forward_calls,
-                                               monkeypatch):
-        # sigma-hat is computed only when a call needs it, so fixed sigma
-        # fails on no input that it accepted before the memo
+    def test_sigma_failure_names_its_stage(self, db10, dataset, forward_calls,
+                                           monkeypatch):
         def unusable(details):
             raise ValueError("no sigma-hat for these coefficients")
 
         monkeypatch.setattr(decomposition, "estimate_sigma", unusable)
-        fixed = self.config(db10, "lpm", "fixed")
-        estimate_components(dataset.observed, dataset.weights, fixed)
         with pytest.raises(PipelineError, match=r"\[sigma\] no sigma-hat"):
             estimate_components(dataset.observed, dataset.weights, self.config(db10))
-        estimate_components(dataset.observed, dataset.weights, fixed)
-        assert len(forward_calls) == 1
+        assert decomposition._memo is None
 
     def test_threads_sharing_the_memo(self, db10):
         # each call reads the memo once and replaces it whole; alternating

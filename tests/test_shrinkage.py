@@ -2,6 +2,7 @@
 
 import functools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -455,6 +456,7 @@ class TestBamsRule:
         (0.5, 2.0, 1.0),
         (0.8, 3.0, 1.0),
         (0.2, 0.8, 4.0),
+        (0.5, 0.3, 1.0),  # tau < s = 1/sqrt(2 mu)
     ])
     def test_matches_quadrature_oracle_grid(self, alpha, tau, mu):
         spec = Bams(alpha=alpha, tau=tau, mu=mu)
@@ -494,11 +496,11 @@ class TestBamsRule:
 
 class TestAvPolicy:
     def test_primary_level_has_no_point_mass(self):
-        p, _ = av_policy(3, np.array([1.0]), LevelPolicy(gamma_exponent=2.0, J0=3))
+        p, _ = av_policy(3, np.array([1.0]), LevelPolicy(J0=3))
         assert p == 0.0
 
     def test_next_level(self):
-        p, _ = av_policy(4, np.array([1.0]), LevelPolicy(gamma_exponent=2.0, J0=3))
+        p, _ = av_policy(4, np.array([1.0]), LevelPolicy(J0=3))
         assert p == pytest.approx(0.75)
 
     def test_support_is_max_abs(self):
@@ -508,10 +510,6 @@ class TestAvPolicy:
     def test_out_of_range_level(self):
         with pytest.raises(ValueError):
             av_policy(2, np.array([1.0]), LevelPolicy(J0=3))
-
-    def test_gamma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            LevelPolicy(gamma_exponent=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -553,24 +551,25 @@ class TestShrinkPyramid:
 
     @pytest.mark.parametrize("name", ALL_RULES)
     @pytest.mark.parametrize("use_policy", [False, True])
-    @pytest.mark.parametrize("sigma_mode", ["pooled", "per-column"])
-    def test_level_slices_match_column_by_column(self, name, use_policy, sigma_mode):
+    @pytest.mark.parametrize("source", ["pooled", "fixed"])
+    def test_level_slices_match_column_by_column(self, name, use_policy, source):
         rng = np.random.default_rng(24)
         flat = rng.standard_normal((128, 6)) * np.array([0.5, 1.0, 2.0, 1.0, 4.0, 0.7])
         flat[:16] *= 20.0  # large coarse-level coefficients, as from a signal
         flat[8:16, 2] = 0.0  # column 2 has an all-zero level j = 3
         pyr = Pyramid.from_flat(flat, 3)
-        per_column = estimate_sigma(flat[64:])
-        sigma = per_column if sigma_mode == "per-column" else float(np.mean(per_column))
+        sigma = float(np.mean(estimate_sigma(flat[64:])))
         spec = shrinkage.RULES[name]()
+        if source == "fixed":  # the spec's own sigma wins over sigma-hat
+            spec = (Bams(tau=1.2, mu=1.0 / 0.4 ** 2) if name == "bams"
+                    else replace(spec, sigma=0.4))
         policy = LevelPolicy(J0=3) if use_policy else None
 
         got = shrink_pyramid(pyr, resolve_rule(spec, sigma, pyr), policy).to_flat()
         assert got.shape == flat.shape
         for i in range(flat.shape[1]):
             column = Pyramid.from_flat(flat[:, i], 3)
-            sigma_i = float(np.broadcast_to(sigma, (6,))[i])
-            want = shrink_pyramid(column, resolve_rule(spec, sigma_i, column), policy).to_flat()
+            want = shrink_pyramid(column, resolve_rule(spec, sigma, column), policy).to_flat()
             if name in ("lpm", "abe", "bams"):
                 np.testing.assert_array_equal(got[:, i], want)
             else:
@@ -578,32 +577,54 @@ class TestShrinkPyramid:
         if use_policy and name in ("log", "beta"):
             assert np.all(got[8:16, 2] == 0.0)
 
-    def test_bams_per_column_scales_either_side_of_noise_scale(self):
-        # s = 1/sqrt(2 mu); columns 0 and 2 have tau < s, columns 1 and 3 tau > s
-        tau = np.array([0.5, 3.0, 0.2, 1.5])
-        mu = np.array([0.5, 1.0, 2.0, 4.0])
-        d = np.random.default_rng(25).uniform(-12.0, 12.0, size=(40, 4))
-        got = bams_rule(d, Bams(alpha=0.6, tau=tau, mu=mu))
-        for i in range(4):
-            np.testing.assert_array_equal(
-                got[:, i], bams_rule(d[:, i], Bams(alpha=0.6, tau=tau[i], mu=mu[i])))
-
     def test_per_column_parameters_validated_elementwise(self):
         with pytest.raises(ValueError):
             Beta(m=np.array([1.0, 0.0]), sigma=1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Logistic(sigma=-1.0),
+        lambda: Logistic(sigma=0.0),
+        lambda: Logistic(sigma=float("nan")),
+        lambda: Beta(m=1.0, sigma=0.0),
+        lambda: Lpm(sigma=-1.0),
+        lambda: Lpm(sigma=float("nan")),
+        lambda: Abe(sigma=-1.0),
+        lambda: Bams(tau=1.0 / np.sqrt(2.0), mu=1.0),  # on 2 mu tau^2 = 1
+        lambda: resolve_rule(Bams(), 0.0),
+    ])
+    def test_invalid_parameters_rejected(self, make):
         with pytest.raises(ValueError):
-            Logistic(sigma=np.array([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            Lpm(sigma=np.array([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            Bams(tau=np.array([1.0, 1.0 / np.sqrt(2.0)]), mu=np.array([2.0, 1.0]))
-        with pytest.raises(ValueError):
-            resolve_rule(Bams(), np.array([0.5, 0.0]))
+            make()
+
+    def test_unknown_spec_rejected(self):
+        pyr = Pyramid.from_flat(np.ones(16), 2)
+        with pytest.raises(TypeError, match="unknown rule spec"):
+            shrink_pyramid(pyr, LevelPolicy())
+        with pytest.raises(TypeError, match="unknown rule spec"):
+            resolve_rule(LevelPolicy(), 1.0, pyr)
+
+    @pytest.mark.parametrize("name", ALL_RULES)
+    def test_rule_function_looked_up_on_the_module(self, monkeypatch, name):
+        # a wrapper set on the module attribute is the one a pipeline runs
+        pyr = Pyramid.from_flat(np.random.default_rng(26).standard_normal(64), 2)
+        spec = resolve_rule(shrinkage.RULES[name](), 1.0, pyr)
+        function = shrinkage._RULE_FUNCTIONS[type(spec)]
+        calls = []
+
+        def wrapped(d, *args, **kwargs):
+            calls.append(np.shape(d))
+            return getattr(shrinkage, "_unwrapped")(d, *args, **kwargs)
+
+        monkeypatch.setattr(shrinkage, "_unwrapped", getattr(shrinkage, function), raising=False)
+        want = shrink_pyramid(pyr, spec).to_flat()
+        monkeypatch.setattr(shrinkage, function, wrapped)
+        np.testing.assert_array_equal(shrink_pyramid(pyr, spec).to_flat(), want)
+        assert calls == [d.shape for d in pyr.details]
 
     def test_policy_overrides_mixture_weight(self):
         rng = np.random.default_rng(23)
         pyr = Pyramid.from_flat(rng.standard_normal(64), 2)
-        policy = LevelPolicy(gamma_exponent=2.0, J0=2)
+        policy = LevelPolicy(J0=2)
         # at the primary level the policy sets p = 0: strictly less shrinkage
         # than the static p = 0.9
         with_policy = shrink_pyramid(pyr, Logistic(p=0.9, tau=1.0, sigma=1.0), policy)
@@ -824,8 +845,7 @@ class TestHypothesisProperties:
 class TestNodeGridChunks:
     """The logistic table's node grids are evaluated in chunks of at most
     _GRID_VALUES values; a level slice whose grid spans several chunks and
-    ends in a partial one must equal coefficient-by-coefficient evaluation,
-    with one table per column's sigma."""
+    ends in a partial one must equal coefficient-by-coefficient evaluation."""
 
     @staticmethod
     def slice_spanning_chunks(nodes):
@@ -835,12 +855,12 @@ class TestNodeGridChunks:
         rng = np.random.default_rng(41)
         return rng.standard_normal((rows, columns)) * np.array([0.3, 1, 2, 4, 8, 0.5, 3])
 
-    def test_logistic_per_column_sigma(self):
+    @pytest.mark.parametrize("sigma", [0.2, 1.0, 3.0])  # tau = 1.5: below and at 2 tau
+    def test_logistic_slice_spanning_chunks(self, sigma):
         d = self.slice_spanning_chunks(64)
-        sigma = np.array([0.2, 0.5, 1.0, 1.5, 2.0, 0.7, 3.0])
-        got = logistic_rule(d, Logistic(p=0.8, tau=1.5, sigma=sigma))
-        want = [[logistic_rule(float(d[r, i]), Logistic(p=0.8, tau=1.5, sigma=sigma[i]))
-                 for i in range(d.shape[1])] for r in range(d.shape[0])]
+        spec = Logistic(p=0.8, tau=1.5, sigma=sigma)
+        got = logistic_rule(d, spec)
+        want = [[logistic_rule(float(x), spec) for x in row] for row in d]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_logistic_table_grid_stays_within_bound(self, monkeypatch):
@@ -893,8 +913,8 @@ class TestLogisticTable:
     def test_matches_direct_factorised_sums(self, tau, ratio):
         sigma = ratio * tau
         table = shrinkage._logistic_table(Logistic(tau=tau, sigma=sigma), 1e4)
-        width = 2.0 / table.scale[0]
-        edges = np.append(np.arange(1, table.last[0] + 1) * width, table.cutoff[0])
+        width = 2.0 / table.scale
+        edges = np.append(np.arange(1, table.last + 1) * width, table.cutoff)
         d = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
                             np.geomspace(1e-12, 1e4, 400), [0.0, 1e4]])
         d = np.concatenate([d, -d[:50]])
@@ -921,14 +941,10 @@ class TestLogisticTable:
                 got = logistic_rule(d, Logistic(p=p, tau=tau, sigma=sigma))
                 assert abs(got - num / den) <= 1e-12 * (d + sigma)
 
-    @pytest.mark.parametrize("sigma_mode", ["pooled", "per-column"])
-    def test_one_table_per_sigma_value_per_pyramid(self, monkeypatch, sigma_mode):
+    def test_one_table_per_pyramid(self, monkeypatch):
         rng = np.random.default_rng(43)
         flat = rng.standard_normal((1024, 50)) * 2.0  # levels 3..9, row blocks
         pyr = Pyramid.from_flat(flat, 3)
-        sigma = np.repeat([0.5, 1.0, 3.0, 1.7, 0.8], 10)  # above and below 2 tau
-        if sigma_mode == "pooled":
-            sigma = 1.2
         built = []
         sums = shrinkage._logistic_sums
 
@@ -939,8 +955,8 @@ class TestLogisticTable:
         monkeypatch.setattr(shrinkage, "_logistic_sums", recording)
         for policy in (None, LevelPolicy(J0=3)):
             built.clear()
-            shrink_pyramid(pyr, Logistic(sigma=sigma), policy)
-            assert sorted(built) == sorted(np.unique(sigma))
+            shrink_pyramid(pyr, Logistic(sigma=1.2), policy)
+            assert built == [1.2]
 
     def test_table_must_fit_spec_and_coefficients(self):
         table = shrinkage._logistic_table(Logistic(sigma=1.0), 3.0)

@@ -64,6 +64,19 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             StudyConfig(study=3, n_samples=4)
 
+    @pytest.mark.parametrize("field,values", [("rules", ("lpm", "abe", "lpm")),
+                                              ("m_values", (64, 128, 64)),
+                                              ("snr_values", (3.0, 3.0))])
+    def test_duplicate_values_rejected(self, field, values):
+        with pytest.raises(ValueError, match=f"duplicate value in {field}"):
+            StudyConfig(study=1, **{field: values})
+
+    @pytest.mark.parametrize("M,J0", [(8, 3), (512, 9), (2, 1)])
+    def test_m_without_detail_level_rejected(self, M, J0):
+        with pytest.raises(ValueError, match=f"M={M} has no detail level"):
+            StudyConfig(study=1, m_values=(M,), J0=J0)
+        StudyConfig(study=1, m_values=(2 * M,), J0=J0)  # one detail level
+
 
 class TestRunStudy:
     def test_single_replicate_counting(self):

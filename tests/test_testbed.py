@@ -113,28 +113,21 @@ class TestSampleGrid:
 
 
 class TestDrawWeights:
-    def test_constant_scheme(self):
-        np.testing.assert_array_equal(draw_weights(1, 5, "constant"), np.ones((1, 5)))
-
     def test_uniform_range(self):
         rng = np.random.default_rng(0)
-        y = draw_weights(3, 40, "uniform", rng)
+        y = draw_weights(3, 40, rng)
         assert y.shape == (3, 40)
         assert np.all(y >= 0.5) and np.all(y <= 1.5)
 
     def test_full_rank_over_seeded_draws(self):
         rng = np.random.default_rng(1234)
         for _ in range(1000):
-            y = draw_weights(3, 6, "uniform", rng)
+            y = draw_weights(3, 6, rng)
             assert rank_by_pivoted_elimination(y) == 3
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             draw_weights(4, 3)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            draw_weights(2, 4, "lognormal")
 
 
 class TestSigmaForSnr:
