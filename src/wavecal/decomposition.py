@@ -178,9 +178,9 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
 
     D, sigma = _rule_independent_stages(A, config)
     try:
-        pyr = Pyramid.from_flat(D, config.J0)
+        pyr = Pyramid(D, config.J0)
         rule = resolve_rule(config.rule, sigma, pyr)
-        shrunk = shrink_pyramid(pyr, rule, config.policy).to_flat()
+        shrunk = shrink_pyramid(pyr, rule, config.policy).flat
     except (ValueError, TypeError) as exc:
         raise PipelineError("shrinkage", str(exc)) from exc
 

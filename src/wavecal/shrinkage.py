@@ -20,14 +20,15 @@ Angelini-Vidakovic `LevelPolicy`; `shrink_pyramid` ignores it for the others.
 
 Rules accept a scalar or an array of coefficients and are pure functions of
 their arguments.  The noise sd sigma and the other hyperparameters are
-scalars; only the beta half-support m may also be a length-I vector, one
-value per column of a (rows x I) coefficient block, broadcast along the rows.
+scalars, and a spec rejects any other value when it is built; only the beta
+half-support m may also be a length-I vector, one value per column of a
+(rows x I) coefficient block, broadcast along the rows.
 `shrink_pyramid` applies a rule coefficientwise to the detail level slices of
-a Pyramid, leaving the coarse block untouched.
-
-`shrink_pyramid` hands a level slice to the rule in blocks of whole rows,
-at most 4096 coefficients each (one row when a row is longer), which bounds
-the elementwise temporaries of every rule.
+a Pyramid, the level views of one flat coefficient matrix, and writes the
+result into one new matrix of the same layout, the coarse rows copied
+unchanged.  It hands a level slice to the rule in blocks of whole rows, at
+most 4096 coefficients each (one row when a row is longer), which bounds the
+elementwise temporaries of every rule.
 
 The logistic rule's prior integrals depend on a coefficient only through
 |d|, and not on the mixture weight, so `shrink_pyramid` tabulates them once
@@ -54,7 +55,7 @@ a support resolved from the data, m >= max |d|, never gets there.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from typing import NamedTuple, Optional, Union
 
@@ -137,6 +138,14 @@ class LevelPolicy:
             raise ValueError("J0 must be >= 0")
 
 
+def _check_scalars(spec, vector: str = "") -> None:
+    """Reject a spec whose fields, other than ``vector``, are not scalars."""
+    for f in fields(spec):
+        if f.name != vector and np.ndim(getattr(spec, f.name)) != 0:
+            raise ValueError(f"{type(spec).__name__}.{f.name} must be a scalar, "
+                             f"got {getattr(spec, f.name)!r}")
+
+
 def _check_open(name: str, value, low: float = 0.0) -> None:
     """Reject a parameter (a scalar, or Beta's m with one value per column)
     unless every value is > low."""
@@ -162,6 +171,7 @@ class Logistic:
     sigma: Optional[float] = None
 
     def __post_init__(self):
+        _check_scalars(self)
         # p = 0 admitted: the level policy assigns it at the primary level
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must be in [0, 1), got {self.p}")
@@ -185,6 +195,7 @@ class Beta:
     sigma: Optional[float] = None
 
     def __post_init__(self):
+        _check_scalars(self, "m")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must be in [0, 1), got {self.p}")
         if not (self.a >= 1.0 and float(self.a).is_integer()):
@@ -207,6 +218,7 @@ class Lpm:
     sigma: Optional[float] = None
 
     def __post_init__(self):
+        _check_scalars(self)
         if not self.k > 0.5:
             raise ValueError(f"k must be > 1/2, got {self.k}")
         _check_nonnegative("sigma", self.sigma)
@@ -229,6 +241,7 @@ class Abe:
     sigma: Optional[float] = None
 
     def __post_init__(self):
+        _check_scalars(self)
         _check_nonnegative("sigma", self.sigma)
 
 
@@ -247,6 +260,7 @@ class Bams:
     mu: Optional[float] = None
 
     def __post_init__(self):
+        _check_scalars(self)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.tau is not None:
@@ -873,46 +887,49 @@ def av_policy(j: int, detail_coefficients: np.ndarray, policy: LevelPolicy):
     return p, m
 
 
-def _apply_rule(d: np.ndarray, rule: RuleSpec, evaluate) -> np.ndarray:
+def _apply_rule(d: np.ndarray, rule: RuleSpec, evaluate, out: np.ndarray) -> None:
     """Evaluate the rule on a level slice in row blocks of at most
-    _BLOCK_COEFFICIENTS coefficients (one row when a row is longer)."""
+    _BLOCK_COEFFICIENTS coefficients (one row when a row is longer), writing
+    each block to its rows of ``out``."""
     rows = max(1, _BLOCK_COEFFICIENTS // max(1, d[0].size))
-    if d.shape[0] <= rows:
-        return evaluate(d, rule)
-    return np.concatenate([evaluate(d[k:k + rows], rule)
-                           for k in range(0, d.shape[0], rows)])
+    for k in range(0, d.shape[0], rows):
+        out[k:k + rows] = evaluate(d[k:k + rows], rule)
 
 
 def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
                    policy: Optional[LevelPolicy] = None) -> Pyramid:
     """Apply a shrinkage rule to every detail coefficient of a pyramid.
 
-    Coarse scaling coefficients pass through unchanged.  The rule sees one
-    level slice at a time; the columns of a 2-D pyramid are independent
-    signals, and a beta half-support with one value per column broadcasts
-    along the rows.  When a LevelPolicy is supplied and the rule is Logistic
-    or Beta, the mixture weight (and the beta half-support) are taken from
-    the policy per level instead of the static spec values.
+    The result is a new pyramid over one new flat matrix, whose coarse rows
+    are copied unchanged; ``pyr`` is only read.  The rule sees one level
+    slice at a time and writes to the same rows of the result; the columns
+    of a 2-D pyramid are independent signals, and a beta half-support with
+    one value per column broadcasts along the rows.  When a LevelPolicy is
+    supplied and the rule is Logistic or Beta, the mixture weight (and the
+    beta half-support) are taken from the policy per level instead of the
+    static spec values.
     """
     evaluate = _rule_function(rule)
     if isinstance(rule, Logistic):
         # one table for every level and row block: p(j) enters only its last step
-        top = max((float(np.max(np.abs(d))) for d in pyr.details if d.size), default=0.0)
+        top = float(np.max(np.abs(pyr.flat[2 ** pyr.J0:])))
         evaluate = partial(evaluate, table=_logistic_table(rule, top))
-    new_details = []
-    for i, d in enumerate(pyr.details):
-        level_rule, live = rule, True
-        if policy is not None and isinstance(rule, (Logistic, Beta)):
-            p, m = av_policy(pyr.J0 + i, d, policy)
-            # every rule maps 0 to 0: a column whose level is all zeros is
-            # masked rather than given a degenerate support m(j) = 0
-            live = m > 0.0
-            level_rule = replace(rule, p=p)
-            if isinstance(rule, Beta):
-                level_rule = replace(level_rule, m=np.where(live, m, 1.0))
-        new_details.append(np.where(live, _apply_rule(d, level_rule, evaluate), 0.0))
-    return Pyramid(coarse=pyr.coarse.copy(), details=new_details,
-                   J=pyr.J, J0=pyr.J0)
+    out = Pyramid(np.empty_like(pyr.flat), pyr.J0)
+    out.coarse[...] = pyr.coarse
+    for j, d, level in zip(range(pyr.J0, pyr.J), pyr.details, out.details):
+        if policy is None or not isinstance(rule, (Logistic, Beta)):
+            _apply_rule(d, rule, evaluate, level)
+            continue
+        p, m = av_policy(j, d, policy)
+        # every rule maps 0 to 0: a column whose level is all zeros is masked
+        # rather than given a degenerate support m(j) = 0
+        live = m > 0.0
+        level_rule = replace(rule, p=p)
+        if isinstance(rule, Beta):
+            level_rule = replace(level_rule, m=np.where(live, m, 1.0))
+        _apply_rule(d, level_rule, evaluate, level)
+        np.copyto(level, 0.0, where=~live)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +956,7 @@ def resolve_rule(spec: RuleSpec, sigma, pyr: Optional[Pyramid] = None) -> RuleSp
     if isinstance(spec, Beta) and spec.m is None:
         if pyr is None:
             raise ValueError("resolving Beta.m requires a pyramid")
-        m = np.max([np.max(np.abs(d), axis=0) for d in pyr.details], axis=0)
+        m = np.max(np.abs(pyr.flat[2 ** pyr.J0:]), axis=0)
         # all-zero details: every rule maps 0 to 0, so any support will do
         unset["m"] = np.where(m > 0.0, m, 1.0)
     return replace(spec, **unset)

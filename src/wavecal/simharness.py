@@ -57,10 +57,10 @@ FULL_REPLICATES = 100
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Inputs of one Monte Carlo study."""
+    """Inputs of one Monte Carlo study; ``study`` (1, 2 or 3) names its
+    components, STUDY_COMPONENTS[study]."""
 
-    study: Optional[int] = 1
-    components: tuple[str, ...] = ()
+    study: int = 1
     m_values: tuple[int, ...] = (512,)
     snr_values: tuple[float, ...] = (3.0, 9.0)
     n_samples: int = 50
@@ -70,12 +70,8 @@ class StudyConfig:
     J0: int = 3
 
     def __post_init__(self):
-        if self.study is not None:
-            if self.study not in STUDY_COMPONENTS:
-                raise ValueError(f"study must be one of {sorted(STUDY_COMPONENTS)}")
-            object.__setattr__(self, "components", STUDY_COMPONENTS[self.study])
-        elif not self.components:
-            raise ValueError("custom study needs an explicit component list")
+        if self.study not in STUDY_COMPONENTS:
+            raise ValueError(f"study must be one of {sorted(STUDY_COMPONENTS)}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if not self.rules:
@@ -96,8 +92,8 @@ class StudyConfig:
             raise ValueError(f"I={self.n_samples} < L={len(self.components)}")
 
     @property
-    def study_id(self) -> int:
-        return self.study if self.study is not None else 0
+    def components(self) -> tuple[str, ...]:
+        return STUDY_COMPONENTS[self.study]
 
 
 @dataclass(frozen=True)
@@ -188,12 +184,12 @@ def run_study(config: StudyConfig):
                             dataset.observed, dataset.weights, est_configs[rule_name])
                     except PipelineError as exc:
                         failures.append(ReplicateFailure(
-                            study=config.study_id, rule=rule_name, M=M, snr=snr,
+                            study=config.study, rule=rule_name, M=M, snr=snr,
                             replicate=rep, stage=exc.stage, message=str(exc)))
                         continue
                     for l, comp in enumerate(config.components):
                         results.append(ReplicateResult(
-                            study=config.study_id, rule=rule_name, M=M, snr=snr,
+                            study=config.study, rule=rule_name, M=M, snr=snr,
                             replicate=rep, component=comp,
                             mse=compute_mse(alpha_hat[:, l], dataset.truth[:, l])))
     results.sort(key=_sort_key)
@@ -248,7 +244,7 @@ def emit_reports(report: AmseReport, stream: Sequence[ReplicateResult], outdir,
     payload: dict = {"version": __version__}
     if config is not None:
         payload["config"] = {
-            "study": config.study_id,
+            "study": config.study,
             "components": list(config.components),
             "m_values": list(config.m_values),
             "snr_values": [float(s) for s in config.snr_values],

@@ -33,7 +33,6 @@ __all__ = [
     "standard_normal",
     "generate_dataset",
     "dataset_to_csv",
-    "truth_to_csv",
 ]
 
 # Bump/jump locations and magnitudes shared by Bumps and Blocks.
@@ -117,12 +116,10 @@ def sample_grid(M: int) -> np.ndarray:
     return np.arange(1, M + 1) / M
 
 
-def _rng_from(seed, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed, spawn_key=spawn_key)
-    return np.random.Generator(np.random.PCG64(ss))
+def _rng_from(seed) -> np.random.Generator:
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -236,13 +233,3 @@ def dataset_to_csv(dataset: Dataset, path) -> None:
         for i in range(I):
             for m in range(M):
                 writer.writerow([_fmt(dataset.grid[m]), i, _fmt(dataset.observed[m, i])])
-
-
-def truth_to_csv(dataset: Dataset, path) -> None:
-    """Write the sampled component curves as rows (t, component_name, value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "component_name", "value"])
-        for l, name in enumerate(dataset.components):
-            for m in range(dataset.grid.size):
-                writer.writerow([_fmt(dataset.grid[m]), name, _fmt(dataset.truth[m, l])])

@@ -24,8 +24,9 @@ per call.
 
 `transform_columns` is the only transform entry point: it transforms every
 column of an M x I matrix, and a single signal is a one-column matrix.  Its
-flat layout keeps detail level j in rows 2^j .. 2^(j+1) - 1; `Pyramid`
-names those level slices.
+flat layout keeps the 2^J0 scaling coefficients in the first rows and detail
+level j in rows 2^j .. 2^(j+1) - 1; `Pyramid(flat, J0)` holds that matrix
+with its level slices as views of it, and is the only other layout.
 
 Correctness is defined by round-trip identity and energy preservation, not by
 matching any external tool's coefficient signs.
@@ -182,13 +183,10 @@ def _band(taps: np.ndarray, b: int) -> np.ndarray:
 def make_filter(family: str, vanishing_moments: int) -> WaveletFilter:
     """Build a wavelet filter from tabulated constants.
 
-    Supported: ``daubechies`` (aliases ``db``, ``haar`` for V=1) with
-    1 <= vanishing_moments <= 10.
+    Supported: ``daubechies`` with 1 <= vanishing_moments <= 10 (V = 1 is
+    the Haar filter).
     """
-    fam = family.strip().lower()
-    if fam == "haar":
-        fam, vanishing_moments = "daubechies", vanishing_moments or 1
-    if fam not in ("daubechies", "db"):
+    if family.strip().lower() != "daubechies":
         raise UnsupportedFilterError(f"unsupported filter family {family!r}")
     taps = DAUBECHIES_LOWPASS.get(vanishing_moments)
     if taps is None:
@@ -198,57 +196,22 @@ def make_filter(family: str, vanishing_moments: int) -> WaveletFilter:
     return WaveletFilter(np.array(taps), vanishing_moments)
 
 
-@dataclass
 class Pyramid:
-    """Multilevel wavelet coefficient layout for one signal, or for the
-    columns of an M x I matrix.
+    """The flat coefficient layout [coarse | details J0 | ... | details J-1]
+    of one signal (a vector) or of the columns of an M x I matrix, M = 2^J,
+    with its level slices as views: ``coarse`` is rows 0 .. 2^J0 - 1 of
+    ``flat``, and ``details[i]`` rows 2^j .. 2^(j+1) - 1, level j = J0 + i."""
 
-    ``coarse`` holds the 2^J0 scaling coefficients; ``details[i]`` holds the
-    2^(J0+i) detail coefficients at level j = J0 + i, for j = J0..J-1.  An
-    optional trailing column axis, the same on every block, makes
-    ``details[i]`` the (2^j x I) level slice of I signals.
-    """
-
-    coarse: np.ndarray
-    details: list[np.ndarray]
-    J: int
-    J0: int
-
-    def __post_init__(self):
-        if not 0 <= self.J0 < self.J:
-            raise ValueError(f"invalid levels: J0={self.J0}, J={self.J}")
-        columns = self.coarse.shape[1:]
-        if self.coarse.shape != (2 ** self.J0,) + columns or len(columns) > 1:
-            raise ValueError(
-                f"coarse block has shape {self.coarse.shape}, expected "
-                f"{2 ** self.J0} entries with at most one column axis")
-        if len(self.details) != self.J - self.J0:
-            raise ValueError(
-                f"expected {self.J - self.J0} detail levels, got {len(self.details)}")
-        for i, d in enumerate(self.details):
-            if d.shape != (2 ** (self.J0 + i),) + columns:
-                raise ValueError(
-                    f"detail level {self.J0 + i} has shape {d.shape}, "
-                    f"expected {(2 ** (self.J0 + i),) + columns}")
-
-    def to_flat(self) -> np.ndarray:
-        """Flatten as [coarse | details J0 | ... | details J-1]."""
-        return np.concatenate([self.coarse] + self.details)
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, J0: int) -> "Pyramid":
-        """Split the flat layout of :meth:`to_flat` (a vector, or a matrix
-        with one flat column per signal) into blocks; the blocks are views."""
+    def __init__(self, flat: np.ndarray, J0: int):
         flat = np.asarray(flat, dtype=float)
         if flat.ndim not in (1, 2):
             raise ValueError(f"expected a flat vector or matrix, got shape {flat.shape}")
         J = _dyadic_depth(flat.shape[0])
-        coarse = flat[: 2 ** J0]
-        details, off = [], 2 ** J0
-        for j in range(J0, J):
-            details.append(flat[off: off + 2 ** j])
-            off += 2 ** j
-        return cls(coarse=coarse, details=details, J=J, J0=J0)
+        if not 0 <= J0 < J:
+            raise ValueError(f"invalid levels: J0={J0}, J={J}")
+        self.flat, self.J, self.J0 = flat, J, J0
+        self.coarse = flat[:2 ** J0]
+        self.details = [flat[2 ** j: 2 ** (j + 1)] for j in range(J0, J)]
 
 
 def _dyadic_depth(m: int) -> int:
@@ -344,7 +307,7 @@ def transform_columns(matrix: np.ndarray, filt: WaveletFilter, J0: int,
         out[:half] = approx[:half]
         return out
     if direction == "inverse":
-        pyr = Pyramid.from_flat(a, J0)
+        pyr = Pyramid(a, J0)
         a = pyr.coarse
         for d in pyr.details:
             a = _synthesis_stage(a, d, filt)

@@ -47,9 +47,9 @@ def column_by_column(observed, weights, config):
                            for i in range(D.shape[1])]))
     shrunk = np.empty_like(D)
     for i in range(D.shape[1]):
-        pyr = Pyramid.from_flat(D[:, i], config.J0)
+        pyr = Pyramid(D[:, i], config.J0)
         rule = resolve_rule(config.rule, sigma, pyr)
-        shrunk[:, i] = shrink_pyramid(pyr, rule, config.policy).to_flat()
+        shrunk[:, i] = shrink_pyramid(pyr, rule, config.policy).flat
     return transform_columns(solve_gamma(shrunk, weights), config.filter, config.J0,
                              "inverse")
 

@@ -314,8 +314,8 @@ class TestBetaRule:
                                                 I=20, snr=snr, seed=study))
             coefficients = transform_columns(data.observed, make_filter("daubechies", 10),
                                              3, "forward")
-            pyr = Pyramid.from_flat(coefficients, 3)
-            sigma = estimate_sigma(pyr.details[-1])
+            pyr = Pyramid(coefficients, 3)
+            sigma = float(np.mean(estimate_sigma(pyr.details[-1])))  # pooled, as in the pipeline
             for j, d in enumerate(pyr.details, start=3):
                 p, m = av_policy(j, d, policy)
                 got = beta_rule(d, Beta(p=p, a=2.0, m=m, sigma=sigma))
@@ -518,16 +518,16 @@ class TestAvPolicy:
 
 class TestShrinkPyramid:
     def test_zero_pyramid_stays_zero(self):
-        pyr = Pyramid.from_flat(np.zeros(64), 2)
+        pyr = Pyramid(np.zeros(64), 2)
         for rule in (Logistic(sigma=1.0), Beta(m=1.0, sigma=1.0), Lpm(sigma=1.0),
                      Abe(sigma=1.0), Bams(alpha=0.5, tau=2.0, mu=1.0)):
             policy = LevelPolicy(J0=2) if isinstance(rule, (Logistic, Beta)) else None
             out = shrink_pyramid(pyr, rule, policy)
-            assert np.max(np.abs(out.to_flat())) == 0.0
+            assert np.max(np.abs(out.flat)) == 0.0
 
     def test_abe_threshold_region_zeroed(self):
         rng = np.random.default_rng(21)
-        pyr = Pyramid.from_flat(rng.uniform(-4, 4, size=128), 3)
+        pyr = Pyramid(rng.uniform(-4, 4, size=128), 3)
         out = shrink_pyramid(pyr, Abe(sigma=1.0))
         for d_in, d_out in zip(pyr.details, out.details):
             below = np.abs(d_in) <= np.sqrt(3.0)
@@ -536,18 +536,36 @@ class TestShrinkPyramid:
     def test_single_detail_under_lpm(self):
         flat = np.zeros(64)
         flat[10] = 3.0  # inside the level-3 detail block
-        pyr = Pyramid.from_flat(flat, 3)
+        pyr = Pyramid(flat, 3)
         out = shrink_pyramid(pyr, Lpm(k=1.0, sigma=1.0))
-        got = out.to_flat()
+        got = out.flat
         assert got[10] == pytest.approx(2.618033988, abs=1e-9)
         assert np.all(got[np.arange(64) != 10] == 0.0)
 
     def test_coarse_passes_through(self):
         rng = np.random.default_rng(22)
-        pyr = Pyramid.from_flat(rng.standard_normal(128), 3)
+        pyr = Pyramid(rng.standard_normal(128), 3)
         out = shrink_pyramid(pyr, Abe(sigma=10.0))
         np.testing.assert_array_equal(out.coarse, pyr.coarse)
         assert all(np.all(d == 0.0) for d in out.details)  # all |d| < sqrt(3)*10
+
+    @pytest.mark.parametrize("name", ALL_RULES)
+    @pytest.mark.parametrize("use_policy", [False, True])
+    def test_read_only_input_gives_new_writable_output(self, name, use_policy):
+        # the estimation pipeline passes the memo's read-only coefficients
+        rng = np.random.default_rng(27)
+        flat = rng.standard_normal((64, 4)) * 2.0
+        flat[4:8, 1] = 0.0  # an all-zero level, masked under the policy
+        flat.flags.writeable = False
+        before = flat.copy()
+        pyr = Pyramid(flat, 2)
+        policy = LevelPolicy(J0=2) if use_policy else None
+        out = shrink_pyramid(pyr, resolve_rule(shrinkage.RULES[name](), 1.0, pyr), policy)
+        assert out.flat.flags.writeable and not np.shares_memory(out.flat, flat)
+        assert out.flat.shape == flat.shape and out.J0 == 2
+        np.testing.assert_array_equal(flat.view(np.uint64), before.view(np.uint64))
+        np.testing.assert_array_equal(out.coarse, flat[:4])
+        assert all(np.shares_memory(d, out.flat) for d in out.details)
 
     @pytest.mark.parametrize("name", ALL_RULES)
     @pytest.mark.parametrize("use_policy", [False, True])
@@ -557,7 +575,7 @@ class TestShrinkPyramid:
         flat = rng.standard_normal((128, 6)) * np.array([0.5, 1.0, 2.0, 1.0, 4.0, 0.7])
         flat[:16] *= 20.0  # large coarse-level coefficients, as from a signal
         flat[8:16, 2] = 0.0  # column 2 has an all-zero level j = 3
-        pyr = Pyramid.from_flat(flat, 3)
+        pyr = Pyramid(flat, 3)
         sigma = float(np.mean(estimate_sigma(flat[64:])))
         spec = shrinkage.RULES[name]()
         if source == "fixed":  # the spec's own sigma wins over sigma-hat
@@ -565,11 +583,11 @@ class TestShrinkPyramid:
                     else replace(spec, sigma=0.4))
         policy = LevelPolicy(J0=3) if use_policy else None
 
-        got = shrink_pyramid(pyr, resolve_rule(spec, sigma, pyr), policy).to_flat()
+        got = shrink_pyramid(pyr, resolve_rule(spec, sigma, pyr), policy).flat
         assert got.shape == flat.shape
         for i in range(flat.shape[1]):
-            column = Pyramid.from_flat(flat[:, i], 3)
-            want = shrink_pyramid(column, resolve_rule(spec, sigma, column), policy).to_flat()
+            column = Pyramid(flat[:, i], 3)
+            want = shrink_pyramid(column, resolve_rule(spec, sigma, column), policy).flat
             if name in ("lpm", "abe", "bams"):
                 np.testing.assert_array_equal(got[:, i], want)
             else:
@@ -591,13 +609,28 @@ class TestShrinkPyramid:
         lambda: Abe(sigma=-1.0),
         lambda: Bams(tau=1.0 / np.sqrt(2.0), mu=1.0),  # on 2 mu tau^2 = 1
         lambda: resolve_rule(Bams(), 0.0),
+        # every field but Beta's m is a scalar, checked when the spec is built
+        lambda: Logistic(sigma=np.array([1.0, 2.0])),
+        lambda: Logistic(tau=np.array([1.0, 2.0])),
+        lambda: Logistic(p=np.array([0.5, 0.6])),
+        lambda: Beta(m=1.0, sigma=np.array([1.0, 2.0])),
+        lambda: Beta(p=np.array([0.5, 0.6])),
+        lambda: Beta(a=np.array([2.0, 3.0])),
+        lambda: Lpm(sigma=np.array([1.0, 2.0])),
+        lambda: Lpm(k=np.array([1.0, 2.0])),
+        lambda: Abe(sigma=np.array([1.0, 2.0])),
+        lambda: Bams(tau=np.array([1.0, 2.0])),
+        lambda: Bams(mu=np.array([1.0, 2.0])),
+        lambda: Bams(alpha=np.array([0.5, 0.6])),
     ])
     def test_invalid_parameters_rejected(self, make):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             make()
+        # the error is the spec's own, not numpy's on an array's truth value
+        assert "ambiguous" not in str(info.value)
 
     def test_unknown_spec_rejected(self):
-        pyr = Pyramid.from_flat(np.ones(16), 2)
+        pyr = Pyramid(np.ones(16), 2)
         with pytest.raises(TypeError, match="unknown rule spec"):
             shrink_pyramid(pyr, LevelPolicy())
         with pytest.raises(TypeError, match="unknown rule spec"):
@@ -606,7 +639,7 @@ class TestShrinkPyramid:
     @pytest.mark.parametrize("name", ALL_RULES)
     def test_rule_function_looked_up_on_the_module(self, monkeypatch, name):
         # a wrapper set on the module attribute is the one a pipeline runs
-        pyr = Pyramid.from_flat(np.random.default_rng(26).standard_normal(64), 2)
+        pyr = Pyramid(np.random.default_rng(26).standard_normal(64), 2)
         spec = resolve_rule(shrinkage.RULES[name](), 1.0, pyr)
         function = shrinkage._RULE_FUNCTIONS[type(spec)]
         calls = []
@@ -616,14 +649,14 @@ class TestShrinkPyramid:
             return getattr(shrinkage, "_unwrapped")(d, *args, **kwargs)
 
         monkeypatch.setattr(shrinkage, "_unwrapped", getattr(shrinkage, function), raising=False)
-        want = shrink_pyramid(pyr, spec).to_flat()
+        want = shrink_pyramid(pyr, spec).flat
         monkeypatch.setattr(shrinkage, function, wrapped)
-        np.testing.assert_array_equal(shrink_pyramid(pyr, spec).to_flat(), want)
+        np.testing.assert_array_equal(shrink_pyramid(pyr, spec).flat, want)
         assert calls == [d.shape for d in pyr.details]
 
     def test_policy_overrides_mixture_weight(self):
         rng = np.random.default_rng(23)
-        pyr = Pyramid.from_flat(rng.standard_normal(64), 2)
+        pyr = Pyramid(rng.standard_normal(64), 2)
         policy = LevelPolicy(J0=2)
         # at the primary level the policy sets p = 0: strictly less shrinkage
         # than the static p = 0.9
@@ -651,7 +684,7 @@ class TestResolveRule:
     def test_beta_support_from_pyramid(self):
         flat = np.zeros(32)
         flat[20] = -7.0
-        pyr = Pyramid.from_flat(flat, 2)
+        pyr = Pyramid(flat, 2)
         spec = resolve_rule(Beta(), 0.5, pyr)
         assert spec.m == 7.0 and spec.sigma == 0.5
 
@@ -867,7 +900,7 @@ class TestNodeGridChunks:
         # `log` evaluates no (coefficients x nodes) grid: its kernel runs only
         # on the (table points x nodes) grid of the table build, in chunks
         rng = np.random.default_rng(42)
-        pyr = Pyramid.from_flat(rng.standard_normal((1024, 50)) * 3.0, 9)
+        pyr = Pyramid(rng.standard_normal((1024, 50)) * 3.0, 9)
         grids, points = [], []
         pdf, sums = shrinkage._logistic_pdf, shrinkage._logistic_sums
 
@@ -944,7 +977,7 @@ class TestLogisticTable:
     def test_one_table_per_pyramid(self, monkeypatch):
         rng = np.random.default_rng(43)
         flat = rng.standard_normal((1024, 50)) * 2.0  # levels 3..9, row blocks
-        pyr = Pyramid.from_flat(flat, 3)
+        pyr = Pyramid(flat, 3)
         built = []
         sums = shrinkage._logistic_sums
 

@@ -48,9 +48,9 @@ class TestStudyConfig:
         assert StudyConfig(study=2).components == ("bumps", "blocks", "doppler", "logit")
         assert len(StudyConfig(study=3).components) == 6
 
-    def test_custom_components(self):
-        cfg = StudyConfig(study=None, components=("doppler", "logit"))
-        assert cfg.study_id == 0 and cfg.components == ("doppler", "logit")
+    def test_components_cannot_be_overridden(self):
+        with pytest.raises(TypeError):
+            StudyConfig(study=1, components=("doppler",))
 
     def test_validation(self):
         with pytest.raises(ValueError):

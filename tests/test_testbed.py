@@ -15,7 +15,6 @@ from wavecal.testbed import (
     generate_dataset,
     sample_grid,
     sigma_for_snr,
-    truth_to_csv,
 )
 
 # frozen regression value: sigma_true for (bumps, blocks), M=512, I=50,
@@ -228,15 +227,3 @@ class TestCsvExport:
             m = grid.index(float(row["t"]))
             got[m, int(row["sample_id"])] = float(row["value"])
         np.testing.assert_array_equal(got, ds.observed)
-
-    def test_truth_round_trip(self, tmp_path):
-        spec = DatasetSpec(components=("bumps", "blocks"), M=8, I=3, snr=2.0, seed=8)
-        ds = generate_dataset(spec)
-        path = tmp_path / "truth.csv"
-        truth_to_csv(ds, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 8 * 2
-        assert {r["component_name"] for r in rows} == {"bumps", "blocks"}
-        bumps = [float(r["value"]) for r in rows if r["component_name"] == "bumps"]
-        np.testing.assert_array_equal(bumps, ds.truth[:, 0])
