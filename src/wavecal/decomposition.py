@@ -12,7 +12,8 @@ rule, and a study runs every rule on the same dataset, so
 saw: a one-entry memo whose key is a bit-for-bit copy of ``observed``.  A
 hit returns the same bits as a recomputation; the memo's arrays are
 read-only.  The least-squares stage takes one thin SVD of the weights, which
-serves both the rank check and the pseudo-inverse.
+serves both the rank check and the pseudo-inverse; the pseudo-inverse of the
+last weights is kept, keyed on their bits, so the rules after the first reuse it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .shrinkage import LevelPolicy, RuleSpec, estimate_sigma, resolve_rule, shrink_pyramid
+from .shrinkage import (LevelPolicy, RuleSpec, check_level, estimate_sigma, resolve_rule,
+                        shrink_pyramid)
 from .wavelet import Pyramid, WaveletFilter, transform_columns
 
 __all__ = [
@@ -64,11 +66,19 @@ class EstimationConfig:
     policy: Optional[LevelPolicy] = None
 
     def __post_init__(self):
-        if self.J0 < 0:
-            raise ValueError(f"J0 must be >= 0, got {self.J0}")
+        check_level(self.J0)
         if self.policy is not None and self.policy.J0 != self.J0:
             raise ValueError(f"policy J0 = {self.policy.J0} differs from the "
                              f"configured J0 = {self.J0}")
+
+
+class _Pseudoinverse(NamedTuple):  # a read-only copy of the weights, V diag(1/s) U^T
+    weights: np.ndarray
+    pinv: np.ndarray
+
+
+# The last full-rank weights' entry; read once and replaced whole, as `_memo` is.
+_pinv_memo: Optional[_Pseudoinverse] = None
 
 
 def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -78,8 +88,10 @@ def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
     computed as shrunk @ pinv(weights) from the thin SVD
     weights = U diag(s) V^T, i.e. shrunk @ V diag(1/s) U^T (never by forming
     (y y^T)^-1).  Raises RankDeficiencyError when the smallest singular value
-    of the weights falls below 1e-10 times the largest.
+    of the weights falls below 1e-10 times the largest.  Weights with the
+    bits of the last call's reuse its pseudo-inverse, and get the same result.
     """
+    global _pinv_memo
     D = np.asarray(shrunk, dtype=float)
     y = np.asarray(weights, dtype=float)
     if D.ndim != 2 or y.ndim != 2:
@@ -89,6 +101,9 @@ def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise ValueError(f"coefficient matrix has {D.shape[1]} columns, weights have {I}")
     if I < L:
         raise RankDeficiencyError(f"underdetermined mixing: L={L} components, I={I} samples")
+    entry = _pinv_memo
+    if entry is not None and np.array_equal(entry.weights.view(np.uint64), y.view(np.uint64)):
+        return D @ entry.pinv
     u, svals, vt = np.linalg.svd(y, full_matrices=False)
     if svals[-1] < _RANK_RTOL * svals[0]:
         raise RankDeficiencyError(
@@ -99,7 +114,9 @@ def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
     rank = int(np.sum(svals > _RANK_RTOL * svals[0]))
     if rank < L:
         raise RankDeficiencyError(f"least-squares rank {rank} < {L}")
-    return D @ (vt.T / svals @ u.T)
+    entry = _Pseudoinverse(_read_only(y.copy()), _read_only(vt.T / svals @ u.T))
+    _pinv_memo = entry
+    return D @ entry.pinv
 
 
 class _Transformed(NamedTuple):
@@ -161,7 +178,8 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
     The first two are shared with the previous call when it had the same
     observed matrix, filter and J0 (see the module docstring).  Errors carry
     the failing stage name; NaN or inf in either input is rejected at the
-    ``input`` stage.
+    ``input`` stage, and a non-finite estimate at the first stage whose output
+    is not finite.
     """
     A = np.asarray(observed, dtype=float)
     y = np.asarray(weights, dtype=float)
@@ -183,6 +201,8 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
         shrunk = shrink_pyramid(pyr, rule, config.policy).flat
     except (ValueError, TypeError) as exc:
         raise PipelineError("shrinkage", str(exc)) from exc
+    except ArithmeticError as exc:  # a rule's float arithmetic at an extreme data scale
+        raise PipelineError("shrinkage", f"{type(exc).__name__}: {exc}") from exc
 
     try:
         gamma = solve_gamma(shrunk, y)
@@ -190,9 +210,15 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
         raise PipelineError("least-squares", str(exc)) from exc
 
     try:
-        return transform_columns(gamma, config.filter, config.J0, "inverse")
+        alpha = transform_columns(gamma, config.filter, config.J0, "inverse")
     except ValueError as exc:
         raise PipelineError("inverse-transform", str(exc)) from exc
+    if not np.isfinite(alpha).all():  # NaN and inf reach all later stages; name the first
+        stages = (("transform", D), ("sigma", sigma), ("shrinkage", shrunk),
+                  ("least-squares", gamma))
+        raise PipelineError(next((name for name, out in stages if not np.isfinite(out).all()),
+                                 "inverse-transform"), "output has NaN or inf")
+    return alpha
 
 
 def estimates_to_csv(alpha_hat: np.ndarray, grid: np.ndarray, path) -> None:

@@ -81,6 +81,7 @@ __all__ = [
     "abe_rule",
     "bams_rule",
     "av_policy",
+    "check_level",
     "shrink_pyramid",
     "resolve_rule",
     "rule_defaults",
@@ -134,8 +135,15 @@ class LevelPolicy:
     J0: int = 0
 
     def __post_init__(self):
-        if self.J0 < 0:
-            raise ValueError("J0 must be >= 0")
+        check_level(self.J0)
+
+
+def check_level(J0) -> None:
+    """Reject a primary resolution level J0 unless it is an int >= 0 (a bool is not)."""
+    if isinstance(J0, bool) or not isinstance(J0, (int, np.integer)):
+        raise ValueError(f"J0 must be an integer, got {J0!r}")
+    if J0 < 0:
+        raise ValueError(f"J0 must be >= 0, got {J0}")
 
 
 def _check_scalars(spec, vector: str = "") -> None:
@@ -531,7 +539,7 @@ def _logistic_from_table(arr, p: float, table: _LogisticTable):
     panel = (0.5 * t).astype(np.intp)
     np.minimum(panel, table.last, out=panel)
     t -= 2.0 * panel + 1.0
-    c = table.coef.take(panel, axis=1)
+    c = table.coef.take(panel, axis=1, mode="clip")  # panel is in [0, last]
     ell, ratio = c[_CHEB_DEGREE] * t, c[-1] * t
     for j in range(_CHEB_DEGREE - 1, 0, -1):
         ell += c[j]
@@ -781,10 +789,11 @@ def _downscaled(arr, sigma):
     homogeneous of degree one in (d, sigma) and power-of-two scaling is
     exact, so multiplying a rule's result by ``factor`` changes no bit
     except where d * d would have overflowed."""
-    big = np.maximum(np.abs(arr), sigma) > _SQUARE_LIMIT
-    if not big.any():
+    # two reductions settle the common case; NaN fails them and takes the mask
+    if (arr.max(initial=0.0) <= _SQUARE_LIMIT and arr.min(initial=0.0) >= -_SQUARE_LIMIT
+            and sigma <= _SQUARE_LIMIT):
         return arr, sigma, 1.0
-    factor = np.where(big, _UPSCALE, 1.0)
+    factor = np.where(np.maximum(np.abs(arr), sigma) > _SQUARE_LIMIT, _UPSCALE, 1.0)
     return arr / factor, sigma / factor, factor
 
 
@@ -792,12 +801,19 @@ def lpm_rule(d, spec: Lpm):
     """Large Posterior Mode thresholding: zero below lambda = 2 sigma
     sqrt(2k-1), else the larger posterior mode (closed interval at lambda)."""
     arr, scalar = _as_array(d)
-    arr, sigma, factor = _downscaled(arr, _require(spec.sigma, "sigma", "Lpm"))
-    lam_sq = 4.0 * sigma * sigma * (2.0 * spec.k - 1.0)
-    keep = arr * arr >= lam_sq
-    disc = np.sqrt(np.maximum(arr * arr - lam_sq, 0.0))
-    out = np.where(keep, 0.5 * (arr + np.sign(arr) * disc), 0.0) * factor
-    return float(out) if scalar else out
+    arr, sigma, factor = _downscaled(arr.reshape(-1) if scalar else arr,
+                                     _require(spec.sigma, "sigma", "Lpm"))
+    disc = np.multiply(arr, arr)  # d^2 - lambda^2, in place
+    disc -= 4.0 * sigma * sigma * (2.0 * spec.k - 1.0)
+    keep = disc >= 0.0
+    np.sqrt(disc, out=disc, where=keep)
+    disc *= np.sign(arr)
+    disc += arr
+    disc *= 0.5
+    out = np.where(keep, disc, 0.0)
+    if np.ndim(factor):
+        out *= factor
+    return out.item() if scalar else out
 
 
 def abe_rule(d, spec: Abe):
@@ -840,9 +856,10 @@ def bams_rule(d, spec: Bams):
     # in (0, 1]
     r = np.exp(-ad * np.abs(1.0 / s - 1.0 / tau))
     r_tau, r_s = (1.0, r) if tau >= s else (r, 1.0)
+    spread = tau * r_tau - s * r_s
     delta = (tau * tqdiff * arr * r_tau + 2.0 * s * s * tau * tau * sgn * (r_s - r_tau)) \
-        / (tqdiff * (tau * r_tau - s * r_s))
-    marg = (tau * r_tau - s * r_s) / (2.0 * tqdiff)
+        / (tqdiff * spread)
+    marg = spread / (2.0 * tqdiff)
     noise = r_s / (2.0 * s)
     weight = (1.0 - spec.alpha) * marg
     out = weight * delta / (weight + spec.alpha * noise)

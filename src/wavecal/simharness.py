@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .decomposition import EstimationConfig, PipelineError, estimate_components
-from .shrinkage import POLICY_GAMMA, RULES, LevelPolicy, rule_defaults
+from .shrinkage import POLICY_GAMMA, RULES, LevelPolicy, check_level, rule_defaults
 from .testbed import COMPONENT_NAMES, DatasetSpec, generate_dataset
 from .wavelet import make_filter
 
@@ -84,6 +84,7 @@ class StudyConfig:
                              ("snr_values", self.snr_values)):
             if len(set(values)) < len(values):
                 raise ValueError(f"duplicate value in {name}: {values}")
+        check_level(self.J0)
         for M in self.m_values:
             if M < 2 ** (self.J0 + 1):
                 raise ValueError(f"M={M} has no detail level at J0={self.J0}: "
@@ -197,16 +198,23 @@ def run_study(config: StudyConfig):
 
 
 def aggregate(results: Sequence[ReplicateResult]) -> AmseReport:
-    """Group replicate MSEs by (study, rule, M, snr, component) into AMSE rows."""
+    """Group replicate MSEs by (study, rule, M, snr, component) into AMSE rows.
+    Groups of one size are the rows of one matrix, reduced with the bits that
+    np.mean and np.std give each group alone."""
     groups: dict[tuple, list[float]] = {}
     for r in results:
         groups.setdefault((r.study, r.rule, r.M, r.snr, r.component), []).append(r.mse)
+    by_count: dict[int, list[tuple]] = {}
+    for key, mses in groups.items():
+        by_count.setdefault(len(mses), []).append(key)
     rows = []
-    for (study, rule, M, snr, comp), mses in sorted(groups.items()):
-        arr = np.asarray(mses)
-        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else float("nan")
-        rows.append(AmseRow(study=study, rule=rule, M=M, snr=snr, component=comp,
-                            amse=float(np.mean(arr)), sd=sd, n=arr.size))
+    for n, keys in by_count.items():
+        arr = np.array([groups[key] for key in keys])
+        amse = np.mean(arr, axis=1)
+        sd = np.std(arr, axis=1, ddof=1) if n > 1 else np.full(len(keys), np.nan)
+        rows += [AmseRow(*key, amse=float(a), sd=float(d), n=n)
+                 for key, a, d in zip(keys, amse, sd)]
+    rows.sort(key=lambda row: (row.study, row.rule, row.M, row.snr, row.component))
     return AmseReport(rows=rows)
 
 
@@ -274,6 +282,5 @@ def emit_reports(report: AmseReport, stream: Sequence[ReplicateResult], outdir,
     if notes:
         payload["notes"] = notes
     with open(paths["run"], "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return paths

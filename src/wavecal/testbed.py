@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -202,6 +203,15 @@ class Dataset:
     components: tuple[str, ...]
 
 
+@lru_cache(maxsize=16)
+def _truth(components: tuple[str, ...], M: int) -> np.ndarray:
+    """The read-only M x L component curves on `sample_grid` (M), evaluated
+    once per (components, M): every replicate of a study samples the same."""
+    truth = np.column_stack([_EVALUATORS[name](sample_grid(M)) for name in components])
+    truth.flags.writeable = False
+    return truth
+
+
 def generate_dataset(spec: DatasetSpec,
                      seed_seq: Optional[np.random.SeedSequence] = None) -> Dataset:
     """Sample the truth, draw weights, and add SNR-calibrated Gaussian noise.
@@ -211,7 +221,7 @@ def generate_dataset(spec: DatasetSpec,
     """
     rng = _rng_from(seed_seq if seed_seq is not None else spec.seed)
     grid = sample_grid(spec.M)
-    truth = np.column_stack([_EVALUATORS[name](grid) for name in spec.components])
+    truth = _truth(spec.components, spec.M).copy()  # each dataset owns its truth
     weights = draw_weights(len(spec.components), spec.I, rng)
     sigma = sigma_for_snr(truth, weights, spec.snr)
     noise = sigma * standard_normal(rng, (spec.M, spec.I))

@@ -18,9 +18,9 @@ input, extended periodically, is cut into overlapping windows 2b apart, and a
 block operator built once per filter maps each window to b approximation and
 b detail coefficients, interleaved; synthesis applies the transposed operator
 to windows of the interleaved (approx, detail) sequence and yields 2b
-samples per window.  b is `_BLOCK` rows, or N/2 on a shorter level.  The
-forward transform runs every level in the same few buffers, allocated once
-per call.
+samples per window.  b is `_BLOCK` rows, or N/2 on a shorter level.  Both
+directions run every level in the same few buffers, allocated once per call:
+each level's input is extended in place and its GEMM writes to one output.
 
 `transform_columns` is the only transform entry point: it transforms every
 column of an M x I matrix, and a single signal is a one-column matrix.  Its
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -229,12 +228,11 @@ def _periodic_index(n: int, start: int, length: int) -> np.ndarray:
     return idx
 
 
-def _apply_blocks(op: np.ndarray, ext: np.ndarray, b: int,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    """One batched GEMM: rows 2qb .. 2qb + 2b - 1 of the result are the
-    leading 2b x (2b + T - 2) corner of the block operator ``op`` times the
-    q-th window ext[2qb : 2qb + 2b + T - 2] of the extended level, which must
-    be C-contiguous.  The result is written to ``out`` when it is given."""
+def _apply_blocks(op: np.ndarray, ext: np.ndarray, b: int, out: np.ndarray) -> np.ndarray:
+    """One batched GEMM: rows 2qb .. 2qb + 2b - 1 of ``out`` get the leading
+    2b x (2b + T - 2) corner of the block operator ``op`` times the q-th
+    window ext[2qb : 2qb + 2b + T - 2] of the extended level, which must be
+    C-contiguous."""
     width = 2 * b + op.shape[1] - op.shape[0]
     rows, columns = ext.strides
     count = (ext.shape[0] - width) // (2 * b) + 1
@@ -242,8 +240,6 @@ def _apply_blocks(op: np.ndarray, ext: np.ndarray, b: int,
     windows = np.ndarray((count, width, ext.shape[1]),
                          ext.dtype, ext, 0, (2 * b * rows, rows, columns))
     windows.flags.writeable = False
-    if out is None:
-        return np.matmul(op[:2 * b, :width], windows).reshape(-1, ext.shape[1])
     np.matmul(op[:2 * b, :width], windows, out=out.reshape(count, 2 * b, ext.shape[1]))
     return out
 
@@ -258,16 +254,6 @@ def _analysis_stage(ext: np.ndarray, N: int, filt: WaveletFilter, products: np.n
                   products[:N])
     approx[...] = products[0:N:2]
     detail[...] = products[1:N:2]
-
-
-def _synthesis_stage(approx: np.ndarray, detail: np.ndarray,
-                     filt: WaveletFilter) -> np.ndarray:
-    # transpose of _analysis_stage on the interleaved (approx, detail) pairs,
-    # each window starting T/2 - 1 pairs before its block
-    half, lead = approx.shape[0], len(filt) // 2 - 1
-    pairs = np.stack((approx, detail), axis=1).reshape(2 * half, -1)
-    ext = pairs[_periodic_index(2 * half, -2 * lead, 2 * (half + lead))]
-    return _apply_blocks(filt.synthesis_block, ext, min(_BLOCK, half))
 
 
 def transform_columns(matrix: np.ndarray, filt: WaveletFilter, J0: int,
@@ -307,9 +293,20 @@ def transform_columns(matrix: np.ndarray, filt: WaveletFilter, J0: int,
         out[:half] = approx[:half]
         return out
     if direction == "inverse":
-        pyr = Pyramid(a, J0)
-        a = pyr.coarse
+        # The transpose of the forward levels: each interleaves its (approx,
+        # detail) pairs into ext[T - 2:] behind a periodic head of the last
+        # T - 2 of them, so that each window starts T/2 - 1 pairs before its
+        # block, and its GEMM writes the level to the leading rows of the
+        # output, where the next level reads its approximation.
+        pyr, T = Pyramid(a, J0), len(filt)
+        out, ext = np.empty(a.shape), np.empty((a.shape[0] + T - 2, a.shape[1]))
+        approx = pyr.coarse
         for d in pyr.details:
-            a = _synthesis_stage(a, d, filt)
-        return a
+            pairs = ext[T - 2:T - 2 + 2 * d.shape[0]]
+            pairs[0::2], pairs[1::2] = approx, d
+            np.take(pairs, _periodic_index(len(pairs), 2 - T, T - 2), axis=0,
+                    out=ext[:T - 2], mode="clip")
+            approx = _apply_blocks(filt.synthesis_block, ext[:T - 2 + len(pairs)],
+                                   min(_BLOCK, d.shape[0]), out[:len(pairs)])
+        return out
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -284,6 +286,52 @@ def test_simulate_bad_design_rejected(tmp_path, capsys, args, message):
     assert rc == 1
     assert f"error: [input] {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "study3_m64_128_seed0")
+
+
+def test_simulate_bytes_match_the_checked_in_outputs(tmp_path, capsys):
+    # written before the rule-independent work was shared across rules and
+    # replicates: `wavecal simulate --study 3 --m 64,128 --replicates 2 --seed 0
+    # --rules log,beta,lpm,abe,bams`; every rule and both M, byte for byte
+    rc = main(["simulate", "--study", "3", "--m", "64,128", "--replicates", "2",
+               "--seed", "0", "--rules", "log,beta,lpm,abe,bams", "--out", str(tmp_path)])
+    assert rc == 0
+    for name in ("replicates.csv", "amse.csv"):
+        with open(os.path.join(GOLDEN, name), "rb") as want, \
+                open(tmp_path / name, "rb") as got:
+            assert got.read() == want.read(), name
+
+
+def write_scaled_dataset(tmp_path, scale):
+    ds = generate_dataset(DatasetSpec(components=("bumps", "blocks"), M=64, I=12,
+                                      snr=5.0, seed=3))
+    dataset_to_csv(replace(ds, observed=ds.observed * scale), tmp_path / "data.csv")
+    np.savetxt(tmp_path / "y.csv", ds.weights, delimiter=",")
+    return ["estimate", "--input", str(tmp_path / "data.csv"),
+            "--weights", str(tmp_path / "y.csv"), "--out", str(tmp_path / "o")]
+
+
+def test_estimate_arithmetic_failure_exits_with_its_stage(tmp_path):
+    # BAMS's 1 / sigma^2 used to escape as a ZeroDivisionError traceback
+    run = subprocess.run([sys.executable, "-m", "wavecal",
+                          *write_scaled_dataset(tmp_path, 1e-300), "--rule", "bams"],
+                         capture_output=True, text=True)
+    assert run.returncode == 1
+    assert "error: [shrinkage] ZeroDivisionError" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not (tmp_path / "o" / "alpha_hat.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rule", ["log", "bams"])
+def test_estimate_at_huge_scale_fails_at_shrinkage(tmp_path, capsys, rule):
+    # log returned a non-finite estimate with exit code 0; bams overflowed
+    rc = main([*write_scaled_dataset(tmp_path, 1e300), "--rule", rule])
+    assert rc == 1
+    assert "error: [shrinkage]" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "alpha_hat.csv").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -196,6 +196,66 @@ class TestSolveGamma:
             solve_gamma(np.ones((4, 3)), np.zeros((2, 3)))
 
 
+def fresh_pinv_solution(D, y):
+    """solve_gamma's arithmetic on a fresh thin SVD of the weights."""
+    u, svals, vt = np.linalg.svd(y, full_matrices=False)
+    return D @ (vt.T / svals @ u.T)
+
+
+class TestPseudoinverseCache:
+    """solve_gamma reuses the pseudo-inverse of the last weights it saw when
+    the next weights have the same bits."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(decomposition, "_pinv_memo", None)
+
+    @staticmethod
+    def same_bits(a, b):
+        return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_alternating_and_mutated_weights(self):
+        rng = np.random.default_rng(17)
+        A, B = rng.uniform(0.5, 1.5, (4, 50)), rng.uniform(0.5, 1.5, (4, 50))
+        D = rng.standard_normal((128, 50))
+        for y in (A, B, A, A):
+            assert self.same_bits(solve_gamma(D, y), fresh_pinv_solution(D, y))
+            assert self.same_bits(solve_gamma(2.0 * D, y), fresh_pinv_solution(2.0 * D, y))
+        entry = decomposition._pinv_memo
+        solve_gamma(D, A.copy())
+        assert decomposition._pinv_memo is entry  # a hit keeps the entry
+        A[2, 7] += 1e-3  # in place: the cache holds its own copy of the key
+        assert self.same_bits(solve_gamma(D, A), fresh_pinv_solution(D, A))
+        assert decomposition._pinv_memo is not entry
+        assert not decomposition._pinv_memo.weights.flags.writeable
+        assert not decomposition._pinv_memo.pinv.flags.writeable
+
+    def test_key_is_bitwise(self):
+        y = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+        D = np.ones((4, 3))
+        solve_gamma(D, y)
+        entry = decomposition._pinv_memo
+        negative_zero = y.copy()
+        negative_zero[0, 1] = -0.0
+        assert self.same_bits(solve_gamma(D, negative_zero),
+                              fresh_pinv_solution(D, negative_zero))
+        assert decomposition._pinv_memo is not entry
+
+    def test_rank_deficient_weights_raise_on_every_call(self):
+        rng = np.random.default_rng(19)
+        good = rng.uniform(0.5, 1.5, (3, 9))
+        bad = good.copy()
+        bad[2] = 2.0 * bad[0]
+        D = rng.standard_normal((16, 9))
+        for y in (good, bad, bad, good, bad):
+            if y is good:
+                assert self.same_bits(solve_gamma(D, y), fresh_pinv_solution(D, y))
+                continue
+            with pytest.raises(RankDeficiencyError, match=r"effective rank 2 < 3"):
+                solve_gamma(D, y)
+            assert self.same_bits(decomposition._pinv_memo.weights, good)
+
+
 class TestEstimateComponents:
     @pytest.mark.parametrize("rule", [Lpm(sigma=0.0), Abe(sigma=0.0)])
     def test_noise_free_recovery(self, db10, rule):
@@ -348,6 +408,16 @@ class TestEstimateComponents:
         with pytest.raises(ValueError, match="J0 must be >= 0"):
             EstimationConfig(filter=db10, rule=Abe(), J0=-1)
 
+    @pytest.mark.parametrize("J0", [3.0, True, np.float64(3.0), "3"])
+    def test_j0_must_be_an_integer(self, db10, J0):
+        # 3.0 failed later in the transform with a bare TypeError, and True
+        # was taken for J0 = 1
+        with pytest.raises(ValueError, match="J0 must be an integer"):
+            EstimationConfig(filter=db10, rule=Abe(), J0=J0)
+        with pytest.raises(ValueError, match="J0 must be an integer"):
+            LevelPolicy(J0=J0)
+        assert EstimationConfig(filter=db10, rule=Abe(), J0=np.int64(3)).J0 == 3
+
     @pytest.mark.parametrize("policy_j0", [1, 5])
     def test_policy_j0_must_match_config(self, db10, policy_j0):
         # a smaller policy J0 would silently shift p(j); a larger one would
@@ -355,6 +425,66 @@ class TestEstimateComponents:
         with pytest.raises(ValueError, match=f"policy J0 = {policy_j0} differs"):
             EstimationConfig(filter=db10, rule=Logistic(), J0=3,
                              policy=LevelPolicy(J0=policy_j0))
+
+
+class TestNoSilentNonFiniteEstimate:
+    """Every failure names its stage, and no estimate comes back with NaN or inf."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_dataset(DatasetSpec(components=("bumps", "blocks"), M=64, I=12,
+                                            snr=5.0, seed=3))
+
+    @staticmethod
+    def config(db10, rule):
+        return EstimationConfig(filter=db10, rule=RULES[rule](), J0=3,
+                                policy=LevelPolicy(J0=3))
+
+    @pytest.mark.parametrize("scale,error", [(1e-300, "ZeroDivisionError"),
+                                             (1e300, "OverflowError")])
+    def test_bams_arithmetic_error_is_a_shrinkage_failure(self, db10, dataset, scale,
+                                                          error):
+        # 1 / sigma^2 of BAMS's default mu underflows or overflows in Python floats
+        with pytest.raises(PipelineError, match=rf"\[shrinkage\] {error}") as exc:
+            estimate_components(dataset.observed * scale, dataset.weights,
+                                self.config(db10, "bams"))
+        assert exc.value.stage == "shrinkage"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_shrinkage_is_rejected(self, db10, dataset):
+        # log's table sums overflow at this scale; the estimate used to come
+        # back non-finite without an error
+        with pytest.raises(PipelineError, match=r"\[shrinkage\] output has NaN or inf"):
+            estimate_components(dataset.observed * 1e300, dataset.weights,
+                                self.config(db10, "log"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_least_squares_overflow_names_its_stage(self, db10, dataset):
+        with pytest.raises(PipelineError, match=r"\[least-squares\] output has NaN or inf"):
+            estimate_components(dataset.observed * 1e300, dataset.weights * 1e-12,
+                                self.config(db10, "lpm"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_inverse_transform_overflow_names_its_stage(self, db10, dataset, monkeypatch):
+        monkeypatch.setattr(decomposition, "solve_gamma",
+                            lambda shrunk, weights: np.full((64, 2), 1e308))
+        with pytest.raises(PipelineError, match=r"\[inverse-transform\] output has NaN"):
+            estimate_components(dataset.observed, dataset.weights,
+                                self.config(db10, "abe"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rule", list(RULES))
+    @pytest.mark.parametrize("k", [-1000, -500, 0, 500, 1000])
+    def test_every_rule_at_every_scale_is_finite_or_names_a_stage(self, db10, dataset,
+                                                                  rule, k):
+        try:
+            alpha = estimate_components(dataset.observed * 2.0 ** k, dataset.weights,
+                                        self.config(db10, rule))
+        except PipelineError as exc:
+            assert exc.stage in ("transform", "sigma", "shrinkage", "least-squares",
+                                 "inverse-transform")
+        else:
+            assert np.isfinite(alpha).all()
 
 
 RULE_CONFIGS = [pytest.param(rule, sigma, id=f"{rule}-{source}") for rule in RULES

@@ -226,3 +226,42 @@ class TestEmitReports:
         assert len(payload["failed_replicates"]) == 1
         assert payload["failed_replicates"][0]["stage"] == "least-squares"
         assert len(payload["incomplete_cells"]) == 2  # both components short one rep
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 100])
+def test_aggregate_matches_per_group_reduction(n):
+    # groups of one replicate count are reduced as rows of one matrix; each
+    # row must keep the bits of np.mean / np.std on the group alone, also
+    # beside groups of other counts (an incomplete cell has fewer replicates)
+    rng = np.random.default_rng(n)
+    results = [ReplicateResult(study=2, rule=rule, M=M, snr=snr, replicate=rep,
+                               component=comp, mse=float(rng.lognormal(-4.0, 3.0)))
+               for rule in ("lpm", "abe") for M in (64, 128) for snr in (3.0, 9.0)
+               for comp in ("bumps", "logit") for rep in range(n)]
+    results += [ReplicateResult(study=2, rule="bams", M=64, snr=3.0, replicate=rep,
+                                component="bumps", mse=float(rng.lognormal(-4.0, 3.0)))
+                for rep in range(max(1, n // 2))]
+    report = aggregate(results)
+    keys = [(r.study, r.rule, r.M, r.snr, r.component) for r in report.rows]
+    assert keys == sorted(set((r.study, r.rule, r.M, r.snr, r.component)
+                              for r in results))
+    for row in report.rows:
+        mses = np.array([r.mse for r in results
+                         if (r.rule, r.M, r.snr, r.component)
+                         == (row.rule, row.M, row.snr, row.component)])
+        assert row.n == mses.size
+        assert np.float64(row.amse).view(np.uint64) == np.mean(mses).view(np.uint64)
+        if mses.size > 1:
+            assert (np.float64(row.sd).view(np.uint64)
+                    == np.std(mses, ddof=1).view(np.uint64))
+        else:
+            assert np.isnan(row.sd)
+
+
+@pytest.mark.parametrize("J0", [3.0, True, "3", None])
+def test_study_j0_must_be_an_integer(J0):
+    # 3.0 used to reach range() in the transform as a bare TypeError, and
+    # True was taken for J0 = 1
+    with pytest.raises(ValueError, match="J0 must be an integer"):
+        StudyConfig(study=1, J0=J0, m_values=(64,), replicates=1, rules=("lpm",))
+    assert StudyConfig(study=1, J0=np.int64(3), m_values=(64,)).J0 == 3

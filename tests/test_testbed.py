@@ -191,6 +191,20 @@ class TestGenerateDataset:
         resid = ds.observed - ds.truth @ ds.weights
         assert np.std(resid) == pytest.approx(ds.sigma_true, rel=0.05)
 
+    def test_truth_is_each_datasets_own_writable_copy(self):
+        # the curves are evaluated once per (components, M); a dataset that
+        # writes to its truth changes no other dataset's
+        spec = DatasetSpec(components=("doppler", "bumps"), M=128, I=4, snr=3.0, seed=5)
+        a = generate_dataset(spec, seed_seq=np.random.SeedSequence(5, spawn_key=(0,)))
+        b = generate_dataset(spec, seed_seq=np.random.SeedSequence(5, spawn_key=(1,)))
+        assert a.truth.flags.writeable and b.truth.flags.writeable
+        assert not np.shares_memory(a.truth, b.truth)
+        want = np.column_stack([component_function(c)(sample_grid(128))
+                                for c in spec.components])
+        a.truth[:] = 0.0
+        for ds in (b, generate_dataset(spec)):
+            assert np.array_equal(ds.truth.view(np.uint64), want.view(np.uint64))
+
     def test_dimensions(self):
         spec = DatasetSpec(components=COMPONENT_NAMES, M=256, I=12, snr=9.0, seed=0)
         ds = generate_dataset(spec)
