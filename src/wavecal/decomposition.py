@@ -2,9 +2,9 @@
 
 Pipeline: transform the observed M x I matrix to the wavelet domain column
 by column, estimate the noise scale, shrink every detail coefficient of the
-M x I coefficient matrix one level slice at a time, solve a least-squares
-system for the component coefficients through the known mixing weights, and
-invert the transform.
+M x I coefficient matrix in row blocks that span levels, solve a
+least-squares system for the component coefficients through the known
+mixing weights, and invert the transform.
 
 The forward transform and the pooled noise estimate do not depend on the
 rule, and a study runs every rule on the same dataset, so

@@ -23,12 +23,16 @@ their arguments.  The noise sd sigma and the other hyperparameters are
 scalars, and a spec rejects any other value when it is built; only the beta
 half-support m may also be a length-I vector, one value per column of a
 (rows x I) coefficient block, broadcast along the rows.
-`shrink_pyramid` applies a rule coefficientwise to the detail level slices of
-a Pyramid, the level views of one flat coefficient matrix, and writes the
+`shrink_pyramid` applies a rule coefficientwise to the detail rows of a
+Pyramid, the level views of one flat coefficient matrix, and writes the
 result into one new matrix of the same layout, the coarse rows copied
-unchanged.  It hands a level slice to the rule in blocks of whole rows, at
-most 4096 coefficients each (one row when a row is longer), which bounds the
-elementwise temporaries of every rule.
+unchanged.  It hands the detail rows to the rule in blocks of whole rows
+that cross level boundaries, at most 8192 coefficients each (one row when a
+row is longer), which bounds the elementwise temporaries of every rule:
+7 blocks for M = 1024, I = 50.  Under the level policy it resolves p(j) and
+m(j) once per level and passes each block its rows' values to the kernels
+of `log` (`_logistic_from_table`) and `beta` (`_beta_kernel`).  Every
+rule's result at a coefficient is its own, whatever block it is in.
 
 The logistic rule's prior integrals depend on a coefficient only through
 |d|, and not on the mixture weight, so `shrink_pyramid` tabulates them once
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -102,9 +106,11 @@ DEFAULT_BAMS_ALPHA = 0.8
 # The exponent gamma of the level policy's mixture weight p(j) (`av_policy`).
 POLICY_GAMMA = 2.0
 
-# Largest number of coefficients `shrink_pyramid` hands to one rule call.  It
-# bounds the elementwise temporaries of a rule, 32 KiB each.
-_BLOCK_COEFFICIENTS = 4096
+# Largest number of coefficients `shrink_pyramid` hands to one rule call, in
+# row blocks that cross level boundaries.  It bounds the elementwise
+# temporaries of a rule, 64 KiB each, which stay in L2 cache; a sweep of all
+# five rules over study-3 pyramids (M = 1024, I = 50) found this size fastest.
+_BLOCK_COEFFICIENTS = 8192
 
 # Largest number of node-grid values `_grid_sums` holds at once: 256 KiB,
 # which stays in L2 cache and is reused for every chunk of a rule call.
@@ -522,12 +528,21 @@ def _logistic_table(spec: Logistic, top: float) -> _LogisticTable:
     return _LogisticTable(tau, sigma, 2.0 / width, panels - 1, cutoff, coef)
 
 
-def _logistic_from_table(arr, p: float, table: _LogisticTable):
+def _point_mass_log(p: float, table: _LogisticTable) -> float:
+    """log K, K = p / (1 - p) * tau / (sigma sqrt(2 pi)), the point mass's
+    weight in `_logistic_from_table`; -inf at p = 0, where there is none."""
+    if p == 0.0:
+        return -np.inf
+    return np.log(p / (1.0 - p) * table.tau / (table.sigma * _SQRT_2PI))
+
+
+def _logistic_from_table(arr, log_k, table: _LogisticTable):
     """The logistic rule at the coefficients ``arr`` from the table.
 
-    delta = sign(d) a R(a) / (1 + K e^x), with K = p / (1 - p) * tau /
-    (sigma sqrt(2 pi)) and x = a / tau - a^2 / (2 sigma^2) - ell(a): K e^x is
-    the point mass's share p phi_sigma(a) over (1 - p) Z(a).
+    delta = sign(d) a R(a) / (1 + K e^x), with x = a / tau - a^2 / (2 sigma^2)
+    - ell(a) and ``log_k`` = log K from `_point_mass_log`, a scalar or one
+    value per row of ``arr``: K e^x is the point mass's share p phi_sigma(a)
+    over (1 - p) Z(a).  A row whose log K is -inf gets e^x = 0 exactly.
     """
     tau, sigma, cutoff = table.tau, table.sigma, table.cutoff
     a = np.abs(arr)
@@ -539,25 +554,29 @@ def _logistic_from_table(arr, p: float, table: _LogisticTable):
     panel = (0.5 * t).astype(np.intp)
     np.minimum(panel, table.last, out=panel)
     t -= 2.0 * panel + 1.0
-    c = table.coef.take(panel, axis=1, mode="clip")  # panel is in [0, last]
-    ell, ratio = c[_CHEB_DEGREE] * t, c[-1] * t
-    for j in range(_CHEB_DEGREE - 1, 0, -1):
-        ell += c[j]
-        ell *= t
-        ratio += c[_CHEB_DEGREE + 1 + j]
-        ratio *= t
-    ell += c[0]
-    ratio += c[_CHEB_DEGREE + 1]
+
+    def horner(coef):
+        # one polynomial at every coefficient, its panel's powers gathered at once
+        c = coef.take(panel, axis=1, mode="clip")  # panel is in [0, last]
+        value = c[_CHEB_DEGREE] * t
+        for j in range(_CHEB_DEGREE - 1, 0, -1):
+            value += c[j]
+            value *= t
+        value += c[0]
+        return value
+
+    ell = horner(table.coef[:_CHEB_DEGREE + 1])
+    ratio = horner(table.coef[_CHEB_DEGREE + 1:])
     if np.any(beyond):
         ell = np.where(beyond, sigma * sigma / (2.0 * tau * tau), ell)
         ratio = np.where(beyond, 1.0 - sigma * sigma / (tau * np.fmax(a, cutoff)), ratio)
     ratio *= a
-    if p > 0.0:
+    if np.any(log_k > -np.inf):
         # past cutoff + 40 sigma, e^x < e^-800 K: the point mass has no weight
         x = np.fmin(a, cutoff + 40.0 * sigma)
         x *= 1.0 / tau - x / (2.0 * sigma * sigma)
         x -= ell
-        x += np.log(p / (1.0 - p) * tau / (sigma * _SQRT_2PI))
+        x += log_k
         np.minimum(x, 700.0, out=x)
         np.exp(x, out=x)
         x += 1.0
@@ -582,7 +601,8 @@ def logistic_rule(d, spec: Logistic, *, table: Optional[_LogisticTable] = None):
         table = _logistic_table(spec, float(np.max(np.abs(arr), initial=0.0)))
     elif table.tau != spec.tau or table.sigma != spec.sigma:
         raise ValueError("the logistic table was built for another tau or sigma")
-    out = _logistic_from_table(arr.reshape(-1) if scalar else arr, spec.p, table)
+    out = _logistic_from_table(arr.reshape(-1) if scalar else arr,
+                               _point_mass_log(spec.p, table), table)
     return float(out[0]) if scalar else out
 
 
@@ -628,9 +648,9 @@ def _beta_moments(c, a: int, w):
     return s0 / scale, (c * s0 + s1) / scale
 
 
-def _beta_two(c, w, p: float):
-    """|delta| / sigma of the beta rule at shape a = 2, from c = |d| / sigma
-    and w = m / sigma.
+def _beta_two(c, w, r):
+    """|delta| / sigma of the beta rule at shape a = 2, from c = |d| / sigma,
+    w = m / sigma and r from `_beta_point_mass`.
 
     With G = sqrt(2 pi) [Phi(w - c) - Phi(-w - c)], P = e^(-(w + c)^2 / 2)
     and H = e^(-(w - c)^2 / 2), the truncated normal moments of
@@ -643,7 +663,8 @@ def _beta_two(c, w, p: float):
     where s0 and num are sqrt(2 pi) (4 / 3) w^3 times sigma Z and N, and
     r e^(-c^2 / 2) is the point mass's share on that scale.  The terms are
     evaluated in place, a few whole-array passes each.  The denominator is
-    positive wherever `beta_rule` uses this form.
+    positive wherever `beta_rule` uses this form; s0 is never -0, so an r of
+    0 leaves it bit for bit.
     """
     hi = np.subtract(w, c)
     sm = np.add(w, c)
@@ -670,14 +691,21 @@ def _beta_two(c, w, p: float):
     g *= 2.0
     num = np.multiply(c, s0, out=hi)
     num -= g
-    if p > 0.0:
-        den = np.multiply(c, c, out=sm)
-        den *= -0.5
-        np.exp(den, out=den)
-        den *= p / (1.0 - p) * (4.0 / 3.0) * np.power(w, 3)
-        s0 += den
+    den = np.multiply(c, c, out=sm)
+    den *= -0.5
+    np.exp(den, out=den)
+    den *= r
+    s0 += den
     num /= s0
     return num
+
+
+def _beta_point_mass(p: float, w):
+    """r = p / (1 - p) (4 / 3) w^3, the point mass's weight in `_beta_two`;
+    exactly 0 at p = 0, whatever w."""
+    if p == 0.0:
+        return np.zeros_like(w, dtype=float)
+    return p / (1.0 - p) * (4.0 / 3.0) * np.power(w, 3)
 
 
 def _beta_series(c, a: int, w, p: float):
@@ -695,16 +723,17 @@ def _beta_series(c, a: int, w, p: float):
 
     phi(c) cancels, so nothing underflows.  The terms E_n = He_n(c) w^n / n!
     follow from the Hermite recurrence as E_(n+1) = (c w E_n - w^2 E_(n-1)) /
-    (n + 1), which keeps them finite where He_n(c) and n! are not; summing
-    stops once a term changes neither sum at any coefficient (a NaN c gives
-    NaN and is not waited for).
+    (n + 1), which keeps them finite where He_n(c) and n! are not.  Each
+    coefficient stops at its first term that changes neither of its sums (a
+    NaN c stops at once), so its result does not depend on the others in the
+    batch.
     """
     cw = c * w
-    live = ~np.isnan(cw)
     w2 = w * w
     even, odd = np.ones_like(cw), cw  # E_0, E_1
     mu = 1.0 / (2 * a + 1)            # mu_2
     s0, s1 = np.ones_like(cw), mu * odd
+    summing = ~np.isnan(cw)
     n = 1
     while True:
         even = (cw * odd - w2 * even) / (n + 1)  # E_2j, with 2j = n + 1
@@ -712,10 +741,11 @@ def _beta_series(c, a: int, w, p: float):
         t0 = even * mu
         mu *= (n + 2) / (2 * a + n + 2)
         t1 = odd * mu
-        if not np.any((s0 + t0 != s0) | (s1 + t1 != s1), where=live):
+        summing &= (s0 + t0 != s0) | (s1 + t1 != s1)
+        if not np.any(summing):
             break
-        s0 += t0
-        s1 += t1
+        np.add(s0, t0, out=s0, where=summing)
+        np.add(s1, t1, out=s1, where=summing)
         n += 2
     return (1.0 - p) * w * s1 / (p + (1.0 - p) * s0)
 
@@ -732,6 +762,46 @@ def _beta_outside(a: int) -> float:
     closed form fails past it (at t = 38 it returns -2e8 for m = sigma / 2).
     """
     return float(np.sqrt((100.0 ** (1.0 / (a - 1)) - 1.0) / 2.0)) if a > 1 else 37.0
+
+
+def _beta_check_support(arr, sigma: float, w, a: int) -> None:
+    """Reject coefficients more than `_beta_outside` (a) sigma outside the
+    support, where w = m / sigma."""
+    outside = _beta_outside(a)
+    far = np.abs(arr) / sigma > w + outside
+    if np.any(far):
+        raise ValueError(
+            f"beta_rule: {int(np.count_nonzero(far))} coefficient(s) lie more than "
+            f"{outside:.3g} sigma outside the support [-m, m] of the beta prior")
+
+
+def _beta_kernel(arr, p, w, r, sigma: float, a: int):
+    """The beta rule at the coefficients ``arr`` from resolved values: the
+    mixture weight p, w = m / sigma and r = `_beta_point_mass` (p, w), each a
+    scalar or an array broadcasting against ``arr``, and the scalars sigma
+    and a.  Every coefficient's result is its own: the closed form and the
+    series are elementwise, whatever else is in ``arr``."""
+    c = np.abs(arr) / sigma
+
+    def closed(c, p, w, r):
+        if a == 2:
+            return _beta_two(c, w, r)
+        z, n = _beta_moments(c, a, w)
+        return _ratio_or_zero((1.0 - p) * n, p * _phi(c) + (1.0 - p) * z, "beta_rule")
+
+    narrow = w < 0.6 * max(a - 1.5, 0.5)
+    if not np.any(narrow):
+        out = closed(c, p, w, r)
+    elif np.all(narrow):
+        out = _beta_series(c, a, w, p)
+    else:
+        c, p, w, r, narrow = np.broadcast_arrays(c, p, w, r, narrow)
+        wide = ~narrow
+        out = np.empty(c.shape)
+        out[wide] = closed(c[wide], p[wide], w[wide], r[wide])
+        out[narrow] = _beta_series(c[narrow], a, w[narrow], p[narrow])
+    out *= sigma
+    return np.copysign(out, arr, out=out)
 
 
 def beta_rule(d, spec: Beta):
@@ -751,35 +821,9 @@ def beta_rule(d, spec: Beta):
     m = _require(spec.m, "m", "Beta")
     arr, scalar = _as_array(d)
     arr = arr.reshape(-1) if scalar else arr
-    c = np.abs(arr) / sigma
-    w = m / sigma
-    a = int(spec.a)
-    outside = _beta_outside(a)
-    far = c > w + outside
-    if np.any(far):
-        raise ValueError(
-            f"beta_rule: {int(np.count_nonzero(far))} coefficient(s) lie more than "
-            f"{outside:.3g} sigma outside the support [-m, m] of the beta prior")
-
-    def closed(c, w):
-        if a == 2:
-            return _beta_two(c, w, spec.p)
-        z, n = _beta_moments(c, a, w)
-        return _ratio_or_zero((1.0 - spec.p) * n, spec.p * _phi(c) + (1.0 - spec.p) * z,
-                              "beta_rule")
-
-    narrow = w < 0.6 * max(a - 1.5, 0.5)
-    if not np.any(narrow):
-        out = closed(c, w)
-    elif np.all(narrow):
-        out = _beta_series(c, a, w, spec.p)
-    else:
-        c, w, narrow = np.broadcast_arrays(c, w, narrow)
-        out = np.empty(c.shape)
-        out[~narrow] = closed(c[~narrow], w[~narrow])
-        out[narrow] = _beta_series(c[narrow], a, w[narrow], spec.p)
-    out *= sigma
-    np.copysign(out, arr, out=out)
+    a, w = int(spec.a), m / sigma
+    _beta_check_support(arr, sigma, w, a)
+    out = _beta_kernel(arr, spec.p, w, _beta_point_mass(spec.p, w), sigma, a)
     return out.item() if scalar else out
 
 
@@ -842,42 +886,65 @@ def bams_rule(d, spec: Bams):
 
     where m(d) is the convolution of the two double exponentials.  The
     common exponential factor is cancelled analytically so the evaluation
-    never under- or overflows for large |d|.
+    never under- or overflows for large |d|.  The terms are evaluated in
+    place, in four whole-array buffers.
     """
     tau = _require(spec.tau, "tau", "Bams")
     mu = _require(spec.mu, "mu", "Bams")
     arr, scalar = _as_array(d)
+    arr = arr.reshape(-1) if scalar else arr
     s = 1.0 / np.sqrt(2.0 * mu)
-    ad = np.abs(arr)
-    sgn = np.sign(arr)
     tqdiff = tau * tau - s * s
     # divide everything by the larger of e^{-|d|/tau} and e^{-|d|/s}, which
     # leaves r_tau and r_s: one of them 1, the other r = e^{-|d| |1/s - 1/tau|}
     # in (0, 1]
-    r = np.exp(-ad * np.abs(1.0 / s - 1.0 / tau))
-    r_tau, r_s = (1.0, r) if tau >= s else (r, 1.0)
-    spread = tau * r_tau - s * r_s
-    delta = (tau * tqdiff * arr * r_tau + 2.0 * s * s * tau * tau * sgn * (r_s - r_tau)) \
-        / (tqdiff * spread)
-    marg = spread / (2.0 * tqdiff)
-    noise = r_s / (2.0 * s)
-    weight = (1.0 - spec.alpha) * marg
-    out = weight * delta / (weight + spec.alpha * noise)
-    return float(out) if scalar else out
+    r = np.abs(arr)
+    r *= -np.abs(1.0 / s - 1.0 / tau)
+    np.exp(r, out=r)
+    prior_wider = tau >= s
+    # delta's numerator: tau tqdiff d r_tau + 2 s^2 tau^2 sgn(d) (r_s - r_tau)
+    term = np.sign(arr)
+    term *= 2.0 * s * s * tau * tau
+    spread = np.subtract(r, 1.0) if prior_wider else np.subtract(1.0, r)  # r_s - r_tau
+    term *= spread
+    num = np.multiply(arr, tau * tqdiff)
+    # from here on, spread = tau r_tau - s r_s, and noise = alpha r_s / (2 s)
+    if prior_wider:  # r_tau = 1, r_s = r
+        np.multiply(r, s, out=spread)
+        np.subtract(tau, spread, out=spread)
+        noise = r
+        noise /= 2.0 * s
+        noise *= spec.alpha
+    else:            # r_tau = r, r_s = 1
+        num *= r
+        np.multiply(r, tau, out=spread)
+        spread -= s
+        noise = spec.alpha * (1.0 / (2.0 * s))
+    num += term
+    num /= np.multiply(spread, tqdiff, out=term)  # delta
+    weight = spread
+    weight /= 2.0 * tqdiff                        # the marginal m(d)
+    weight *= 1.0 - spec.alpha
+    num *= weight
+    weight += noise
+    num /= weight
+    return num.item() if scalar else num
 
 
 RULES: dict[str, type] = {"log": Logistic, "beta": Beta, "lpm": Lpm, "abe": Abe,
                           "bams": Bams}
 
-# the name of each spec type's rule function: `_rule_function` looks it up on
-# the module when called, so a wrapper set on the module attribute (as the
-# benchmark's tracer sets) is the one that runs
-_RULE_FUNCTIONS = {Logistic: "logistic_rule", Beta: "beta_rule", Lpm: "lpm_rule",
-                   Abe: "abe_rule", Bams: "bams_rule"}
+# the name of the function `shrink_pyramid` calls on each row block, per spec
+# type: the kernels of the two rules the level policy sets, which take resolved
+# values, and the rule functions of the others.  `_rule_function` looks it up
+# on the module when called, so a wrapper set on the module attribute is the
+# one that runs.
+_RULE_FUNCTIONS = {Logistic: "_logistic_from_table", Beta: "_beta_kernel",
+                   Lpm: "lpm_rule", Abe: "abe_rule", Bams: "bams_rule"}
 
 
 def _rule_function(spec: RuleSpec):
-    """The rule function of a spec; TypeError for a type not in RULES."""
+    """The block function of a spec; TypeError for a type not in RULES."""
     name = _RULE_FUNCTIONS.get(type(spec))
     if name is None:
         raise TypeError(f"unknown rule spec {spec!r}")
@@ -888,29 +955,24 @@ def _rule_function(spec: RuleSpec):
 # level policy and pyramid application
 # ---------------------------------------------------------------------------
 
+def _mixture_weight(j: int, policy: LevelPolicy) -> float:
+    """The level policy's p(j) = 1 - (j - J0 + 1)^(-gamma)."""
+    if j < policy.J0:
+        raise ValueError(f"level {j} below primary resolution level {policy.J0}")
+    return 1.0 - (j - policy.J0 + 1) ** (-POLICY_GAMMA)
+
+
 def av_policy(j: int, detail_coefficients: np.ndarray, policy: LevelPolicy):
     """Level-dependent (p, m) for resolution level j.
 
     p = 1 - (j - J0 + 1)^(-gamma), m = max_k |d_jk|; for a (2^j x I) level
     slice m is the length-I vector of column maxima.
     """
-    if j < policy.J0:
-        raise ValueError(f"level {j} below primary resolution level {policy.J0}")
+    p = _mixture_weight(j, policy)
     d = np.asarray(detail_coefficients, dtype=float)
     if d.size == 0:
         raise ValueError(f"no detail coefficients supplied for level {j}")
-    p = 1.0 - (j - policy.J0 + 1) ** (-POLICY_GAMMA)
-    m = np.max(np.abs(d), axis=0)
-    return p, m
-
-
-def _apply_rule(d: np.ndarray, rule: RuleSpec, evaluate, out: np.ndarray) -> None:
-    """Evaluate the rule on a level slice in row blocks of at most
-    _BLOCK_COEFFICIENTS coefficients (one row when a row is longer), writing
-    each block to its rows of ``out``."""
-    rows = max(1, _BLOCK_COEFFICIENTS // max(1, d[0].size))
-    for k in range(0, d.shape[0], rows):
-        out[k:k + rows] = evaluate(d[k:k + rows], rule)
+    return p, np.max(np.abs(d), axis=0)
 
 
 def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
@@ -918,35 +980,67 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
     """Apply a shrinkage rule to every detail coefficient of a pyramid.
 
     The result is a new pyramid over one new flat matrix, whose coarse rows
-    are copied unchanged; ``pyr`` is only read.  The rule sees one level
-    slice at a time and writes to the same rows of the result; the columns
-    of a 2-D pyramid are independent signals, and a beta half-support with
-    one value per column broadcasts along the rows.  When a LevelPolicy is
-    supplied and the rule is Logistic or Beta, the mixture weight (and the
-    beta half-support) are taken from the policy per level instead of the
-    static spec values.
+    are copied unchanged; ``pyr`` is only read.  The rule runs on row blocks
+    of the whole detail matrix, at most _BLOCK_COEFFICIENTS coefficients
+    each (one row when a row is longer), that cross level boundaries; the
+    columns of a 2-D pyramid are independent signals, and every rule's
+    result at a coefficient is independent of the block it sits in.  When a
+    LevelPolicy is supplied and the rule is Logistic or Beta, the mixture
+    weight p(j) (and the beta half-support m(j), one per column) are taken
+    from the policy instead of the static spec values: they are resolved
+    once per level, and each block gets its rows' values.  A column whose
+    level is all zeros is then set to zero rather than given a support
+    m(j) = 0.
     """
     evaluate = _rule_function(rule)
+    first = 2 ** pyr.J0
+    details = pyr.flat[first:]
+    levels = range(pyr.J0, pyr.J)
+    by_level = policy is not None and isinstance(rule, (Logistic, Beta))
+    if by_level or isinstance(rule, Logistic):
+        # max_k |d_jk| per level and column: m(j), and the logistic table's range
+        peaks = np.maximum.reduceat(np.abs(details), [2 ** j - first for j in levels],
+                                    axis=0)
+    # `per_level` values have one row per level, and each block gets them row
+    # by row; `fixed` values are passed whole
+    per_level, fixed, live = (), (), None
+    if by_level:
+        p = [_mixture_weight(j, policy) for j in levels]
+        live = peaks > 0.0
+        column = (-1,) + (1,) * (details.ndim - 1)  # a value per row, broadcast
     if isinstance(rule, Logistic):
-        # one table for every level and row block: p(j) enters only its last step
-        top = float(np.max(np.abs(pyr.flat[2 ** pyr.J0:])))
-        evaluate = partial(evaluate, table=_logistic_table(rule, top))
-    out = Pyramid(np.empty_like(pyr.flat), pyr.J0)
-    out.coarse[...] = pyr.coarse
-    for j, d, level in zip(range(pyr.J0, pyr.J), pyr.details, out.details):
-        if policy is None or not isinstance(rule, (Logistic, Beta)):
-            _apply_rule(d, rule, evaluate, level)
-            continue
-        p, m = av_policy(j, d, policy)
-        # every rule maps 0 to 0: a column whose level is all zeros is masked
-        # rather than given a degenerate support m(j) = 0
-        live = m > 0.0
-        level_rule = replace(rule, p=p)
-        if isinstance(rule, Beta):
-            level_rule = replace(level_rule, m=np.where(live, m, 1.0))
-        _apply_rule(d, level_rule, evaluate, level)
-        np.copyto(level, 0.0, where=~live)
-    return out
+        table = _logistic_table(rule, float(np.max(peaks)))
+        if by_level:
+            per_level = (np.reshape([_point_mass_log(pj, table) for pj in p], column),)
+            fixed = (table,)
+        else:
+            fixed = (_point_mass_log(rule.p, table), table)
+    elif isinstance(rule, Beta):
+        a, sigma = int(rule.a), _require(rule.sigma, "sigma", "Beta")
+        if by_level:
+            w = np.where(live, peaks, 1.0) / sigma
+            per_level = (np.reshape(p, column), w,
+                         np.stack([_beta_point_mass(pj, wj) for pj, wj in zip(p, w)]))
+            fixed = (sigma, a)
+        else:
+            w = _require(rule.m, "m", "Beta") / sigma
+            _beta_check_support(details, sigma, w, a)
+            fixed = (rule.p, w, _beta_point_mass(rule.p, w), sigma, a)
+    else:
+        fixed = (rule,)
+
+    out = np.empty_like(pyr.flat)
+    out[:first] = pyr.flat[:first]
+    shrunk = out[first:]
+    level = np.repeat(np.arange(len(levels)), [2 ** j for j in levels])  # of each row
+    rows = max(1, _BLOCK_COEFFICIENTS // max(1, details[0].size))
+    for k in range(0, len(details), rows):
+        block = slice(k, k + rows)
+        shrunk[block] = evaluate(details[block],
+                                 *(v.take(level[block], axis=0) for v in per_level), *fixed)
+    if live is not None and not live.all():
+        np.copyto(shrunk, 0.0, where=~live.take(level, axis=0))
+    return Pyramid(out, pyr.J0)
 
 
 # ---------------------------------------------------------------------------

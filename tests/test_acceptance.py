@@ -366,9 +366,7 @@ def test_criterion_8_determinism(tmp_path):
 
     same = True
     for name in ("replicates.csv", "amse.csv"):
-        a = open(dir_a / name, "rb").read()
-        b = open(dir_b / name, "rb").read()
-        same = same and a == b
+        same = same and (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
     elapsed = time.perf_counter() - t0
     ok = same and not failures and elapsed < 120.0
     _report(8, ok, f"two desk-scale study-3 runs (seed 7, different thread "

@@ -35,7 +35,7 @@ def test_simulate_writes_reports(tmp_path, capsys):
     with open(out / "amse.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["component"] for r in rows} == {"bumps", "blocks"}
-    payload = json.load(open(out / "run.json"))
+    payload = json.loads((out / "run.json").read_text())
     assert payload["config"]["replicates"] == 1
 
 

@@ -483,6 +483,43 @@ class TestBamsRule:
         with pytest.raises(ValueError):
             Bams(alpha=0.5, tau=1.0 / np.sqrt(2.0), mu=1.0)
 
+    @staticmethod
+    def whole_array_reference(d, alpha, tau, mu):
+        """`bams_rule` as whole-array expressions, before it ran in place."""
+        arr = np.asarray(d, dtype=float)
+        s = 1.0 / np.sqrt(2.0 * mu)
+        ad = np.abs(arr)
+        sgn = np.sign(arr)
+        tqdiff = tau * tau - s * s
+        r = np.exp(-ad * np.abs(1.0 / s - 1.0 / tau))
+        r_tau, r_s = (1.0, r) if tau >= s else (r, 1.0)
+        spread = tau * r_tau - s * r_s
+        delta = (tau * tqdiff * arr * r_tau + 2.0 * s * s * tau * tau * sgn * (r_s - r_tau)) \
+            / (tqdiff * spread)
+        marg = spread / (2.0 * tqdiff)
+        noise = r_s / (2.0 * s)
+        weight = (1.0 - alpha) * marg
+        return weight * delta / (weight + alpha * noise)
+
+    @pytest.mark.parametrize("alpha,tau,mu", [
+        (0.8, 3.0, 1.0),     # tau > s = 1/sqrt(2 mu)
+        (0.5, 0.3, 1.0),     # tau < s
+        (0.1, 0.5, 3.0),
+        (0.99, 1e-3, 1e4),
+        (0.3, 40.0, 0.02),
+    ])
+    def test_in_place_matches_whole_array_form(self, alpha, tau, mu):
+        rng = np.random.default_rng(29)
+        d = np.concatenate([[0.0, 5e-324, 1e-300, 1e300], 10.0 ** rng.uniform(-300, 300, 4000),
+                            rng.uniform(0.0, 50.0, 4000)])
+        d = np.concatenate([d, -d])
+        spec = Bams(alpha=alpha, tau=tau, mu=mu)
+        want = self.whole_array_reference(d, alpha, tau, mu)
+        np.testing.assert_array_equal(_bits(bams_rule(d, spec)), _bits(want))
+        np.testing.assert_array_equal(_bits(bams_rule(d.reshape(-1, 4), spec)),
+                                      _bits(want).reshape(-1, 4))
+        assert bams_rule(float(d[5]), spec) == want[5]
+
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
             Bams(alpha=0.0, tau=1.0, mu=1.0)
@@ -638,9 +675,13 @@ class TestShrinkPyramid:
 
     @pytest.mark.parametrize("name", ALL_RULES)
     def test_rule_function_looked_up_on_the_module(self, monkeypatch, name):
-        # a wrapper set on the module attribute is the one a pipeline runs
-        pyr = Pyramid(np.random.default_rng(26).standard_normal(64), 2)
+        # a wrapper set on the module attribute is the one a pipeline runs,
+        # once per row block: a study-3 pyramid (M = 1024, I = 50, J0 = 3)
+        # has 1016 detail rows, in 7 blocks of at most 8192 // 50 = 163 rows
+        # that cross level boundaries
+        pyr = Pyramid(np.random.default_rng(26).standard_normal((1024, 50)), 3)
         spec = resolve_rule(shrinkage.RULES[name](), 1.0, pyr)
+        policy = LevelPolicy(J0=3)
         function = shrinkage._RULE_FUNCTIONS[type(spec)]
         calls = []
 
@@ -649,10 +690,10 @@ class TestShrinkPyramid:
             return getattr(shrinkage, "_unwrapped")(d, *args, **kwargs)
 
         monkeypatch.setattr(shrinkage, "_unwrapped", getattr(shrinkage, function), raising=False)
-        want = shrink_pyramid(pyr, spec).flat
+        want = shrink_pyramid(pyr, spec, policy).flat
         monkeypatch.setattr(shrinkage, function, wrapped)
-        np.testing.assert_array_equal(shrink_pyramid(pyr, spec).flat, want)
-        assert calls == [d.shape for d in pyr.details]
+        np.testing.assert_array_equal(shrink_pyramid(pyr, spec, policy).flat, want)
+        assert calls == [(163, 50)] * 6 + [(1016 - 6 * 163, 50)]
 
     def test_policy_overrides_mixture_weight(self):
         rng = np.random.default_rng(23)
@@ -666,6 +707,103 @@ class TestShrinkPyramid:
         assert np.all(np.abs(p0) >= np.abs(s0))
         assert not np.allclose(p0, s0)
         assert np.any(np.abs(s0) < np.abs(d0))
+
+
+def per_level_shrink(pyr, rule, policy=None):
+    """`shrink_pyramid` as it was before it ran on row blocks that cross
+    levels: one level slice at a time, in row blocks of at most 4096
+    coefficients, through the public rule functions, with the policy's p(j)
+    and m(j) put into a spec per level.  The bit-for-bit reference of the
+    row-block form."""
+    evaluate = {Logistic: logistic_rule, Beta: beta_rule, Lpm: lpm_rule, Abe: abe_rule,
+                Bams: bams_rule}[type(rule)]
+    if isinstance(rule, Logistic):
+        top = float(np.max(np.abs(pyr.flat[2 ** pyr.J0:])))
+        evaluate = functools.partial(evaluate, table=shrinkage._logistic_table(rule, top))
+    out = Pyramid(np.empty_like(pyr.flat), pyr.J0)
+    out.coarse[...] = pyr.coarse
+    for j, d, level in zip(range(pyr.J0, pyr.J), pyr.details, out.details):
+        level_rule, live = rule, None
+        if policy is not None and isinstance(rule, (Logistic, Beta)):
+            p, m = av_policy(j, d, policy)
+            live = m > 0.0
+            level_rule = replace(rule, p=p)
+            if isinstance(rule, Beta):
+                level_rule = replace(level_rule, m=np.where(live, m, 1.0))
+        rows = max(1, 4096 // max(1, d[0].size))
+        for k in range(0, d.shape[0], rows):
+            level[k:k + rows] = evaluate(d[k:k + rows], level_rule)
+        if live is not None:
+            np.copyto(level, 0.0, where=~live)
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestRowBlocks:
+    """Row blocks that cross level boundaries change no bit of any rule's
+    output against the per-level loop."""
+
+    @pytest.mark.parametrize("name", ALL_RULES)
+    @pytest.mark.parametrize("use_policy", [False, True])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(J0=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e3),
+           noise=st.sampled_from([1.0, 0.3, 8.0, 30.0]), dead=st.booleans(),
+           a=st.sampled_from([2.0, 1.0, 3.0]))
+    def test_matches_per_level_loop(self, name, use_policy, J0, seed, scale, noise, dead, a):
+        # M = 2^J from 8 to 2048 and I from 1 to 60 are drawn uniformly from
+        # the seed, and one pyramid in five is 1-D, so that many span several
+        # row blocks; sigma = noise * scale.  At noise 8 and 30 sigma is large
+        # against |d|, so that the beta supports are narrow, some or all of
+        # them, and take the Hermite series
+        rng = np.random.default_rng(seed)
+        J, I = int(rng.integers(max(3, J0 + 1), 12)), int(rng.integers(1, 61))
+        one_d = rng.random() < 0.2
+        flat = rng.standard_normal(2 ** J if one_d else (2 ** J, I)) * scale
+        flat[:2 ** J0] *= 20.0
+        if dead:  # an all-zero level in one column, or a zero level of a signal
+            j = int(rng.integers(J0, J))
+            flat[2 ** j:2 ** (j + 1), ...] = 0.0 if one_d else flat[2 ** j:2 ** (j + 1)]
+            if not one_d:
+                flat[2 ** j:2 ** (j + 1), int(rng.integers(I))] = 0.0
+        pyr = Pyramid(flat, J0)
+        spec = shrinkage.RULES[name]()
+        if name == "beta":
+            spec = Beta(a=a)
+        spec = resolve_rule(spec, noise * scale, pyr)
+        policy = LevelPolicy(J0=J0) if use_policy else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = shrink_pyramid(pyr, spec, policy).flat
+            want = per_level_shrink(pyr, spec, policy).flat
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("name", ["log", "beta"])
+    def test_no_warning_at_the_primary_level(self, name):
+        # p(J0) = 0: the primary level has no point mass, and its log is never taken
+        pyr = Pyramid(np.random.default_rng(28).standard_normal((64, 3)), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = shrink_pyramid(pyr, resolve_rule(shrinkage.RULES[name](), 1.0, pyr),
+                                 LevelPolicy(J0=2))
+        assert np.all(np.isfinite(out.flat))
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 5])
+    def test_beta_series_batch_equals_single_coefficients(self, a):
+        # the series stops per coefficient, so a batch gives each coefficient
+        # what a call on it alone gives
+        rng = np.random.default_rng(a)
+        w = rng.uniform(0.0, 0.6 * max(a - 1.5, 0.5), 400)
+        c = rng.uniform(0.0, 1.0, 400) * (w + shrinkage._beta_outside(a))
+        c[:20] = 0.0
+        for p in (0.0, 0.4, np.linspace(0.0, 0.9, 400)):
+            got = shrinkage._beta_series(c, a, w, p)
+            ps = np.broadcast_to(p, c.shape)
+            want = [shrinkage._beta_series(c[i:i + 1], a, w[i:i + 1], ps[i])[0]
+                    for i in range(c.size)]
+            np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,11 +152,11 @@ class TestAggregate:
 class TestEmitReports:
     def test_empty_stream_headers_only(self, tmp_path):
         paths = emit_reports(AmseReport(), [], tmp_path)
-        assert open(paths["replicates"], "rb").read() == \
+        assert Path(paths["replicates"]).read_bytes() == \
             b"study,rule,M,snr,replicate,component,mse\r\n"
-        assert open(paths["amse"], "rb").read() == \
+        assert Path(paths["amse"]).read_bytes() == \
             b"study,rule,M,snr,component,amse,sd\r\n"
-        payload = json.load(open(paths["run"]))
+        payload = json.loads(Path(paths["run"]).read_text())
         assert payload["failed_replicates"] == []
 
     def test_row_counts(self, tmp_path):
@@ -200,7 +201,7 @@ class TestEmitReports:
         report, stream, failures = run_study(cfg)
         paths = emit_reports(report, stream, tmp_path, config=cfg,
                              failures=failures, notes={"why": "test"})
-        payload = json.load(open(paths["run"]))
+        payload = json.loads(Path(paths["run"]).read_text())
         assert payload["config"]["seed"] == 7
         assert payload["config"]["rules"] == ["lpm"]
         assert payload["config"]["rule_defaults"]["lpm"]["k"] == 1.0
@@ -222,7 +223,7 @@ class TestEmitReports:
                           replicates=2, rules=("abe",), seed=2, n_samples=8)
         report, stream, failures = run_study(cfg)
         paths = emit_reports(report, stream, tmp_path, config=cfg, failures=failures)
-        payload = json.load(open(paths["run"]))
+        payload = json.loads(Path(paths["run"]).read_text())
         assert len(payload["failed_replicates"]) == 1
         assert payload["failed_replicates"][0]["stage"] == "least-squares"
         assert len(payload["incomplete_cells"]) == 2  # both components short one rep
