@@ -20,7 +20,6 @@ from .shrinkage import (
     RULES,
     RuleSpec,
     abe_rule,
-    av_policy,
     bams_rule,
     beta_rule,
     estimate_sigma,
@@ -62,7 +61,7 @@ __all__ = [
     "make_filter", "transform_columns",
     "Abe", "Bams", "Beta", "LevelPolicy", "Logistic", "Lpm",
     "RULES", "RuleSpec",
-    "abe_rule", "av_policy", "bams_rule", "beta_rule", "estimate_sigma",
+    "abe_rule", "bams_rule", "beta_rule", "estimate_sigma",
     "logistic_rule", "lpm_rule", "resolve_rule", "shrink_pyramid",
     "COMPONENT_NAMES", "Dataset", "DatasetSpec", "component_function",
     "draw_weights", "eval_component", "generate_dataset", "sample_grid",

@@ -29,10 +29,10 @@ result into one new matrix of the same layout, the coarse rows copied
 unchanged.  It hands the detail rows to the rule in blocks of whole rows
 that cross level boundaries, at most 8192 coefficients each (one row when a
 row is longer), which bounds the elementwise temporaries of every rule:
-7 blocks for M = 1024, I = 50.  Under the level policy it resolves p(j) and
-m(j) once per level and passes each block its rows' values to the kernels
-of `log` (`_logistic_from_table`) and `beta` (`_beta_kernel`).  Every
-rule's result at a coefficient is its own, whatever block it is in.
+7 blocks for M = 1024, I = 50.  For `log` and `beta` it resolves p(j) and
+m(j) once per level, from the policy or the spec, and passes each block its
+rows' values to their kernels, `_logistic_from_table` and `_beta_kernel`.
+Every rule's result at a coefficient is its own, whatever block it is in.
 
 The logistic rule's prior integrals depend on a coefficient only through
 |d|, and not on the mixture weight, so `shrink_pyramid` tabulates them once
@@ -84,7 +84,6 @@ __all__ = [
     "lpm_rule",
     "abe_rule",
     "bams_rule",
-    "av_policy",
     "check_level",
     "shrink_pyramid",
     "resolve_rule",
@@ -103,7 +102,7 @@ DEFAULT_BETA_A = 2.0
 DEFAULT_LPM_K = 1.0
 DEFAULT_BAMS_ALPHA = 0.8
 
-# The exponent gamma of the level policy's mixture weight p(j) (`av_policy`).
+# The exponent gamma of the level policy's mixture weight p(j) (`_mixture_weight`).
 POLICY_GAMMA = 2.0
 
 # Largest number of coefficients `shrink_pyramid` hands to one rule call, in
@@ -306,8 +305,6 @@ def estimate_sigma(finest_details: np.ndarray):
     d = np.asarray(finest_details, dtype=float)
     if d.size == 0:
         raise ValueError("cannot estimate sigma from an empty coefficient vector")
-    if d.ndim == 1:
-        return float(np.median(np.abs(d)) / MAD_TO_SIGMA)
     return np.median(np.abs(d), axis=0) / MAD_TO_SIGMA
 
 
@@ -520,6 +517,9 @@ def _logistic_table(spec: Logistic, top: float) -> _LogisticTable:
         cutoff = sigma * np.max(np.abs(nodes[0])) + _LOG_EPS * tau
     else:
         cutoff = sigma * sigma / tau + _PRIOR_SPAN * tau + 8.5 * sigma
+        if cutoff == np.inf:
+            raise ValueError(f"logistic_rule: sigma^2 / tau overflows at sigma = "
+                             f"{sigma:.3g}, tau = {tau:.3g}")
     panels = int(np.fmin(top, cutoff) // width) + 1
     points = (np.arange(panels)[:, None] + 0.5 * (_CHEB_POINTS + 1.0)) * width
     ell, ratio = _logistic_sums(points.ravel(), sigma, tau, nodes)
@@ -549,8 +549,6 @@ def _logistic_from_table(arr, log_k, table: _LogisticTable):
     beyond = a >= cutoff
     t = np.fmin(a, cutoff)
     t *= table.scale  # in half panels
-    if np.any((t > 2.0 * (table.last + 1.0)) & ~beyond):
-        raise ValueError("coefficient beyond the range of the logistic table")
     panel = (0.5 * t).astype(np.intp)
     np.minimum(panel, table.last, out=panel)
     t -= 2.0 * panel + 1.0
@@ -584,23 +582,19 @@ def _logistic_from_table(arr, log_k, table: _LogisticTable):
     return np.copysign(ratio, arr, out=ratio)
 
 
-def logistic_rule(d, spec: Logistic, *, table: Optional[_LogisticTable] = None):
+def logistic_rule(d, spec: Logistic):
     """Posterior mean under the logistic mixture prior.
 
     The prior integrals Z and N (see `_LogisticTable`) depend on d only
     through a = |d|, and on p not at all, so they are tabulated once per
-    (tau, sigma) as piecewise polynomials in a and combined with p only in
-    the final ratio (`_logistic_from_table`).  ``table`` is a table built by
-    `_logistic_table` for this spec's tau and sigma and every |d|; without
-    it the rule builds one over its input.  The table's source sums use a
-    64-node Gauss-Hermite rule while sigma <= 2 tau and a rule on the prior's
-    scale beyond.  The rule is odd, and |result| <= |d|.
+    call, over (tau, sigma) and every |d| of the input, as piecewise
+    polynomials in a and combined with p only in the final ratio
+    (`_logistic_from_table`).  The table's source sums use a 64-node
+    Gauss-Hermite rule while sigma <= 2 tau and a rule on the prior's scale
+    beyond.  The rule is odd, and |result| <= |d|.
     """
     arr, scalar = _as_array(d)
-    if table is None:
-        table = _logistic_table(spec, float(np.max(np.abs(arr), initial=0.0)))
-    elif table.tau != spec.tau or table.sigma != spec.sigma:
-        raise ValueError("the logistic table was built for another tau or sigma")
+    table = _logistic_table(spec, float(np.max(np.abs(arr), initial=0.0)))
     out = _logistic_from_table(arr.reshape(-1) if scalar else arr,
                                _point_mass_log(spec.p, table), table)
     return float(out[0]) if scalar else out
@@ -766,13 +760,12 @@ def _beta_outside(a: int) -> float:
 
 def _beta_check_support(arr, sigma: float, w, a: int) -> None:
     """Reject coefficients more than `_beta_outside` (a) sigma outside the
-    support, where w = m / sigma."""
+    support, where w = m / sigma broadcasts against ``arr``."""
     outside = _beta_outside(a)
-    far = np.abs(arr) / sigma > w + outside
-    if np.any(far):
+    if np.any(np.abs(arr) / sigma > w + outside):
         raise ValueError(
-            f"beta_rule: {int(np.count_nonzero(far))} coefficient(s) lie more than "
-            f"{outside:.3g} sigma outside the support [-m, m] of the beta prior")
+            f"beta_rule: coefficients lie more than {outside:.3g} sigma outside "
+            f"the support [-m, m] of the beta prior")
 
 
 def _beta_kernel(arr, p, w, r, sigma: float, a: int):
@@ -934,21 +927,19 @@ def bams_rule(d, spec: Bams):
 RULES: dict[str, type] = {"log": Logistic, "beta": Beta, "lpm": Lpm, "abe": Abe,
                           "bams": Bams}
 
-# the name of the function `shrink_pyramid` calls on each row block, per spec
-# type: the kernels of the two rules the level policy sets, which take resolved
-# values, and the rule functions of the others.  `_rule_function` looks it up
-# on the module when called, so a wrapper set on the module attribute is the
-# one that runs.
-_RULE_FUNCTIONS = {Logistic: "_logistic_from_table", Beta: "_beta_kernel",
-                   Lpm: "lpm_rule", Abe: "abe_rule", Bams: "bams_rule"}
+# The function `shrink_pyramid` calls on each row block, per spec type: the
+# kernels of `log` and `beta`, which take per-row resolved values, and the rule
+# functions of the others.
+_RULE_FUNCTIONS = {Logistic: _logistic_from_table, Beta: _beta_kernel,
+                   Lpm: lpm_rule, Abe: abe_rule, Bams: bams_rule}
 
 
 def _rule_function(spec: RuleSpec):
     """The block function of a spec; TypeError for a type not in RULES."""
-    name = _RULE_FUNCTIONS.get(type(spec))
-    if name is None:
+    evaluate = _RULE_FUNCTIONS.get(type(spec))
+    if evaluate is None:
         raise TypeError(f"unknown rule spec {spec!r}")
-    return globals()[name]
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -962,19 +953,6 @@ def _mixture_weight(j: int, policy: LevelPolicy) -> float:
     return 1.0 - (j - policy.J0 + 1) ** (-POLICY_GAMMA)
 
 
-def av_policy(j: int, detail_coefficients: np.ndarray, policy: LevelPolicy):
-    """Level-dependent (p, m) for resolution level j.
-
-    p = 1 - (j - J0 + 1)^(-gamma), m = max_k |d_jk|; for a (2^j x I) level
-    slice m is the length-I vector of column maxima.
-    """
-    p = _mixture_weight(j, policy)
-    d = np.asarray(detail_coefficients, dtype=float)
-    if d.size == 0:
-        raise ValueError(f"no detail coefficients supplied for level {j}")
-    return p, np.max(np.abs(d), axis=0)
-
-
 def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
                    policy: Optional[LevelPolicy] = None) -> Pyramid:
     """Apply a shrinkage rule to every detail coefficient of a pyramid.
@@ -984,50 +962,42 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
     of the whole detail matrix, at most _BLOCK_COEFFICIENTS coefficients
     each (one row when a row is longer), that cross level boundaries; the
     columns of a 2-D pyramid are independent signals, and every rule's
-    result at a coefficient is independent of the block it sits in.  When a
-    LevelPolicy is supplied and the rule is Logistic or Beta, the mixture
-    weight p(j) (and the beta half-support m(j), one per column) are taken
-    from the policy instead of the static spec values: they are resolved
-    once per level, and each block gets its rows' values.  A column whose
-    level is all zeros is then set to zero rather than given a support
-    m(j) = 0.
+    result at a coefficient is independent of the block it sits in.  For
+    Logistic and Beta the mixture weight p(j) and the beta half-support
+    m(j), one per column, are resolved once per level, and each block gets
+    its rows' values: the LevelPolicy's, when one is supplied, and else the
+    spec's p and m at every level.  Under the policy a column whose level is
+    all zeros is set to zero rather than given a support m(j) = 0.
     """
     evaluate = _rule_function(rule)
     first = 2 ** pyr.J0
     details = pyr.flat[first:]
     levels = range(pyr.J0, pyr.J)
-    by_level = policy is not None and isinstance(rule, (Logistic, Beta))
-    if by_level or isinstance(rule, Logistic):
+    # `per_level` values have one row per level, and each block gets them row
+    # by row; `fixed` values are passed whole
+    per_level, fixed, live = (), (rule,), None
+    if isinstance(rule, (Logistic, Beta)):
         # max_k |d_jk| per level and column: m(j), and the logistic table's range
         peaks = np.maximum.reduceat(np.abs(details), [2 ** j - first for j in levels],
                                     axis=0)
-    # `per_level` values have one row per level, and each block gets them row
-    # by row; `fixed` values are passed whole
-    per_level, fixed, live = (), (), None
-    if by_level:
-        p = [_mixture_weight(j, policy) for j in levels]
-        live = peaks > 0.0
+        if policy is None:
+            p = [rule.p] * len(levels)
+        else:
+            p = [_mixture_weight(j, policy) for j in levels]
+            live = peaks > 0.0
         column = (-1,) + (1,) * (details.ndim - 1)  # a value per row, broadcast
-    if isinstance(rule, Logistic):
-        table = _logistic_table(rule, float(np.max(peaks)))
-        if by_level:
+        if isinstance(rule, Logistic):
+            table = _logistic_table(rule, float(np.max(peaks)))
             per_level = (np.reshape([_point_mass_log(pj, table) for pj in p], column),)
             fixed = (table,)
         else:
-            fixed = (_point_mass_log(rule.p, table), table)
-    elif isinstance(rule, Beta):
-        a, sigma = int(rule.a), _require(rule.sigma, "sigma", "Beta")
-        if by_level:
-            w = np.where(live, peaks, 1.0) / sigma
+            a, sigma = int(rule.a), _require(rule.sigma, "sigma", "Beta")
+            m = _require(rule.m, "m", "Beta") if live is None else np.where(live, peaks, 1.0)
+            w = np.broadcast_to(np.divide(m, sigma), peaks.shape)
+            _beta_check_support(peaks, sigma, w, a)
             per_level = (np.reshape(p, column), w,
                          np.stack([_beta_point_mass(pj, wj) for pj, wj in zip(p, w)]))
             fixed = (sigma, a)
-        else:
-            w = _require(rule.m, "m", "Beta") / sigma
-            _beta_check_support(details, sigma, w, a)
-            fixed = (rule.p, w, _beta_point_mass(rule.p, w), sigma, a)
-    else:
-        fixed = (rule,)
 
     out = np.empty_like(pyr.flat)
     out[:first] = pyr.flat[:first]

@@ -143,12 +143,17 @@ class AmseReport:
 
 
 def compute_mse(estimate: np.ndarray, truth: np.ndarray) -> float:
-    """Mean squared error over the sampling grid: (1/M) sum (est - truth)^2."""
+    """Mean squared error over the sampling grid: (1/M) sum (est - truth)^2;
+    PipelineError at the ``mse`` stage when it is not finite."""
     est = np.asarray(estimate, dtype=float)
     tr = np.asarray(truth, dtype=float)
     if est.shape != tr.shape:
         raise ValueError(f"length mismatch: {est.shape} vs {tr.shape}")
-    return float(np.mean((est - tr) ** 2))
+    with np.errstate(over="ignore"):
+        mse = float(np.mean((est - tr) ** 2))
+    if not np.isfinite(mse):
+        raise PipelineError("mse", f"the mean squared error is {mse}")
+    return mse
 
 
 def _sort_key(r):
@@ -161,8 +166,8 @@ def run_study(config: StudyConfig):
     Returns (report, results, failures).  Within one replicate all rules see
     the identical dataset.  Per-replicate substreams are spawned from
     (seed, (M, snr-index, replicate)), so output is deterministic regardless
-    of execution order or thread count.  A failing pipeline aborts only its
-    (rule, replicate) cell and is recorded with its stage label.
+    of execution order or thread count.  A failing pipeline or MSE aborts
+    only its (rule, replicate) cell and is recorded with its stage label.
     """
     filt = make_filter("daubechies", VANISHING_MOMENTS)
     policy = LevelPolicy(J0=config.J0)
@@ -183,16 +188,17 @@ def run_study(config: StudyConfig):
                     try:
                         alpha_hat = estimate_components(
                             dataset.observed, dataset.weights, est_configs[rule_name])
+                        mses = [compute_mse(alpha_hat[:, l], dataset.truth[:, l])
+                                for l in range(len(config.components))]
                     except PipelineError as exc:
                         failures.append(ReplicateFailure(
                             study=config.study, rule=rule_name, M=M, snr=snr,
                             replicate=rep, stage=exc.stage, message=str(exc)))
                         continue
-                    for l, comp in enumerate(config.components):
-                        results.append(ReplicateResult(
-                            study=config.study, rule=rule_name, M=M, snr=snr,
-                            replicate=rep, component=comp,
-                            mse=compute_mse(alpha_hat[:, l], dataset.truth[:, l])))
+                    results += [ReplicateResult(
+                        study=config.study, rule=rule_name, M=M, snr=snr,
+                        replicate=rep, component=comp, mse=mse)
+                        for comp, mse in zip(config.components, mses)]
     results.sort(key=_sort_key)
     return aggregate(results), results, failures
 

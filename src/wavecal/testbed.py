@@ -137,18 +137,14 @@ def draw_weights(L: int, I: int, rng: Optional[np.random.Generator] = None) -> n
     """Draw the L x I mixing matrix linking components to observed samples.
 
     Entries are i.i.d. uniform on [0.5, 1.5] (bounded away from zero so every
-    component is present in every sample); redrawn in the measure-zero event
-    of rank deficiency.
+    component is present in every sample).  Rank deficiency has probability
+    zero; the least-squares stage rejects it should it occur.
     """
     if I < L:
         raise ValueError(f"need at least as many samples as components (I={I} < L={L})")
     if rng is None:
         rng = _rng_from(0)
-    for _ in range(100):
-        y = 0.5 + rng.random((L, I))
-        if np.linalg.matrix_rank(y) == L:
-            return y
-    raise RuntimeError("could not draw a full-rank weight matrix")
+    return 0.5 + rng.random((L, I))
 
 
 def sigma_for_snr(truth: np.ndarray, weights: np.ndarray, snr: float) -> float:

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from wavecal import decomposition
+from wavecal import decomposition, shrinkage
 from wavecal.decomposition import (
     EstimationConfig,
     PipelineError,
@@ -450,11 +450,17 @@ class TestNoSilentNonFiniteEstimate:
                                 self.config(db10, "bams"))
         assert exc.value.stage == "shrinkage"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_shrinkage_is_rejected(self, db10, dataset):
-        # log's table sums overflow at this scale; the estimate used to come
-        # back non-finite without an error
+    def test_non_finite_shrinkage_is_rejected(self, db10, dataset, monkeypatch):
+        # a rule whose output is not finite fails at the shrinkage stage; the
+        # estimate used to come back non-finite without an error
+        monkeypatch.setitem(shrinkage._RULE_FUNCTIONS, Lpm,
+                            lambda d, spec: np.full_like(d, np.nan))
         with pytest.raises(PipelineError, match=r"\[shrinkage\] output has NaN or inf"):
+            estimate_components(dataset.observed, dataset.weights, self.config(db10, "lpm"))
+
+    def test_log_sigma_too_large_is_a_shrinkage_failure(self, db10, dataset):
+        # at this scale sigma^2 / tau overflows, and log's table sums would be NaN
+        with pytest.raises(PipelineError, match=r"\[shrinkage\] logistic_rule: sigma\^2 / tau"):
             estimate_components(dataset.observed * 1e300, dataset.weights,
                                 self.config(db10, "log"))
 

@@ -19,7 +19,6 @@ from wavecal.shrinkage import (
     Lpm,
     ShrinkageUnderflowWarning,
     abe_rule,
-    av_policy,
     bams_rule,
     beta_rule,
     estimate_sigma,
@@ -317,7 +316,7 @@ class TestBetaRule:
             pyr = Pyramid(coefficients, 3)
             sigma = float(np.mean(estimate_sigma(pyr.details[-1])))  # pooled, as in the pipeline
             for j, d in enumerate(pyr.details, start=3):
-                p, m = av_policy(j, d, policy)
+                p, m = shrinkage._mixture_weight(j, policy), np.max(np.abs(d), axis=0)
                 got = beta_rule(d, Beta(p=p, a=2.0, m=m, sigma=sigma))
                 want = self.moments_reference(d, p, m, sigma)
                 assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(d) + sigma))
@@ -533,20 +532,14 @@ class TestBamsRule:
 
 class TestAvPolicy:
     def test_primary_level_has_no_point_mass(self):
-        p, _ = av_policy(3, np.array([1.0]), LevelPolicy(J0=3))
-        assert p == 0.0
+        assert shrinkage._mixture_weight(3, LevelPolicy(J0=3)) == 0.0
 
     def test_next_level(self):
-        p, _ = av_policy(4, np.array([1.0]), LevelPolicy(J0=3))
-        assert p == pytest.approx(0.75)
-
-    def test_support_is_max_abs(self):
-        _, m = av_policy(3, np.array([1.0, -3.0, 2.0]), LevelPolicy(J0=3))
-        assert m == 3.0
+        assert shrinkage._mixture_weight(4, LevelPolicy(J0=3)) == pytest.approx(0.75)
 
     def test_out_of_range_level(self):
         with pytest.raises(ValueError):
-            av_policy(2, np.array([1.0]), LevelPolicy(J0=3))
+            shrinkage._mixture_weight(2, LevelPolicy(J0=3))
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +668,10 @@ class TestShrinkPyramid:
 
     @pytest.mark.parametrize("name", ALL_RULES)
     def test_rule_function_looked_up_on_the_module(self, monkeypatch, name):
-        # a wrapper set on the module attribute is the one a pipeline runs,
-        # once per row block: a study-3 pyramid (M = 1024, I = 50, J0 = 3)
-        # has 1016 detail rows, in 7 blocks of at most 8192 // 50 = 163 rows
-        # that cross level boundaries
+        # a wrapper set in the table of block functions is the one a pipeline
+        # runs, once per row block: a study-3 pyramid (M = 1024, I = 50,
+        # J0 = 3) has 1016 detail rows, in 7 blocks of at most 8192 // 50 = 163
+        # rows that cross level boundaries
         pyr = Pyramid(np.random.default_rng(26).standard_normal((1024, 50)), 3)
         spec = resolve_rule(shrinkage.RULES[name](), 1.0, pyr)
         policy = LevelPolicy(J0=3)
@@ -687,11 +680,10 @@ class TestShrinkPyramid:
 
         def wrapped(d, *args, **kwargs):
             calls.append(np.shape(d))
-            return getattr(shrinkage, "_unwrapped")(d, *args, **kwargs)
+            return function(d, *args, **kwargs)
 
-        monkeypatch.setattr(shrinkage, "_unwrapped", getattr(shrinkage, function), raising=False)
         want = shrink_pyramid(pyr, spec, policy).flat
-        monkeypatch.setattr(shrinkage, function, wrapped)
+        monkeypatch.setitem(shrinkage._RULE_FUNCTIONS, type(spec), wrapped)
         np.testing.assert_array_equal(shrink_pyramid(pyr, spec, policy).flat, want)
         assert calls == [(163, 50)] * 6 + [(1016 - 6 * 163, 50)]
 
@@ -712,20 +704,24 @@ class TestShrinkPyramid:
 def per_level_shrink(pyr, rule, policy=None):
     """`shrink_pyramid` as it was before it ran on row blocks that cross
     levels: one level slice at a time, in row blocks of at most 4096
-    coefficients, through the public rule functions, with the policy's p(j)
-    and m(j) put into a spec per level.  The bit-for-bit reference of the
-    row-block form."""
+    coefficients, through the public rule functions (`log` through the
+    kernel of `logistic_rule` with one table for the pyramid), with the
+    policy's p(j) and m(j) put into a spec per level.  The bit-for-bit
+    reference of the row-block form."""
     evaluate = {Logistic: logistic_rule, Beta: beta_rule, Lpm: lpm_rule, Abe: abe_rule,
                 Bams: bams_rule}[type(rule)]
     if isinstance(rule, Logistic):
-        top = float(np.max(np.abs(pyr.flat[2 ** pyr.J0:])))
-        evaluate = functools.partial(evaluate, table=shrinkage._logistic_table(rule, top))
+        table = shrinkage._logistic_table(rule, float(np.max(np.abs(pyr.flat[2 ** pyr.J0:]))))
+
+        def evaluate(d, spec):
+            return shrinkage._logistic_from_table(
+                d, shrinkage._point_mass_log(spec.p, table), table)
     out = Pyramid(np.empty_like(pyr.flat), pyr.J0)
     out.coarse[...] = pyr.coarse
     for j, d, level in zip(range(pyr.J0, pyr.J), pyr.details, out.details):
         level_rule, live = rule, None
         if policy is not None and isinstance(rule, (Logistic, Beta)):
-            p, m = av_policy(j, d, policy)
+            p, m = shrinkage._mixture_weight(j, policy), np.max(np.abs(d), axis=0)
             live = m > 0.0
             level_rule = replace(rule, p=p)
             if isinstance(rule, Beta):
@@ -1090,7 +1086,7 @@ class TestLogisticTable:
                             np.geomspace(1e-12, 1e4, 400), [0.0, 1e4]])
         d = np.concatenate([d, -d[:50]])
         for p in (0.0, 0.75, 0.9):
-            got = logistic_rule(d, Logistic(p=p, tau=tau, sigma=sigma), table=table)
+            got = logistic_rule(d, Logistic(p=p, tau=tau, sigma=sigma))
             want = factorised_logistic(d, p, tau, sigma)
             assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(d) + sigma))
 
@@ -1129,14 +1125,14 @@ class TestLogisticTable:
             shrink_pyramid(pyr, Logistic(sigma=1.2), policy)
             assert built == [1.2]
 
-    def test_table_must_fit_spec_and_coefficients(self):
-        table = shrinkage._logistic_table(Logistic(sigma=1.0), 3.0)
-        assert logistic_rule(2.5, Logistic(p=0.5, sigma=1.0), table=table) \
-            == pytest.approx(logistic_rule(2.5, Logistic(p=0.5, sigma=1.0)), rel=1e-15)
-        with pytest.raises(ValueError, match="another tau or sigma"):
-            logistic_rule(2.5, Logistic(sigma=2.0), table=table)
-        with pytest.raises(ValueError, match="beyond the range"):
-            logistic_rule(5.0, Logistic(sigma=1.0), table=table)
+    def test_asymptote_beyond_cutoff(self):
         # beyond the cutoff the asymptotes need no table
-        assert logistic_rule(1e3, Logistic(sigma=1.0), table=table) == 999.0
+        assert logistic_rule(1e3, Logistic(sigma=1.0)) == 999.0
+
+    def test_sigma_whose_square_overflows_rejected(self):
+        # the table's cutoff sigma^2 / tau is inf: the sums would give NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                logistic_rule(1e200, Logistic(sigma=1e200))
 

@@ -38,6 +38,11 @@ class TestComputeMse:
         with pytest.raises(ValueError):
             compute_mse(np.zeros(3), np.zeros(4))
 
+    def test_overflow_fails_at_the_mse_stage(self):
+        with pytest.raises(PipelineError) as info:
+            compute_mse(np.full(4, 1e300), np.zeros(4))
+        assert info.value.stage == "mse"
+
 
 def test_one_rule_table():
     assert tuple(RULES) == sh.RULE_NAMES == tuple(rule_defaults())
@@ -129,6 +134,17 @@ class TestRunStudy:
         assert failures[0].stage == "shrinkage"
         assert len(stream) == 2  # one surviving replicate x two components
         assert all(row.n == 1 for row in report.rows)
+
+    def test_overflowing_mse_recorded_as_failure(self):
+        # at SNR 1e-300 the noise, and every estimate, is about 1e300: the
+        # squared errors of beta, lpm and abe overflow, and log and bams fail
+        # in their arithmetic first
+        cfg = StudyConfig(study=1, m_values=(64,), snr_values=(1e-300,), replicates=2)
+        report, stream, failures = run_study(cfg)
+        assert report.rows == [] and stream == []
+        stages = {(f.rule, f.replicate): f.stage for f in failures}
+        assert stages == {(rule, rep): "mse" if rule in ("beta", "lpm", "abe") else "shrinkage"
+                          for rule in RULES for rep in (0, 1)}
 
 
 class TestAggregate:
