@@ -23,7 +23,7 @@ from .decomposition import (
     estimate_components,
     estimates_to_csv,
 )
-from .shrinkage import RULES, LevelPolicy, rule_defaults
+from .shrinkage import RULES, rule_defaults
 from .simharness import (
     DESK_REPLICATES,
     FULL_REPLICATES,
@@ -179,7 +179,7 @@ def _cmd_estimate(args) -> int:
                          f"but {args.weights} has {weights.shape[1]} weight columns")
     config = EstimationConfig(
         filter=make_filter("daubechies", args.vanishing_moments),
-        rule=RULES[args.rule](), J0=args.j0, policy=LevelPolicy(J0=args.j0))
+        rule=RULES[args.rule](), J0=args.j0)
     alpha_hat = estimate_components(observed, weights, config)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "alpha_hat.csv")

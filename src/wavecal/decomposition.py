@@ -23,8 +23,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .shrinkage import (LevelPolicy, RuleSpec, check_level, estimate_sigma, resolve_rule,
-                        shrink_pyramid)
+from .shrinkage import (RULES, LevelPolicy, RuleSpec, check_integer, estimate_sigma,
+                        resolve_rule, shrink_pyramid)
 from .wavelet import Pyramid, WaveletFilter, transform_columns
 
 __all__ = [
@@ -57,7 +57,8 @@ class EstimationConfig:
 
     The rule gets one noise sd for all samples: the pooled sigma-hat, the
     mean of the per-sample robust estimates, unless the rule spec carries
-    its own sigma.
+    its own sigma.  ``policy`` changes nothing and stays only for the
+    benchmark; its J0 must be this J0.
     """
 
     filter: WaveletFilter
@@ -66,7 +67,14 @@ class EstimationConfig:
     policy: Optional[LevelPolicy] = None
 
     def __post_init__(self):
-        check_level(self.J0)
+        if not isinstance(self.filter, WaveletFilter):
+            raise ValueError(f"filter must be a WaveletFilter, got {self.filter!r}")
+        if type(self.rule) not in RULES.values():
+            raise ValueError(f"rule must be a spec of one of {sorted(RULES)}, "
+                             f"got {self.rule!r}")
+        check_integer("J0", self.J0)
+        if not isinstance(self.policy, (LevelPolicy, type(None))):
+            raise ValueError(f"policy must be None or a LevelPolicy, got {self.policy!r}")
         if self.policy is not None and self.policy.J0 != self.J0:
             raise ValueError(f"policy J0 = {self.policy.J0} differs from the "
                              f"configured J0 = {self.J0}")
@@ -196,9 +204,7 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
 
     D, sigma = _rule_independent_stages(A, config)
     try:
-        pyr = Pyramid(D, config.J0)
-        rule = resolve_rule(config.rule, sigma, pyr)
-        shrunk = shrink_pyramid(pyr, rule, config.policy).flat
+        shrunk = shrink_pyramid(Pyramid(D, config.J0), resolve_rule(config.rule, sigma)).flat
     except (ValueError, TypeError) as exc:
         raise PipelineError("shrinkage", str(exc)) from exc
     except ArithmeticError as exc:  # a rule's float arithmetic at an extreme data scale

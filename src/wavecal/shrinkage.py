@@ -15,24 +15,22 @@ signal part of a noisy coefficient d = theta + eps, eps ~ N(0, sigma^2):
 
 `RULES` maps each rule's name ("log", "beta", "lpm", "abe", "bams") to its
 parameter dataclass; a default instance is the unresolved spec that
-`resolve_rule` completes from the data.  Only Logistic and Beta take the
-Angelini-Vidakovic `LevelPolicy`; `shrink_pyramid` ignores it for the others.
+`resolve_rule` completes from the data.
 
 Rules accept a scalar or an array of coefficients and are pure functions of
 their arguments.  The noise sd sigma and the other hyperparameters are
-scalars, and a spec rejects any other value when it is built; only the beta
-half-support m may also be a length-I vector, one value per column of a
-(rows x I) coefficient block, broadcast along the rows.
+scalars, and a spec rejects any other value when it is built.
 `shrink_pyramid` applies a rule coefficientwise to the detail rows of a
 Pyramid, the level views of one flat coefficient matrix, and writes the
 result into one new matrix of the same layout, the coarse rows copied
 unchanged.  It hands the detail rows to the rule in blocks of whole rows
 that cross level boundaries, at most 8192 coefficients each (one row when a
 row is longer), which bounds the elementwise temporaries of every rule:
-7 blocks for M = 1024, I = 50.  For `log` and `beta` it resolves p(j) and
-m(j) once per level, from the policy or the spec, and passes each block its
-rows' values to their kernels, `_logistic_from_table` and `_beta_kernel`.
-Every rule's result at a coefficient is its own, whatever block it is in.
+7 blocks for M = 1024, I = 50.  `log` and `beta` always take the level-
+dependent p(j) and m(j) of Angelini and Vidakovic (2004), resolved once per
+level, and each block passes its rows' values to their kernels,
+`_logistic_from_table` and `_beta_kernel`.  Every rule's result at a
+coefficient is its own, whatever block it is in.
 
 The logistic rule's prior integrals depend on a coefficient only through
 |d|, and not on the mixture weight, so `shrink_pyramid` tabulates them once
@@ -41,8 +39,9 @@ Chebyshev interpolants in |d|, built from factorised Gauss-Hermite sums
 (sigma <= 2 tau) or sums on the prior's scale (sigma > 2 tau), with exact
 asymptotes past a cutoff.  Each coefficient then costs two Horner
 evaluations and one exponential, and the scaled kernel cannot underflow at
-any |d|.  `_grid_sums` builds the table's (points x nodes) grid in chunks of
-at most 32768 values in one reused buffer.
+any |d|; a table that would need more than 2^14 panels is refused.
+`_grid_sums` builds the table's (points x nodes) grid in chunks of at most
+32768 values in one reused buffer.
 
 The beta rule takes integer shapes a >= 1 and is evaluated at c = |d| / sigma
 and w = m / sigma, with the sign of d restored last.  At the default shape
@@ -51,16 +50,16 @@ a = 2 its prior integrals are three terms in Phi and exp at c +- w
 array passes per coefficient block.  Other shapes sum truncated normal
 moments (`_beta_moments`).  On a support narrow against sigma, where those
 closed forms cancel, a Hermite series of the likelihood across the support
-takes over (`_beta_series`).  Coefficients so far outside an explicit
-support that the closed form loses accuracy are rejected (`_beta_outside`);
-a support resolved from the data, m >= max |d|, never gets there.
+takes over (`_beta_series`).  `beta_rule` rejects coefficients so far
+outside its spec's support m that the closed form loses accuracy
+(`_beta_outside`); `shrink_pyramid`'s m(j) = max |d| never gets there.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -84,7 +83,7 @@ __all__ = [
     "lpm_rule",
     "abe_rule",
     "bams_rule",
-    "check_level",
+    "check_integer",
     "shrink_pyramid",
     "resolve_rule",
     "rule_defaults",
@@ -131,38 +130,35 @@ class ShrinkageUnderflowWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class LevelPolicy:
-    """Level-dependent hyperparameters (Angelini and Vidakovic, 2004).
-
-    At detail level j the mixture weight is p(j) = 1 - (j - J0 + 1)^(-gamma),
-    gamma = POLICY_GAMMA, and the beta half-support is m(j) = max_k |d_jk|.
-    """
+    """The primary level J0 of the level-dependent p(j) and m(j) (Angelini
+    and Vidakovic, 2004) that `shrink_pyramid` gives `log` and `beta` at the
+    pyramid's J0.  It changes nothing, and stays only for the benchmark."""
 
     J0: int = 0
 
     def __post_init__(self):
-        check_level(self.J0)
+        check_integer("J0", self.J0)
 
 
-def check_level(J0) -> None:
-    """Reject a primary resolution level J0 unless it is an int >= 0 (a bool is not)."""
-    if isinstance(J0, bool) or not isinstance(J0, (int, np.integer)):
-        raise ValueError(f"J0 must be an integer, got {J0!r}")
-    if J0 < 0:
-        raise ValueError(f"J0 must be >= 0, got {J0}")
+def check_integer(name: str, value, low: int = 0) -> None:
+    """Reject ``value`` unless it is an int >= low (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def _check_scalars(spec, vector: str = "") -> None:
-    """Reject a spec whose fields, other than ``vector``, are not scalars."""
+def _check_scalars(spec) -> None:
+    """Reject a spec whose fields are not scalars."""
     for f in fields(spec):
-        if f.name != vector and np.ndim(getattr(spec, f.name)) != 0:
+        if np.ndim(getattr(spec, f.name)) != 0:
             raise ValueError(f"{type(spec).__name__}.{f.name} must be a scalar, "
                              f"got {getattr(spec, f.name)!r}")
 
 
 def _check_open(name: str, value, low: float = 0.0) -> None:
-    """Reject a parameter (a scalar, or Beta's m with one value per column)
-    unless every value is > low."""
-    if not np.all(np.asarray(value) > low):
+    """Reject a scalar parameter unless it is > low."""
+    if not value > low:
         raise ValueError(f"{name} must be > {low}, got {value}")
 
 
@@ -198,8 +194,8 @@ class Beta:
     """Point mass at zero mixed with a beta prior on [-m, m].
 
     The shape a must be an integer >= 1 (a = 1 is the uniform prior): the
-    prior integrals then have a closed form.  ``m=None`` / ``sigma=None``
-    mark values to be resolved from the data.
+    prior integrals then have a closed form.  ``sigma=None`` marks the noise
+    sd as to-be-estimated.  `beta_rule` needs m; `shrink_pyramid` rejects it.
     """
 
     p: float = DEFAULT_BETA_P
@@ -208,7 +204,7 @@ class Beta:
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        _check_scalars(self, "m")
+        _check_scalars(self)
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must be in [0, 1), got {self.p}")
         if not (self.a >= 1.0 and float(self.a).is_integer()):
@@ -423,6 +419,9 @@ _PRIOR_NODES = 16
 
 _LOG_EPS = 53.0 * np.log(2.0)  # -log of the double precision unit roundoff
 
+# Most panels a `_LogisticTable` may have; 16384 take 1.4 s to build on a Xeon core.
+_TABLE_PANELS = 2 ** 14
+
 
 @lru_cache(maxsize=1)
 def _logistic_nodes() -> tuple[np.ndarray, np.ndarray]:
@@ -494,13 +493,6 @@ def _prior_scale_sums(a, sigma: float, tau: float):
     return ell, 1.0 + (sigma / a) * (mills - sigma / tau)
 
 
-def _logistic_sums(a, sigma: float, tau: float, nodes):
-    """(ell, R) of `_LogisticTable` at the points a > 0."""
-    if sigma <= _PRIOR_SCALE * tau:
-        return _likelihood_scale_sums(a, sigma, tau, nodes)
-    return _prior_scale_sums(a, sigma, tau)
-
-
 def _logistic_table(spec: Logistic, top: float) -> _LogisticTable:
     """The `_LogisticTable` of ``spec``'s tau and sigma for |d| <= ``top``.
 
@@ -508,21 +500,28 @@ def _logistic_table(spec: Logistic, top: float) -> _LogisticTable:
     The cutoff is where the sums reach their asymptotes to double precision:
     F c_i < 2^-53 on every Gauss-Hermite node, or for sigma > 2 tau
     Phi(z_i) = 1 and phi(z_i) = 0 on every node of the prior-scale rule.
+    More than _TABLE_PANELS panels are refused before any is built.
     """
     tau = float(spec.tau)
     sigma = float(_require(spec.sigma, "sigma", "Logistic"))
-    nodes = _logistic_nodes()
     width = max(tau, sigma / 2.0) / 4.0
     if sigma <= _PRIOR_SCALE * tau:
+        nodes = _logistic_nodes()
         cutoff = sigma * np.max(np.abs(nodes[0])) + _LOG_EPS * tau
+        sums = partial(_likelihood_scale_sums, nodes=nodes)
     else:
         cutoff = sigma * sigma / tau + _PRIOR_SPAN * tau + 8.5 * sigma
         if cutoff == np.inf:
             raise ValueError(f"logistic_rule: sigma^2 / tau overflows at sigma = "
                              f"{sigma:.3g}, tau = {tau:.3g}")
-    panels = int(np.fmin(top, cutoff) // width) + 1
+        sums = _prior_scale_sums
+    panels = np.fmin(top, cutoff) // width + 1
+    if panels > _TABLE_PANELS:
+        raise ValueError(f"logistic_rule: {panels:.3g} table panels at sigma / tau = "
+                         f"{sigma / tau:.3g}; rescale the data or use a scale-free rule")
+    panels = int(panels)
     points = (np.arange(panels)[:, None] + 0.5 * (_CHEB_POINTS + 1.0)) * width
-    ell, ratio = _logistic_sums(points.ravel(), sigma, tau, nodes)
+    ell, ratio = sums(points.ravel(), sigma, tau)
     coef = np.concatenate([_CHEB_TO_POWERS @ ell.reshape(panels, -1).T,
                            _CHEB_TO_POWERS @ ratio.reshape(panels, -1).T])
     return _LogisticTable(tau, sigma, 2.0 / width, panels - 1, cutoff, coef)
@@ -758,16 +757,6 @@ def _beta_outside(a: int) -> float:
     return float(np.sqrt((100.0 ** (1.0 / (a - 1)) - 1.0) / 2.0)) if a > 1 else 37.0
 
 
-def _beta_check_support(arr, sigma: float, w, a: int) -> None:
-    """Reject coefficients more than `_beta_outside` (a) sigma outside the
-    support, where w = m / sigma broadcasts against ``arr``."""
-    outside = _beta_outside(a)
-    if np.any(np.abs(arr) / sigma > w + outside):
-        raise ValueError(
-            f"beta_rule: coefficients lie more than {outside:.3g} sigma outside "
-            f"the support [-m, m] of the beta prior")
-
-
 def _beta_kernel(arr, p, w, r, sigma: float, a: int):
     """The beta rule at the coefficients ``arr`` from resolved values: the
     mixture weight p, w = m / sigma and r = `_beta_point_mass` (p, w), each a
@@ -807,15 +796,18 @@ def beta_rule(d, spec: Beta):
     against sigma, w < 0.6 max(a - 1.5, 0.5), the closed form cancels and a
     Hermite series of the likelihood is summed instead (see `_beta_series`).  A
     coefficient more than `_beta_outside` (a) sigma outside the support is
-    rejected with a ValueError; a support resolved from the data,
-    m >= max |d|, never gets there.  |result| <= m always.
+    rejected with a ValueError; `shrink_pyramid`'s support from the data,
+    m(j) = max_k |d_jk|, never gets there.  |result| <= m always.
     """
     sigma = _require(spec.sigma, "sigma", "Beta")
     m = _require(spec.m, "m", "Beta")
     arr, scalar = _as_array(d)
     arr = arr.reshape(-1) if scalar else arr
     a, w = int(spec.a), m / sigma
-    _beta_check_support(arr, sigma, w, a)
+    outside = _beta_outside(a)
+    if np.any(np.abs(arr) / sigma > w + outside):
+        raise ValueError(f"beta_rule: coefficients lie more than {outside:.3g} sigma "
+                         f"outside the support [-m, m] of the beta prior")
     out = _beta_kernel(arr, spec.p, w, _beta_point_mass(spec.p, w), sigma, a)
     return out.item() if scalar else out
 
@@ -946,11 +938,11 @@ def _rule_function(spec: RuleSpec):
 # level policy and pyramid application
 # ---------------------------------------------------------------------------
 
-def _mixture_weight(j: int, policy: LevelPolicy) -> float:
-    """The level policy's p(j) = 1 - (j - J0 + 1)^(-gamma)."""
-    if j < policy.J0:
-        raise ValueError(f"level {j} below primary resolution level {policy.J0}")
-    return 1.0 - (j - policy.J0 + 1) ** (-POLICY_GAMMA)
+def _mixture_weight(j: int, J0: int) -> float:
+    """The mixture weight p(j) = 1 - (j - J0 + 1)^(-gamma) of level j >= J0."""
+    if j < J0:
+        raise ValueError(f"level {j} below primary resolution level {J0}")
+    return 1.0 - (j - J0 + 1) ** (-POLICY_GAMMA)
 
 
 def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
@@ -963,13 +955,16 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
     each (one row when a row is longer), that cross level boundaries; the
     columns of a 2-D pyramid are independent signals, and every rule's
     result at a coefficient is independent of the block it sits in.  For
-    Logistic and Beta the mixture weight p(j) and the beta half-support
-    m(j), one per column, are resolved once per level, and each block gets
-    its rows' values: the LevelPolicy's, when one is supplied, and else the
-    spec's p and m at every level.  Under the policy a column whose level is
-    all zeros is set to zero rather than given a support m(j) = 0.
+    Logistic and Beta the mixture weight p(j) = 1 - (j - J0 + 1)^(-gamma),
+    in place of the spec's p, and the beta half-support m(j) = max_k |d_jk|,
+    one per column, are resolved once per level at the pyramid's J0; a Beta
+    spec with m set is rejected.  A column whose level is all zeros is set
+    to zero.  ``policy`` changes nothing and stays only for the benchmark;
+    its J0 must be the pyramid's.
     """
     evaluate = _rule_function(rule)
+    if policy is not None and policy.J0 != pyr.J0:
+        raise ValueError(f"policy J0 = {policy.J0} differs from the pyramid's J0 = {pyr.J0}")
     first = 2 ** pyr.J0
     details = pyr.flat[first:]
     levels = range(pyr.J0, pyr.J)
@@ -980,21 +975,19 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
         # max_k |d_jk| per level and column: m(j), and the logistic table's range
         peaks = np.maximum.reduceat(np.abs(details), [2 ** j - first for j in levels],
                                     axis=0)
-        if policy is None:
-            p = [rule.p] * len(levels)
-        else:
-            p = [_mixture_weight(j, policy) for j in levels]
-            live = peaks > 0.0
+        p = [_mixture_weight(j, pyr.J0) for j in levels]
+        live = peaks > 0.0
         column = (-1,) + (1,) * (details.ndim - 1)  # a value per row, broadcast
         if isinstance(rule, Logistic):
             table = _logistic_table(rule, float(np.max(peaks)))
             per_level = (np.reshape([_point_mass_log(pj, table) for pj in p], column),)
             fixed = (table,)
         else:
+            if rule.m is not None:
+                raise ValueError(f"Beta.m = {rule.m} is set, but the support is m(j) = "
+                                 f"max_k |d_jk| of each level; leave m unset")
             a, sigma = int(rule.a), _require(rule.sigma, "sigma", "Beta")
-            m = _require(rule.m, "m", "Beta") if live is None else np.where(live, peaks, 1.0)
-            w = np.broadcast_to(np.divide(m, sigma), peaks.shape)
-            _beta_check_support(peaks, sigma, w, a)
+            w = np.where(live, peaks, 1.0) / sigma
             per_level = (np.reshape(p, column), w,
                          np.stack([_beta_point_mass(pj, wj) for pj, wj in zip(p, w)]))
             fixed = (sigma, a)
@@ -1017,14 +1010,14 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
 # resolution of data-dependent hyperparameters
 # ---------------------------------------------------------------------------
 
-def resolve_rule(spec: RuleSpec, sigma, pyr: Optional[Pyramid] = None) -> RuleSpec:
-    """Fill the data-dependent fields of a rule spec.
+def resolve_rule(spec: RuleSpec, sigma) -> RuleSpec:
+    """Fill the data-dependent fields of a rule spec from the noise sd.
 
     sigma, a float, plugs into Logistic/Beta/Lpm/Abe unless the spec carries
-    its own.  Unset Beta half-support becomes the max |d| over
-    all detail levels of ``pyr``, per column.  Unset BAMS scales become
-    tau = 3 sigma and mu = 1/sigma^2, i.e. the prior mean of the noise
-    variance (1/mu under this parameterization) matches the plug-in sigma^2.
+    its own.  Unset BAMS scales become tau = 3 sigma and mu = 1/sigma^2,
+    i.e. the prior mean of the noise variance (1/mu under this
+    parameterization) matches the plug-in sigma^2.  The level-dependent
+    p(j) and m(j) of Logistic and Beta are `shrink_pyramid`'s.
     """
     _rule_function(spec)  # rejects a spec type not in RULES
     if isinstance(spec, Bams):
@@ -1033,14 +1026,7 @@ def resolve_rule(spec: RuleSpec, sigma, pyr: Optional[Pyramid] = None) -> RuleSp
         tau = spec.tau if spec.tau is not None else 3.0 * sigma
         mu = spec.mu if spec.mu is not None else 1.0 / sigma ** 2
         return replace(spec, tau=tau, mu=mu)
-    unset = {} if spec.sigma is not None else {"sigma": sigma}
-    if isinstance(spec, Beta) and spec.m is None:
-        if pyr is None:
-            raise ValueError("resolving Beta.m requires a pyramid")
-        m = np.max(np.abs(pyr.flat[2 ** pyr.J0:]), axis=0)
-        # all-zero details: every rule maps 0 to 0, so any support will do
-        unset["m"] = np.where(m > 0.0, m, 1.0)
-    return replace(spec, **unset)
+    return spec if spec.sigma is not None else replace(spec, sigma=sigma)
 
 
 def rule_defaults() -> dict[str, dict[str, object]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .decomposition import EstimationConfig, PipelineError, estimate_components
-from .shrinkage import POLICY_GAMMA, RULES, LevelPolicy, check_level, rule_defaults
+from .shrinkage import POLICY_GAMMA, RULES, check_integer, rule_defaults
 from .testbed import COMPONENT_NAMES, DatasetSpec, generate_dataset
 from .wavelet import make_filter
 
@@ -58,7 +59,8 @@ FULL_REPLICATES = 100
 @dataclass(frozen=True)
 class StudyConfig:
     """Inputs of one Monte Carlo study; ``study`` (1, 2 or 3) names its
-    components, STUDY_COMPONENTS[study]."""
+    components, STUDY_COMPONENTS[study].  A field of the wrong kind or out
+    of range fails when the config is built."""
 
     study: int = 1
     m_values: tuple[int, ...] = (512,)
@@ -70,27 +72,32 @@ class StudyConfig:
     J0: int = 3
 
     def __post_init__(self):
+        for name, low in (("study", 1), ("replicates", 1), ("seed", 0), ("J0", 0)):
+            check_integer(name, getattr(self, name), low)
         if self.study not in STUDY_COMPONENTS:
             raise ValueError(f"study must be one of {sorted(STUDY_COMPONENTS)}")
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
-        if not self.rules:
-            raise ValueError("need at least one rule")
+        check_integer("n_samples", self.n_samples, len(self.components))
+        lists = {name: getattr(self, name) for name in ("rules", "m_values", "snr_values")}
+        for name, values in lists.items():
+            if not isinstance(values, (tuple, list)) or not values:
+                raise ValueError(f"{name} must be a non-empty tuple, got {values!r}")
         for r in self.rules:
-            if r not in RULES:
+            if not isinstance(r, str) or r not in RULES:
                 raise ValueError(f"unknown rule {r!r}; choose from {RULE_NAMES}")
-        # a repeated value would merge its cells, counting each replicate twice
-        for name, values in (("rules", self.rules), ("m_values", self.m_values),
-                             ("snr_values", self.snr_values)):
-            if len(set(values)) < len(values):
-                raise ValueError(f"duplicate value in {name}: {values}")
-        check_level(self.J0)
         for M in self.m_values:
+            check_integer("M", M)
+            if M & (M - 1):
+                raise ValueError(f"M={M} is not a power of two")
             if M < 2 ** (self.J0 + 1):
                 raise ValueError(f"M={M} has no detail level at J0={self.J0}: "
                                  f"need M >= 2^(J0+1) = {2 ** (self.J0 + 1)}")
-        if self.n_samples < len(self.components):
-            raise ValueError(f"I={self.n_samples} < L={len(self.components)}")
+        for snr in self.snr_values:
+            if isinstance(snr, bool) or not (isinstance(snr, numbers.Real) and 0 < snr < np.inf):
+                raise ValueError(f"SNR must be a finite number > 0, got {snr!r}")
+        # a repeated value would merge its cells, counting each replicate twice
+        for name, values in lists.items():
+            if len(set(values)) < len(values):
+                raise ValueError(f"duplicate value in {name}: {values}")
 
     @property
     def components(self) -> tuple[str, ...]:
@@ -170,9 +177,7 @@ def run_study(config: StudyConfig):
     only its (rule, replicate) cell and is recorded with its stage label.
     """
     filt = make_filter("daubechies", VANISHING_MOMENTS)
-    policy = LevelPolicy(J0=config.J0)
-    est_configs = {name: EstimationConfig(filter=filt, rule=RULES[name](),
-                                          J0=config.J0, policy=policy)
+    est_configs = {name: EstimationConfig(filter=filt, rule=RULES[name](), J0=config.J0)
                    for name in config.rules}
     results: list[ReplicateResult] = []
     failures: list[ReplicateFailure] = []
@@ -288,5 +293,6 @@ def emit_reports(report: AmseReport, stream: Sequence[ReplicateResult], outdir,
     if notes:
         payload["notes"] = notes
     with open(paths["run"], "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # a config's integers may be numpy integers, which json writes as ints
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, default=int) + "\n")
     return paths

@@ -12,7 +12,7 @@ import pytest
 
 from wavecal.cli import _read_samples, main
 from wavecal.decomposition import EstimationConfig, estimate_components
-from wavecal.shrinkage import RULES, LevelPolicy
+from wavecal.shrinkage import RULES
 from wavecal.testbed import DatasetSpec, dataset_to_csv, generate_dataset
 from wavecal.wavelet import make_filter
 
@@ -93,8 +93,7 @@ def test_estimate_orders_samples_numerically(tmp_path, rule):
                "--rule", rule, "--out", str(tmp_path / "est")])
     assert rc == 0
     want = estimate_components(ds.observed, ds.weights, EstimationConfig(
-        filter=make_filter("daubechies", 10), rule=RULES[rule](), J0=3,
-        policy=LevelPolicy(J0=3)))
+        filter=make_filter("daubechies", 10), rule=RULES[rule](), J0=3))
     np.testing.assert_array_equal(read_alpha_hat(tmp_path / "est" / "alpha_hat.csv",
                                                  128, 2), want)
 
@@ -217,7 +216,7 @@ def test_estimate_non_uniform_grid_rejected(tmp_path, capsys):
 
 
 def test_estimate_policy_rule_at_other_j0(tmp_path):
-    # the CLI builds the level policy from --j0, so the two always agree
+    # `log` and `beta` take p(j) = 1 - (j - J0 + 1)^-2 at J0 = --j0
     spec = DatasetSpec(components=("bumps", "blocks"), M=128, I=6, snr=5.0, seed=24)
     ds = generate_dataset(spec)
     dataset_to_csv(ds, tmp_path / "data.csv")
@@ -227,6 +226,23 @@ def test_estimate_policy_rule_at_other_j0(tmp_path):
                    "--weights", str(tmp_path / "y.csv"), "--rule", rule,
                    "--j0", "2", "--out", str(tmp_path / rule)])
         assert rc == 0
+
+
+def test_estimate_refuses_an_oversized_logistic_table(tmp_path, capsys):
+    # noise sd 1e4 against the prior scale tau = 1, and one sample point 1e9
+    # high: the table would need about 8 min(1e9, sigma^2 / tau) / sigma = 8e4
+    # panels, a build of seconds that `log` refuses before it starts
+    ds = generate_dataset(DatasetSpec(components=("bumps",), M=256, I=4, snr=5.0, seed=6))
+    observed = 1e4 * np.random.default_rng(6).standard_normal((256, 4))
+    observed[100] += 1e9
+    dataset_to_csv(replace(ds, observed=observed), tmp_path / "data.csv")
+    np.savetxt(tmp_path / "y.csv", ds.weights, delimiter=",", fmt="%.17g")
+    rc = main(["estimate", "--input", str(tmp_path / "data.csv"),
+               "--weights", str(tmp_path / "y.csv"), "--rule", "log",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [shrinkage]") and "rescale the data" in err
 
 
 def test_estimate_non_dyadic_length_fails_with_stage(tmp_path, capsys):

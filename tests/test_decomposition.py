@@ -48,8 +48,7 @@ def column_by_column(observed, weights, config):
     shrunk = np.empty_like(D)
     for i in range(D.shape[1]):
         pyr = Pyramid(D[:, i], config.J0)
-        rule = resolve_rule(config.rule, sigma, pyr)
-        shrunk[:, i] = shrink_pyramid(pyr, rule, config.policy).flat
+        shrunk[:, i] = shrink_pyramid(pyr, resolve_rule(config.rule, sigma)).flat
     return transform_columns(solve_gamma(shrunk, weights), config.filter, config.J0,
                              "inverse")
 
@@ -283,7 +282,7 @@ class TestEstimateComponents:
         spec = DatasetSpec(components=STUDY_COMPONENTS[2], M=512, I=50, snr=3.0, seed=13)
         ds = generate_dataset(spec)
         rule = RULES[rule]() if sigma is None else carrying_sigma(RULES[rule](), sigma)
-        config = EstimationConfig(filter=db10, rule=rule, J0=3, policy=LevelPolicy(J0=3))
+        config = EstimationConfig(filter=db10, rule=rule, J0=3)
         base = estimate_components(ds.observed, ds.weights, config)
         perm = np.random.default_rng(0).permutation(50)
         swapped = estimate_components(ds.observed[:, perm], ds.weights[:, perm], config)
@@ -304,22 +303,15 @@ class TestEstimateComponents:
             mses.append(float(np.mean((alpha_hat - truth) ** 2)))
         assert all(b < a for a, b in zip(mses, mses[1:]))
 
-    @pytest.mark.parametrize("rule,policy", [
-        (Logistic(), LevelPolicy(J0=3)),
-        (Beta(), LevelPolicy(J0=3)),
-        (Beta(), None),
-        (Lpm(), None),
-        (Abe(), None),
-        (Bams(), None),
-    ])
+    @pytest.mark.parametrize("rule", [Logistic(), Beta(), Lpm(), Abe(), Bams()])
     @pytest.mark.parametrize("source,sigma", [("pooled", None), ("fixed", 0.4)])
-    def test_matches_column_by_column_pipeline(self, db10, rule, policy, source, sigma):
+    def test_matches_column_by_column_pipeline(self, db10, rule, source, sigma):
         spec = DatasetSpec(components=("bumps", "blocks", "doppler"), M=256, I=12,
                            snr=4.0, seed=29)
         ds = generate_dataset(spec)
         if sigma is not None:
             rule = carrying_sigma(rule, sigma)
-        config = EstimationConfig(filter=db10, rule=rule, J0=3, policy=policy)
+        config = EstimationConfig(filter=db10, rule=rule, J0=3)
         got = estimate_components(ds.observed, ds.weights, config)
         want = column_by_column(ds.observed, ds.weights, config)
         if isinstance(rule, (Logistic, Beta)):
@@ -354,8 +346,7 @@ class TestEstimateComponents:
         # bit for bit: the two routes differ in where sigma comes from, nothing else
         ds = generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[2], M=256, I=12,
                                           snr=3.0, seed=17))
-        pooled = EstimationConfig(filter=db10, rule=RULES[rule](), J0=3,
-                                  policy=LevelPolicy(J0=3))
+        pooled = EstimationConfig(filter=db10, rule=RULES[rule](), J0=3)
         want = estimate_components(ds.observed, ds.weights, pooled)
         D = transform_columns(ds.observed, db10, 3, "forward")
         sigma_hat = float(np.mean(estimate_sigma(D[D.shape[0] // 2:])))
@@ -363,16 +354,12 @@ class TestEstimateComponents:
         np.testing.assert_array_equal(
             estimate_components(ds.observed, ds.weights, fixed), want)
 
-    @pytest.mark.parametrize("rule,policy", [
-        (Logistic(), LevelPolicy(J0=3)),
-        (Beta(), LevelPolicy(J0=3)),
-        (Bams(), None),
-    ])
-    def test_quadrature_rules_run_end_to_end(self, db10, rule, policy):
+    @pytest.mark.parametrize("rule", [Logistic(), Beta(), Bams()])
+    def test_quadrature_rules_run_end_to_end(self, db10, rule):
         spec = DatasetSpec(components=("bumps", "blocks"), M=256, I=20,
                            snr=3.0, seed=19)
         ds = generate_dataset(spec)
-        config = EstimationConfig(filter=db10, rule=rule, J0=3, policy=policy)
+        config = EstimationConfig(filter=db10, rule=rule, J0=3)
         alpha_hat = estimate_components(ds.observed, ds.weights, config)
         # denoising should beat the naive per-column average of rescaled data
         assert np.all(np.isfinite(alpha_hat))
@@ -437,8 +424,7 @@ class TestNoSilentNonFiniteEstimate:
 
     @staticmethod
     def config(db10, rule):
-        return EstimationConfig(filter=db10, rule=RULES[rule](), J0=3,
-                                policy=LevelPolicy(J0=3))
+        return EstimationConfig(filter=db10, rule=RULES[rule](), J0=3)
 
     @pytest.mark.parametrize("scale,error", [(1e-300, "ZeroDivisionError"),
                                              (1e300, "OverflowError")])
@@ -518,7 +504,7 @@ class TestRuleIndependentMemo:
     @staticmethod
     def config(filt, rule="lpm", sigma=None, J0=3):
         spec = RULES[rule]() if sigma is None else carrying_sigma(RULES[rule](), sigma)
-        return EstimationConfig(filter=filt, rule=spec, J0=J0, policy=LevelPolicy(J0=J0))
+        return EstimationConfig(filter=filt, rule=spec, J0=J0)
 
     @pytest.fixture(scope="class")
     def dataset(self):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavecal.decomposition import EstimationConfig, PipelineError, estimate_components
-from wavecal.shrinkage import RULES, LevelPolicy
+from wavecal.shrinkage import RULES
 from wavecal.simharness import STUDY_COMPONENTS
 from wavecal.testbed import DatasetSpec, generate_dataset
 from wavecal.wavelet import make_filter
@@ -41,7 +41,7 @@ def scaled_datasets(draw):
 @given(data=scaled_datasets())
 def test_estimate_is_finite_or_names_a_stage(rule, data):
     observed, weights = data
-    config = EstimationConfig(filter=FILTER, rule=RULES[rule](), J0=3, policy=LevelPolicy(J0=3))
+    config = EstimationConfig(filter=FILTER, rule=RULES[rule](), J0=3)
     with warnings.catch_warnings():
         # a numpy warning on the way is not a failure; the outcome is
         warnings.simplefilter("ignore", RuntimeWarning)

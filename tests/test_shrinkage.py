@@ -1,6 +1,7 @@
 """Shrinkage rules against independent oracles, plus the property suite."""
 
 import functools
+import time
 import warnings
 from dataclasses import replace
 
@@ -307,7 +308,7 @@ class TestBetaRule:
 
     @pytest.mark.parametrize("study", [1, 2, 3])
     def test_three_terms_match_moments_on_level_slices(self, study):
-        policy = LevelPolicy(J0=3)
+        # the kernel as `shrink_pyramid` runs it: p(j), and w = m(j) / sigma per column
         for M, snr in ((512, 3.0), (1024, 9.0)):
             data = generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[study], M=M,
                                                 I=20, snr=snr, seed=study))
@@ -316,20 +317,25 @@ class TestBetaRule:
             pyr = Pyramid(coefficients, 3)
             sigma = float(np.mean(estimate_sigma(pyr.details[-1])))  # pooled, as in the pipeline
             for j, d in enumerate(pyr.details, start=3):
-                p, m = shrinkage._mixture_weight(j, policy), np.max(np.abs(d), axis=0)
-                got = beta_rule(d, Beta(p=p, a=2.0, m=m, sigma=sigma))
+                p, m = shrinkage._mixture_weight(j, 3), np.max(np.abs(d), axis=0)
+                w = m / sigma
+                got = shrinkage._beta_kernel(d, p, w, shrinkage._beta_point_mass(p, w), sigma, 2)
                 want = self.moments_reference(d, p, m, sigma)
                 assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(d) + sigma))
 
     @pytest.mark.parametrize("a", [1.0, 2.0, 3.0, 5.0])
     def test_odd_bit_for_bit(self, a):
-        # per-column supports, some narrow enough for the Hermite series;
-        # d out to m + t_a sigma, as far as the rule accepts
+        # the kernel with per-column supports w = m / sigma, some narrow
+        # enough for the Hermite series; d out to m + t_a sigma, as far as
+        # `beta_rule` accepts
         rng = np.random.default_rng(int(a))
-        m = rng.uniform(0.05, 30.0, 40)
-        d = rng.uniform(-1.0, 1.0, (500, 40)) * (m + shrinkage._beta_outside(a))
-        spec = Beta(p=0.7, a=a, m=m, sigma=1.0)
-        np.testing.assert_array_equal(beta_rule(-d, spec), -beta_rule(d, spec))
+        w = rng.uniform(0.05, 30.0, 40)
+        d = rng.uniform(-1.0, 1.0, (500, 40)) * (w + shrinkage._beta_outside(a))
+
+        def kernel(x):
+            return shrinkage._beta_kernel(x, 0.7, w, shrinkage._beta_point_mass(0.7, w), 1.0,
+                                          int(a))
+        np.testing.assert_array_equal(kernel(-d), -kernel(d))
 
     def test_far_outside_explicit_support_rejected(self):
         # past m + t_a sigma the closed form cancels; the rule refuses such d
@@ -345,17 +351,18 @@ class TestBetaRule:
             with pytest.raises(ValueError, match="outside the support"):
                 beta_rule(0.3 + 1.01 * reach, Beta(p=0.5, a=a, m=0.3, sigma=1.0))
 
-    def test_far_outside_explicit_support_fails_the_pipeline(self):
-        # a support set by hand below the data's max |d| fails at the
-        # shrinkage stage; one resolved from the data never does
+    @pytest.mark.parametrize("m", [0.5, 1e6])
+    def test_explicit_support_fails_the_pipeline(self, m):
+        # the pipeline's support is m(j) = max |d| of each level; a support
+        # set by hand, below the data's max |d| or far above it, fails at the
+        # shrinkage stage rather than be replaced silently
         data = generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[1], M=256, I=10,
                                             snr=3.0, seed=1))
-        config = EstimationConfig(filter=make_filter("daubechies", 10), rule=Beta(m=0.5),
-                                  policy=None)
+        config = EstimationConfig(filter=make_filter("daubechies", 10), rule=Beta(m=m))
         with pytest.raises(PipelineError) as excinfo:
             estimate_components(data.observed, data.weights, config)
         assert excinfo.value.stage == "shrinkage"
-        assert "outside the support" in str(excinfo.value)
+        assert f"Beta.m = {m} is set" in str(excinfo.value)
 
     @pytest.mark.parametrize("m", [0.1, 5.0])
     def test_nan_maps_to_nan(self, m):
@@ -532,14 +539,14 @@ class TestBamsRule:
 
 class TestAvPolicy:
     def test_primary_level_has_no_point_mass(self):
-        assert shrinkage._mixture_weight(3, LevelPolicy(J0=3)) == 0.0
+        assert shrinkage._mixture_weight(3, 3) == 0.0
 
     def test_next_level(self):
-        assert shrinkage._mixture_weight(4, LevelPolicy(J0=3)) == pytest.approx(0.75)
+        assert shrinkage._mixture_weight(4, 3) == pytest.approx(0.75)
 
     def test_out_of_range_level(self):
         with pytest.raises(ValueError):
-            shrinkage._mixture_weight(2, LevelPolicy(J0=3))
+            shrinkage._mixture_weight(2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +556,9 @@ class TestAvPolicy:
 class TestShrinkPyramid:
     def test_zero_pyramid_stays_zero(self):
         pyr = Pyramid(np.zeros(64), 2)
-        for rule in (Logistic(sigma=1.0), Beta(m=1.0, sigma=1.0), Lpm(sigma=1.0),
+        for rule in (Logistic(sigma=1.0), Beta(sigma=1.0), Lpm(sigma=1.0),
                      Abe(sigma=1.0), Bams(alpha=0.5, tau=2.0, mu=1.0)):
-            policy = LevelPolicy(J0=2) if isinstance(rule, (Logistic, Beta)) else None
-            out = shrink_pyramid(pyr, rule, policy)
+            out = shrink_pyramid(pyr, rule)
             assert np.max(np.abs(out.flat)) == 0.0
 
     def test_abe_threshold_region_zeroed(self):
@@ -580,17 +586,15 @@ class TestShrinkPyramid:
         assert all(np.all(d == 0.0) for d in out.details)  # all |d| < sqrt(3)*10
 
     @pytest.mark.parametrize("name", ALL_RULES)
-    @pytest.mark.parametrize("use_policy", [False, True])
-    def test_read_only_input_gives_new_writable_output(self, name, use_policy):
+    def test_read_only_input_gives_new_writable_output(self, name):
         # the estimation pipeline passes the memo's read-only coefficients
         rng = np.random.default_rng(27)
         flat = rng.standard_normal((64, 4)) * 2.0
-        flat[4:8, 1] = 0.0  # an all-zero level, masked under the policy
+        flat[4:8, 1] = 0.0  # an all-zero level, masked for `log` and `beta`
         flat.flags.writeable = False
         before = flat.copy()
         pyr = Pyramid(flat, 2)
-        policy = LevelPolicy(J0=2) if use_policy else None
-        out = shrink_pyramid(pyr, resolve_rule(shrinkage.RULES[name](), 1.0, pyr), policy)
+        out = shrink_pyramid(pyr, resolve_rule(shrinkage.RULES[name](), 1.0))
         assert out.flat.flags.writeable and not np.shares_memory(out.flat, flat)
         assert out.flat.shape == flat.shape and out.J0 == 2
         np.testing.assert_array_equal(flat.view(np.uint64), before.view(np.uint64))
@@ -598,9 +602,8 @@ class TestShrinkPyramid:
         assert all(np.shares_memory(d, out.flat) for d in out.details)
 
     @pytest.mark.parametrize("name", ALL_RULES)
-    @pytest.mark.parametrize("use_policy", [False, True])
     @pytest.mark.parametrize("source", ["pooled", "fixed"])
-    def test_level_slices_match_column_by_column(self, name, use_policy, source):
+    def test_level_slices_match_column_by_column(self, name, source):
         rng = np.random.default_rng(24)
         flat = rng.standard_normal((128, 6)) * np.array([0.5, 1.0, 2.0, 1.0, 4.0, 0.7])
         flat[:16] *= 20.0  # large coarse-level coefficients, as from a signal
@@ -611,23 +614,18 @@ class TestShrinkPyramid:
         if source == "fixed":  # the spec's own sigma wins over sigma-hat
             spec = (Bams(tau=1.2, mu=1.0 / 0.4 ** 2) if name == "bams"
                     else replace(spec, sigma=0.4))
-        policy = LevelPolicy(J0=3) if use_policy else None
+        spec = resolve_rule(spec, sigma)
 
-        got = shrink_pyramid(pyr, resolve_rule(spec, sigma, pyr), policy).flat
+        got = shrink_pyramid(pyr, spec).flat
         assert got.shape == flat.shape
         for i in range(flat.shape[1]):
-            column = Pyramid(flat[:, i], 3)
-            want = shrink_pyramid(column, resolve_rule(spec, sigma, column), policy).flat
+            want = shrink_pyramid(Pyramid(flat[:, i], 3), spec).flat
             if name in ("lpm", "abe", "bams"):
                 np.testing.assert_array_equal(got[:, i], want)
             else:
                 np.testing.assert_allclose(got[:, i], want, rtol=1e-12, atol=0)
-        if use_policy and name in ("log", "beta"):
+        if name in ("log", "beta"):
             assert np.all(got[8:16, 2] == 0.0)
-
-    def test_per_column_parameters_validated_elementwise(self):
-        with pytest.raises(ValueError):
-            Beta(m=np.array([1.0, 0.0]), sigma=1.0)
 
     @pytest.mark.parametrize("make", [
         lambda: Logistic(sigma=-1.0),
@@ -639,13 +637,15 @@ class TestShrinkPyramid:
         lambda: Abe(sigma=-1.0),
         lambda: Bams(tau=1.0 / np.sqrt(2.0), mu=1.0),  # on 2 mu tau^2 = 1
         lambda: resolve_rule(Bams(), 0.0),
-        # every field but Beta's m is a scalar, checked when the spec is built
+        # every field is a scalar, checked when the spec is built
         lambda: Logistic(sigma=np.array([1.0, 2.0])),
         lambda: Logistic(tau=np.array([1.0, 2.0])),
         lambda: Logistic(p=np.array([0.5, 0.6])),
         lambda: Beta(m=1.0, sigma=np.array([1.0, 2.0])),
         lambda: Beta(p=np.array([0.5, 0.6])),
         lambda: Beta(a=np.array([2.0, 3.0])),
+        lambda: Beta(m=np.array([1.0, 2.0]), sigma=1.0),
+        lambda: Beta(m=np.array([1.0, 0.0]), sigma=1.0),
         lambda: Lpm(sigma=np.array([1.0, 2.0])),
         lambda: Lpm(k=np.array([1.0, 2.0])),
         lambda: Abe(sigma=np.array([1.0, 2.0])),
@@ -664,7 +664,7 @@ class TestShrinkPyramid:
         with pytest.raises(TypeError, match="unknown rule spec"):
             shrink_pyramid(pyr, LevelPolicy())
         with pytest.raises(TypeError, match="unknown rule spec"):
-            resolve_rule(LevelPolicy(), 1.0, pyr)
+            resolve_rule(LevelPolicy(), 1.0)
 
     @pytest.mark.parametrize("name", ALL_RULES)
     def test_rule_function_looked_up_on_the_module(self, monkeypatch, name):
@@ -673,8 +673,7 @@ class TestShrinkPyramid:
         # J0 = 3) has 1016 detail rows, in 7 blocks of at most 8192 // 50 = 163
         # rows that cross level boundaries
         pyr = Pyramid(np.random.default_rng(26).standard_normal((1024, 50)), 3)
-        spec = resolve_rule(shrinkage.RULES[name](), 1.0, pyr)
-        policy = LevelPolicy(J0=3)
+        spec = resolve_rule(shrinkage.RULES[name](), 1.0)
         function = shrinkage._RULE_FUNCTIONS[type(spec)]
         calls = []
 
@@ -682,53 +681,67 @@ class TestShrinkPyramid:
             calls.append(np.shape(d))
             return function(d, *args, **kwargs)
 
-        want = shrink_pyramid(pyr, spec, policy).flat
+        want = shrink_pyramid(pyr, spec).flat
         monkeypatch.setitem(shrinkage._RULE_FUNCTIONS, type(spec), wrapped)
-        np.testing.assert_array_equal(shrink_pyramid(pyr, spec, policy).flat, want)
+        np.testing.assert_array_equal(shrink_pyramid(pyr, spec).flat, want)
         assert calls == [(163, 50)] * 6 + [(1016 - 6 * 163, 50)]
 
-    def test_policy_overrides_mixture_weight(self):
+    @pytest.mark.parametrize("name", ALL_RULES)
+    def test_policy_changes_nothing(self, name):
+        # `log` and `beta` take p(j) and m(j) at the pyramid's J0 with or
+        # without a policy; a policy of another J0 is refused
+        rng = np.random.default_rng(29)
+        flat = rng.standard_normal((256, 7)) * 2.0
+        flat[16:32, 3] = 0.0
+        for J0 in (0, 2, 4):
+            pyr = Pyramid(flat, J0)
+            spec = resolve_rule(shrinkage.RULES[name](), 1.1)
+            np.testing.assert_array_equal(
+                _bits(shrink_pyramid(pyr, spec, LevelPolicy(J0=J0)).flat),
+                _bits(shrink_pyramid(pyr, spec).flat))
+            with pytest.raises(ValueError, match=f"policy J0 = {J0 + 1} differs"):
+                shrink_pyramid(pyr, spec, LevelPolicy(J0=J0 + 1))
+
+    def test_primary_level_shrinks_least(self):
+        # p(J0) = 0: no point mass at the primary level, so `log` there
+        # shrinks less than the spec's p = 0.9 would
         rng = np.random.default_rng(23)
         pyr = Pyramid(rng.standard_normal(64), 2)
-        policy = LevelPolicy(J0=2)
-        # at the primary level the policy sets p = 0: strictly less shrinkage
-        # than the static p = 0.9
-        with_policy = shrink_pyramid(pyr, Logistic(p=0.9, tau=1.0, sigma=1.0), policy)
-        static = shrink_pyramid(pyr, Logistic(p=0.9, tau=1.0, sigma=1.0))
-        d0, p0, s0 = pyr.details[0], with_policy.details[0], static.details[0]
-        assert np.all(np.abs(p0) >= np.abs(s0))
-        assert not np.allclose(p0, s0)
-        assert np.any(np.abs(s0) < np.abs(d0))
+        spec = Logistic(p=0.9, tau=1.0, sigma=1.0)
+        d0, p0 = pyr.details[0], shrink_pyramid(pyr, spec).details[0]
+        np.testing.assert_allclose(p0, logistic_rule(d0, replace(spec, p=0.0)), rtol=1e-13)
+        assert np.all(np.abs(p0) >= np.abs(logistic_rule(d0, spec)))
 
 
-def per_level_shrink(pyr, rule, policy=None):
+def per_level_shrink(pyr, rule):
     """`shrink_pyramid` as it was before it ran on row blocks that cross
     levels: one level slice at a time, in row blocks of at most 4096
-    coefficients, through the public rule functions (`log` through the
-    kernel of `logistic_rule` with one table for the pyramid), with the
-    policy's p(j) and m(j) put into a spec per level.  The bit-for-bit
-    reference of the row-block form."""
-    evaluate = {Logistic: logistic_rule, Beta: beta_rule, Lpm: lpm_rule, Abe: abe_rule,
-                Bams: bams_rule}[type(rule)]
+    coefficients, through the public rule functions, or for `log` and
+    `beta` through their kernels (`log` with one table for the pyramid) at
+    the level's p(j) and m(j).  The bit-for-bit reference of the row-block
+    form."""
+    evaluate = {Lpm: lpm_rule, Abe: abe_rule, Bams: bams_rule}.get(type(rule))
     if isinstance(rule, Logistic):
         table = shrinkage._logistic_table(rule, float(np.max(np.abs(pyr.flat[2 ** pyr.J0:]))))
 
-        def evaluate(d, spec):
-            return shrinkage._logistic_from_table(
-                d, shrinkage._point_mass_log(spec.p, table), table)
+        def evaluate(d, p, m):
+            return shrinkage._logistic_from_table(d, shrinkage._point_mass_log(p, table), table)
+    elif isinstance(rule, Beta):
+        def evaluate(d, p, m):
+            w = m / rule.sigma
+            return shrinkage._beta_kernel(d, p, w, shrinkage._beta_point_mass(p, w),
+                                          rule.sigma, int(rule.a))
     out = Pyramid(np.empty_like(pyr.flat), pyr.J0)
     out.coarse[...] = pyr.coarse
     for j, d, level in zip(range(pyr.J0, pyr.J), pyr.details, out.details):
-        level_rule, live = rule, None
-        if policy is not None and isinstance(rule, (Logistic, Beta)):
-            p, m = shrinkage._mixture_weight(j, policy), np.max(np.abs(d), axis=0)
+        args, live = (rule,), None
+        if isinstance(rule, (Logistic, Beta)):
+            m = np.max(np.abs(d), axis=0)
             live = m > 0.0
-            level_rule = replace(rule, p=p)
-            if isinstance(rule, Beta):
-                level_rule = replace(level_rule, m=np.where(live, m, 1.0))
+            args = (shrinkage._mixture_weight(j, pyr.J0), np.where(live, m, 1.0))
         rows = max(1, 4096 // max(1, d[0].size))
         for k in range(0, d.shape[0], rows):
-            level[k:k + rows] = evaluate(d[k:k + rows], level_rule)
+            level[k:k + rows] = evaluate(d[k:k + rows], *args)
         if live is not None:
             np.copyto(level, 0.0, where=~live)
     return out
@@ -743,12 +756,11 @@ class TestRowBlocks:
     output against the per-level loop."""
 
     @pytest.mark.parametrize("name", ALL_RULES)
-    @pytest.mark.parametrize("use_policy", [False, True])
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(J0=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e3),
            noise=st.sampled_from([1.0, 0.3, 8.0, 30.0]), dead=st.booleans(),
            a=st.sampled_from([2.0, 1.0, 3.0]))
-    def test_matches_per_level_loop(self, name, use_policy, J0, seed, scale, noise, dead, a):
+    def test_matches_per_level_loop(self, name, J0, seed, scale, noise, dead, a):
         # M = 2^J from 8 to 2048 and I from 1 to 60 are drawn uniformly from
         # the seed, and one pyramid in five is 1-D, so that many span several
         # row blocks; sigma = noise * scale.  At noise 8 and 30 sigma is large
@@ -768,12 +780,11 @@ class TestRowBlocks:
         spec = shrinkage.RULES[name]()
         if name == "beta":
             spec = Beta(a=a)
-        spec = resolve_rule(spec, noise * scale, pyr)
-        policy = LevelPolicy(J0=J0) if use_policy else None
+        spec = resolve_rule(spec, noise * scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = shrink_pyramid(pyr, spec, policy).flat
-            want = per_level_shrink(pyr, spec, policy).flat
+            got = shrink_pyramid(pyr, spec).flat
+            want = per_level_shrink(pyr, spec).flat
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("name", ["log", "beta"])
@@ -782,8 +793,7 @@ class TestRowBlocks:
         pyr = Pyramid(np.random.default_rng(28).standard_normal((64, 3)), 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = shrink_pyramid(pyr, resolve_rule(shrinkage.RULES[name](), 1.0, pyr),
-                                 LevelPolicy(J0=2))
+            out = shrink_pyramid(pyr, resolve_rule(shrinkage.RULES[name](), 1.0))
         assert np.all(np.isfinite(out.flat))
 
     @pytest.mark.parametrize("a", [1, 2, 3, 5])
@@ -811,16 +821,11 @@ class TestResolveRule:
         assert resolve_rule(Logistic(), 0.3).sigma == 0.3
         assert resolve_rule(Lpm(), 0.3).sigma == 0.3
         assert resolve_rule(Abe(), 0.3).sigma == 0.3
+        # m(j) is the pipeline's, level by level: the spec's m stays unset
+        assert resolve_rule(Beta(), 0.3) == Beta(sigma=0.3)
 
     def test_explicit_sigma_kept(self):
         assert resolve_rule(Abe(sigma=2.0), 0.3).sigma == 2.0
-
-    def test_beta_support_from_pyramid(self):
-        flat = np.zeros(32)
-        flat[20] = -7.0
-        pyr = Pyramid(flat, 2)
-        spec = resolve_rule(Beta(), 0.5, pyr)
-        assert spec.m == 7.0 and spec.sigma == 0.5
 
     def test_bams_defaults_from_sigma(self):
         spec = resolve_rule(Bams(), 0.5)
@@ -1036,7 +1041,7 @@ class TestNodeGridChunks:
         rng = np.random.default_rng(42)
         pyr = Pyramid(rng.standard_normal((1024, 50)) * 3.0, 9)
         grids, points = [], []
-        pdf, sums = shrinkage._logistic_pdf, shrinkage._logistic_sums
+        pdf, sums = shrinkage._logistic_pdf, shrinkage._likelihood_scale_sums
 
         def recording_pdf(x, *args, **kwargs):
             grids.append(np.shape(x))
@@ -1047,8 +1052,8 @@ class TestNodeGridChunks:
             return sums(a, *args, **kwargs)
 
         monkeypatch.setattr(shrinkage, "_logistic_pdf", recording_pdf)
-        monkeypatch.setattr(shrinkage, "_logistic_sums", recording_sums)
-        shrink_pyramid(pyr, resolve_rule(Logistic(), 1.0, pyr), LevelPolicy(J0=9))
+        monkeypatch.setattr(shrinkage, "_likelihood_scale_sums", recording_sums)
+        shrink_pyramid(pyr, resolve_rule(Logistic(), 1.0))
         nodes = shrinkage._logistic_nodes()[0].size
         assert nodes == 44
         assert all(len(shape) == 2 and shape[1] == nodes for shape in grids)
@@ -1113,17 +1118,28 @@ class TestLogisticTable:
         flat = rng.standard_normal((1024, 50)) * 2.0  # levels 3..9, row blocks
         pyr = Pyramid(flat, 3)
         built = []
-        sums = shrinkage._logistic_sums
+        sums = shrinkage._likelihood_scale_sums
 
         def recording(a, s, *args, **kwargs):
             built.append(s)
             return sums(a, s, *args, **kwargs)
 
-        monkeypatch.setattr(shrinkage, "_logistic_sums", recording)
+        monkeypatch.setattr(shrinkage, "_likelihood_scale_sums", recording)
         for policy in (None, LevelPolicy(J0=3)):
             built.clear()
             shrink_pyramid(pyr, Logistic(sigma=1.2), policy)
             assert built == [1.2]
+
+    def test_table_cost_is_bounded(self):
+        # past sigma = 2 tau the table needs about 8 min(top, sigma^2 / tau) / sigma
+        # panels: 80001 at sigma = 1e4 tau and top = 1e8, refused before any is
+        # built; 8001 at sigma = 1e3 tau and top = 1e6, built
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"sigma / tau = 1e\+04; rescale the data or "
+                                             r"use a scale-free rule"):
+            shrinkage._logistic_table(Logistic(sigma=1e4), 1e8)
+        assert time.perf_counter() - start < 1.0
+        assert shrinkage._logistic_table(Logistic(sigma=1e3), 1e6).last == 8000
 
     def test_asymptote_beyond_cutoff(self):
         # beyond the cutoff the asymptotes need no table

@@ -282,3 +282,20 @@ def test_study_j0_must_be_an_integer(J0):
     with pytest.raises(ValueError, match="J0 must be an integer"):
         StudyConfig(study=1, J0=J0, m_values=(64,), replicates=1, rules=("lpm",))
     assert StudyConfig(study=1, J0=np.int64(3), m_values=(64,)).J0 == 3
+
+
+def test_numpy_integer_fields_write_the_same_reports(tmp_path):
+    # every integer field accepts a numpy integer; run.json used to fail on it
+    # with a bare TypeError, after the CSVs were written
+    fields = dict(study=1, m_values=(64,), snr_values=(3.0,), n_samples=4, replicates=1,
+                  rules=("lpm",), seed=5, J0=3)
+    written = []
+    for cast in (int, np.int64):
+        config = StudyConfig(**{**fields, **{name: cast(fields[name]) for name in
+                                             ("study", "n_samples", "replicates", "seed", "J0")},
+                                "m_values": (cast(64),)})
+        report, stream, failures = run_study(config)
+        paths = emit_reports(report, stream, tmp_path / cast.__name__, config=config,
+                             failures=failures)
+        written.append([Path(paths[name]).read_bytes() for name in ("replicates", "amse", "run")])
+    assert written[0] == written[1]
