@@ -48,7 +48,7 @@ def column_by_column(observed, weights, config):
     shrunk = np.empty_like(D)
     for i in range(D.shape[1]):
         pyr = Pyramid(D[:, i], config.J0)
-        shrunk[:, i] = shrink_pyramid(pyr, resolve_rule(config.rule, sigma)).flat
+        shrunk[:, i] = shrink_pyramid(pyr, resolve_rule(config.rule, sigma), config.policy).flat
     return transform_columns(solve_gamma(shrunk, weights), config.filter, config.J0,
                              "inverse")
 
@@ -303,15 +303,22 @@ class TestEstimateComponents:
             mses.append(float(np.mean((alpha_hat - truth) ** 2)))
         assert all(b < a for a, b in zip(mses, mses[1:]))
 
-    @pytest.mark.parametrize("rule", [Logistic(), Beta(), Lpm(), Abe(), Bams()])
+    @pytest.mark.parametrize("rule,policy", [
+        (Logistic(), LevelPolicy(J0=3)),
+        (Beta(), LevelPolicy(J0=3)),
+        (Beta(), None),
+        (Lpm(), None),
+        (Abe(), None),
+        (Bams(), None),
+    ])
     @pytest.mark.parametrize("source,sigma", [("pooled", None), ("fixed", 0.4)])
-    def test_matches_column_by_column_pipeline(self, db10, rule, source, sigma):
+    def test_matches_column_by_column_pipeline(self, db10, rule, policy, source, sigma):
         spec = DatasetSpec(components=("bumps", "blocks", "doppler"), M=256, I=12,
                            snr=4.0, seed=29)
         ds = generate_dataset(spec)
         if sigma is not None:
             rule = carrying_sigma(rule, sigma)
-        config = EstimationConfig(filter=db10, rule=rule, J0=3)
+        config = EstimationConfig(filter=db10, rule=rule, J0=3, policy=policy)
         got = estimate_components(ds.observed, ds.weights, config)
         want = column_by_column(ds.observed, ds.weights, config)
         if isinstance(rule, (Logistic, Beta)):
@@ -354,12 +361,16 @@ class TestEstimateComponents:
         np.testing.assert_array_equal(
             estimate_components(ds.observed, ds.weights, fixed), want)
 
-    @pytest.mark.parametrize("rule", [Logistic(), Beta(), Bams()])
-    def test_quadrature_rules_run_end_to_end(self, db10, rule):
+    @pytest.mark.parametrize("rule,policy", [
+        (Logistic(), LevelPolicy(J0=3)),
+        (Beta(), LevelPolicy(J0=3)),
+        (Bams(), None),
+    ])
+    def test_quadrature_rules_run_end_to_end(self, db10, rule, policy):
         spec = DatasetSpec(components=("bumps", "blocks"), M=256, I=20,
                            snr=3.0, seed=19)
         ds = generate_dataset(spec)
-        config = EstimationConfig(filter=db10, rule=rule, J0=3)
+        config = EstimationConfig(filter=db10, rule=rule, J0=3, policy=policy)
         alpha_hat = estimate_components(ds.observed, ds.weights, config)
         # denoising should beat the naive per-column average of rescaled data
         assert np.all(np.isfinite(alpha_hat))

@@ -586,7 +586,8 @@ class TestShrinkPyramid:
         assert all(np.all(d == 0.0) for d in out.details)  # all |d| < sqrt(3)*10
 
     @pytest.mark.parametrize("name", ALL_RULES)
-    def test_read_only_input_gives_new_writable_output(self, name):
+    @pytest.mark.parametrize("use_policy", [False, True])
+    def test_read_only_input_gives_new_writable_output(self, name, use_policy):
         # the estimation pipeline passes the memo's read-only coefficients
         rng = np.random.default_rng(27)
         flat = rng.standard_normal((64, 4)) * 2.0
@@ -594,7 +595,8 @@ class TestShrinkPyramid:
         flat.flags.writeable = False
         before = flat.copy()
         pyr = Pyramid(flat, 2)
-        out = shrink_pyramid(pyr, resolve_rule(shrinkage.RULES[name](), 1.0))
+        policy = LevelPolicy(J0=2) if use_policy else None
+        out = shrink_pyramid(pyr, resolve_rule(shrinkage.RULES[name](), 1.0), policy)
         assert out.flat.flags.writeable and not np.shares_memory(out.flat, flat)
         assert out.flat.shape == flat.shape and out.J0 == 2
         np.testing.assert_array_equal(flat.view(np.uint64), before.view(np.uint64))
@@ -602,8 +604,9 @@ class TestShrinkPyramid:
         assert all(np.shares_memory(d, out.flat) for d in out.details)
 
     @pytest.mark.parametrize("name", ALL_RULES)
+    @pytest.mark.parametrize("use_policy", [False, True])
     @pytest.mark.parametrize("source", ["pooled", "fixed"])
-    def test_level_slices_match_column_by_column(self, name, source):
+    def test_level_slices_match_column_by_column(self, name, use_policy, source):
         rng = np.random.default_rng(24)
         flat = rng.standard_normal((128, 6)) * np.array([0.5, 1.0, 2.0, 1.0, 4.0, 0.7])
         flat[:16] *= 20.0  # large coarse-level coefficients, as from a signal
@@ -615,11 +618,12 @@ class TestShrinkPyramid:
             spec = (Bams(tau=1.2, mu=1.0 / 0.4 ** 2) if name == "bams"
                     else replace(spec, sigma=0.4))
         spec = resolve_rule(spec, sigma)
+        policy = LevelPolicy(J0=3) if use_policy else None
 
-        got = shrink_pyramid(pyr, spec).flat
+        got = shrink_pyramid(pyr, spec, policy).flat
         assert got.shape == flat.shape
         for i in range(flat.shape[1]):
-            want = shrink_pyramid(Pyramid(flat[:, i], 3), spec).flat
+            want = shrink_pyramid(Pyramid(flat[:, i], 3), spec, policy).flat
             if name in ("lpm", "abe", "bams"):
                 np.testing.assert_array_equal(got[:, i], want)
             else:
@@ -756,11 +760,12 @@ class TestRowBlocks:
     output against the per-level loop."""
 
     @pytest.mark.parametrize("name", ALL_RULES)
+    @pytest.mark.parametrize("use_policy", [False, True])
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(J0=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e3),
            noise=st.sampled_from([1.0, 0.3, 8.0, 30.0]), dead=st.booleans(),
            a=st.sampled_from([2.0, 1.0, 3.0]))
-    def test_matches_per_level_loop(self, name, J0, seed, scale, noise, dead, a):
+    def test_matches_per_level_loop(self, name, use_policy, J0, seed, scale, noise, dead, a):
         # M = 2^J from 8 to 2048 and I from 1 to 60 are drawn uniformly from
         # the seed, and one pyramid in five is 1-D, so that many span several
         # row blocks; sigma = noise * scale.  At noise 8 and 30 sigma is large
@@ -781,9 +786,10 @@ class TestRowBlocks:
         if name == "beta":
             spec = Beta(a=a)
         spec = resolve_rule(spec, noise * scale)
+        policy = LevelPolicy(J0=J0) if use_policy else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = shrink_pyramid(pyr, spec).flat
+            got = shrink_pyramid(pyr, spec, policy).flat
             want = per_level_shrink(pyr, spec).flat
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
