@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
@@ -74,21 +75,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Wavelet-domain Bayesian shrinkage for aggregated functional data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a Monte Carlo study")
-    sim.add_argument("--study", type=int, choices=(1, 2, 3), default=1)
-    sim.add_argument("--m", type=_parse_m, default=(512,),
+    # an option that is not given is left out, and StudyConfig's default holds
+    sim = sub.add_parser("simulate", help="run a Monte Carlo study",
+                         argument_default=argparse.SUPPRESS)
+    sim.add_argument("--study", type=int, choices=(1, 2, 3))
+    sim.add_argument("--m", dest="m_values", metavar="M", type=_parse_m,
                      help="sample sizes: 512, 1024, both, or a comma list")
-    sim.add_argument("--snr", type=_parse_snr, default=(3.0, 9.0))
-    sim.add_argument("--replicates", type=int, default=None,
+    sim.add_argument("--snr", dest="snr_values", metavar="SNR", type=_parse_snr)
+    sim.add_argument("--replicates", type=int,
                      help=f"replicates per cell (default {DESK_REPLICATES}, "
                           f"or {FULL_REPLICATES} with --full)")
-    sim.add_argument("--rules", type=_parse_rules, default=RULE_NAMES)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--samples", type=int, default=50,
+    sim.add_argument("--rules", type=_parse_rules)
+    sim.add_argument("--seed", type=int)
+    sim.add_argument("--samples", dest="n_samples", metavar="SAMPLES", type=int,
                      help="number of aggregated samples I per dataset")
-    sim.add_argument("--j0", type=int, default=3)
+    sim.add_argument("--j0", dest="J0", type=int)
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--full", action="store_true",
+    sim.add_argument("--full", action="store_true", default=False,
                      help=f"full-scale profile: {FULL_REPLICATES} replicates")
 
     est = sub.add_parser("estimate", help="estimate components from a CSV dataset")
@@ -101,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="CSV holding the L x I mixing matrix; column i weights "
                           "the sample with the i-th smallest sample_id")
     est.add_argument("--rule", choices=RULE_NAMES, default="log")
-    est.add_argument("--j0", type=int, default=3)
+    est.add_argument("--j0", dest="J0", type=int, default=argparse.SUPPRESS)
     est.add_argument("--vanishing-moments", type=int, default=VANISHING_MOMENTS)
     est.add_argument("--out", required=True, help="output directory")
 
@@ -112,12 +115,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    replicates = args.replicates
-    if replicates is None:
-        replicates = FULL_REPLICATES if args.full else DESK_REPLICATES
-    config = StudyConfig(study=args.study, m_values=args.m, snr_values=args.snr,
-                         n_samples=args.samples, replicates=replicates,
-                         rules=args.rules, seed=args.seed, J0=args.j0)
+    given = {f.name: getattr(args, f.name) for f in fields(StudyConfig) if f.name in args}
+    if args.full:
+        given.setdefault("replicates", FULL_REPLICATES)
+    config = StudyConfig(**given)
     report, stream, failures = run_study(config)
     paths = emit_reports(report, stream, args.out, config=config, failures=failures)
     for name in ("replicates", "amse", "run"):
@@ -179,7 +180,7 @@ def _cmd_estimate(args) -> int:
                          f"but {args.weights} has {weights.shape[1]} weight columns")
     config = EstimationConfig(
         filter=make_filter("daubechies", args.vanishing_moments),
-        rule=RULES[args.rule](), J0=args.j0)
+        rule=RULES[args.rule](), **({"J0": args.J0} if "J0" in args else {}))
     alpha_hat = estimate_components(observed, weights, config)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "alpha_hat.csv")

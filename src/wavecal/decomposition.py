@@ -6,20 +6,24 @@ M x I coefficient matrix in row blocks that span levels, solve a
 least-squares system for the component coefficients through the known
 mixing weights, and invert the transform.
 
-The forward transform and the pooled noise estimate do not depend on the
-rule, and a study runs every rule on the same dataset, so
-`estimate_components` keeps them for the last (observed, filter, J0) it
-saw: a one-entry memo whose key is a bit-for-bit copy of ``observed``.  A
-hit returns the same bits as a recomputation; the memo's arrays are
-read-only.  The least-squares stage takes one thin SVD of the weights, which
-serves both the rank check and the pseudo-inverse; the pseudo-inverse of the
-last weights is kept, keyed on their bits, so the rules after the first reuse it.
+The forward transform, the pooled noise estimate and the pseudo-inverse of
+the weights do not depend on the rule, and a study runs every rule on the
+same dataset, so each is kept in a one-entry cache (`_LastResult`) for the
+last key it saw: (observed, filter taps, J0) for the coefficients and
+sigma-hat, the weights for the pseudo-inverse.  Keys are read-only copies
+compared bit for bit, so a hit returns the same bits as a recomputation;
+the cached arrays are read-only.  The least-squares stage takes one thin SVD
+of the weights, which serves both the rank check and the pseudo-inverse.
+Each stage's ValueError, TypeError or ArithmeticError becomes a
+`PipelineError` naming the stage (`_stage`).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -80,38 +84,53 @@ class EstimationConfig:
                              f"configured J0 = {self.J0}")
 
 
-class _Pseudoinverse(NamedTuple):  # a read-only copy of the weights, V diag(1/s) U^T
-    weights: np.ndarray
-    pinv: np.ndarray
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-# The last full-rank weights' entry; read once and replaced whole, as `_memo` is.
-_pinv_memo: Optional[_Pseudoinverse] = None
+class _LastResult:
+    """A one-entry cache of the value computed for the last key, a tuple of
+    float64 arrays and plain values.  The entry, (key, value), keeps
+    read-only copies of the key's arrays.  Each lookup reads the entry once
+    and a miss replaces it whole, so concurrent callers never see a torn
+    entry; nothing is stored when the computation raises."""
+
+    def __init__(self):
+        self.entry: Optional[tuple] = None
+
+    def get(self, key: tuple, compute):
+        entry = self.entry
+        # float64 arrays bit for bit, so that a hit returns exactly what a
+        # recomputation would (array_equal alone equates 0.0 and -0.0)
+        if entry is not None and all(
+                np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                if isinstance(a, np.ndarray) else a == b for a, b in zip(entry[0], key)):
+            return entry[1]
+        value = compute()
+        self.entry = (tuple(_read_only(k.copy()) if isinstance(k, np.ndarray) else k
+                            for k in key), value)
+        return value
 
 
-def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Least-squares recovery of component coefficients.
+# the pseudo-inverse V diag(1/s) U^T of the last full-rank weights
+_pseudoinverse = _LastResult()
+# (flat coefficients, pooled sigma-hat) of the last (observed, filter taps, J0)
+_transformed = _LastResult()
 
-    Returns the M x L matrix minimizing ||shrunk - gamma @ weights||_F,
-    computed as shrunk @ pinv(weights) from the thin SVD
-    weights = U diag(s) V^T, i.e. shrunk @ V diag(1/s) U^T (never by forming
-    (y y^T)^-1).  Raises RankDeficiencyError when the smallest singular value
-    of the weights falls below 1e-10 times the largest.  Weights with the
-    bits of the last call's reuse its pseudo-inverse, and get the same result.
-    """
-    global _pinv_memo
-    D = np.asarray(shrunk, dtype=float)
-    y = np.asarray(weights, dtype=float)
-    if D.ndim != 2 or y.ndim != 2:
-        raise ValueError("solve_gamma expects 2-D arrays")
-    L, I = y.shape
-    if D.shape[1] != I:
-        raise ValueError(f"coefficient matrix has {D.shape[1]} columns, weights have {I}")
-    if I < L:
-        raise RankDeficiencyError(f"underdetermined mixing: L={L} components, I={I} samples")
-    entry = _pinv_memo
-    if entry is not None and np.array_equal(entry.weights.view(np.uint64), y.view(np.uint64)):
-        return D @ entry.pinv
+
+@contextmanager
+def _stage(name: str):
+    """Raise a failure inside the block as a PipelineError at stage ``name``."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise PipelineError(name, str(exc)) from exc
+    except ArithmeticError as exc:  # float arithmetic at an extreme data scale
+        raise PipelineError(name, f"{type(exc).__name__}: {exc}") from exc
+
+
+def _pinv(y: np.ndarray, L: int) -> np.ndarray:
     u, svals, vt = np.linalg.svd(y, full_matrices=False)
     if svals[-1] < _RANK_RTOL * svals[0]:
         raise RankDeficiencyError(
@@ -122,59 +141,39 @@ def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
     rank = int(np.sum(svals > _RANK_RTOL * svals[0]))
     if rank < L:
         raise RankDeficiencyError(f"least-squares rank {rank} < {L}")
-    entry = _Pseudoinverse(_read_only(y.copy()), _read_only(vt.T / svals @ u.T))
-    _pinv_memo = entry
-    return D @ entry.pinv
+    return _read_only(vt.T / svals @ u.T)
 
 
-class _Transformed(NamedTuple):
-    """The rule-independent stages of one dataset: the key (a copy of the
-    observed matrix, the filter taps, J0), the flat coefficient matrix and
-    the pooled sigma-hat."""
+def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Least-squares recovery of component coefficients.
 
-    observed: np.ndarray
-    taps: np.ndarray
-    J0: int
-    coefficients: np.ndarray
-    sigma: float
-
-    def matches(self, observed: np.ndarray, config: EstimationConfig) -> bool:
-        # compared bit for bit, so that a hit returns exactly what a
-        # recomputation would (array_equal alone equates 0.0 and -0.0)
-        return (self.J0 == config.J0
-                and np.array_equal(self.taps, config.filter.low_pass)
-                and np.array_equal(self.observed.view(np.uint64),
-                                   observed.view(np.uint64)))
-
-
-# The last dataset's rule-independent stages.  Each call reads the entry once
-# and replaces it whole, so concurrent callers never see a torn entry.
-_memo: Optional[_Transformed] = None
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+    Returns the M x L matrix minimizing ||shrunk - gamma @ weights||_F,
+    computed as shrunk @ pinv(weights) from the thin SVD
+    weights = U diag(s) V^T, i.e. shrunk @ V diag(1/s) U^T (never by forming
+    (y y^T)^-1).  Raises RankDeficiencyError when the smallest singular value
+    of the weights falls below 1e-10 times the largest.  Weights with the
+    bits of the last full-rank weights reuse their pseudo-inverse, and get
+    the same result.
+    """
+    D = np.asarray(shrunk, dtype=float)
+    y = np.asarray(weights, dtype=float)
+    if D.ndim != 2 or y.ndim != 2:
+        raise ValueError("solve_gamma expects 2-D arrays")
+    L, I = y.shape
+    if D.shape[1] != I:
+        raise ValueError(f"coefficient matrix has {D.shape[1]} columns, weights have {I}")
+    if I < L:
+        raise RankDeficiencyError(f"underdetermined mixing: L={L} components, I={I} samples")
+    return D @ _pseudoinverse.get((y,), partial(_pinv, y, L))
 
 
 def _rule_independent_stages(A: np.ndarray, config: EstimationConfig):
-    """(flat coefficients, pooled sigma-hat) of the observed matrix, from
-    the memo when it holds this dataset."""
-    global _memo
-    entry = _memo
-    if entry is None or not entry.matches(A, config):
-        try:
-            D = transform_columns(A, config.filter, config.J0, "forward")
-        except ValueError as exc:
-            raise PipelineError("transform", str(exc)) from exc
-        try:
-            sigma = float(np.mean(estimate_sigma(D[A.shape[0] // 2:])))
-        except ValueError as exc:
-            raise PipelineError("sigma", str(exc)) from exc
-        entry = _Transformed(_read_only(A.copy()), config.filter.low_pass, config.J0,
-                             _read_only(D), sigma)
-        _memo = entry
-    return entry.coefficients, entry.sigma
+    """(read-only flat coefficients, pooled sigma-hat) of the observed matrix."""
+    with _stage("transform"):
+        D = transform_columns(A, config.filter, config.J0, "forward")
+    with _stage("sigma"):
+        sigma = float(np.mean(estimate_sigma(D[A.shape[0] // 2:])))
+    return _read_only(D), sigma
 
 
 def estimate_components(observed: np.ndarray, weights: np.ndarray,
@@ -183,11 +182,10 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
 
     Stages: forward transform -> noise-scale estimation -> coefficientwise
     shrinkage -> least squares through the weights -> inverse transform.
-    The first two are shared with the previous call when it had the same
-    observed matrix, filter and J0 (see the module docstring).  Errors carry
-    the failing stage name; NaN or inf in either input is rejected at the
-    ``input`` stage, and a non-finite estimate at the first stage whose output
-    is not finite.
+    The first two, and the weights' pseudo-inverse, are cached (see the
+    module docstring).  Errors carry the failing stage name; NaN or inf in
+    either input is rejected at the ``input`` stage, and a non-finite
+    estimate at the first stage whose output is not finite.
     """
     A = np.asarray(observed, dtype=float)
     y = np.asarray(weights, dtype=float)
@@ -202,23 +200,14 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
             raise PipelineError("input", f"{name} has NaN or inf in sample column(s) "
                                          f"{', '.join(map(str, bad))}")
 
-    D, sigma = _rule_independent_stages(A, config)
-    try:
+    D, sigma = _transformed.get((A, config.filter.low_pass, config.J0),
+                                partial(_rule_independent_stages, A, config))
+    with _stage("shrinkage"):
         shrunk = shrink_pyramid(Pyramid(D, config.J0), resolve_rule(config.rule, sigma)).flat
-    except (ValueError, TypeError) as exc:
-        raise PipelineError("shrinkage", str(exc)) from exc
-    except ArithmeticError as exc:  # a rule's float arithmetic at an extreme data scale
-        raise PipelineError("shrinkage", f"{type(exc).__name__}: {exc}") from exc
-
-    try:
+    with _stage("least-squares"):
         gamma = solve_gamma(shrunk, y)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise PipelineError("least-squares", str(exc)) from exc
-
-    try:
+    with _stage("inverse-transform"):
         alpha = transform_columns(gamma, config.filter, config.J0, "inverse")
-    except ValueError as exc:
-        raise PipelineError("inverse-transform", str(exc)) from exc
     if not np.isfinite(alpha).all():  # NaN and inf reach all later stages; name the first
         stages = (("transform", D), ("sigma", sigma), ("shrinkage", shrunk),
                   ("least-squares", gamma))

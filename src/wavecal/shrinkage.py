@@ -94,13 +94,6 @@ _BAMS_SINGULARITY_TOL = 1e-8
 
 MAD_TO_SIGMA = 0.6745  # median absolute deviation of N(0,1), Donoho-Johnstone constant
 
-DEFAULT_LOGISTIC_P = 0.9
-DEFAULT_LOGISTIC_TAU = 1.0
-DEFAULT_BETA_P = 0.9
-DEFAULT_BETA_A = 2.0
-DEFAULT_LPM_K = 1.0
-DEFAULT_BAMS_ALPHA = 0.8
-
 # The exponent gamma of the level policy's mixture weight p(j) (`_mixture_weight`).
 POLICY_GAMMA = 2.0
 
@@ -172,17 +165,18 @@ class Logistic:
     """Point mass at zero mixed with a logistic prior of scale tau.
 
     ``sigma=None`` marks the noise sd as to-be-estimated; rule evaluation
-    requires a resolved spec.
+    requires a resolved spec.  `logistic_rule` needs the mixture weight p;
+    `shrink_pyramid` rejects it and uses the level's p(j).
     """
 
-    p: float = DEFAULT_LOGISTIC_P
-    tau: float = DEFAULT_LOGISTIC_TAU
+    p: Optional[float] = None
+    tau: float = 1.0
     sigma: Optional[float] = None
 
     def __post_init__(self):
         _check_scalars(self)
         # p = 0 admitted: the level policy assigns it at the primary level
-        if not 0.0 <= self.p < 1.0:
+        if self.p is not None and not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must be in [0, 1), got {self.p}")
         _check_open("tau", self.tau)
         if self.sigma is not None:
@@ -195,17 +189,18 @@ class Beta:
 
     The shape a must be an integer >= 1 (a = 1 is the uniform prior): the
     prior integrals then have a closed form.  ``sigma=None`` marks the noise
-    sd as to-be-estimated.  `beta_rule` needs m; `shrink_pyramid` rejects it.
+    sd as to-be-estimated.  `beta_rule` needs p and m; `shrink_pyramid`
+    rejects both and uses the level's p(j) and m(j).
     """
 
-    p: float = DEFAULT_BETA_P
-    a: float = DEFAULT_BETA_A
+    p: Optional[float] = None
+    a: float = 2.0
     m: Optional[float] = None
     sigma: Optional[float] = None
 
     def __post_init__(self):
         _check_scalars(self)
-        if not 0.0 <= self.p < 1.0:
+        if self.p is not None and not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must be in [0, 1), got {self.p}")
         if not (self.a >= 1.0 and float(self.a).is_integer()):
             raise ValueError(f"a must be an integer >= 1, got {self.a}")
@@ -223,7 +218,7 @@ class Lpm:
     noise-free recovery paths rely on.
     """
 
-    k: float = DEFAULT_LPM_K
+    k: float = 1.0
     sigma: Optional[float] = None
 
     def __post_init__(self):
@@ -264,7 +259,7 @@ class Bams:
     rejected rather than implementing the analytic limit.
     """
 
-    alpha: float = DEFAULT_BAMS_ALPHA
+    alpha: float = 0.8
     tau: Optional[float] = None
     mu: Optional[float] = None
 
@@ -368,7 +363,8 @@ def _ratio_or_zero(num, den, rule_name):
 
 def _require(value, name, rule):
     if value is None:
-        raise ValueError(f"{rule} spec has unresolved {name}; call resolve_rule first")
+        raise ValueError(f"{rule} spec has no {name}; set it, or call resolve_rule "
+                         f"for a sigma, tau or mu from the data")
     return value
 
 
@@ -592,10 +588,11 @@ def logistic_rule(d, spec: Logistic):
     Gauss-Hermite rule while sigma <= 2 tau and a rule on the prior's scale
     beyond.  The rule is odd, and |result| <= |d|.
     """
+    p = _require(spec.p, "p", "Logistic")
     arr, scalar = _as_array(d)
     table = _logistic_table(spec, float(np.max(np.abs(arr), initial=0.0)))
     out = _logistic_from_table(arr.reshape(-1) if scalar else arr,
-                               _point_mass_log(spec.p, table), table)
+                               _point_mass_log(p, table), table)
     return float(out[0]) if scalar else out
 
 
@@ -801,6 +798,7 @@ def beta_rule(d, spec: Beta):
     """
     sigma = _require(spec.sigma, "sigma", "Beta")
     m = _require(spec.m, "m", "Beta")
+    p = _require(spec.p, "p", "Beta")
     arr, scalar = _as_array(d)
     arr = arr.reshape(-1) if scalar else arr
     a, w = int(spec.a), m / sigma
@@ -808,7 +806,7 @@ def beta_rule(d, spec: Beta):
     if np.any(np.abs(arr) / sigma > w + outside):
         raise ValueError(f"beta_rule: coefficients lie more than {outside:.3g} sigma "
                          f"outside the support [-m, m] of the beta prior")
-    out = _beta_kernel(arr, spec.p, w, _beta_point_mass(spec.p, w), sigma, a)
+    out = _beta_kernel(arr, p, w, _beta_point_mass(p, w), sigma, a)
     return out.item() if scalar else out
 
 
@@ -955,11 +953,10 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
     each (one row when a row is longer), that cross level boundaries; the
     columns of a 2-D pyramid are independent signals, and every rule's
     result at a coefficient is independent of the block it sits in.  For
-    Logistic and Beta the mixture weight p(j) = 1 - (j - J0 + 1)^(-gamma),
-    in place of the spec's p, and the beta half-support m(j) = max_k |d_jk|,
-    one per column, are resolved once per level at the pyramid's J0; a Beta
-    spec with m set is rejected.  A column whose level is all zeros is set
-    to zero.  ``policy`` changes nothing and stays only for the benchmark;
+    Logistic and Beta the mixture weight p(j) = 1 - (j - J0 + 1)^(-gamma)
+    and the beta half-support m(j) = max_k |d_jk|, one per column, are
+    resolved once per level at the pyramid's J0; a spec with p or m set is
+    rejected.  A column whose level is all zeros is set to zero.  ``policy`` changes nothing and stays only for the benchmark;
     its J0 must be the pyramid's.
     """
     evaluate = _rule_function(rule)
@@ -972,6 +969,10 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
     # by row; `fixed` values are passed whole
     per_level, fixed, live = (), (rule,), None
     if isinstance(rule, (Logistic, Beta)):
+        for name in ("p", "m"):
+            if getattr(rule, name, None) is not None:
+                raise ValueError(f"{type(rule).__name__}.{name} = {getattr(rule, name)} is "
+                                 f"set, but each level takes p(j) and m(j); leave it unset")
         # max_k |d_jk| per level and column: m(j), and the logistic table's range
         peaks = np.maximum.reduceat(np.abs(details), [2 ** j - first for j in levels],
                                     axis=0)
@@ -983,9 +984,6 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
             per_level = (np.reshape([_point_mass_log(pj, table) for pj in p], column),)
             fixed = (table,)
         else:
-            if rule.m is not None:
-                raise ValueError(f"Beta.m = {rule.m} is set, but the support is m(j) = "
-                                 f"max_k |d_jk| of each level; leave m unset")
             a, sigma = int(rule.a), _require(rule.sigma, "sigma", "Beta")
             w = np.where(live, peaks, 1.0) / sigma
             per_level = (np.reshape(p, column), w,
@@ -1030,16 +1028,16 @@ def resolve_rule(spec: RuleSpec, sigma) -> RuleSpec:
 
 
 def rule_defaults() -> dict[str, dict[str, object]]:
-    """Resolved default hyperparameters for each named rule (for reporting)."""
-    return {
-        "log": {"p": DEFAULT_LOGISTIC_P, "tau": DEFAULT_LOGISTIC_TAU,
-                "sigma": "estimated", "policy": "p(j) = 1 - (j - J0 + 1)^-gamma"},
-        "beta": {"p": DEFAULT_BETA_P, "a": DEFAULT_BETA_A,
-                 "m": "max_k |d_jk|", "sigma": "estimated",
+    """Each named rule's default hyperparameters, for reporting: the fields
+    of its spec dataclass that have a default value, and a description of
+    each value the pipeline resolves from the data."""
+    resolved = {
+        "log": {"sigma": "estimated", "policy": "p(j) = 1 - (j - J0 + 1)^-gamma"},
+        "beta": {"m": "max_k |d_jk|", "sigma": "estimated",
                  "policy": "p(j) = 1 - (j - J0 + 1)^-gamma, m(j) = max_k |d_jk|"},
-        "lpm": {"k": DEFAULT_LPM_K, "sigma": "estimated",
-                "threshold": "2 sigma sqrt(2k - 1)"},
+        "lpm": {"sigma": "estimated", "threshold": "2 sigma sqrt(2k - 1)"},
         "abe": {"sigma": "estimated", "threshold": "sqrt(3) sigma"},
-        "bams": {"alpha": DEFAULT_BAMS_ALPHA, "tau": "3 * sigma_hat",
-                 "mu": "1 / sigma_hat^2"},
+        "bams": {"tau": "3 * sigma_hat", "mu": "1 / sigma_hat^2"},
     }
+    return {name: {**{f.name: f.default for f in fields(spec) if f.default is not None},
+                   **resolved[name]} for name, spec in RULES.items()}

@@ -14,7 +14,7 @@ import csv
 import json
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -263,27 +263,16 @@ def emit_reports(report: AmseReport, stream: Sequence[ReplicateResult], outdir,
     payload: dict = {"version": __version__}
     if config is not None:
         payload["config"] = {
-            "study": config.study,
-            "components": list(config.components),
-            "m_values": list(config.m_values),
+            **asdict(config),
+            "components": config.components,
             "snr_values": [float(s) for s in config.snr_values],
-            "n_samples": config.n_samples,
-            "replicates": config.replicates,
-            "rules": list(config.rules),
-            "seed": config.seed,
-            "J0": config.J0,
-            "filter": {"family": "daubechies",
-                       "vanishing_moments": VANISHING_MOMENTS},
+            "filter": {"family": "daubechies", "vanishing_moments": VANISHING_MOMENTS},
             "weight_scheme": "uniform",
             "sigma_mode": "pooled",
-            "level_policy": {"gamma": POLICY_GAMMA,
-                             "applies_to": ["log", "beta"]},
+            "level_policy": {"gamma": POLICY_GAMMA, "applies_to": ["log", "beta"]},
             "rule_defaults": rule_defaults(),
         }
-    payload["failed_replicates"] = [
-        {"study": f.study, "rule": f.rule, "M": f.M, "snr": f.snr,
-         "replicate": f.replicate, "stage": f.stage, "message": f.message}
-        for f in failures]
+    payload["failed_replicates"] = [asdict(f) for f in failures]
     incomplete = [
         {"rule": row.rule, "M": row.M, "snr": row.snr, "component": row.component,
          "n": row.n}

@@ -14,12 +14,15 @@ that results do not depend on platform or thread count.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import ndtri
+
+from .shrinkage import check_integer
 
 __all__ = [
     "COMPONENT_NAMES",
@@ -163,7 +166,8 @@ def sigma_for_snr(truth: np.ndarray, weights: np.ndarray, snr: float) -> float:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Inputs fully determining one synthetic dataset."""
+    """Inputs fully determining one synthetic dataset.  A field of the wrong
+    kind or out of range fails when the spec is built."""
 
     components: tuple[str, ...]
     M: int
@@ -172,19 +176,23 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.M < 2 or self.M & (self.M - 1):
-            raise ValueError(f"M must be a power of two >= 2, got {self.M}")
-        if self.I < len(self.components):
-            raise ValueError(f"I={self.I} < L={len(self.components)}")
-        if not self.snr > 0:
-            raise ValueError(f"snr must be positive, got {self.snr}")
-        if not self.components:
-            raise ValueError("need at least one component")
+        if not isinstance(self.components, (tuple, list)) or not self.components:
+            raise ValueError(f"need at least one component, got {self.components!r}")
+        for c in self.components:
+            if not isinstance(c, str) or c.strip().lower() not in _EVALUATORS:
+                raise ValueError(f"unknown component {c!r}")
         object.__setattr__(self, "components",
                            tuple(c.strip().lower() for c in self.components))
-        for c in self.components:
-            if c not in _EVALUATORS:
-                raise ValueError(f"unknown component {c!r}")
+        check_integer("M", self.M)
+        if self.M < 2 or self.M & (self.M - 1):
+            raise ValueError(f"M must be a power of two >= 2, got {self.M}")
+        check_integer("I", self.I)
+        if self.I < len(self.components):
+            raise ValueError(f"I={self.I} < L={len(self.components)}")
+        check_integer("seed", self.seed)
+        snr = self.snr
+        if isinstance(snr, bool) or not (isinstance(snr, numbers.Real) and 0 < snr < np.inf):
+            raise ValueError(f"snr must be positive and finite, got {snr!r}")
 
 
 @dataclass(frozen=True)

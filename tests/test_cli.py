@@ -310,11 +310,13 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "study3_m64_128_seed0")
 def test_simulate_bytes_match_the_checked_in_outputs(tmp_path, capsys):
     # written before the rule-independent work was shared across rules and
     # replicates: `wavecal simulate --study 3 --m 64,128 --replicates 2 --seed 0
-    # --rules log,beta,lpm,abe,bams`; every rule and both M, byte for byte
+    # --rules log,beta,lpm,abe,bams`; every rule and both M, byte for byte.
+    # run.json, written after `log` and `beta` stopped reporting a p, pins
+    # the reported configuration
     rc = main(["simulate", "--study", "3", "--m", "64,128", "--replicates", "2",
                "--seed", "0", "--rules", "log,beta,lpm,abe,bams", "--out", str(tmp_path)])
     assert rc == 0
-    for name in ("replicates.csv", "amse.csv"):
+    for name in ("replicates.csv", "amse.csv", "run.json"):
         with open(os.path.join(GOLDEN, name), "rb") as want, \
                 open(tmp_path / name, "rb") as got:
             assert got.read() == want.read(), name

@@ -1,10 +1,12 @@
-"""Every field of `StudyConfig` and `EstimationConfig`, broken one at a time.
+"""Every field of `StudyConfig`, `EstimationConfig` and `DatasetSpec`,
+broken one at a time.
 
 A config whose field is not of its kind or out of its range raises
 ValueError when it is built.  Any other config runs: `run_study` returns
-finite MSEs and records each failure with its stage, and
+finite MSEs and records each failure with its stage,
 `estimate_components` returns a finite estimate or raises `PipelineError`
-naming a stage.  The designs are small (M <= 128, one replicate), so the
+naming a stage, and `generate_dataset` returns finite data of the spec's
+shape.  The designs are small (M <= 128, one replicate), so the
 whole module takes a few seconds.
 """
 
@@ -54,6 +56,18 @@ ESTIMATION_FIELDS = {
     | st.sampled_from([LevelPolicy(), RULES["log"], "bams"]),
     "J0": st.integers(-1, 7) | JUNK,
     "policy": st.integers(0, 7).map(lambda J0: LevelPolicy(J0=J0)) | JUNK,
+}
+
+
+VALID_DATASET = dict(components=("bumps", "blocks"), M=64, I=4, snr=3.0, seed=0)
+
+DATASET_FIELDS = {
+    "components": (st.lists(st.sampled_from(["bumps", " Doppler ", "spahet", "soft", ""])
+                            | JUNK, max_size=3).map(tuple) | JUNK),
+    "M": st.integers(-2, 128) | JUNK,
+    "I": st.integers(-1, 8) | JUNK,
+    "snr": st.floats(1e-3, 1e3) | st.integers(-2, 9) | JUNK,
+    "seed": st.integers(-3, 2 ** 64) | JUNK,
 }
 
 
@@ -108,6 +122,19 @@ def test_estimation_config(field):
     assert alpha.shape == (128, 2) and np.isfinite(alpha).all()
 
 
+@SETTINGS
+@given(field=fields_broken_one_at_a_time(DATASET_FIELDS))
+def test_dataset_spec(field):
+    name, value = field
+    spec = built(lambda: DatasetSpec(**{**VALID_DATASET, name: value}))
+    if spec is None:
+        return
+    data = generate_dataset(spec)
+    assert data.observed.shape == (spec.M, spec.I)
+    assert data.weights.shape == (len(spec.components), spec.I)
+    assert np.isfinite(data.observed).all() and data.sigma_true > 0
+
+
 def test_the_broken_fields_seen_before_are_rejected():
     # each of these was accepted when the config was built, and then ran or
     # failed inside run_study or estimate_components with a bare
@@ -120,3 +147,8 @@ def test_the_broken_fields_seen_before_are_rejected():
     for broken in (dict(filter="daubechies"), dict(policy=3), dict(rule=LevelPolicy())):
         assert built(lambda: EstimationConfig(**{**dict(filter=FILTER, rule=RULES["log"]()),
                                                 **broken})) is None, broken
+    # a bare TypeError when built, or accepted and failed in generate_dataset,
+    # or ran: seed=True as seed 1, snr=inf with sigma_true = 0
+    for broken in (dict(M=64.0), dict(snr="3"), dict(I=4.5), dict(seed=-1), dict(seed=1.5),
+                   dict(seed=True), dict(snr=math.inf)):
+        assert built(lambda: DatasetSpec(**{**VALID_DATASET, **broken})) is None, broken

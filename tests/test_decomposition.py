@@ -207,7 +207,7 @@ class TestPseudoinverseCache:
 
     @pytest.fixture(autouse=True)
     def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(decomposition, "_pinv_memo", None)
+        monkeypatch.setattr(decomposition, "_pseudoinverse", decomposition._LastResult())
 
     @staticmethod
     def same_bits(a, b):
@@ -220,25 +220,26 @@ class TestPseudoinverseCache:
         for y in (A, B, A, A):
             assert self.same_bits(solve_gamma(D, y), fresh_pinv_solution(D, y))
             assert self.same_bits(solve_gamma(2.0 * D, y), fresh_pinv_solution(2.0 * D, y))
-        entry = decomposition._pinv_memo
+        entry = decomposition._pseudoinverse.entry
         solve_gamma(D, A.copy())
-        assert decomposition._pinv_memo is entry  # a hit keeps the entry
+        assert decomposition._pseudoinverse.entry is entry  # a hit keeps the entry
         A[2, 7] += 1e-3  # in place: the cache holds its own copy of the key
         assert self.same_bits(solve_gamma(D, A), fresh_pinv_solution(D, A))
-        assert decomposition._pinv_memo is not entry
-        assert not decomposition._pinv_memo.weights.flags.writeable
-        assert not decomposition._pinv_memo.pinv.flags.writeable
+        assert decomposition._pseudoinverse.entry is not entry
+        (weights,), pinv = decomposition._pseudoinverse.entry
+        assert not weights.flags.writeable
+        assert not pinv.flags.writeable
 
     def test_key_is_bitwise(self):
         y = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
         D = np.ones((4, 3))
         solve_gamma(D, y)
-        entry = decomposition._pinv_memo
+        entry = decomposition._pseudoinverse.entry
         negative_zero = y.copy()
         negative_zero[0, 1] = -0.0
         assert self.same_bits(solve_gamma(D, negative_zero),
                               fresh_pinv_solution(D, negative_zero))
-        assert decomposition._pinv_memo is not entry
+        assert decomposition._pseudoinverse.entry is not entry
 
     def test_rank_deficient_weights_raise_on_every_call(self):
         rng = np.random.default_rng(19)
@@ -252,7 +253,8 @@ class TestPseudoinverseCache:
                 continue
             with pytest.raises(RankDeficiencyError, match=r"effective rank 2 < 3"):
                 solve_gamma(D, y)
-            assert self.same_bits(decomposition._pinv_memo.weights, good)
+            (weights,), _ = decomposition._pseudoinverse.entry
+            assert self.same_bits(weights, good)
 
 
 class TestEstimateComponents:
@@ -509,7 +511,7 @@ class TestRuleIndependentMemo:
             return transform(matrix, filt, J0, direction)
 
         monkeypatch.setattr(decomposition, "transform_columns", counted)
-        monkeypatch.setattr(decomposition, "_memo", None)
+        monkeypatch.setattr(decomposition, "_transformed", decomposition._LastResult())
         return calls
 
     @staticmethod
@@ -529,7 +531,7 @@ class TestRuleIndependentMemo:
         estimate_components(dataset.observed, dataset.weights, self.config(db10))
         hit = estimate_components(dataset.observed, dataset.weights, config)
         assert len(forward_calls) == 1
-        monkeypatch.setattr(decomposition, "_memo", None)
+        monkeypatch.setattr(decomposition, "_transformed", decomposition._LastResult())
         miss = estimate_components(dataset.observed, dataset.weights, config)
         assert len(forward_calls) == 2
         assert hit.tobytes() == miss.tobytes()
@@ -565,8 +567,8 @@ class TestRuleIndependentMemo:
 
     def test_cached_arrays_are_read_only(self, db10, dataset, forward_calls):
         estimate_components(dataset.observed, dataset.weights, self.config(db10))
-        memo = decomposition._memo
-        for array in (memo.observed, memo.coefficients):
+        (observed, taps, _), (coefficients, _) = decomposition._transformed.entry
+        for array in (observed, taps, coefficients):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
@@ -580,10 +582,10 @@ class TestRuleIndependentMemo:
         monkeypatch.setattr(decomposition, "estimate_sigma", unusable)
         with pytest.raises(PipelineError, match=r"\[sigma\] no sigma-hat"):
             estimate_components(dataset.observed, dataset.weights, self.config(db10))
-        assert decomposition._memo is None
+        assert decomposition._transformed.entry is None
 
     def test_threads_sharing_the_memo(self, db10):
-        # each call reads the memo once and replaces it whole; alternating
+        # each call reads the cache entry once and replaces it whole; alternating
         # datasets across threads must never mix one's coefficients into another
         datasets = [generate_dataset(DatasetSpec(components=("bumps", "blocks"), M=64,
                                                  I=6, snr=3.0, seed=s)) for s in (1, 2)]

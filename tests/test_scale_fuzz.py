@@ -1,16 +1,22 @@
-"""The public estimation boundary at every data scale.
+"""The public estimation boundary at every data scale, and at weights near
+the rank cutoff.
 
 `estimate_components` on data scaled by 2^k, for k across nearly the whole
 double exponent range, every rule and I from L to 60 samples, either returns
-a finite estimate or raises `PipelineError` naming one of its stages.
+a finite estimate or raises `PipelineError` naming one of its stages.  On
+weights whose singular values span about the cutoff ratio 1e-10, it returns
+a finite estimate or fails at the least-squares stage, and caches nothing
+of the weights it rejects.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavecal import decomposition
 from wavecal.decomposition import EstimationConfig, PipelineError, estimate_components
 from wavecal.shrinkage import RULES
 from wavecal.simharness import STUDY_COMPONENTS
@@ -52,3 +58,42 @@ def test_estimate_is_finite_or_names_a_stage(rule, data):
             return
     assert alpha.shape == (observed.shape[0], weights.shape[0])
     assert np.isfinite(alpha).all()
+
+
+@st.composite
+def weights_near_the_cutoff(draw):
+    """L x I weights U diag(s) V^T, 2 <= L <= 6 and L <= I <= 60, whose
+    singular values fall geometrically from 1 to 10^k * 1e-10, k in [-2, 2]."""
+    L = draw(st.integers(2, 6))
+    I = draw(st.integers(L, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    u = np.linalg.qr(rng.standard_normal((L, L)))[0]
+    v = np.linalg.qr(rng.standard_normal((I, L)))[0]
+    return (u * np.geomspace(1.0, 10.0 ** draw(st.floats(-2.0, 2.0)) * 1e-10, L)) @ v.T
+
+
+OBSERVED = generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[3], M=64, I=60,
+                                        snr=3.0, seed=5)).observed
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(weights=weights_near_the_cutoff())
+def test_weights_near_the_rank_cutoff(weights):
+    L, I = weights.shape
+    observed = OBSERVED[:, :I]
+    full_rank = np.random.default_rng(I).uniform(0.5, 1.5, (L, I))
+    config = EstimationConfig(filter=FILTER, rule=RULES["lpm"](), J0=3)
+    with mock.patch.object(decomposition, "_pseudoinverse", decomposition._LastResult()):
+        try:
+            alpha = estimate_components(observed, weights, config)
+        except PipelineError as exc:
+            assert exc.stage == "least-squares"
+            assert decomposition._pseudoinverse.entry is None  # nothing cached
+            with pytest.raises(PipelineError, match=r"\[least-squares\]"):
+                estimate_components(observed, weights, config)
+            after = estimate_components(observed, full_rank, config)
+            decomposition._pseudoinverse = decomposition._LastResult()
+            fresh = estimate_components(observed, full_rank, config)
+            assert after.tobytes() == fresh.tobytes()
+            return
+    assert alpha.shape == (64, L) and np.isfinite(alpha).all()

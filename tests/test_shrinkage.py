@@ -198,14 +198,14 @@ class TestLogisticRule:
         # posterior mean is d - sigma^2 / tau, and no warning is raised
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert logistic_rule(1e6, Logistic(tau=1.0, sigma=1.0)) == pytest.approx(
+            assert logistic_rule(1e6, Logistic(p=0.9, tau=1.0, sigma=1.0)) == pytest.approx(
                 1e6 - 1.0, rel=1e-15)
-            assert logistic_rule(-1e6, Logistic(tau=2.0, sigma=0.5)) == pytest.approx(
+            assert logistic_rule(-1e6, Logistic(p=0.9, tau=2.0, sigma=0.5)) == pytest.approx(
                 -1e6 + 0.125, rel=1e-15)
 
     def test_large_coefficient_kept(self):
         # far in the tail the posterior mean is d - sigma^2 / tau
-        spec = Logistic(tau=1.0, sigma=1.0)
+        spec = Logistic(p=0.9, tau=1.0, sigma=1.0)
         assert logistic_rule(700.0, spec) == pytest.approx(699.0, abs=1e-6)
         assert logistic_rule(720.0, spec) == pytest.approx(719.0, abs=1e-6)
 
@@ -217,8 +217,8 @@ class TestLogisticRule:
                                    rtol=0, atol=1e-12)
 
     def test_unresolved_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            logistic_rule(1.0, Logistic())
+        with pytest.raises(ValueError, match="Logistic spec has no sigma"):
+            logistic_rule(1.0, Logistic(p=0.9))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ class TestBetaRule:
     def test_far_outside_explicit_support_rejected(self):
         # past m + t_a sigma the closed form cancels; the rule refuses such d
         # rather than return a wrong value
-        spec = Beta(m=5.0, sigma=1.0)
+        spec = Beta(p=0.9, m=5.0, sigma=1.0)
         assert shrinkage._beta_outside(2) == pytest.approx(7.04, abs=5e-3)
         beta_rule(np.array([-12.0, 12.0]), spec)  # within 7 sigma of the support
         for d in (45.0, np.array([1.0, -45.0]), 12.1):
@@ -706,15 +706,27 @@ class TestShrinkPyramid:
             with pytest.raises(ValueError, match=f"policy J0 = {J0 + 1} differs"):
                 shrink_pyramid(pyr, spec, LevelPolicy(J0=J0 + 1))
 
+    @pytest.mark.parametrize("spec", [Logistic(p=0.5), Beta(p=0.1)], ids=["log", "beta"])
+    def test_set_mixture_weight_fails_the_pipeline(self, spec):
+        # the pipeline's mixture weight is p(j); a p set by hand fails at the
+        # shrinkage stage rather than be replaced silently
+        data = generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[1], M=256, I=8,
+                                            snr=3.0, seed=1))
+        config = EstimationConfig(filter=make_filter("daubechies", 10), rule=spec)
+        with pytest.raises(PipelineError) as excinfo:
+            estimate_components(data.observed, data.weights, config)
+        assert excinfo.value.stage == "shrinkage"
+        assert f"{type(spec).__name__}.p = {spec.p} is set" in str(excinfo.value)
+
     def test_primary_level_shrinks_least(self):
         # p(J0) = 0: no point mass at the primary level, so `log` there
-        # shrinks less than the spec's p = 0.9 would
+        # shrinks less than the standalone rule's p = 0.9 would
         rng = np.random.default_rng(23)
         pyr = Pyramid(rng.standard_normal(64), 2)
-        spec = Logistic(p=0.9, tau=1.0, sigma=1.0)
+        spec = Logistic(tau=1.0, sigma=1.0)
         d0, p0 = pyr.details[0], shrink_pyramid(pyr, spec).details[0]
         np.testing.assert_allclose(p0, logistic_rule(d0, replace(spec, p=0.0)), rtol=1e-13)
-        assert np.all(np.abs(p0) >= np.abs(logistic_rule(d0, spec)))
+        assert np.all(np.abs(p0) >= np.abs(logistic_rule(d0, replace(spec, p=0.9))))
 
 
 def per_level_shrink(pyr, rule):
@@ -1149,12 +1161,12 @@ class TestLogisticTable:
 
     def test_asymptote_beyond_cutoff(self):
         # beyond the cutoff the asymptotes need no table
-        assert logistic_rule(1e3, Logistic(sigma=1.0)) == 999.0
+        assert logistic_rule(1e3, Logistic(p=0.9, sigma=1.0)) == 999.0
 
     def test_sigma_whose_square_overflows_rejected(self):
         # the table's cutoff sigma^2 / tau is inf: the sums would give NaN
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
-                logistic_rule(1e200, Logistic(sigma=1e200))
+                logistic_rule(1e200, Logistic(p=0.9, sigma=1e200))
 
