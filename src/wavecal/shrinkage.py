@@ -175,7 +175,7 @@ class Logistic:
 
     def __post_init__(self):
         _check_scalars(self)
-        # p = 0 admitted: the level policy assigns it at the primary level
+        # p = 0 admitted: it is p(J0), the primary level's mixture weight
         if self.p is not None and not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must be in [0, 1), got {self.p}")
         _check_open("tau", self.tau)

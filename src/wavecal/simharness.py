@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
@@ -22,7 +21,7 @@ import numpy as np
 from . import __version__
 from .decomposition import EstimationConfig, PipelineError, estimate_components
 from .shrinkage import POLICY_GAMMA, RULES, check_integer, rule_defaults
-from .testbed import COMPONENT_NAMES, DatasetSpec, generate_dataset
+from .testbed import COMPONENT_NAMES, DatasetSpec, check_snr, generate_dataset
 from .wavelet import make_filter
 
 __all__ = [
@@ -92,8 +91,7 @@ class StudyConfig:
                 raise ValueError(f"M={M} has no detail level at J0={self.J0}: "
                                  f"need M >= 2^(J0+1) = {2 ** (self.J0 + 1)}")
         for snr in self.snr_values:
-            if isinstance(snr, bool) or not (isinstance(snr, numbers.Real) and 0 < snr < np.inf):
-                raise ValueError(f"SNR must be a finite number > 0, got {snr!r}")
+            check_snr(snr)
         # a repeated value would merge its cells, counting each replicate twice
         for name, values in lists.items():
             if len(set(values)) < len(values):

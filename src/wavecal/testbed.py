@@ -164,6 +164,12 @@ def sigma_for_snr(truth: np.ndarray, weights: np.ndarray, snr: float) -> float:
     return sd / snr
 
 
+def check_snr(snr) -> None:
+    """Reject an SNR unless it is a finite real number > 0 (a bool is not)."""
+    if isinstance(snr, bool) or not (isinstance(snr, numbers.Real) and 0 < snr < np.inf):
+        raise ValueError(f"snr must be positive and finite, got {snr!r}")
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """Inputs fully determining one synthetic dataset.  A field of the wrong
@@ -190,9 +196,7 @@ class DatasetSpec:
         if self.I < len(self.components):
             raise ValueError(f"I={self.I} < L={len(self.components)}")
         check_integer("seed", self.seed)
-        snr = self.snr
-        if isinstance(snr, bool) or not (isinstance(snr, numbers.Real) and 0 < snr < np.inf):
-            raise ValueError(f"snr must be positive and finite, got {snr!r}")
+        check_snr(self.snr)
 
 
 @dataclass(frozen=True)
