@@ -43,27 +43,25 @@ any |d|; a table that would need more than 2^14 panels is refused.
 `_grid_sums` builds the table's (points x nodes) grid in chunks of at most
 32768 values in one reused buffer.
 
-The beta rule takes integer shapes a >= 1 and is evaluated at c = |d| / sigma
-and w = m / sigma, with the sign of d restored last.  At the default shape
-a = 2 its prior integrals are three terms in Phi and exp at c +- w
-(`_beta_two`): two `ndtr` calls, three exponentials and a few dozen in-place
-array passes per coefficient block.  Other shapes sum truncated normal
-moments (`_beta_moments`).  On a support narrow against sigma, where those
-closed forms cancel, a Hermite series of the likelihood across the support
-takes over (`_beta_series`).  `beta_rule` rejects coefficients so far
-outside its spec's support m that the closed form loses accuracy
-(`_beta_outside`); `shrink_pyramid`'s m(j) = max |d| never gets there.
+The beta rule has the shape a = 2 of the paper and is evaluated at
+c = |d| / sigma and w = m / sigma, with the sign of d restored last.  Its
+prior integrals are three terms in Phi and exp at c +- w (`_beta_two`): two
+`ndtr` calls, three exponentials and a few dozen in-place array passes per
+coefficient block.  On a support narrow against sigma, w < 0.3, where that
+closed form cancels, a Hermite series of the likelihood across the support
+takes over (`_beta_series`).  `beta_rule` rejects coefficients more than
+_BETA_OUTSIDE sigma outside its spec's support m, where the closed form
+loses accuracy; `shrink_pyramid`'s m(j) = max |d| never gets there.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.special import beta as _beta_function, erfcx, log_ndtr, ndtr
+from scipy.special import erfcx, log_ndtr, ndtr
 
 from .wavelet import Pyramid
 
@@ -114,7 +112,8 @@ _UPSCALE = 2.0 ** 600
 
 
 class ShrinkageUnderflowWarning(RuntimeWarning):
-    """A rule denominator underflowed to zero; full shrinkage was applied."""
+    """A rule denominator underflowed to zero.  No rule raises it; it stays
+    only for the benchmark, whose tracer counts it."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +184,15 @@ class Logistic:
 
 @dataclass(frozen=True)
 class Beta:
-    """Point mass at zero mixed with a beta prior on [-m, m].
+    """Point mass at zero mixed with a beta prior of shape a = 2 on [-m, m],
+    the density 3 (m^2 - theta^2) / (4 m^3).
 
-    The shape a must be an integer >= 1 (a = 1 is the uniform prior): the
-    prior integrals then have a closed form.  ``sigma=None`` marks the noise
-    sd as to-be-estimated.  `beta_rule` needs p and m; `shrink_pyramid`
-    rejects both and uses the level's p(j) and m(j).
+    ``sigma=None`` marks the noise sd as to-be-estimated.  `beta_rule` needs
+    p and m; `shrink_pyramid` rejects both and uses the level's p(j) and
+    m(j).
     """
 
     p: Optional[float] = None
-    a: float = 2.0
     m: Optional[float] = None
     sigma: Optional[float] = None
 
@@ -202,8 +200,6 @@ class Beta:
         _check_scalars(self)
         if self.p is not None and not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must be in [0, 1), got {self.p}")
-        if not (self.a >= 1.0 and float(self.a).is_integer()):
-            raise ValueError(f"a must be an integer >= 1, got {self.a}")
         if self.m is not None:
             _check_open("m", self.m)
         if self.sigma is not None:
@@ -304,7 +300,8 @@ def estimate_sigma(finest_details: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _phi(x, out=None):
-    # exp(-x^2 / 2) / sqrt(2 pi), written into ``out`` when it is given
+    # exp(-x^2 / 2) / sqrt(2 pi), written into ``out`` when it is given.  No
+    # rule calls it; it stays only for the benchmark, whose tracer wraps it.
     g = np.multiply(x, x, out=out)
     g = np.multiply(g, -0.5, out=out)
     g = np.exp(g, out=out)
@@ -346,19 +343,6 @@ def _grid_sums(x, nodes, weights):
 def _as_array(d):
     arr = np.asarray(d, dtype=float)
     return arr, arr.ndim == 0
-
-
-def _ratio_or_zero(num, den, rule_name):
-    """num/den elementwise, mapping den == 0 to full shrinkage with a warning."""
-    den = np.asarray(den)
-    bad = den == 0.0
-    if np.any(bad):
-        warnings.warn(
-            f"{rule_name}: denominator underflowed for {int(np.count_nonzero(bad))} "
-            f"coefficient(s); returning 0 (full shrinkage)",
-            ShrinkageUnderflowWarning, stacklevel=3)
-    safe = np.where(bad, 1.0, den)
-    return np.where(bad, 0.0, num / safe)
 
 
 def _require(value, name, rule):
@@ -596,55 +580,15 @@ def logistic_rule(d, spec: Logistic):
     return float(out[0]) if scalar else out
 
 
-def _beta_moments(c, a: int, w):
-    """Closed-form prior integrals of the beta rule for integer shape a, at
-    c = |d| / sigma >= 0 and w = m / sigma.
-
-    Returns (sigma Z, N) with Z = int g(theta) phi_sigma(|d| - theta) dtheta
-    and N = int theta g(theta) phi_sigma(|d| - theta) dtheta over [-m, m].
-    With theta = sigma (c + u), the kernel (m^2 - theta^2)^(a-1) is
-    sigma^(2a-2) q(u)^(a-1) with q(u) = (hi - u)(u - lo), lo = -w - c and
-    hi = w - c: a polynomial in u.  Both integrals are therefore sums of the
-    truncated normal moments I_k = int_lo^hi u^k phi(u) du, which obey
-
-        I_k = lo^(k-1) phi(lo) - hi^(k-1) phi(hi) + (k-1) I_(k-2).
-
-    `_beta_two` is this at a = 2, summed in three terms.
-    """
-    n = a - 1
-    lo = -w - c
-    hi = w - c
-    phi_lo, phi_hi = _phi(lo), _phi(hi)
-    # lo <= 0, so Phi(hi) - Phi(lo) never cancels in the upper tail
-    moments = [ndtr(hi) - ndtr(lo), phi_lo - phi_hi]
-    lo_pow = hi_pow = 1.0
-    for k in range(2, 2 * n + 2):
-        lo_pow, hi_pow = lo_pow * lo, hi_pow * hi
-        moments.append(lo_pow * phi_lo - hi_pow * phi_hi + (k - 1) * moments[k - 2])
-    # coefficients of (q(u) / (hi - lo)^2)^n in powers of u, hi - lo = 2w, so
-    # that sigma^(2n) q^n / (2m)^(2a-1) = (q / (2w)^2)^n / (2w sigma)
-    w2 = (2.0 * w) ** 2
-    q = (-lo * hi / w2, (lo + hi) / w2, -1.0 / w2)
-    coef = [1.0]
-    for _ in range(n):
-        product = [0.0] * (len(coef) + 2)
-        for i, ci in enumerate(coef):
-            for j, qj in enumerate(q):
-                product[i + j] = product[i + j] + ci * qj
-        coef = product
-    s0 = sum(ci * moments[i] for i, ci in enumerate(coef))
-    s1 = sum(ci * moments[i + 1] for i, ci in enumerate(coef))
-    scale = 2.0 * w * _beta_function(a, a)
-    return s0 / scale, (c * s0 + s1) / scale
-
-
 def _beta_two(c, w, r):
     """|delta| / sigma of the beta rule at shape a = 2, from c = |d| / sigma,
     w = m / sigma and r from `_beta_point_mass`.
 
-    With G = sqrt(2 pi) [Phi(w - c) - Phi(-w - c)], P = e^(-(w + c)^2 / 2)
-    and H = e^(-(w - c)^2 / 2), the truncated normal moments of
-    `_beta_moments` collapse to three terms:
+    With theta = sigma (c + u) the prior kernel m^2 - theta^2 is sigma^2 times
+    a quadratic in u, so the prior integrals are sums of the truncated normal
+    moments int u^k phi(u) du, k <= 3, over [-w - c, w - c].  With
+    G = sqrt(2 pi) [Phi(w - c) - Phi(-w - c)], P = e^(-(w + c)^2 / 2) and
+    H = e^(-(w - c)^2 / 2) they collapse to three terms:
 
         s0 = ((w - c)(w + c) - 1) G + (w - c) P + (w + c) H
         num = c s0 - 2 (c G + P - H)
@@ -698,14 +642,14 @@ def _beta_point_mass(p: float, w):
     return p / (1.0 - p) * (4.0 / 3.0) * np.power(w, 3)
 
 
-def _beta_series(c, a: int, w, p: float):
+def _beta_series(c, w, p: float):
     """|delta| / sigma of the beta rule on a support narrow against sigma,
     from c = |d| / sigma and w = m / sigma.
 
     The likelihood across the support is a Hermite series,
     phi(c - w x) / phi(c) = e^(c w x - w^2 x^2 / 2) = sum_n He_n(c) (w x)^n / n!,
     so the prior integrals need only the even moments of the prior on
-    [-1, 1], mu_0 = 1 and mu_2j = mu_(2j-2) (2j - 1) / (2a + 2j - 1):
+    [-1, 1], mu_0 = 1 and mu_2j = mu_(2j-2) (2j - 1) / (2j + 3):
 
         S0 = sum_j w^(2j) He_2j(c) mu_2j / (2j)!
         S1 = sum_j w^(2j+1) He_(2j+1)(c) mu_(2j+2) / (2j+1)!
@@ -721,7 +665,7 @@ def _beta_series(c, a: int, w, p: float):
     cw = c * w
     w2 = w * w
     even, odd = np.ones_like(cw), cw  # E_0, E_1
-    mu = 1.0 / (2 * a + 1)            # mu_2
+    mu = 1.0 / 5                      # mu_2
     s0, s1 = np.ones_like(cw), mu * odd
     summing = ~np.isnan(cw)
     n = 1
@@ -729,7 +673,7 @@ def _beta_series(c, a: int, w, p: float):
         even = (cw * odd - w2 * even) / (n + 1)  # E_2j, with 2j = n + 1
         odd = (cw * even - w2 * odd) / (n + 2)
         t0 = even * mu
-        mu *= (n + 2) / (2 * a + n + 2)
+        mu *= (n + 2) / (n + 6)
         t1 = odd * mu
         summing &= (s0 + t0 != s0) | (s1 + t1 != s1)
         if not np.any(summing):
@@ -740,45 +684,32 @@ def _beta_series(c, a: int, w, p: float):
     return (1.0 - p) * w * s1 / (p + (1.0 - p) * s0)
 
 
-def _beta_outside(a: int) -> float:
-    """How far |d| may lie outside [-m, m], in units of sigma, for the beta
-    rule at shape a.
-
-    Past the support the terms of `_beta_moments` cancel by a factor of
-    about (1 + 2 t^2)^(a-1) at t = (|d| - m) / sigma; t_a holds it at 100
-    (t_2 = 7.04), where the closed form stays within 1e-11 * m of 2048-node
-    Gauss-Legendre quadrature for a <= 16.  At a = 1 nothing cancels, but
-    Phi(w - c) reaches the end of the normal doubles near t = 37.5, and the
-    closed form fails past it (at t = 38 it returns -2e8 for m = sigma / 2).
-    """
-    return float(np.sqrt((100.0 ** (1.0 / (a - 1)) - 1.0) / 2.0)) if a > 1 else 37.0
+# How far |d| may lie outside [-m, m], in units of sigma, for `beta_rule`.
+# Past the support the terms of `_beta_two` cancel by a factor of about
+# 1 + 2 t^2 at t = (|d| - m) / sigma; this t, about 7.04, holds it at 100,
+# where the closed form stays within 1e-11 * m of 2048-node Gauss-Legendre
+# quadrature.
+_BETA_OUTSIDE = float(np.sqrt(49.5))
 
 
-def _beta_kernel(arr, p, w, r, sigma: float, a: int):
+def _beta_kernel(arr, p, w, r, sigma: float):
     """The beta rule at the coefficients ``arr`` from resolved values: the
     mixture weight p, w = m / sigma and r = `_beta_point_mass` (p, w), each a
-    scalar or an array broadcasting against ``arr``, and the scalars sigma
-    and a.  Every coefficient's result is its own: the closed form and the
-    series are elementwise, whatever else is in ``arr``."""
+    scalar or an array broadcasting against ``arr``, and the scalar sigma.
+    Every coefficient's result is its own: the closed form and the series
+    are elementwise, whatever else is in ``arr``."""
     c = np.abs(arr) / sigma
-
-    def closed(c, p, w, r):
-        if a == 2:
-            return _beta_two(c, w, r)
-        z, n = _beta_moments(c, a, w)
-        return _ratio_or_zero((1.0 - p) * n, p * _phi(c) + (1.0 - p) * z, "beta_rule")
-
-    narrow = w < 0.6 * max(a - 1.5, 0.5)
+    narrow = w < 0.3
     if not np.any(narrow):
-        out = closed(c, p, w, r)
+        out = _beta_two(c, w, r)
     elif np.all(narrow):
-        out = _beta_series(c, a, w, p)
+        out = _beta_series(c, w, p)
     else:
         c, p, w, r, narrow = np.broadcast_arrays(c, p, w, r, narrow)
         wide = ~narrow
         out = np.empty(c.shape)
-        out[wide] = closed(c[wide], p[wide], w[wide], r[wide])
-        out[narrow] = _beta_series(c[narrow], a, w[narrow], p[narrow])
+        out[wide] = _beta_two(c[wide], w[wide], r[wide])
+        out[narrow] = _beta_series(c[narrow], w[narrow], p[narrow])
     out *= sigma
     return np.copysign(out, arr, out=out)
 
@@ -788,11 +719,10 @@ def beta_rule(d, spec: Beta):
 
     The rule is evaluated at c = |d| / sigma and w = m / sigma, and the sign
     of d restored last, so it is odd bit for bit.  The prior integrals have
-    a closed form in truncated normal moments (see `_beta_moments`); at the
-    default a = 2 it is three terms (see `_beta_two`).  On a support narrow
-    against sigma, w < 0.6 max(a - 1.5, 0.5), the closed form cancels and a
-    Hermite series of the likelihood is summed instead (see `_beta_series`).  A
-    coefficient more than `_beta_outside` (a) sigma outside the support is
+    a closed form in three terms (see `_beta_two`).  On a support narrow
+    against sigma, w < 0.3, the closed form cancels and a Hermite series of
+    the likelihood is summed instead (see `_beta_series`).  A coefficient
+    more than _BETA_OUTSIDE (about 7.04) sigma outside the support is
     rejected with a ValueError; `shrink_pyramid`'s support from the data,
     m(j) = max_k |d_jk|, never gets there.  |result| <= m always.
     """
@@ -801,12 +731,11 @@ def beta_rule(d, spec: Beta):
     p = _require(spec.p, "p", "Beta")
     arr, scalar = _as_array(d)
     arr = arr.reshape(-1) if scalar else arr
-    a, w = int(spec.a), m / sigma
-    outside = _beta_outside(a)
-    if np.any(np.abs(arr) / sigma > w + outside):
-        raise ValueError(f"beta_rule: coefficients lie more than {outside:.3g} sigma "
-                         f"outside the support [-m, m] of the beta prior")
-    out = _beta_kernel(arr, p, w, _beta_point_mass(p, w), sigma, a)
+    w = m / sigma
+    if np.any(np.abs(arr) / sigma > w + _BETA_OUTSIDE):
+        raise ValueError(f"beta_rule: coefficients lie more than {_BETA_OUTSIDE:.3g} "
+                         f"sigma outside the support [-m, m] of the beta prior")
+    out = _beta_kernel(arr, p, w, _beta_point_mass(p, w), sigma)
     return out.item() if scalar else out
 
 
@@ -984,11 +913,11 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
             per_level = (np.reshape([_point_mass_log(pj, table) for pj in p], column),)
             fixed = (table,)
         else:
-            a, sigma = int(rule.a), _require(rule.sigma, "sigma", "Beta")
+            sigma = _require(rule.sigma, "sigma", "Beta")
             w = np.where(live, peaks, 1.0) / sigma
             per_level = (np.reshape(p, column), w,
                          np.stack([_beta_point_mass(pj, wj) for pj, wj in zip(p, w)]))
-            fixed = (sigma, a)
+            fixed = (sigma,)
 
     out = np.empty_like(pyr.flat)
     out[:first] = pyr.flat[:first]
@@ -1029,11 +958,11 @@ def resolve_rule(spec: RuleSpec, sigma) -> RuleSpec:
 
 def rule_defaults() -> dict[str, dict[str, object]]:
     """Each named rule's default hyperparameters, for reporting: the fields
-    of its spec dataclass that have a default value, and a description of
-    each value the pipeline resolves from the data."""
+    of its spec dataclass that have a default value, beta's fixed shape a,
+    and a description of each value the pipeline resolves from the data."""
     resolved = {
         "log": {"sigma": "estimated", "policy": "p(j) = 1 - (j - J0 + 1)^-gamma"},
-        "beta": {"m": "max_k |d_jk|", "sigma": "estimated",
+        "beta": {"a": 2.0, "m": "max_k |d_jk|", "sigma": "estimated",
                  "policy": "p(j) = 1 - (j - J0 + 1)^-gamma, m(j) = max_k |d_jk|"},
         "lpm": {"sigma": "estimated", "threshold": "2 sigma sqrt(2k - 1)"},
         "abe": {"sigma": "estimated", "threshold": "sqrt(3) sigma"},

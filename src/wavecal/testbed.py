@@ -154,14 +154,17 @@ def sigma_for_snr(truth: np.ndarray, weights: np.ndarray, snr: float) -> float:
     """Noise sd giving the requested signal-to-noise ratio.
 
     sigma = sd(vec(truth @ weights)) / snr with the population standard
-    deviation pooled over all noiseless aggregated values.
+    deviation pooled over all noiseless aggregated values.  An SNR so small
+    that sigma overflows, as a subnormal one does, is rejected.
     """
-    if not snr > 0:
-        raise ValueError(f"snr must be positive, got {snr}")
+    check_snr(snr)
     sd = float(np.std(truth @ weights))
     if sd == 0.0:
         raise ValueError("noiseless aggregated values are constant; SNR undefined")
-    return sd / snr
+    sigma = sd / snr
+    if not np.isfinite(sigma):
+        raise ValueError(f"snr {snr!r} is too small: the noise sd {sd:.3g} / snr overflows")
+    return sigma
 
 
 def check_snr(snr) -> None:

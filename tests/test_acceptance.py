@@ -13,7 +13,6 @@ import sys
 import time
 
 import numpy as np
-from scipy.special import beta as beta_function, ndtr
 
 from wavecal.decomposition import EstimationConfig, estimate_components, solve_gamma
 from wavecal.shrinkage import (
@@ -68,13 +67,14 @@ def _logistic_oracle_grid(d_grid, p, tau, sigma, panels=25_000, lim=12.0):
     return out
 
 
-def _beta_pdf(t, a, m):
-    return (m * m - t * t) ** (a - 1) / ((2 * m) ** (2 * a - 1) * beta_function(a, a))
+def _beta_pdf(t, m):
+    # the beta density of shape a = 2 on [-m, m]
+    return 3.0 * (m * m - t * t) / (4.0 * m ** 3)
 
 
-def _beta_oracle_grid(d_grid, p, a, m, sigma, panels=25_000):
+def _beta_oracle_grid(d_grid, p, m, sigma, panels=25_000):
     t = np.linspace(-m, m, panels + 1)
-    g = _beta_pdf(t, a, m)
+    g = _beta_pdf(t, m)
     out = np.empty_like(d_grid)
     for lo in range(0, d_grid.size, 32):
         d = d_grid[lo: lo + 32, None]
@@ -83,11 +83,6 @@ def _beta_oracle_grid(d_grid, p, a, m, sigma, panels=25_000):
         den = p * _phi(d[:, 0] / sigma) / sigma + (1 - p) * np.trapezoid(g * lik, t, axis=1)
         out[lo: lo + 32] = num / den
     return out
-
-
-def _truncated_normal_mean(d, m, sigma):
-    lo, hi = (-m - d) / sigma, (m - d) / sigma
-    return d + sigma * (_phi(lo) - _phi(hi)) / (ndtr(hi) - ndtr(lo))
 
 
 def _laplace_pdf(x, scale):
@@ -154,13 +149,9 @@ def test_criterion_2_rule_oracle_equivalence():
         worst_log = max(worst_log, float(np.max(np.abs(got - want))))
 
     worst_beta = 0.0
-    for p, a, m, sigma in [(0.9, 2.0, 5.0, 1.0), (0.5, 3.0, 8.0, 2.0),
-                           (0.0, 1.0, 10.0, 1.0)]:
-        got = beta_rule(d_grid, Beta(p=p, a=a, m=m, sigma=sigma))
-        if a == 1.0 and p == 0.0:
-            want = _truncated_normal_mean(d_grid, m, sigma)
-        else:
-            want = _beta_oracle_grid(d_grid, p, a, m, sigma)
+    for p, m, sigma in [(0.9, 5.0, 1.0), (0.5, 8.0, 2.0), (0.0, 10.0, 1.0)]:
+        got = beta_rule(d_grid, Beta(p=p, m=m, sigma=sigma))
+        want = _beta_oracle_grid(d_grid, p, m, sigma)
         worst_beta = max(worst_beta, float(np.max(np.abs(got - want))))
 
     worst_bams = 0.0
@@ -197,7 +188,7 @@ def test_criterion_4_property_suite():
     def rule_set(sigma):
         return {
             "log": lambda d: logistic_rule(d, Logistic(p=0.9, tau=1.0, sigma=sigma)),
-            "beta": lambda d: beta_rule(d, Beta(p=0.9, a=2.0, m=10.0 * sigma, sigma=sigma)),
+            "beta": lambda d: beta_rule(d, Beta(p=0.9, m=10.0 * sigma, sigma=sigma)),
             "lpm": lambda d: lpm_rule(d, Lpm(k=1.0, sigma=sigma)),
             "abe": lambda d: abe_rule(d, Abe(sigma=sigma)),
             "bams": lambda d: bams_rule(d, Bams(alpha=0.8, tau=3.0 * sigma,
@@ -233,21 +224,21 @@ def test_criterion_4_property_suite():
             if (abs(d) <= bound) != (v == 0.0):
                 failures.append(f"abe threshold sigma={sigma} d={d}")
 
-    # monotone shrinkage in p (logistic) and in a (beta)
+    # monotone shrinkage in p: a heavier point mass shrinks harder
     for d in (0.5, 1.5, 4.0):
         vals = [logistic_rule(d, Logistic(p=p, tau=1.0, sigma=1.0))
                 for p in np.linspace(0.05, 0.95, 10)]
         if not all(b < a for a, b in zip(vals, vals[1:])):
-            failures.append(f"p-monotonicity d={d}")
-    for d in (2.0, 3.0, 4.0, 6.0, 8.0):
-        vals = [abs(beta_rule(d, Beta(p=0.0, a=a, m=8.0, sigma=1.0)))
-                for a in (1.0, 2.0, 4.0, 8.0, 16.0)]
+            failures.append(f"logistic p-monotonicity d={d}")
+    for d in (0.5, 1.5, 2.0, 4.0, 6.0, 8.0):
+        vals = [beta_rule(d, Beta(p=p, m=8.0, sigma=1.0))
+                for p in np.linspace(0.05, 0.95, 10)]
         if not all(b < a for a, b in zip(vals, vals[1:])):
-            failures.append(f"a-monotonicity d={d}")
+            failures.append(f"beta p-monotonicity d={d}")
 
     ok = not failures
     _report(4, ok, "antisymmetry, |delta(d)| <= |d|, threshold regions, "
-                   f"p/a monotonicity: {len(failures)} failures"
+                   f"p monotonicity: {len(failures)} failures"
                    + (f" (first: {failures[0]})" if failures else ""))
 
 

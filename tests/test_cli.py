@@ -22,6 +22,8 @@ def test_rules_show(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"log", "beta", "lpm", "abe", "bams"}
     assert payload["abe"]["threshold"] == "sqrt(3) sigma"
+    # beta's shape is fixed at a = 2, reported as the float the run.json files hold
+    assert type(payload["beta"]["a"]) is float and payload["beta"]["a"] == 2.0
 
 
 def test_simulate_writes_reports(tmp_path, capsys):
@@ -293,6 +295,9 @@ def test_snr_not_finite_and_positive_rejected(tmp_path, capsys, snr):
     (["--snr", "3,3.0"], "duplicate value in snr_values"),
     (["--rules", "lpm,lpm"], "duplicate value in rules"),
     (["--m", "64,64"], "duplicate value in m_values"),
+    # sd / snr overflows: every replicate would fail at the input stage,
+    # with exit code 0
+    (["--snr", "1e-310"], "snr 1e-310 is too small"),
 ])
 def test_simulate_bad_design_rejected(tmp_path, capsys, args, message):
     out = tmp_path / "r"

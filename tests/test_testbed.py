@@ -225,6 +225,13 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="snr must be positive"):
             DatasetSpec(components=("bumps",), M=64, I=4, snr=snr)
 
+    @pytest.mark.parametrize("snr", [1e-310, 5e-324])
+    def test_subnormal_snr_rejected(self, snr):
+        # the spec is valid, but sd / snr overflows to an infinite noise sd
+        spec = DatasetSpec(components=("bumps", "blocks"), M=64, I=4, snr=snr)
+        with pytest.raises(ValueError, match="too small"):
+            generate_dataset(spec)
+
 
 class TestCsvExport:
     def test_dataset_round_trip(self, tmp_path):
