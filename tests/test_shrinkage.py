@@ -25,6 +25,7 @@ from wavecal.shrinkage import (
     logistic_rule,
     lpm_rule,
     resolve_rule,
+    rule_defaults,
     shrink_pyramid,
 )
 from wavecal.decomposition import EstimationConfig, PipelineError, estimate_components
@@ -328,7 +329,8 @@ class TestBetaRule:
                 want = self.moments_reference(d, p, m, sigma)
                 assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(d) + sigma))
 
-    def test_odd_bit_for_bit(self):
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 0.98])
+    def test_odd_bit_for_bit(self, p):
         # the kernel with per-column supports w = m / sigma, some narrow
         # enough for the Hermite series; d out to m + 7.04 sigma, as far as
         # `beta_rule` accepts
@@ -337,7 +339,7 @@ class TestBetaRule:
         d = rng.uniform(-1.0, 1.0, (500, 40)) * (w + shrinkage._BETA_OUTSIDE)
 
         def kernel(x):
-            return shrinkage._beta_kernel(x, 0.7, w, shrinkage._beta_point_mass(0.7, w), 1.0)
+            return shrinkage._beta_kernel(x, p, w, shrinkage._beta_point_mass(p, w), 1.0)
         np.testing.assert_array_equal(kernel(-d), -kernel(d))
 
     def test_far_outside_explicit_support_rejected(self):
@@ -380,6 +382,12 @@ class TestBetaRule:
     def test_unresolved_support_rejected(self):
         with pytest.raises(ValueError):
             beta_rule(1.0, Beta(p=0.5, sigma=1.0))
+
+    def test_shape_is_fixed(self):
+        # the shape is a = 2, not a field: a spec cannot ask for another
+        with pytest.raises(TypeError):
+            Beta(a=3.0)
+        assert rule_defaults()["beta"]["a"] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +650,7 @@ class TestShrinkPyramid:
         lambda: Logistic(p=np.array([0.5, 0.6])),
         lambda: Beta(m=1.0, sigma=np.array([1.0, 2.0])),
         lambda: Beta(p=np.array([0.5, 0.6])),
+        lambda: Beta(p=1.0),
         lambda: Beta(m=np.array([1.0, 2.0]), sigma=1.0),
         lambda: Beta(m=np.array([1.0, 0.0]), sigma=1.0),
         lambda: Lpm(sigma=np.array([1.0, 2.0])),
@@ -650,6 +659,8 @@ class TestShrinkPyramid:
         lambda: Bams(tau=np.array([1.0, 2.0])),
         lambda: Bams(mu=np.array([1.0, 2.0])),
         lambda: Bams(alpha=np.array([0.5, 0.6])),
+        lambda: Beta(p=-0.1),
+        lambda: Beta(m=0.0),
     ])
     def test_invalid_parameters_rejected(self, make):
         with pytest.raises(ValueError) as info:
@@ -804,19 +815,20 @@ class TestRowBlocks:
             out = shrink_pyramid(pyr, resolve_rule(shrinkage.RULES[name](), 1.0))
         assert np.all(np.isfinite(out.flat))
 
-    def test_beta_series_batch_equals_single_coefficients(self):
+    @pytest.mark.parametrize("p", [0.0, 0.4, pytest.param(np.linspace(0.0, 0.9, 400),
+                                                           id="per-coefficient")])
+    def test_beta_series_batch_equals_single_coefficients(self, p):
         # the series stops per coefficient, so a batch gives each coefficient
         # what a call on it alone gives
         rng = np.random.default_rng(2)
         w = rng.uniform(0.0, 0.3, 400)
         c = rng.uniform(0.0, 1.0, 400) * (w + shrinkage._BETA_OUTSIDE)
         c[:20] = 0.0
-        for p in (0.0, 0.4, np.linspace(0.0, 0.9, 400)):
-            got = shrinkage._beta_series(c, w, p)
-            ps = np.broadcast_to(p, c.shape)
-            want = [shrinkage._beta_series(c[i:i + 1], w[i:i + 1], ps[i])[0]
-                    for i in range(c.size)]
-            np.testing.assert_array_equal(_bits(got), _bits(want))
+        got = shrinkage._beta_series(c, w, p)
+        ps = np.broadcast_to(p, c.shape)
+        want = [shrinkage._beta_series(c[i:i + 1], w[i:i + 1], ps[i])[0]
+                for i in range(c.size)]
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 # ---------------------------------------------------------------------------
@@ -901,6 +913,14 @@ class TestProperties:
         # heavier point mass shrinks harder
         for d in (0.5, 1.5, 4.0):
             values = [logistic_rule(d, Logistic(p=p, tau=1.0, sigma=1.0))
+                      for p in np.linspace(0.05, 0.95, 10)]
+            assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_beta_monotone_in_p(self):
+        # heavier point mass shrinks harder; past d = m the point mass's
+        # posterior weight rounds to 0 and every p gives the same float
+        for d in (0.5, 1.5, 2.0, 4.0, 6.0, 8.0):
+            values = [beta_rule(d, Beta(p=p, m=8.0, sigma=1.0))
                       for p in np.linspace(0.05, 0.95, 10)]
             assert all(b < a for a, b in zip(values, values[1:]))
 
