@@ -174,7 +174,7 @@ def _read_samples(path):
 
 def _cmd_estimate(args) -> int:
     grid, observed = _read_samples(args.input)
-    weights = np.atleast_2d(np.loadtxt(args.weights, delimiter=",", dtype=float))
+    weights = np.loadtxt(args.weights, delimiter=",", dtype=float, ndmin=2)
     if weights.shape[1] != observed.shape[1]:
         raise ValueError(f"{args.input} has {observed.shape[1]} distinct sample_ids "
                          f"but {args.weights} has {weights.shape[1]} weight columns")

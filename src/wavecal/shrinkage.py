@@ -19,7 +19,10 @@ parameter dataclass; a default instance is the unresolved spec that
 
 Rules accept a scalar or an array of coefficients and are pure functions of
 their arguments.  The noise sd sigma and the other hyperparameters are
-scalars, and a spec rejects any other value when it is built.
+finite scalars, and a spec rejects any other value when it is built.  A spec
+holds only what the pipeline reads: the standalone `logistic_rule` and
+`beta_rule` take the mixture weight p, and beta's half-support m, as
+arguments, which `shrink_pyramid` resolves per level instead.
 `shrink_pyramid` applies a rule coefficientwise to the detail rows of a
 Pyramid, the level views of one flat coefficient matrix, and writes the
 result into one new matrix of the same layout, the coarse rows copied
@@ -50,8 +53,8 @@ prior integrals are three terms in Phi and exp at c +- w (`_beta_two`): two
 coefficient block.  On a support narrow against sigma, w < 0.3, where that
 closed form cancels, a Hermite series of the likelihood across the support
 takes over (`_beta_series`).  `beta_rule` rejects coefficients more than
-_BETA_OUTSIDE sigma outside its spec's support m, where the closed form
-loses accuracy; `shrink_pyramid`'s m(j) = max |d| never gets there.
+_BETA_OUTSIDE sigma outside its support m, where the closed form loses
+accuracy; `shrink_pyramid`'s m(j) = max |d| never gets there.
 """
 
 from __future__ import annotations
@@ -149,14 +152,21 @@ def _check_scalars(spec) -> None:
 
 
 def _check_open(name: str, value, low: float = 0.0) -> None:
-    """Reject a scalar parameter unless it is > low."""
-    if not value > low:
-        raise ValueError(f"{name} must be > {low}, got {value}")
+    """Reject a parameter unless it is a finite scalar > low."""
+    if np.ndim(value) != 0 or not low < value < np.inf:
+        raise ValueError(f"{name} must be finite and > {low}, got {value!r}")
 
 
 def _check_nonnegative(name: str, value) -> None:
-    if value is not None and not value >= 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    if value is not None and not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_weight(p) -> None:
+    """Reject a mixture weight unless it is a scalar in [0, 1); p = 0 is
+    p(J0), the primary level's weight."""
+    if np.ndim(p) != 0 or not 0.0 <= p < 1.0:
+        raise ValueError(f"p must be a scalar in [0, 1), got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -164,19 +174,15 @@ class Logistic:
     """Point mass at zero mixed with a logistic prior of scale tau.
 
     ``sigma=None`` marks the noise sd as to-be-estimated; rule evaluation
-    requires a resolved spec.  `logistic_rule` needs the mixture weight p;
-    `shrink_pyramid` rejects it and uses the level's p(j).
+    requires a resolved spec.  The mixture weight is not a field:
+    `logistic_rule` takes p, and `shrink_pyramid` uses the level's p(j).
     """
 
-    p: Optional[float] = None
     tau: float = 1.0
     sigma: Optional[float] = None
 
     def __post_init__(self):
         _check_scalars(self)
-        # p = 0 admitted: it is p(J0), the primary level's mixture weight
-        if self.p is not None and not 0.0 <= self.p < 1.0:
-            raise ValueError(f"p must be in [0, 1), got {self.p}")
         _check_open("tau", self.tau)
         if self.sigma is not None:
             _check_open("sigma", self.sigma)
@@ -187,21 +193,15 @@ class Beta:
     """Point mass at zero mixed with a beta prior of shape a = 2 on [-m, m],
     the density 3 (m^2 - theta^2) / (4 m^3).
 
-    ``sigma=None`` marks the noise sd as to-be-estimated.  `beta_rule` needs
-    p and m; `shrink_pyramid` rejects both and uses the level's p(j) and
-    m(j).
+    ``sigma=None`` marks the noise sd as to-be-estimated.  p and m are not
+    fields: `beta_rule` takes them, and `shrink_pyramid` uses the level's
+    p(j) and m(j).
     """
 
-    p: Optional[float] = None
-    m: Optional[float] = None
     sigma: Optional[float] = None
 
     def __post_init__(self):
         _check_scalars(self)
-        if self.p is not None and not 0.0 <= self.p < 1.0:
-            raise ValueError(f"p must be in [0, 1), got {self.p}")
-        if self.m is not None:
-            _check_open("m", self.m)
         if self.sigma is not None:
             _check_open("sigma", self.sigma)
 
@@ -219,16 +219,9 @@ class Lpm:
 
     def __post_init__(self):
         _check_scalars(self)
-        if not self.k > 0.5:
-            raise ValueError(f"k must be > 1/2, got {self.k}")
+        if not 0.5 < self.k < np.inf:
+            raise ValueError(f"k must be finite and > 1/2, got {self.k}")
         _check_nonnegative("sigma", self.sigma)
-
-    @property
-    def threshold(self) -> float:
-        """lambda = 2 sigma sqrt(2k - 1)."""
-        if self.sigma is None:
-            raise ValueError("sigma is unresolved")
-        return 2.0 * self.sigma * np.sqrt(2.0 * self.k - 1.0)
 
 
 @dataclass(frozen=True)
@@ -250,9 +243,10 @@ class Bams:
     """Point mass mixed with a double-exponential prior, exponential prior
     on the noise variance.
 
-    The closed form degenerates on the manifold 2*mu*tau^2 = 1 (prior and
-    marginal-noise scales coincide); parameter pairs within 1e-8 of it are
-    rejected rather than implementing the analytic limit.
+    With both scales set, the prior's tau must exceed the marginal noise
+    scale s = 1/sqrt(2 mu) by a margin: 2*mu*tau^2 > 1 + 1e-8.  The closed
+    form degenerates at tau = s, and the pipeline's tau = 3 sigma-hat and
+    mu = 1/sigma-hat^2 give 2*mu*tau^2 = 18.
     """
 
     alpha: float = 0.8
@@ -268,11 +262,10 @@ class Bams:
         if self.mu is not None:
             _check_open("mu", self.mu)
         if self.tau is not None and self.mu is not None:
-            manifold = 2.0 * self.mu * self.tau ** 2
-            if abs(manifold - 1.0) <= _BAMS_SINGULARITY_TOL:
-                raise ValueError(
-                    f"parameters too close to the singular manifold "
-                    f"2*mu*tau^2 = 1 (got {manifold})")
+            ratio = 2.0 * self.mu * self.tau ** 2
+            if not ratio > 1.0 + _BAMS_SINGULARITY_TOL:
+                raise ValueError(f"tau must exceed s = 1/sqrt(2 mu): 2*mu*tau^2 must be "
+                                 f"> 1 + {_BAMS_SINGULARITY_TOL:g}, got {ratio}")
 
 
 RuleSpec = Union[Logistic, Beta, Lpm, Abe, Bams]
@@ -509,10 +502,10 @@ def _logistic_table(spec: Logistic, top: float) -> _LogisticTable:
 
 def _point_mass_log(p: float, table: _LogisticTable) -> float:
     """log K, K = p / (1 - p) * tau / (sigma sqrt(2 pi)), the point mass's
-    weight in `_logistic_from_table`; -inf at p = 0, where there is none."""
-    if p == 0.0:
-        return -np.inf
-    return np.log(p / (1.0 - p) * table.tau / (table.sigma * _SQRT_2PI))
+    weight in `_logistic_from_table`; -inf where K is 0: at p = 0, or where
+    K underflows and the point mass's share K e^x is far below rounding."""
+    k = p / (1.0 - p) * table.tau / (table.sigma * _SQRT_2PI)
+    return np.log(k) if k > 0.0 else -np.inf
 
 
 def _logistic_from_table(arr, log_k, table: _LogisticTable):
@@ -561,8 +554,8 @@ def _logistic_from_table(arr, log_k, table: _LogisticTable):
     return np.copysign(ratio, arr, out=ratio)
 
 
-def logistic_rule(d, spec: Logistic):
-    """Posterior mean under the logistic mixture prior.
+def logistic_rule(d, spec: Logistic, *, p: float):
+    """Posterior mean under the logistic mixture prior of mixture weight p.
 
     The prior integrals Z and N (see `_LogisticTable`) depend on d only
     through a = |d|, and on p not at all, so they are tabulated once per
@@ -572,7 +565,7 @@ def logistic_rule(d, spec: Logistic):
     Gauss-Hermite rule while sigma <= 2 tau and a rule on the prior's scale
     beyond.  The rule is odd, and |result| <= |d|.
     """
-    p = _require(spec.p, "p", "Logistic")
+    _check_weight(p)
     arr, scalar = _as_array(d)
     table = _logistic_table(spec, float(np.max(np.abs(arr), initial=0.0)))
     out = _logistic_from_table(arr.reshape(-1) if scalar else arr,
@@ -702,8 +695,6 @@ def _beta_kernel(arr, p, w, r, sigma: float):
     narrow = w < 0.3
     if not np.any(narrow):
         out = _beta_two(c, w, r)
-    elif np.all(narrow):
-        out = _beta_series(c, w, p)
     else:
         c, p, w, r, narrow = np.broadcast_arrays(c, p, w, r, narrow)
         wide = ~narrow
@@ -714,8 +705,9 @@ def _beta_kernel(arr, p, w, r, sigma: float):
     return np.copysign(out, arr, out=out)
 
 
-def beta_rule(d, spec: Beta):
-    """Posterior mean under the symmetric beta mixture prior on [-m, m].
+def beta_rule(d, spec: Beta, *, p: float, m: float):
+    """Posterior mean under the symmetric beta mixture prior on [-m, m] of
+    mixture weight p.
 
     The rule is evaluated at c = |d| / sigma and w = m / sigma, and the sign
     of d restored last, so it is odd bit for bit.  The prior integrals have
@@ -727,8 +719,8 @@ def beta_rule(d, spec: Beta):
     m(j) = max_k |d_jk|, never gets there.  |result| <= m always.
     """
     sigma = _require(spec.sigma, "sigma", "Beta")
-    m = _require(spec.m, "m", "Beta")
-    p = _require(spec.p, "p", "Beta")
+    _check_weight(p)
+    _check_open("m", m)
     arr, scalar = _as_array(d)
     arr = arr.reshape(-1) if scalar else arr
     w = m / sigma
@@ -787,7 +779,8 @@ def abe_rule(d, spec: Abe):
 def bams_rule(d, spec: Bams):
     """BAMS posterior mean under the point-mass + double-exponential prior.
 
-    With s = 1/sqrt(2 mu) the marginal noise is DE(0, s) and, for tau != s,
+    With s = 1/sqrt(2 mu) the marginal noise is DE(0, s) and, as the spec
+    requires tau > s,
 
         delta(d) = [tau (tau^2-s^2) d e^{-|d|/tau}
                     + 2 s^2 tau^2 sgn(d) (e^{-|d|/s} - e^{-|d|/tau})]
@@ -807,31 +800,23 @@ def bams_rule(d, spec: Bams):
     arr = arr.reshape(-1) if scalar else arr
     s = 1.0 / np.sqrt(2.0 * mu)
     tqdiff = tau * tau - s * s
-    # divide everything by the larger of e^{-|d|/tau} and e^{-|d|/s}, which
-    # leaves r_tau and r_s: one of them 1, the other r = e^{-|d| |1/s - 1/tau|}
-    # in (0, 1]
+    # divide everything by e^{-|d|/tau}, the larger of it and e^{-|d|/s}, which
+    # leaves r_tau = 1 and r_s = r = e^{-|d| (1/s - 1/tau)} in (0, 1]
     r = np.abs(arr)
-    r *= -np.abs(1.0 / s - 1.0 / tau)
+    r *= 1.0 / tau - 1.0 / s
     np.exp(r, out=r)
-    prior_wider = tau >= s
     # delta's numerator: tau tqdiff d r_tau + 2 s^2 tau^2 sgn(d) (r_s - r_tau)
     term = np.sign(arr)
     term *= 2.0 * s * s * tau * tau
-    spread = np.subtract(r, 1.0) if prior_wider else np.subtract(1.0, r)  # r_s - r_tau
+    spread = np.subtract(r, 1.0)  # r_s - r_tau
     term *= spread
     num = np.multiply(arr, tau * tqdiff)
     # from here on, spread = tau r_tau - s r_s, and noise = alpha r_s / (2 s)
-    if prior_wider:  # r_tau = 1, r_s = r
-        np.multiply(r, s, out=spread)
-        np.subtract(tau, spread, out=spread)
-        noise = r
-        noise /= 2.0 * s
-        noise *= spec.alpha
-    else:            # r_tau = r, r_s = 1
-        num *= r
-        np.multiply(r, tau, out=spread)
-        spread -= s
-        noise = spec.alpha * (1.0 / (2.0 * s))
+    np.multiply(r, s, out=spread)
+    np.subtract(tau, spread, out=spread)
+    noise = r
+    noise /= 2.0 * s
+    noise *= spec.alpha
     num += term
     num /= np.multiply(spread, tqdiff, out=term)  # delta
     weight = spread
@@ -884,9 +869,9 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
     result at a coefficient is independent of the block it sits in.  For
     Logistic and Beta the mixture weight p(j) = 1 - (j - J0 + 1)^(-gamma)
     and the beta half-support m(j) = max_k |d_jk|, one per column, are
-    resolved once per level at the pyramid's J0; a spec with p or m set is
-    rejected.  A column whose level is all zeros is set to zero.  ``policy`` changes nothing and stays only for the benchmark;
-    its J0 must be the pyramid's.
+    resolved once per level at the pyramid's J0.  A column whose level is
+    all zeros is set to zero.  ``policy`` changes nothing and stays only for
+    the benchmark; its J0 must be the pyramid's.
     """
     evaluate = _rule_function(rule)
     if policy is not None and policy.J0 != pyr.J0:
@@ -898,10 +883,6 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
     # by row; `fixed` values are passed whole
     per_level, fixed, live = (), (rule,), None
     if isinstance(rule, (Logistic, Beta)):
-        for name in ("p", "m"):
-            if getattr(rule, name, None) is not None:
-                raise ValueError(f"{type(rule).__name__}.{name} = {getattr(rule, name)} is "
-                                 f"set, but each level takes p(j) and m(j); leave it unset")
         # max_k |d_jk| per level and column: m(j), and the logistic table's range
         peaks = np.maximum.reduceat(np.abs(details), [2 ** j - first for j in levels],
                                     axis=0)

@@ -144,13 +144,13 @@ def test_criterion_2_rule_oracle_equivalence():
 
     worst_log = 0.0
     for p, tau, sigma in [(0.9, 1.0, 1.0), (0.5, 2.0, 1.0), (0.8, 1.5, 0.5)]:
-        got = logistic_rule(d_grid, Logistic(p=p, tau=tau, sigma=sigma))
+        got = logistic_rule(d_grid, Logistic(tau=tau, sigma=sigma), p=p)
         want = _logistic_oracle_grid(d_grid, p, tau, sigma)
         worst_log = max(worst_log, float(np.max(np.abs(got - want))))
 
     worst_beta = 0.0
     for p, m, sigma in [(0.9, 5.0, 1.0), (0.5, 8.0, 2.0), (0.0, 10.0, 1.0)]:
-        got = beta_rule(d_grid, Beta(p=p, m=m, sigma=sigma))
+        got = beta_rule(d_grid, Beta(sigma=sigma), p=p, m=m)
         want = _beta_oracle_grid(d_grid, p, m, sigma)
         worst_beta = max(worst_beta, float(np.max(np.abs(got - want))))
 
@@ -187,8 +187,8 @@ def test_criterion_4_property_suite():
 
     def rule_set(sigma):
         return {
-            "log": lambda d: logistic_rule(d, Logistic(p=0.9, tau=1.0, sigma=sigma)),
-            "beta": lambda d: beta_rule(d, Beta(p=0.9, m=10.0 * sigma, sigma=sigma)),
+            "log": lambda d: logistic_rule(d, Logistic(tau=1.0, sigma=sigma), p=0.9),
+            "beta": lambda d: beta_rule(d, Beta(sigma=sigma), p=0.9, m=10.0 * sigma),
             "lpm": lambda d: lpm_rule(d, Lpm(k=1.0, sigma=sigma)),
             "abe": lambda d: abe_rule(d, Abe(sigma=sigma)),
             "bams": lambda d: bams_rule(d, Bams(alpha=0.8, tau=3.0 * sigma,
@@ -226,12 +226,12 @@ def test_criterion_4_property_suite():
 
     # monotone shrinkage in p: a heavier point mass shrinks harder
     for d in (0.5, 1.5, 4.0):
-        vals = [logistic_rule(d, Logistic(p=p, tau=1.0, sigma=1.0))
+        vals = [logistic_rule(d, Logistic(tau=1.0, sigma=1.0), p=p)
                 for p in np.linspace(0.05, 0.95, 10)]
         if not all(b < a for a, b in zip(vals, vals[1:])):
             failures.append(f"logistic p-monotonicity d={d}")
     for d in (0.5, 1.5, 2.0, 4.0, 6.0, 8.0):
-        vals = [beta_rule(d, Beta(p=p, m=8.0, sigma=1.0))
+        vals = [beta_rule(d, Beta(sigma=1.0), p=p, m=8.0)
                 for p in np.linspace(0.05, 0.95, 10)]
         if not all(b < a for a, b in zip(vals, vals[1:])):
             failures.append(f"beta p-monotonicity d={d}")

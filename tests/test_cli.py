@@ -158,6 +158,20 @@ def test_estimate_sample_count_must_match_weights(tmp_path, capsys):
     assert "[input]" in err and "4 distinct sample_ids" in err and "5 weight columns" in err
 
 
+def test_estimate_reads_a_one_column_weights_file_as_one_sample(tmp_path, capsys):
+    # an L x 1 file is L components of one sample, not one component of L
+    # samples, so the error is the true one: fewer samples than components
+    ds = generate_dataset(DatasetSpec(components=("bumps",), M=64, I=1, snr=5.0, seed=23))
+    data_csv, weights_csv = tmp_path / "data.csv", tmp_path / "y.csv"
+    dataset_to_csv(ds, data_csv)
+    np.savetxt(weights_csv, np.ones((2, 1)), delimiter=",")
+    rc = main(["estimate", "--input", str(data_csv), "--weights", str(weights_csv),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "[least-squares] underdetermined mixing: L=2 components, I=1 samples" in err
+
+
 def test_estimate_non_integer_sample_id_rejected(tmp_path, capsys):
     data_csv = tmp_path / "data.csv"
     with open(data_csv, "w") as fh:
@@ -334,6 +348,20 @@ def write_scaled_dataset(tmp_path, scale):
     np.savetxt(tmp_path / "y.csv", ds.weights, delimiter=",")
     return ["estimate", "--input", str(tmp_path / "data.csv"),
             "--weights", str(tmp_path / "y.csv"), "--out", str(tmp_path / "o")]
+
+
+ESTIMATE_GOLDEN = os.path.join(os.path.dirname(__file__), "data",
+                               "estimate_study1_m64_i12_seed3")
+
+
+@pytest.mark.parametrize("rule", tuple(RULES))
+def test_estimate_bytes_match_the_checked_in_outputs(tmp_path, rule):
+    # study 1, M = 64, I = 12, SNR 5, seed 3; with I >= 11 the bytes also pin
+    # the numeric sample_id order
+    assert main([*write_scaled_dataset(tmp_path, 1.0), "--rule", rule]) == 0
+    with open(os.path.join(ESTIMATE_GOLDEN, f"alpha_hat_{rule}.csv"), "rb") as want, \
+            open(tmp_path / "o" / "alpha_hat.csv", "rb") as got:
+        assert got.read() == want.read()
 
 
 def test_estimate_arithmetic_failure_exits_with_its_stage(tmp_path):

@@ -464,6 +464,18 @@ class TestNoSilentNonFiniteEstimate:
                                 self.config(db10, "log"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_overflowing_sigma_is_a_shrinkage_failure(self, db10, rule):
+        # every column's finest details are finite, near 1.4e307, but their
+        # pooled sigma-hat overflows to inf; lpm and abe used to zero every
+        # detail with it and return an estimate without an error
+        rng = np.random.default_rng(0)
+        alternating = np.where(np.arange(64) % 2, 1.0, -1.0)[:, None] * np.full((64, 12), 1e307)
+        with pytest.raises(PipelineError, match=r"\[shrinkage\] .* must be finite"):
+            estimate_components(alternating, rng.uniform(0.5, 1.5, (2, 12)),
+                                self.config(db10, rule))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_least_squares_overflow_names_its_stage(self, db10, dataset):
         with pytest.raises(PipelineError, match=r"\[least-squares\] output has NaN or inf"):
             estimate_components(dataset.observed * 1e300, dataset.weights * 1e-12,
