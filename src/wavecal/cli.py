@@ -3,7 +3,7 @@
     wavecal simulate --study 1 --m 512 --snr 3,9 --replicates 20 \
         --rules log,beta,lpm,abe,bams --seed 42 --out results/
     wavecal estimate --input data.csv --weights y.csv --rule log --out results/
-    wavecal rules --show
+    wavecal rules
 """
 
 from __future__ import annotations
@@ -37,36 +37,24 @@ from .simharness import (
 from .wavelet import make_filter
 
 
-def _parse_m(value: str) -> tuple[int, ...]:
-    if value == "both":
-        return (512, 1024)
+def _comma_list(cast, value: str) -> tuple:
+    """The entries of the comma list ``value``, cast; StudyConfig judges them."""
     try:
-        sizes = tuple(int(v) for v in value.split(","))
+        return tuple(cast(v) for v in value.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad --m value {value!r}")
-    for m in sizes:
-        if m < 2 or m & (m - 1):
-            raise argparse.ArgumentTypeError(f"M={m} is not a power of two")
-    return sizes
+        raise argparse.ArgumentTypeError(f"bad value {value!r}")
+
+
+def _parse_m(value: str) -> tuple[int, ...]:
+    return (512, 1024) if value == "both" else _comma_list(int, value)
 
 
 def _parse_snr(value: str) -> tuple[float, ...]:
-    try:
-        snrs = tuple(float(v) for v in value.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad --snr value {value!r}")
-    if not all(0.0 < snr < np.inf for snr in snrs):
-        raise argparse.ArgumentTypeError(f"bad --snr value {value!r}: not finite and > 0")
-    return snrs
+    return _comma_list(float, value)
 
 
 def _parse_rules(value: str) -> tuple[str, ...]:
-    rules = tuple(v.strip() for v in value.split(",") if v.strip())
-    for r in rules:
-        if r not in RULE_NAMES:
-            raise argparse.ArgumentTypeError(
-                f"unknown rule {r!r}; choose from {','.join(RULE_NAMES)}")
-    return rules
+    return tuple(r for r in _comma_list(str.strip, value) if r)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # an option that is not given is left out, and StudyConfig's default holds
     sim = sub.add_parser("simulate", help="run a Monte Carlo study",
                          argument_default=argparse.SUPPRESS)
-    sim.add_argument("--study", type=int, choices=(1, 2, 3))
+    sim.add_argument("--study", type=int, metavar="{1,2,3}")
     sim.add_argument("--m", dest="m_values", metavar="M", type=_parse_m,
                      help="sample sizes: 512, 1024, both, or a comma list")
     sim.add_argument("--snr", dest="snr_values", metavar="SNR", type=_parse_snr)
@@ -108,9 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--vanishing-moments", type=int, default=VANISHING_MOMENTS)
     est.add_argument("--out", required=True, help="output directory")
 
-    rules = sub.add_parser("rules", help="describe the shrinkage rules")
-    rules.add_argument("--show", action="store_true",
-                       help="print each rule's resolved hyperparameters")
+    sub.add_parser("rules", help="describe the shrinkage rules")
     return parser
 
 
@@ -190,8 +176,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_rules(args) -> int:
-    defaults = rule_defaults()
-    print(json.dumps(defaults, indent=2, sort_keys=True))
+    print(json.dumps(rule_defaults(), indent=2, sort_keys=True))
     return 0
 
 

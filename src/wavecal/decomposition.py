@@ -132,15 +132,12 @@ def _stage(name: str):
 
 def _pinv(y: np.ndarray, L: int) -> np.ndarray:
     u, svals, vt = np.linalg.svd(y, full_matrices=False)
-    if svals[-1] < _RANK_RTOL * svals[0]:
-        raise RankDeficiencyError(
-            f"weights are rank deficient: singular values span "
-            f"[{svals[-1]:.3e}, {svals[0]:.3e}], effective rank "
-            f"{int(np.sum(svals >= _RANK_RTOL * svals[0]))} < {L}")
     # the rank a least-squares solver with rcond = _RANK_RTOL would use
     rank = int(np.sum(svals > _RANK_RTOL * svals[0]))
     if rank < L:
-        raise RankDeficiencyError(f"least-squares rank {rank} < {L}")
+        raise RankDeficiencyError(
+            f"weights are rank deficient: singular values span "
+            f"[{svals[-1]:.3e}, {svals[0]:.3e}], effective rank {rank} < {L}")
     return _read_only(vt.T / svals @ u.T)
 
 

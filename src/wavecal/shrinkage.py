@@ -19,7 +19,7 @@ parameter dataclass; a default instance is the unresolved spec that
 
 Rules accept a scalar or an array of coefficients and are pure functions of
 their arguments.  The noise sd sigma and the other hyperparameters are
-finite scalars, and a spec rejects any other value when it is built.  A spec
+finite real numbers; a spec rejects any other when it is built.  A spec
 holds only what the pipeline reads: the standalone `logistic_rule` and
 `beta_rule` take the mixture weight p, and beta's half-support m, as
 arguments, which `shrink_pyramid` resolves per level instead.
@@ -59,6 +59,9 @@ accuracy; `shrink_pyramid`'s m(j) = max |d| never gets there.
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from typing import NamedTuple, Optional, Union
@@ -143,30 +146,16 @@ def check_integer(name: str, value, low: int = 0) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def _check_scalars(spec) -> None:
-    """Reject a spec whose fields are not scalars."""
-    for f in fields(spec):
-        if np.ndim(getattr(spec, f.name)) != 0:
-            raise ValueError(f"{type(spec).__name__}.{f.name} must be a scalar, "
-                             f"got {getattr(spec, f.name)!r}")
-
-
-def _check_open(name: str, value, low: float = 0.0) -> None:
-    """Reject a parameter unless it is a finite scalar > low."""
-    if np.ndim(value) != 0 or not low < value < np.inf:
-        raise ValueError(f"{name} must be finite and > {low}, got {value!r}")
-
-
-def _check_nonnegative(name: str, value) -> None:
-    if value is not None and not 0.0 <= value < np.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
-def _check_weight(p) -> None:
-    """Reject a mixture weight unless it is a scalar in [0, 1); p = 0 is
-    p(J0), the primary level's weight."""
-    if np.ndim(p) != 0 or not 0.0 <= p < 1.0:
-        raise ValueError(f"p must be a scalar in [0, 1), got {p!r}")
+def _check_real(name: str, value, low: float = 0.0, high: float = np.inf,
+                closed: bool = False) -> None:
+    """Reject ``value`` unless it is a finite real number below ``high`` and
+    above ``low``, or equal to ``low`` when ``closed``.  None, a bool, a
+    string, an array, NaN, +-inf and an int past the float range are."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low <= value if closed else low < value)
+            or not value < high or abs(value) > sys.float_info.max):
+        raise ValueError(f"{name} must be finite and in {'[' if closed else '('}{low:g}, "
+                         f"{high:g}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -182,10 +171,9 @@ class Logistic:
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        _check_scalars(self)
-        _check_open("tau", self.tau)
+        _check_real("tau", self.tau)
         if self.sigma is not None:
-            _check_open("sigma", self.sigma)
+            _check_real("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -201,9 +189,8 @@ class Beta:
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        _check_scalars(self)
         if self.sigma is not None:
-            _check_open("sigma", self.sigma)
+            _check_real("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -218,10 +205,9 @@ class Lpm:
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        _check_scalars(self)
-        if not 0.5 < self.k < np.inf:
-            raise ValueError(f"k must be finite and > 1/2, got {self.k}")
-        _check_nonnegative("sigma", self.sigma)
+        _check_real("k", self.k, 0.5)
+        if self.sigma is not None:
+            _check_real("sigma", self.sigma, closed=True)
 
 
 @dataclass(frozen=True)
@@ -234,8 +220,8 @@ class Abe:
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        _check_scalars(self)
-        _check_nonnegative("sigma", self.sigma)
+        if self.sigma is not None:
+            _check_real("sigma", self.sigma, closed=True)
 
 
 @dataclass(frozen=True)
@@ -254,18 +240,17 @@ class Bams:
     mu: Optional[float] = None
 
     def __post_init__(self):
-        _check_scalars(self)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_real("alpha", self.alpha, 0.0, 1.0)
         if self.tau is not None:
-            _check_open("tau", self.tau)
+            _check_real("tau", self.tau)
         if self.mu is not None:
-            _check_open("mu", self.mu)
+            _check_real("mu", self.mu)
         if self.tau is not None and self.mu is not None:
-            ratio = 2.0 * self.mu * self.tau ** 2
-            if not ratio > 1.0 + _BAMS_SINGULARITY_TOL:
-                raise ValueError(f"tau must exceed s = 1/sqrt(2 mu): 2*mu*tau^2 must be "
-                                 f"> 1 + {_BAMS_SINGULARITY_TOL:g}, got {ratio}")
+            # tau / s = tau sqrt(2 mu); tau ** 2 would overflow past 1e154
+            ratio = float(self.tau) * math.sqrt(2.0 * float(self.mu))
+            if not ratio > math.sqrt(1.0 + _BAMS_SINGULARITY_TOL):
+                raise ValueError(f"tau must exceed s = 1/sqrt(2 mu): tau*sqrt(2 mu) must "
+                                 f"be > sqrt(1 + {_BAMS_SINGULARITY_TOL:g}), got {ratio}")
 
 
 RuleSpec = Union[Logistic, Beta, Lpm, Abe, Bams]
@@ -565,7 +550,7 @@ def logistic_rule(d, spec: Logistic, *, p: float):
     Gauss-Hermite rule while sigma <= 2 tau and a rule on the prior's scale
     beyond.  The rule is odd, and |result| <= |d|.
     """
-    _check_weight(p)
+    _check_real("p", p, 0.0, 1.0, closed=True)
     arr, scalar = _as_array(d)
     table = _logistic_table(spec, float(np.max(np.abs(arr), initial=0.0)))
     out = _logistic_from_table(arr.reshape(-1) if scalar else arr,
@@ -719,8 +704,8 @@ def beta_rule(d, spec: Beta, *, p: float, m: float):
     m(j) = max_k |d_jk|, never gets there.  |result| <= m always.
     """
     sigma = _require(spec.sigma, "sigma", "Beta")
-    _check_weight(p)
-    _check_open("m", m)
+    _check_real("p", p, 0.0, 1.0, closed=True)
+    _check_real("m", m)
     arr, scalar = _as_array(d)
     arr = arr.reshape(-1) if scalar else arr
     w = m / sigma
@@ -852,8 +837,6 @@ def _rule_function(spec: RuleSpec):
 
 def _mixture_weight(j: int, J0: int) -> float:
     """The mixture weight p(j) = 1 - (j - J0 + 1)^(-gamma) of level j >= J0."""
-    if j < J0:
-        raise ValueError(f"level {j} below primary resolution level {J0}")
     return 1.0 - (j - J0 + 1) ** (-POLICY_GAMMA)
 
 

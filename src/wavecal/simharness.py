@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .decomposition import EstimationConfig, PipelineError, estimate_components
 from .shrinkage import POLICY_GAMMA, RULES, check_integer, rule_defaults
-from .testbed import COMPONENT_NAMES, DatasetSpec, check_snr, generate_dataset
+from .testbed import COMPONENT_NAMES, DatasetSpec, generate_dataset
 from .wavelet import make_filter
 
 __all__ = [
@@ -71,11 +71,10 @@ class StudyConfig:
     J0: int = 3
 
     def __post_init__(self):
-        for name, low in (("study", 1), ("replicates", 1), ("seed", 0), ("J0", 0)):
+        for name, low in (("study", 1), ("replicates", 1), ("J0", 0)):
             check_integer(name, getattr(self, name), low)
         if self.study not in STUDY_COMPONENTS:
             raise ValueError(f"study must be one of {sorted(STUDY_COMPONENTS)}")
-        check_integer("n_samples", self.n_samples, len(self.components))
         lists = {name: getattr(self, name) for name in ("rules", "m_values", "snr_values")}
         for name, values in lists.items():
             if not isinstance(values, (tuple, list)) or not values:
@@ -84,14 +83,12 @@ class StudyConfig:
             if not isinstance(r, str) or r not in RULES:
                 raise ValueError(f"unknown rule {r!r}; choose from {RULE_NAMES}")
         for M in self.m_values:
-            check_integer("M", M)
-            if M & (M - 1):
-                raise ValueError(f"M={M} is not a power of two")
+            for snr in self.snr_values:  # each cell's spec checks M, n_samples, snr, seed
+                DatasetSpec(components=self.components, M=M, I=self.n_samples, snr=snr,
+                            seed=self.seed)
             if M < 2 ** (self.J0 + 1):
                 raise ValueError(f"M={M} has no detail level at J0={self.J0}: "
                                  f"need M >= 2^(J0+1) = {2 ** (self.J0 + 1)}")
-        for snr in self.snr_values:
-            check_snr(snr)
         # a repeated value would merge its cells, counting each replicate twice
         for name, values in lists.items():
             if len(set(values)) < len(values):

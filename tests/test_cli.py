@@ -17,8 +17,8 @@ from wavecal.testbed import DatasetSpec, dataset_to_csv, generate_dataset
 from wavecal.wavelet import make_filter
 
 
-def test_rules_show(capsys):
-    assert main(["rules", "--show"]) == 0
+def test_rules(capsys):
+    assert main(["rules"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"log", "beta", "lpm", "abe", "bams"}
     assert payload["abe"]["threshold"] == "sqrt(3) sigma"
@@ -279,25 +279,6 @@ def test_estimate_non_dyadic_length_fails_with_stage(tmp_path, capsys):
     assert "[transform]" in capsys.readouterr().err
 
 
-def test_bad_rule_name_rejected():
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--study", "1", "--rules", "soft", "--out", "x"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("snr", ["nan", "3,nan", "inf", "0", "-3"])
-def test_snr_not_finite_and_positive_rejected(tmp_path, capsys, snr):
-    # NaN would otherwise reach the generated data and fail every replicate
-    # at the input stage, with an empty amse.csv and exit code 0
-    out = tmp_path / "r"
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--study", "1", "--m", "64", "--snr", snr, "--replicates", "1",
-              "--rules", "abe", "--samples", "4", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "not finite and > 0" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("args,message", [
     # M < 2^(J0+1) would fail every replicate at the transform stage and
     # leave an amse.csv with only its header
@@ -312,6 +293,18 @@ def test_snr_not_finite_and_positive_rejected(tmp_path, capsys, snr):
     # sd / snr overflows: every replicate would fail at the input stage,
     # with exit code 0
     (["--snr", "1e-310"], "snr 1e-310 is too small"),
+    # argparse only parses; StudyConfig judges every value, so a value out
+    # of range exits 1, like the ones above, and not 2 with a usage line.
+    # NaN would otherwise reach the generated data and fail every replicate
+    # at the input stage, with an empty amse.csv and exit code 0
+    (["--rules", "soft"], "unknown rule 'soft'"),
+    (["--snr", "nan"], "snr must be positive and finite, got nan"),
+    (["--snr", "3,nan"], "snr must be positive and finite, got nan"),
+    (["--snr", "inf"], "snr must be positive and finite, got inf"),
+    (["--snr", "0"], "snr must be positive and finite, got 0.0"),
+    (["--snr", "-3"], "snr must be positive and finite, got -3.0"),
+    (["--m", "3"], "M must be a power of two >= 2, got 3"),
+    (["--study", "4"], "study must be one of [1, 2, 3]"),
 ])
 def test_simulate_bad_design_rejected(tmp_path, capsys, args, message):
     out = tmp_path / "r"
@@ -320,6 +313,17 @@ def test_simulate_bad_design_rejected(tmp_path, capsys, args, message):
                "--replicates", "2", "--samples", "4", "--out", str(out), *args])
     assert rc == 1
     assert f"error: [input] {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--snr", "3,,9"], ["--m", "x"], ["--study", "one"],
+                                  ["--samples", "4.5"]])
+def test_simulate_text_that_does_not_parse_is_a_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--study", "1", "--m", "64", "--out", str(out), *args])
+    assert exc.value.code == 2
+    assert "usage: wavecal simulate" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -387,7 +391,7 @@ def test_estimate_at_huge_scale_fails_at_shrinkage(tmp_path, capsys, rule):
 
 def test_module_entry_point(tmp_path):
     rc = subprocess.run(
-        [sys.executable, "-m", "wavecal", "rules", "--show"],
+        [sys.executable, "-m", "wavecal", "rules"],
         capture_output=True, text=True)
     assert rc.returncode == 0
     assert "lpm" in rc.stdout

@@ -1,19 +1,21 @@
-"""Every field of `StudyConfig`, `EstimationConfig` and `DatasetSpec`,
-broken one at a time.
+"""Every field of `StudyConfig`, `EstimationConfig`, `DatasetSpec` and the
+five rule specs, broken one at a time.
 
 A config whose field is not of its kind or out of its range raises
 ValueError when it is built.  Any other config runs: `run_study` returns
 finite MSEs and records each failure with its stage,
 `estimate_components` returns a finite estimate or raises `PipelineError`
-naming a stage, and `generate_dataset` returns finite data of the spec's
-shape.  The designs are small (M <= 128, one replicate), so the
+naming a stage (with a rule spec too), and `generate_dataset` returns
+finite data of the spec's shape.  The designs are small (M <= 128, one replicate), so the
 whole module takes a few seconds.
 """
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavecal.decomposition import EstimationConfig, PipelineError, estimate_components
@@ -71,6 +73,11 @@ DATASET_FIELDS = {
 }
 
 
+# values in and out of the range of a rule spec's real fields
+REAL = (st.floats(-2.0, 2.0) | st.integers(-1, 3)
+        | st.sampled_from([-0.0, 0.5, 1.0, 5e-324, 1e-300, 1e300, -math.inf]))
+
+
 def built(make):
     """The config ``make`` builds, or None when it raises ValueError."""
     try:
@@ -122,6 +129,28 @@ def test_estimation_config(field):
     assert alpha.shape == (128, 2) and np.isfinite(alpha).all()
 
 
+@pytest.mark.parametrize("rule", sorted(RULES))
+@SETTINGS
+@given(data=st.data())
+def test_rule_spec(rule, data):
+    name, value = data.draw(fields_broken_one_at_a_time(
+        {f.name: REAL | JUNK for f in fields(RULES[rule])}))
+    spec = built(lambda: RULES[rule](**{name: value}))
+    if spec is None:
+        return
+    dataset = generate_dataset(DatasetSpec(components=("bumps", "blocks"), M=128, I=6,
+                                           snr=5.0, seed=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            alpha = estimate_components(dataset.observed, dataset.weights,
+                                        EstimationConfig(filter=FILTER, rule=spec, J0=3))
+        except PipelineError as exc:
+            assert exc.stage in STAGES
+            return
+    assert alpha.shape == (128, 2) and np.isfinite(alpha).all()
+
+
 @SETTINGS
 @given(field=fields_broken_one_at_a_time(DATASET_FIELDS))
 def test_dataset_spec(field):
@@ -152,3 +181,8 @@ def test_the_broken_fields_seen_before_are_rejected():
     for broken in (dict(M=64.0), dict(snr="3"), dict(I=4.5), dict(seed=-1), dict(seed=1.5),
                    dict(seed=True), dict(snr=math.inf)):
         assert built(lambda: DatasetSpec(**{**VALID_DATASET, **broken})) is None, broken
+    # a bare TypeError when built, or accepted: tau=True as tau 1
+    for rule, broken in (("log", dict(tau=None)), ("lpm", dict(k=None)),
+                         ("bams", dict(alpha=None)), ("log", dict(tau="1")),
+                         ("bams", dict(tau=True, mu=1.0))):
+        assert built(lambda: RULES[rule](**broken)) is None, (rule, broken)

@@ -191,7 +191,8 @@ class TestSolveGamma:
             solve_gamma(rng.standard_normal((16, 9)), y)
 
     def test_all_zero_weights(self):
-        with pytest.raises(RankDeficiencyError, match=r"least-squares rank 0 < 2"):
+        with pytest.raises(RankDeficiencyError, match=r"rank deficient: singular values span \[0\.000e\+00, 0\.000e\+00\], "
+                                                     r"effective rank 0 < 2"):
             solve_gamma(np.ones((4, 3)), np.zeros((2, 3)))
 
 

@@ -491,6 +491,11 @@ class TestBamsRule:
             with pytest.raises(ValueError, match="tau must exceed s"):
                 Bams(alpha=0.5, tau=tau, mu=1.0)
         Bams(alpha=0.5, tau=np.sqrt(0.5 * (1.0 + 2e-8)), mu=1.0)
+        # valid specs whose tau ** 2 overflows: 2 mu tau^2 raised OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tau, mu in ((1e200, 1.0), (1e160, 1e-300)):
+                assert Bams(alpha=0.5, tau=tau, mu=mu).tau == tau
 
     @staticmethod
     def whole_array_reference(d, alpha, tau, mu):
@@ -544,10 +549,6 @@ class TestAvPolicy:
 
     def test_next_level(self):
         assert shrinkage._mixture_weight(4, 3) == pytest.approx(0.75)
-
-    def test_out_of_range_level(self):
-        with pytest.raises(ValueError):
-            shrinkage._mixture_weight(2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +675,15 @@ class TestShrinkPyramid:
         lambda: beta_rule(1.0, Beta(sigma=1.0), p=0.5, m=0.0),
         lambda: beta_rule(1.0, Beta(sigma=1.0), p=0.5, m=np.inf),
         lambda: beta_rule(1.0, Beta(sigma=1.0), p=0.5, m=np.nan),
+        # None, a bool and a string are not real numbers
+        lambda: logistic_rule(1.0, Logistic(sigma=1.0), p=None),
+        lambda: logistic_rule(1.0, Logistic(sigma=1.0), p=False),
+        lambda: beta_rule(1.0, Beta(sigma=1.0), p=0.5, m="1"),
+        lambda: Lpm(sigma=True),
+        lambda: Abe(sigma="0"),
+        # an int past the float range, which float() cannot convert
+        lambda: Logistic(tau=10 ** 400),
+        lambda: Bams(tau=10 ** 400, mu=1.0),
     ])
     def test_invalid_parameters_rejected(self, make):
         with pytest.raises(ValueError) as info:
