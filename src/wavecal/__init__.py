@@ -32,7 +32,6 @@ from .testbed import (
     COMPONENT_NAMES,
     Dataset,
     DatasetSpec,
-    component_function,
     draw_weights,
     eval_component,
     generate_dataset,
@@ -63,9 +62,8 @@ __all__ = [
     "RULES", "RuleSpec",
     "abe_rule", "bams_rule", "beta_rule", "estimate_sigma",
     "logistic_rule", "lpm_rule", "resolve_rule", "shrink_pyramid",
-    "COMPONENT_NAMES", "Dataset", "DatasetSpec", "component_function",
-    "draw_weights", "eval_component", "generate_dataset", "sample_grid",
-    "sigma_for_snr",
+    "COMPONENT_NAMES", "Dataset", "DatasetSpec", "draw_weights",
+    "eval_component", "generate_dataset", "sample_grid", "sigma_for_snr",
     "EstimationConfig", "PipelineError", "RankDeficiencyError",
     "estimate_components", "solve_gamma",
     "AmseReport", "ReplicateResult", "StudyConfig", "compute_mse",

@@ -27,7 +27,6 @@ from .decomposition import (
 from .shrinkage import RULES, rule_defaults
 from .simharness import (
     DESK_REPLICATES,
-    FULL_REPLICATES,
     RULE_NAMES,
     VANISHING_MOMENTS,
     StudyConfig,
@@ -71,16 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="sample sizes: 512, 1024, both, or a comma list")
     sim.add_argument("--snr", dest="snr_values", metavar="SNR", type=_parse_snr)
     sim.add_argument("--replicates", type=int,
-                     help=f"replicates per cell (default {DESK_REPLICATES}, "
-                          f"or {FULL_REPLICATES} with --full)")
+                     help=f"replicates per cell (default {DESK_REPLICATES})")
     sim.add_argument("--rules", type=_parse_rules)
     sim.add_argument("--seed", type=int)
     sim.add_argument("--samples", dest="n_samples", metavar="SAMPLES", type=int,
                      help="number of aggregated samples I per dataset")
     sim.add_argument("--j0", dest="J0", type=int)
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--full", action="store_true", default=False,
-                     help=f"full-scale profile: {FULL_REPLICATES} replicates")
 
     est = sub.add_parser("estimate", help="estimate components from a CSV dataset")
     est.add_argument("--input", required=True,
@@ -101,10 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    given = {f.name: getattr(args, f.name) for f in fields(StudyConfig) if f.name in args}
-    if args.full:
-        given.setdefault("replicates", FULL_REPLICATES)
-    config = StudyConfig(**given)
+    config = StudyConfig(**{f.name: getattr(args, f.name)
+                            for f in fields(StudyConfig) if f.name in args})
     report, stream, failures = run_study(config)
     paths = emit_reports(report, stream, args.out, config=config, failures=failures)
     for name in ("replicates", "amse", "run"):

@@ -88,6 +88,7 @@ __all__ = [
     "abe_rule",
     "bams_rule",
     "check_integer",
+    "check_real",
     "shrink_pyramid",
     "resolve_rule",
     "rule_defaults",
@@ -146,8 +147,8 @@ def check_integer(name: str, value, low: int = 0) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def _check_real(name: str, value, low: float = 0.0, high: float = np.inf,
-                closed: bool = False) -> None:
+def check_real(name: str, value, low: float = 0.0, high: float = np.inf,
+               closed: bool = False) -> None:
     """Reject ``value`` unless it is a finite real number below ``high`` and
     above ``low``, or equal to ``low`` when ``closed``.  None, a bool, a
     string, an array, NaN, +-inf and an int past the float range are."""
@@ -171,9 +172,9 @@ class Logistic:
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        _check_real("tau", self.tau)
+        check_real("tau", self.tau)
         if self.sigma is not None:
-            _check_real("sigma", self.sigma)
+            check_real("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ class Beta:
 
     def __post_init__(self):
         if self.sigma is not None:
-            _check_real("sigma", self.sigma)
+            check_real("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -205,9 +206,9 @@ class Lpm:
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        _check_real("k", self.k, 0.5)
+        check_real("k", self.k, 0.5)
         if self.sigma is not None:
-            _check_real("sigma", self.sigma, closed=True)
+            check_real("sigma", self.sigma, closed=True)
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,7 @@ class Abe:
 
     def __post_init__(self):
         if self.sigma is not None:
-            _check_real("sigma", self.sigma, closed=True)
+            check_real("sigma", self.sigma, closed=True)
 
 
 @dataclass(frozen=True)
@@ -240,11 +241,11 @@ class Bams:
     mu: Optional[float] = None
 
     def __post_init__(self):
-        _check_real("alpha", self.alpha, 0.0, 1.0)
+        check_real("alpha", self.alpha, 0.0, 1.0)
         if self.tau is not None:
-            _check_real("tau", self.tau)
+            check_real("tau", self.tau)
         if self.mu is not None:
-            _check_real("mu", self.mu)
+            check_real("mu", self.mu)
         if self.tau is not None and self.mu is not None:
             # tau / s = tau sqrt(2 mu); tau ** 2 would overflow past 1e154
             ratio = float(self.tau) * math.sqrt(2.0 * float(self.mu))
@@ -550,7 +551,7 @@ def logistic_rule(d, spec: Logistic, *, p: float):
     Gauss-Hermite rule while sigma <= 2 tau and a rule on the prior's scale
     beyond.  The rule is odd, and |result| <= |d|.
     """
-    _check_real("p", p, 0.0, 1.0, closed=True)
+    check_real("p", p, 0.0, 1.0, closed=True)
     arr, scalar = _as_array(d)
     table = _logistic_table(spec, float(np.max(np.abs(arr), initial=0.0)))
     out = _logistic_from_table(arr.reshape(-1) if scalar else arr,
@@ -704,8 +705,8 @@ def beta_rule(d, spec: Beta, *, p: float, m: float):
     m(j) = max_k |d_jk|, never gets there.  |result| <= m always.
     """
     sigma = _require(spec.sigma, "sigma", "Beta")
-    _check_real("p", p, 0.0, 1.0, closed=True)
-    _check_real("m", m)
+    check_real("p", p, 0.0, 1.0, closed=True)
+    check_real("m", m)
     arr, scalar = _as_array(d)
     arr = arr.reshape(-1) if scalar else arr
     w = m / sigma

@@ -14,7 +14,7 @@ import csv
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +52,6 @@ RULE_NAMES = tuple(RULES)
 VANISHING_MOMENTS = 10
 
 DESK_REPLICATES = 20
-FULL_REPLICATES = 100
 
 
 @dataclass(frozen=True)
@@ -229,9 +228,8 @@ def _fmt(x: float) -> str:
 
 
 def emit_reports(report: AmseReport, stream: Sequence[ReplicateResult], outdir,
-                 config: Optional[StudyConfig] = None,
-                 failures: Sequence[ReplicateFailure] = (),
-                 notes: Optional[dict] = None) -> dict[str, str]:
+                 config: StudyConfig,
+                 failures: Sequence[ReplicateFailure] = ()) -> dict[str, str]:
     """Write replicates.csv, amse.csv and run.json into ``outdir``.
 
     Returns the mapping of logical name to written path.  Numbers carry 17
@@ -255,9 +253,9 @@ def emit_reports(report: AmseReport, stream: Sequence[ReplicateResult], outdir,
             writer.writerow([row.study, row.rule, row.M, _fmt(row.snr),
                              row.component, _fmt(row.amse), _fmt(row.sd)])
 
-    payload: dict = {"version": __version__}
-    if config is not None:
-        payload["config"] = {
+    payload = {
+        "version": __version__,
+        "config": {
             **asdict(config),
             "components": config.components,
             "snr_values": [float(s) for s in config.snr_values],
@@ -266,16 +264,13 @@ def emit_reports(report: AmseReport, stream: Sequence[ReplicateResult], outdir,
             "sigma_mode": "pooled",
             "level_policy": {"gamma": POLICY_GAMMA, "applies_to": ["log", "beta"]},
             "rule_defaults": rule_defaults(),
-        }
-    payload["failed_replicates"] = [asdict(f) for f in failures]
-    incomplete = [
-        {"rule": row.rule, "M": row.M, "snr": row.snr, "component": row.component,
-         "n": row.n}
-        for row in report.rows
-        if config is not None and row.n < config.replicates]
-    payload["incomplete_cells"] = incomplete
-    if notes:
-        payload["notes"] = notes
+        },
+        "failed_replicates": [asdict(f) for f in failures],
+        "incomplete_cells": [
+            {"rule": row.rule, "M": row.M, "snr": row.snr, "component": row.component,
+             "n": row.n}
+            for row in report.rows if row.n < config.replicates],
+    }
     with open(paths["run"], "w") as fh:
         # a config's integers may be numpy integers, which json writes as ints
         fh.write(json.dumps(payload, indent=2, sort_keys=True, default=int) + "\n")

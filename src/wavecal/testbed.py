@@ -14,7 +14,6 @@ that results do not depend on platform or thread count.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -22,14 +21,12 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .shrinkage import check_integer
+from .shrinkage import check_integer, check_real
 
 __all__ = [
     "COMPONENT_NAMES",
-    "ComponentFunction",
     "DatasetSpec",
     "Dataset",
-    "component_function",
     "eval_component",
     "sample_grid",
     "draw_weights",
@@ -86,30 +83,16 @@ _EVALUATORS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 COMPONENT_NAMES = tuple(_EVALUATORS)
 
 
-@dataclass(frozen=True)
-class ComponentFunction:
-    """A named component curve on [0, 1]."""
-
-    name: str
-    evaluator: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError(f"{self.name} is defined on [0, 1]")
-        return self.evaluator(arr)
-
-
-def component_function(name: str) -> ComponentFunction:
+def eval_component(name: str, x):
+    """Evaluate one component function, named in any case and padding, at x
+    in [0, 1]: a float for a scalar x, an array otherwise."""
     key = name.strip().lower()
     if key not in _EVALUATORS:
         raise ValueError(f"unknown component {name!r}; choose from {COMPONENT_NAMES}")
-    return ComponentFunction(key, _EVALUATORS[key])
-
-
-def eval_component(name: str, x):
-    """Evaluate one component function at x in [0, 1]."""
-    value = component_function(name)(x)
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise ValueError(f"{key} is defined on [0, 1]")
+    value = _EVALUATORS[key](arr)
     return float(value) if np.ndim(x) == 0 else value
 
 
@@ -136,7 +119,7 @@ def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri((k + 0.5) / 2 ** 53)
 
 
-def draw_weights(L: int, I: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def draw_weights(L: int, I: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the L x I mixing matrix linking components to observed samples.
 
     Entries are i.i.d. uniform on [0.5, 1.5] (bounded away from zero so every
@@ -145,32 +128,25 @@ def draw_weights(L: int, I: int, rng: Optional[np.random.Generator] = None) -> n
     """
     if I < L:
         raise ValueError(f"need at least as many samples as components (I={I} < L={L})")
-    if rng is None:
-        rng = _rng_from(0)
     return 0.5 + rng.random((L, I))
 
 
-def sigma_for_snr(truth: np.ndarray, weights: np.ndarray, snr: float) -> float:
+def sigma_for_snr(signal: np.ndarray, snr: float) -> float:
     """Noise sd giving the requested signal-to-noise ratio.
 
-    sigma = sd(vec(truth @ weights)) / snr with the population standard
-    deviation pooled over all noiseless aggregated values.  An SNR so small
-    that sigma overflows, as a subnormal one does, is rejected.
+    sigma = sd(vec(signal)) / snr with the population standard deviation
+    pooled over all noiseless aggregated values, signal = truth @ weights.
+    An SNR so small that sigma overflows, as a subnormal one does, is
+    rejected.
     """
-    check_snr(snr)
-    sd = float(np.std(truth @ weights))
+    check_real("snr", snr)
+    sd = float(np.std(signal))
     if sd == 0.0:
         raise ValueError("noiseless aggregated values are constant; SNR undefined")
     sigma = sd / snr
     if not np.isfinite(sigma):
         raise ValueError(f"snr {snr!r} is too small: the noise sd {sd:.3g} / snr overflows")
     return sigma
-
-
-def check_snr(snr) -> None:
-    """Reject an SNR unless it is a finite real number > 0 (a bool is not)."""
-    if isinstance(snr, bool) or not (isinstance(snr, numbers.Real) and 0 < snr < np.inf):
-        raise ValueError(f"snr must be positive and finite, got {snr!r}")
 
 
 @dataclass(frozen=True)
@@ -199,7 +175,7 @@ class DatasetSpec:
         if self.I < len(self.components):
             raise ValueError(f"I={self.I} < L={len(self.components)}")
         check_integer("seed", self.seed)
-        check_snr(self.snr)
+        check_real("snr", self.snr)
 
 
 @dataclass(frozen=True)
@@ -211,7 +187,6 @@ class Dataset:
     weights: np.ndarray             # (L, I)
     observed: np.ndarray            # (M, I)
     sigma_true: float
-    components: tuple[str, ...]
 
 
 @lru_cache(maxsize=16)
@@ -234,11 +209,11 @@ def generate_dataset(spec: DatasetSpec,
     grid = sample_grid(spec.M)
     truth = _truth(spec.components, spec.M).copy()  # each dataset owns its truth
     weights = draw_weights(len(spec.components), spec.I, rng)
-    sigma = sigma_for_snr(truth, weights, spec.snr)
-    noise = sigma * standard_normal(rng, (spec.M, spec.I))
-    observed = truth @ weights + noise
+    signal = truth @ weights
+    sigma = sigma_for_snr(signal, spec.snr)
+    observed = signal + sigma * standard_normal(rng, (spec.M, spec.I))
     return Dataset(grid=grid, truth=truth, weights=weights, observed=observed,
-                   sigma_true=sigma, components=spec.components)
+                   sigma_true=sigma)
 
 
 def _fmt(x: float) -> str:

@@ -117,15 +117,14 @@ class WaveletFilter:
     ``analysis_block`` and ``synthesis_block`` are the read-only
     (2 * _BLOCK) x (2 * _BLOCK + 2V - 2) block operators of one transform
     level; a level with b < _BLOCK uses their leading 2b x (2b + 2V - 2)
-    corner.  Filters are equal, and hash alike, when their taps are: for
-    the tabulated filters, when family and V agree.
+    corner.
     """
 
     low_pass: np.ndarray
     vanishing_moments: int
     high_pass: np.ndarray = field(init=False)
-    analysis_block: np.ndarray = field(init=False, repr=False, compare=False)
-    synthesis_block: np.ndarray = field(init=False, repr=False, compare=False)
+    analysis_block: np.ndarray = field(init=False, repr=False)
+    synthesis_block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.asarray(self.low_pass, dtype=float)
@@ -158,15 +157,6 @@ class WaveletFilter:
 
     def __len__(self) -> int:
         return self.low_pass.size
-
-    # the generated dataclass methods would compare arrays elementwise
-    def __eq__(self, other):
-        if not isinstance(other, WaveletFilter):
-            return NotImplemented
-        return np.array_equal(self.low_pass, other.low_pass)
-
-    def __hash__(self) -> int:
-        return hash(self.low_pass.tobytes())
 
 
 def _band(taps: np.ndarray, b: int) -> np.ndarray:
@@ -244,18 +234,6 @@ def _apply_blocks(op: np.ndarray, ext: np.ndarray, b: int, out: np.ndarray) -> n
     return out
 
 
-def _analysis_stage(ext: np.ndarray, N: int, filt: WaveletFilter, products: np.ndarray,
-                    approx: np.ndarray, detail: np.ndarray) -> None:
-    """One analysis level of a length-N input held, extended periodically,
-    in ext[:N + T - 2]: one batched GEMM writes the interleaved
-    (approximation, detail) rows to ``products``, whence they are copied to
-    ``approx`` and ``detail``."""
-    _apply_blocks(filt.analysis_block, ext[:N + len(filt) - 2], min(_BLOCK, N // 2),
-                  products[:N])
-    approx[...] = products[0:N:2]
-    detail[...] = products[1:N:2]
-
-
 def transform_columns(matrix: np.ndarray, filt: WaveletFilter, J0: int,
                       direction: str = "forward") -> np.ndarray:
     """Apply the periodic DWT down to level J0 (or its inverse) to every
@@ -286,7 +264,10 @@ def transform_columns(matrix: np.ndarray, filt: WaveletFilter, J0: int,
             N = M >> level
             ext, approx = buffers[level % 2], buffers[1 - level % 2]
             half = N // 2
-            _analysis_stage(ext, N, filt, products, approx[:half], out[half:N])
+            _apply_blocks(filt.analysis_block, ext[:N + T - 2], min(_BLOCK, half),
+                          products[:N])
+            approx[:half] = products[0:N:2]
+            out[half:N] = products[1:N:2]
             if level + 1 < J - J0:
                 np.take(approx[:half], _periodic_index(half, 0, T - 2), axis=0,
                         out=approx[half:half + T - 2], mode="clip")

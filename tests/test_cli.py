@@ -298,11 +298,11 @@ def test_estimate_non_dyadic_length_fails_with_stage(tmp_path, capsys):
     # NaN would otherwise reach the generated data and fail every replicate
     # at the input stage, with an empty amse.csv and exit code 0
     (["--rules", "soft"], "unknown rule 'soft'"),
-    (["--snr", "nan"], "snr must be positive and finite, got nan"),
-    (["--snr", "3,nan"], "snr must be positive and finite, got nan"),
-    (["--snr", "inf"], "snr must be positive and finite, got inf"),
-    (["--snr", "0"], "snr must be positive and finite, got 0.0"),
-    (["--snr", "-3"], "snr must be positive and finite, got -3.0"),
+    (["--snr", "nan"], "snr must be finite and in (0, inf), got nan"),
+    (["--snr", "3,nan"], "snr must be finite and in (0, inf), got nan"),
+    (["--snr", "inf"], "snr must be finite and in (0, inf), got inf"),
+    (["--snr", "0"], "snr must be finite and in (0, inf), got 0.0"),
+    (["--snr", "-3"], "snr must be finite and in (0, inf), got -3.0"),
     (["--m", "3"], "M must be a power of two >= 2, got 3"),
     (["--study", "4"], "study must be one of [1, 2, 3]"),
 ])

@@ -167,19 +167,20 @@ def test_dataset_spec(field):
 def test_the_broken_fields_seen_before_are_rejected():
     # each of these was accepted when the config was built, and then ran or
     # failed inside run_study or estimate_components with a bare
-    # TypeError or AttributeError
+    # TypeError, AttributeError or OverflowError
     for broken in (dict(replicates=2.5), dict(n_samples=50.5), dict(m_values=(64.0,)),
                    dict(seed=1.5), dict(snr_values=("3",)), dict(m_values=(96,)),
                    dict(snr_values=(math.nan,)), dict(seed=-1), dict(replicates=True),
-                   dict(study=True), dict(m_values=64)):
+                   dict(study=True), dict(m_values=64), dict(snr_values=(10 ** 400,))):
         assert built(lambda: StudyConfig(**{**VALID_STUDY, **broken})) is None, broken
     for broken in (dict(filter="daubechies"), dict(policy=3), dict(rule=LevelPolicy())):
         assert built(lambda: EstimationConfig(**{**dict(filter=FILTER, rule=RULES["log"]()),
                                                 **broken})) is None, broken
-    # a bare TypeError when built, or accepted and failed in generate_dataset,
-    # or ran: seed=True as seed 1, snr=inf with sigma_true = 0
+    # a bare TypeError when built, or accepted and failed in generate_dataset
+    # (snr=10**400 with an OverflowError), or ran: seed=True as seed 1,
+    # snr=inf with sigma_true = 0
     for broken in (dict(M=64.0), dict(snr="3"), dict(I=4.5), dict(seed=-1), dict(seed=1.5),
-                   dict(seed=True), dict(snr=math.inf)):
+                   dict(seed=True), dict(snr=math.inf), dict(snr=10 ** 400)):
         assert built(lambda: DatasetSpec(**{**VALID_DATASET, **broken})) is None, broken
     # a bare TypeError when built, or accepted: tau=True as tau 1
     for rule, broken in (("log", dict(tau=None)), ("lpm", dict(k=None)),

@@ -31,7 +31,7 @@ from wavecal.shrinkage import (
 from wavecal.simharness import STUDY_COMPONENTS
 from wavecal.testbed import (
     DatasetSpec,
-    component_function,
+    eval_component,
     generate_dataset,
     sample_grid,
     standard_normal,
@@ -294,7 +294,7 @@ class TestEstimateComponents:
 
     def test_mse_decreases_with_more_samples(self, db10):
         # L=1 with unit weights: averaging I samples shrinks the noise floor
-        truth = component_function("doppler")(sample_grid(256)).reshape(-1, 1)
+        truth = eval_component("doppler", sample_grid(256)).reshape(-1, 1)
         config = EstimationConfig(filter=db10, rule=Abe(), J0=3)
         mses = []
         for I in (2, 4, 8, 16, 32):

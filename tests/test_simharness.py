@@ -167,7 +167,7 @@ class TestAggregate:
 
 class TestEmitReports:
     def test_empty_stream_headers_only(self, tmp_path):
-        paths = emit_reports(AmseReport(), [], tmp_path)
+        paths = emit_reports(AmseReport(), [], tmp_path, config=StudyConfig())
         assert Path(paths["replicates"]).read_bytes() == \
             b"study,rule,M,snr,replicate,component,mse\r\n"
         assert Path(paths["amse"]).read_bytes() == \
@@ -215,13 +215,11 @@ class TestEmitReports:
         cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
                           replicates=1, rules=("lpm",), seed=7, n_samples=8)
         report, stream, failures = run_study(cfg)
-        paths = emit_reports(report, stream, tmp_path, config=cfg,
-                             failures=failures, notes={"why": "test"})
+        paths = emit_reports(report, stream, tmp_path, config=cfg, failures=failures)
         payload = json.loads(Path(paths["run"]).read_text())
         assert payload["config"]["seed"] == 7
         assert payload["config"]["rules"] == ["lpm"]
         assert payload["config"]["rule_defaults"]["lpm"]["k"] == 1.0
-        assert payload["notes"] == {"why": "test"}
         assert payload["incomplete_cells"] == []
 
     def test_incomplete_cells_flagged(self, tmp_path, monkeypatch):

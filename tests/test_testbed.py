@@ -8,7 +8,6 @@ import pytest
 from wavecal.testbed import (
     COMPONENT_NAMES,
     DatasetSpec,
-    component_function,
     dataset_to_csv,
     draw_weights,
     eval_component,
@@ -58,27 +57,34 @@ class TestComponentFunctions:
 
     def test_bumps_nonnegative(self):
         x = np.linspace(0, 1, 4097)
-        assert np.all(component_function("bumps")(x) >= 0.0)
+        assert np.all(eval_component("bumps", x) >= 0.0)
 
     def test_blocks_piecewise_constant(self):
-        f = component_function("blocks")
         jumps = [0.1, 0.13, 0.15, 0.23, 0.25, 0.40, 0.44, 0.65, 0.76, 0.78, 0.81]
         edges = [0.0] + jumps + [1.0]
         for lo, hi in zip(edges, edges[1:]):
             inner = np.linspace(lo + 1e-6, hi - 1e-6, 25)
-            vals = f(inner)
+            vals = eval_component("blocks", inner)
             assert np.max(vals) - np.min(vals) == 0.0
 
     def test_blocks_jump_locations(self):
-        f = component_function("blocks")
         for x in [0.1, 0.13, 0.15]:
-            assert f(np.array([x - 1e-9]))[0] != f(np.array([x + 1e-9]))[0]
+            assert eval_component("blocks", x - 1e-9) != eval_component("blocks", x + 1e-9)
 
     def test_vectorized_equals_pointwise(self):
         x = np.linspace(0, 1, 101)
         for name in COMPONENT_NAMES:
-            f = component_function(name)
-            np.testing.assert_array_equal(f(x), [f(float(v)) for v in x])
+            np.testing.assert_array_equal(eval_component(name, x),
+                                          [eval_component(name, float(v)) for v in x])
+
+    def test_scalar_gives_float_and_array_gives_array(self):
+        assert type(eval_component("logit", 0.25)) is float
+        assert type(eval_component("logit", np.float64(0.25))) is float
+        assert eval_component("logit", [0.25]).shape == (1,)
+
+    def test_name_case_and_padding_ignored(self):
+        x = np.linspace(0, 1, 33)
+        np.testing.assert_array_equal(eval_component(" Bumps ", x), eval_component("bumps", x))
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -87,8 +93,8 @@ class TestComponentFunctions:
             eval_component("bumps", -0.1)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            component_function("wiggles")
+        with pytest.raises(ValueError, match="unknown component"):
+            eval_component("wiggles", 0.5)
 
 
 class TestSampleGrid:
@@ -126,22 +132,19 @@ class TestDrawWeights:
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            draw_weights(4, 3)
+            draw_weights(4, 3, np.random.default_rng(0))
 
 
 class TestSigmaForSnr:
     def test_definition(self):
         # noiseless values with sd 3 and snr 3 give sigma 1
-        truth = np.array([[3.0], [-3.0], [3.0], [-3.0]])
-        weights = np.ones((1, 2))
-        assert sigma_for_snr(truth, weights, 3.0) == pytest.approx(1.0)
+        signal = np.array([[3.0], [-3.0], [3.0], [-3.0]]) @ np.ones((1, 2))
+        assert sigma_for_snr(signal, 3.0) == pytest.approx(1.0)
 
     def test_snr_proportionality(self):
         rng = np.random.default_rng(5)
-        truth = rng.standard_normal((64, 2))
-        weights = rng.uniform(0.5, 1.5, (2, 7))
-        assert sigma_for_snr(truth, weights, 6.0) == pytest.approx(
-            sigma_for_snr(truth, weights, 3.0) / 2.0)
+        signal = rng.standard_normal((64, 2)) @ rng.uniform(0.5, 1.5, (2, 7))
+        assert sigma_for_snr(signal, 6.0) == pytest.approx(sigma_for_snr(signal, 3.0) / 2.0)
 
     def test_simulation_one_smoke_value(self):
         ds = generate_dataset(DatasetSpec(components=("bumps", "blocks"),
@@ -151,20 +154,18 @@ class TestSigmaForSnr:
 
     def test_constant_matrix_rejected(self):
         with pytest.raises(ValueError):
-            sigma_for_snr(np.ones((8, 1)), np.ones((1, 2)), 3.0)
+            sigma_for_snr(np.ones((8, 2)), 3.0)
 
     def test_nonpositive_snr_rejected(self):
-        for snr in (0.0, float("nan")):
-            with pytest.raises(ValueError):
-                sigma_for_snr(np.random.default_rng(0).standard_normal((8, 1)),
-                              np.ones((1, 2)), snr)
+        for snr in (0.0, float("nan"), 10 ** 400):
+            with pytest.raises(ValueError, match="snr must be finite"):
+                sigma_for_snr(np.random.default_rng(0).standard_normal((8, 2)), snr)
 
 
 class TestGenerateDataset:
     def test_noise_free_limit(self, monkeypatch):
         # force sigma to 0: observed must equal truth @ weights exactly
-        monkeypatch.setattr("wavecal.testbed.sigma_for_snr",
-                            lambda truth, weights, snr: 0.0)
+        monkeypatch.setattr("wavecal.testbed.sigma_for_snr", lambda signal, snr: 0.0)
         ds = generate_dataset(DatasetSpec(components=("bumps",), M=64, I=4,
                                           snr=5.0, seed=3))
         np.testing.assert_array_equal(ds.observed, ds.truth @ ds.weights)
@@ -199,7 +200,7 @@ class TestGenerateDataset:
         b = generate_dataset(spec, seed_seq=np.random.SeedSequence(5, spawn_key=(1,)))
         assert a.truth.flags.writeable and b.truth.flags.writeable
         assert not np.shares_memory(a.truth, b.truth)
-        want = np.column_stack([component_function(c)(sample_grid(128))
+        want = np.column_stack([eval_component(c, sample_grid(128))
                                 for c in spec.components])
         a.truth[:] = 0.0
         for ds in (b, generate_dataset(spec)):
@@ -222,7 +223,7 @@ class TestGenerateDataset:
 
     @pytest.mark.parametrize("snr", [0.0, float("nan")])
     def test_snr_not_positive_rejected(self, snr):
-        with pytest.raises(ValueError, match="snr must be positive"):
+        with pytest.raises(ValueError, match=r"snr must be finite and in \(0, inf\)"):
             DatasetSpec(components=("bumps",), M=64, I=4, snr=snr)
 
     @pytest.mark.parametrize("snr", [1e-310, 5e-324])

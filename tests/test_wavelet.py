@@ -85,17 +85,6 @@ class TestMakeFilter:
         with pytest.raises(UnsupportedFilterError):
             WaveletFilter(np.array([0.5, 0.5]), 1)  # sums to 1, not sqrt(2)
 
-    def test_equality_and_hash_by_family_and_moments(self):
-        a, b = make_filter("daubechies", 10), make_filter("daubechies", 10)
-        assert a is not b and a == b and hash(a) == hash(b)
-        assert a != make_filter("daubechies", 9) and a != "daubechies"
-        assert len({make_filter("daubechies", v) for v in (1, 2, 2, 10, 10)}) == 3
-        # a frozen config holding separately built filters compares and hashes too
-        from wavecal import EstimationConfig, Lpm
-        one, two = (EstimationConfig(filter=make_filter("daubechies", 10), rule=Lpm())
-                    for _ in range(2))
-        assert one == two and hash(one) == hash(two)
-
 
 class TestForward:
     def test_constant_signal_concentrates(self):
