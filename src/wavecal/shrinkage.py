@@ -14,15 +14,17 @@ signal part of a noisy coefficient d = theta + eps, eps ~ N(0, sigma^2):
     Ruggeri, 2001).
 
 `RULES` maps each rule's name ("log", "beta", "lpm", "abe", "bams") to its
-parameter dataclass; a default instance is the unresolved spec that
-`resolve_rule` completes from the data.
+spec class; a default instance is the unresolved spec that `resolve_rule`
+completes from the data.
 
 Rules accept a scalar or an array of coefficients and are pure functions of
-their arguments.  The noise sd sigma and the other hyperparameters are
-finite real numbers; a spec rejects any other when it is built.  A spec
-holds only what the pipeline reads: the standalone `logistic_rule` and
-`beta_rule` take the mixture weight p, and beta's half-support m, as
-arguments, which `shrink_pyramid` resolves per level instead.
+their arguments.  Each rule has the one setting of the paper: logistic
+tau = LOGISTIC_TAU, LPM k = LPM_K, BAMS alpha = BAMS_ALPHA, and BAMS's
+tau = 3 sigma and mu = 1 / sigma^2 from the noise sd.  So a spec holds only
+the noise sd sigma, a finite real number, which it checks when it is built.
+The standalone `logistic_rule` and `beta_rule` take the mixture weight p,
+and beta's half-support m, as arguments, which `shrink_pyramid` resolves
+per level instead.
 `shrink_pyramid` applies a rule coefficientwise to the detail rows of a
 Pyramid, the level views of one flat coefficient matrix, and writes the
 result into one new matrix of the same layout, the coarse rows copied
@@ -59,12 +61,11 @@ accuracy; `shrink_pyramid`'s m(j) = max |d| never gets there.
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
@@ -95,12 +96,17 @@ __all__ = [
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-_BAMS_SINGULARITY_TOL = 1e-8
 
 MAD_TO_SIGMA = 0.6745  # median absolute deviation of N(0,1), Donoho-Johnstone constant
 
 # The exponent gamma of the level policy's mixture weight p(j) (`_mixture_weight`).
 POLICY_GAMMA = 2.0
+
+# The paper's fixed hyperparameters: the logistic prior's scale tau, LPM's
+# prior exponent k and BAMS's point-mass weight alpha.
+LOGISTIC_TAU = 1.0
+LPM_K = 1.0
+BAMS_ALPHA = 0.8
 
 # Largest number of coefficients `shrink_pyramid` hands to one rule call, in
 # row blocks that cross level boundaries.  It bounds the elementwise
@@ -112,8 +118,9 @@ _BLOCK_COEFFICIENTS = 8192
 # which stays in L2 cache and is reused for every chunk of a rule call.
 _GRID_VALUES = 32768
 
-# Past this magnitude d * d or sigma * sigma may overflow; `_downscaled`
-# divides such coefficients, and sigma, by _UPSCALE (both powers of two).
+# Past this magnitude d * d or sigma * sigma may overflow, and below its
+# inverse both may underflow; `_downscaled` divides such coefficients, and
+# sigma, by _UPSCALE or by its inverse (all powers of two).
 _SQUARE_LIMIT = 2.0 ** 500
 _UPSCALE = 2.0 ** 600
 
@@ -160,101 +167,48 @@ def check_real(name: str, value, low: float = 0.0, high: float = np.inf,
 
 
 @dataclass(frozen=True)
-class Logistic:
-    """Point mass at zero mixed with a logistic prior of scale tau.
+class RuleSpec:
+    """The spec of a shrinkage rule, one subclass per rule, whose one field
+    is the noise sd.
 
-    ``sigma=None`` marks the noise sd as to-be-estimated; rule evaluation
-    requires a resolved spec.  The mixture weight is not a field:
-    `logistic_rule` takes p, and `shrink_pyramid` uses the level's p(j).
+    ``sigma=None`` marks it as to-be-estimated (`resolve_rule`); rule
+    evaluation requires a resolved spec.  sigma = 0 is admitted only by Lpm
+    and Abe, which are then the identity, as the noise-free recovery paths
+    rely on.
     """
 
-    tau: float = 1.0
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        check_real("tau", self.tau)
         if self.sigma is not None:
-            check_real("sigma", self.sigma)
+            check_real("sigma", self.sigma, closed=isinstance(self, (Lpm, Abe)))
 
 
-@dataclass(frozen=True)
-class Beta:
+class Logistic(RuleSpec):
+    """Point mass at zero mixed with a logistic prior of scale LOGISTIC_TAU.
+    The mixture weight is not a field: `logistic_rule` takes p, and
+    `shrink_pyramid` uses the level's p(j)."""
+
+
+class Beta(RuleSpec):
     """Point mass at zero mixed with a beta prior of shape a = 2 on [-m, m],
-    the density 3 (m^2 - theta^2) / (4 m^3).
-
-    ``sigma=None`` marks the noise sd as to-be-estimated.  p and m are not
-    fields: `beta_rule` takes them, and `shrink_pyramid` uses the level's
-    p(j) and m(j).
-    """
-
-    sigma: Optional[float] = None
-
-    def __post_init__(self):
-        if self.sigma is not None:
-            check_real("sigma", self.sigma)
+    the density 3 (m^2 - theta^2) / (4 m^3).  p and m are not fields:
+    `beta_rule` takes them, and `shrink_pyramid` uses the level's p(j) and
+    m(j)."""
 
 
-@dataclass(frozen=True)
-class Lpm:
-    """Large Posterior Mode thresholding with prior exponent k > 1/2.
-
-    sigma = 0 is admitted (the rule degenerates to the identity), which the
-    noise-free recovery paths rely on.
-    """
-
-    k: float = 1.0
-    sigma: Optional[float] = None
-
-    def __post_init__(self):
-        check_real("k", self.k, 0.5)
-        if self.sigma is not None:
-            check_real("sigma", self.sigma, closed=True)
+class Lpm(RuleSpec):
+    """Large Posterior Mode thresholding with prior exponent LPM_K."""
 
 
-@dataclass(frozen=True)
-class Abe:
-    """Amplitude-scale invariant Bayes Estimator; only needs the noise sd.
-
-    sigma = 0 is admitted (identity rule) for noise-free recovery paths.
-    """
-
-    sigma: Optional[float] = None
-
-    def __post_init__(self):
-        if self.sigma is not None:
-            check_real("sigma", self.sigma, closed=True)
+class Abe(RuleSpec):
+    """Amplitude-scale invariant Bayes Estimator; only needs the noise sd."""
 
 
-@dataclass(frozen=True)
-class Bams:
-    """Point mass mixed with a double-exponential prior, exponential prior
-    on the noise variance.
-
-    With both scales set, the prior's tau must exceed the marginal noise
-    scale s = 1/sqrt(2 mu) by a margin: 2*mu*tau^2 > 1 + 1e-8.  The closed
-    form degenerates at tau = s, and the pipeline's tau = 3 sigma-hat and
-    mu = 1/sigma-hat^2 give 2*mu*tau^2 = 18.
-    """
-
-    alpha: float = 0.8
-    tau: Optional[float] = None
-    mu: Optional[float] = None
-
-    def __post_init__(self):
-        check_real("alpha", self.alpha, 0.0, 1.0)
-        if self.tau is not None:
-            check_real("tau", self.tau)
-        if self.mu is not None:
-            check_real("mu", self.mu)
-        if self.tau is not None and self.mu is not None:
-            # tau / s = tau sqrt(2 mu); tau ** 2 would overflow past 1e154
-            ratio = float(self.tau) * math.sqrt(2.0 * float(self.mu))
-            if not ratio > math.sqrt(1.0 + _BAMS_SINGULARITY_TOL):
-                raise ValueError(f"tau must exceed s = 1/sqrt(2 mu): tau*sqrt(2 mu) must "
-                                 f"be > sqrt(1 + {_BAMS_SINGULARITY_TOL:g}), got {ratio}")
-
-
-RuleSpec = Union[Logistic, Beta, Lpm, Abe, Bams]
+class Bams(RuleSpec):
+    """Point mass of weight BAMS_ALPHA mixed with a double-exponential prior
+    of scale tau = 3 sigma, with an exponential prior of mean 1 / mu =
+    sigma^2 on the noise variance."""
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +278,11 @@ def _as_array(d):
     return arr, arr.ndim == 0
 
 
-def _require(value, name, rule):
-    if value is None:
-        raise ValueError(f"{rule} spec has no {name}; set it, or call resolve_rule "
-                         f"for a sigma, tau or mu from the data")
-    return value
+def _sigma(spec: RuleSpec):
+    if spec.sigma is None:
+        raise ValueError(f"{type(spec).__name__} spec has no sigma; set it, or call "
+                         f"resolve_rule for a sigma from the data")
+    return spec.sigma
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +291,7 @@ def _require(value, name, rule):
 
 class _LogisticTable(NamedTuple):
     """Piecewise polynomials in a = |d| of the two functions that carry the
-    logistic rule's integrals at one (tau, sigma).
+    logistic rule's integrals at one sigma, with tau = LOGISTIC_TAU.
 
     With Z(a) = int g(theta) phi_sigma(a - theta) dtheta and
     N(a) = int theta g(theta) phi_sigma(a - theta) dtheta, the table holds
@@ -348,7 +302,6 @@ class _LogisticTable(NamedTuple):
     ell = sigma^2 / (2 tau^2) and R = 1 - sigma^2 / (tau a) hold.
     """
 
-    tau: float
     sigma: float
     scale: float           # 2 / h
     last: int              # the last panel
@@ -453,16 +406,20 @@ def _prior_scale_sums(a, sigma: float, tau: float):
 
 
 def _logistic_table(spec: Logistic, top: float) -> _LogisticTable:
-    """The `_LogisticTable` of ``spec``'s tau and sigma for |d| <= ``top``.
+    """The `_LogisticTable` of ``spec``'s sigma for |d| <= ``top``.
 
     Panels are max(tau, sigma / 2) / 4 wide and cover [0, min(top, cutoff)].
     The cutoff is where the sums reach their asymptotes to double precision:
     F c_i < 2^-53 on every Gauss-Hermite node, or for sigma > 2 tau
     Phi(z_i) = 1 and phi(z_i) = 0 on every node of the prior-scale rule.
-    More than _TABLE_PANELS panels are refused before any is built.
+    More than _TABLE_PANELS panels, or a sigma whose square underflows, are
+    refused before any is built.
     """
-    tau = float(spec.tau)
-    sigma = float(_require(spec.sigma, "sigma", "Logistic"))
+    tau = LOGISTIC_TAU
+    sigma = float(_sigma(spec))
+    if sigma * sigma < sys.float_info.min:
+        raise ValueError(f"logistic_rule: sigma^2 underflows at sigma = {sigma:.3g}; "
+                         f"rescale the data or use a scale-free rule")
     width = max(tau, sigma / 2.0) / 4.0
     if sigma <= _PRIOR_SCALE * tau:
         nodes = _logistic_nodes()
@@ -483,14 +440,14 @@ def _logistic_table(spec: Logistic, top: float) -> _LogisticTable:
     ell, ratio = sums(points.ravel(), sigma, tau)
     coef = np.concatenate([_CHEB_TO_POWERS @ ell.reshape(panels, -1).T,
                            _CHEB_TO_POWERS @ ratio.reshape(panels, -1).T])
-    return _LogisticTable(tau, sigma, 2.0 / width, panels - 1, cutoff, coef)
+    return _LogisticTable(sigma, 2.0 / width, panels - 1, cutoff, coef)
 
 
 def _point_mass_log(p: float, table: _LogisticTable) -> float:
     """log K, K = p / (1 - p) * tau / (sigma sqrt(2 pi)), the point mass's
     weight in `_logistic_from_table`; -inf where K is 0: at p = 0, or where
     K underflows and the point mass's share K e^x is far below rounding."""
-    k = p / (1.0 - p) * table.tau / (table.sigma * _SQRT_2PI)
+    k = p / (1.0 - p) * LOGISTIC_TAU / (table.sigma * _SQRT_2PI)
     return np.log(k) if k > 0.0 else -np.inf
 
 
@@ -502,7 +459,7 @@ def _logistic_from_table(arr, log_k, table: _LogisticTable):
     value per row of ``arr``: K e^x is the point mass's share p phi_sigma(a)
     over (1 - p) Z(a).  A row whose log K is -inf gets e^x = 0 exactly.
     """
-    tau, sigma, cutoff = table.tau, table.sigma, table.cutoff
+    tau, sigma, cutoff = LOGISTIC_TAU, table.sigma, table.cutoff
     a = np.abs(arr)
     beyond = a >= cutoff
     t = np.fmin(a, cutoff)
@@ -545,7 +502,7 @@ def logistic_rule(d, spec: Logistic, *, p: float):
 
     The prior integrals Z and N (see `_LogisticTable`) depend on d only
     through a = |d|, and on p not at all, so they are tabulated once per
-    call, over (tau, sigma) and every |d| of the input, as piecewise
+    call, over sigma and every |d| of the input, as piecewise
     polynomials in a and combined with p only in the final ratio
     (`_logistic_from_table`).  The table's source sums use a 64-node
     Gauss-Hermite rule while sigma <= 2 tau and a rule on the prior's scale
@@ -704,7 +661,7 @@ def beta_rule(d, spec: Beta, *, p: float, m: float):
     rejected with a ValueError; `shrink_pyramid`'s support from the data,
     m(j) = max_k |d_jk|, never gets there.  |result| <= m always.
     """
-    sigma = _require(spec.sigma, "sigma", "Beta")
+    sigma = _sigma(spec)
     check_real("p", p, 0.0, 1.0, closed=True)
     check_real("m", m)
     arr, scalar = _as_array(d)
@@ -719,26 +676,29 @@ def beta_rule(d, spec: Beta, *, p: float, m: float):
 
 def _downscaled(arr, sigma):
     """(d, sigma, factor) with d and sigma divided by ``factor``: _UPSCALE
-    where |d| or sigma exceeds _SQUARE_LIMIT, else 1.  Both rules below are
-    homogeneous of degree one in (d, sigma) and power-of-two scaling is
-    exact, so multiplying a rule's result by ``factor`` changes no bit
-    except where d * d would have overflowed."""
+    where |d| or sigma exceeds _SQUARE_LIMIT, 1 / _UPSCALE where both are
+    below 1 / _SQUARE_LIMIT, else 1.  Both rules below are homogeneous of
+    degree one in (d, sigma) and power-of-two scaling is exact, so
+    multiplying a rule's result by ``factor`` changes no bit except where
+    d * d or sigma * sigma would have over- or underflowed."""
     # two reductions settle the common case; NaN fails them and takes the mask
     if (arr.max(initial=0.0) <= _SQUARE_LIMIT and arr.min(initial=0.0) >= -_SQUARE_LIMIT
-            and sigma <= _SQUARE_LIMIT):
+            and 1.0 / _SQUARE_LIMIT <= sigma <= _SQUARE_LIMIT):
         return arr, sigma, 1.0
-    factor = np.where(np.maximum(np.abs(arr), sigma) > _SQUARE_LIMIT, _UPSCALE, 1.0)
+    big = np.maximum(np.abs(arr), sigma)
+    factor = np.where(big > _SQUARE_LIMIT, _UPSCALE,
+                      np.where(big < 1.0 / _SQUARE_LIMIT, 1.0 / _UPSCALE, 1.0))
     return arr / factor, sigma / factor, factor
 
 
 def lpm_rule(d, spec: Lpm):
     """Large Posterior Mode thresholding: zero below lambda = 2 sigma
-    sqrt(2k-1), else the larger posterior mode (closed interval at lambda)."""
+    sqrt(2k-1), k = LPM_K, else the larger posterior mode (closed interval
+    at lambda)."""
     arr, scalar = _as_array(d)
-    arr, sigma, factor = _downscaled(arr.reshape(-1) if scalar else arr,
-                                     _require(spec.sigma, "sigma", "Lpm"))
+    arr, sigma, factor = _downscaled(arr.reshape(-1) if scalar else arr, _sigma(spec))
     disc = np.multiply(arr, arr)  # d^2 - lambda^2, in place
-    disc -= 4.0 * sigma * sigma * (2.0 * spec.k - 1.0)
+    disc -= 4.0 * sigma * sigma * (2.0 * LPM_K - 1.0)
     keep = disc >= 0.0
     np.sqrt(disc, out=disc, where=keep)
     disc *= np.sign(arr)
@@ -754,7 +714,7 @@ def abe_rule(d, spec: Abe):
     """Amplitude-scale invariant Bayes Estimator: (d^2 - 3 sigma^2)_+ / d,
     with the value at d = 0 defined as 0."""
     arr, scalar = _as_array(d)
-    arr, sigma, factor = _downscaled(arr, _require(spec.sigma, "sigma", "Abe"))
+    arr, sigma, factor = _downscaled(arr, _sigma(spec))
     excess = arr * arr - 3.0 * sigma * sigma
     keep = excess > 0.0  # implies d != 0
     # divide only where kept: excess / d overflows for a subnormal d
@@ -765,23 +725,24 @@ def abe_rule(d, spec: Abe):
 def bams_rule(d, spec: Bams):
     """BAMS posterior mean under the point-mass + double-exponential prior.
 
-    With s = 1/sqrt(2 mu) the marginal noise is DE(0, s) and, as the spec
-    requires tau > s,
+    The prior scale is tau = 3 sigma and the noise precision mu =
+    1 / sigma^2.  With s = 1/sqrt(2 mu) the marginal noise is DE(0, s), and
+    as tau / s = 3 sqrt(2) > 1,
 
         delta(d) = [tau (tau^2-s^2) d e^{-|d|/tau}
                     + 2 s^2 tau^2 sgn(d) (e^{-|d|/s} - e^{-|d|/tau})]
                    / [(tau^2-s^2) (tau e^{-|d|/tau} - s e^{-|d|/s})]
 
         bams(d) = (1-alpha) m(d) delta(d)
-                  / [(1-alpha) m(d) + alpha DE(d; 0, s)]
+                  / [(1-alpha) m(d) + alpha DE(d; 0, s)],  alpha = BAMS_ALPHA,
 
     where m(d) is the convolution of the two double exponentials.  The
     common exponential factor is cancelled analytically so the evaluation
     never under- or overflows for large |d|.  The terms are evaluated in
     place, in four whole-array buffers.
     """
-    tau = _require(spec.tau, "tau", "Bams")
-    mu = _require(spec.mu, "mu", "Bams")
+    sigma = float(_sigma(spec))
+    tau, mu = 3.0 * sigma, 1.0 / sigma ** 2
     arr, scalar = _as_array(d)
     arr = arr.reshape(-1) if scalar else arr
     s = 1.0 / np.sqrt(2.0 * mu)
@@ -802,12 +763,12 @@ def bams_rule(d, spec: Bams):
     np.subtract(tau, spread, out=spread)
     noise = r
     noise /= 2.0 * s
-    noise *= spec.alpha
+    noise *= BAMS_ALPHA
     num += term
     num /= np.multiply(spread, tqdiff, out=term)  # delta
     weight = spread
     weight /= 2.0 * tqdiff                        # the marginal m(d)
-    weight *= 1.0 - spec.alpha
+    weight *= 1.0 - BAMS_ALPHA
     num *= weight
     weight += noise
     num /= weight
@@ -878,7 +839,7 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
             per_level = (np.reshape([_point_mass_log(pj, table) for pj in p], column),)
             fixed = (table,)
         else:
-            sigma = _require(rule.sigma, "sigma", "Beta")
+            sigma = _sigma(rule)
             w = np.where(live, peaks, 1.0) / sigma
             per_level = (np.reshape(p, column), w,
                          np.stack([_beta_point_mass(pj, wj) for pj, wj in zip(p, w)]))
@@ -903,35 +864,25 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
 # ---------------------------------------------------------------------------
 
 def resolve_rule(spec: RuleSpec, sigma) -> RuleSpec:
-    """Fill the data-dependent fields of a rule spec from the noise sd.
-
-    sigma, a float, plugs into Logistic/Beta/Lpm/Abe unless the spec carries
-    its own.  Unset BAMS scales become tau = 3 sigma and mu = 1/sigma^2,
-    i.e. the prior mean of the noise variance (1/mu under this
-    parameterization) matches the plug-in sigma^2.  The level-dependent
+    """Fill a rule spec's noise sd from the data: sigma, a float, unless the
+    spec carries its own.  BAMS's tau = 3 sigma and mu = 1/sigma^2 follow
+    from it in `bams_rule`: the prior mean of the noise variance (1/mu under
+    this parameterization) matches the plug-in sigma^2.  The level-dependent
     p(j) and m(j) of Logistic and Beta are `shrink_pyramid`'s.
     """
     _rule_function(spec)  # rejects a spec type not in RULES
-    if isinstance(spec, Bams):
-        if sigma <= 0 and (spec.tau is None or spec.mu is None):
-            raise ValueError("BAMS defaults require a positive sigma estimate")
-        tau = spec.tau if spec.tau is not None else 3.0 * sigma
-        mu = spec.mu if spec.mu is not None else 1.0 / sigma ** 2
-        return replace(spec, tau=tau, mu=mu)
     return spec if spec.sigma is not None else replace(spec, sigma=sigma)
 
 
 def rule_defaults() -> dict[str, dict[str, object]]:
-    """Each named rule's default hyperparameters, for reporting: the fields
-    of its spec dataclass that have a default value, beta's fixed shape a,
+    """Each named rule's hyperparameters, for reporting: the fixed values
     and a description of each value the pipeline resolves from the data."""
-    resolved = {
-        "log": {"sigma": "estimated", "policy": "p(j) = 1 - (j - J0 + 1)^-gamma"},
+    policy = "p(j) = 1 - (j - J0 + 1)^-gamma"
+    return {
+        "log": {"tau": LOGISTIC_TAU, "sigma": "estimated", "policy": policy},
         "beta": {"a": 2.0, "m": "max_k |d_jk|", "sigma": "estimated",
-                 "policy": "p(j) = 1 - (j - J0 + 1)^-gamma, m(j) = max_k |d_jk|"},
-        "lpm": {"sigma": "estimated", "threshold": "2 sigma sqrt(2k - 1)"},
+                 "policy": f"{policy}, m(j) = max_k |d_jk|"},
+        "lpm": {"k": LPM_K, "sigma": "estimated", "threshold": "2 sigma sqrt(2k - 1)"},
         "abe": {"sigma": "estimated", "threshold": "sqrt(3) sigma"},
-        "bams": {"tau": "3 * sigma_hat", "mu": "1 / sigma_hat^2"},
+        "bams": {"alpha": BAMS_ALPHA, "tau": "3 * sigma_hat", "mu": "1 / sigma_hat^2"},
     }
-    return {name: {**{f.name: f.default for f in fields(spec) if f.default is not None},
-                   **resolved[name]} for name, spec in RULES.items()}

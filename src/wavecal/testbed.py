@@ -90,7 +90,7 @@ def eval_component(name: str, x):
     if key not in _EVALUATORS:
         raise ValueError(f"unknown component {name!r}; choose from {COMPONENT_NAMES}")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails it too
         raise ValueError(f"{key} is defined on [0, 1]")
     value = _EVALUATORS[key](arr)
     return float(value) if np.ndim(x) == 0 else value

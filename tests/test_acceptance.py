@@ -143,9 +143,10 @@ def test_criterion_2_rule_oracle_equivalence():
     d_grid = np.linspace(-10.0, 10.0, 201)
 
     worst_log = 0.0
-    for p, tau, sigma in [(0.9, 1.0, 1.0), (0.5, 2.0, 1.0), (0.8, 1.5, 0.5)]:
-        got = logistic_rule(d_grid, Logistic(tau=tau, sigma=sigma), p=p)
-        want = _logistic_oracle_grid(d_grid, p, tau, sigma)
+    # tau = 1: the cases sigma / tau = 1, 1 / 2 and 0.5 / 1.5
+    for p, sigma in [(0.9, 1.0), (0.5, 0.5), (0.8, 0.5 / 1.5)]:
+        got = logistic_rule(d_grid, Logistic(sigma=sigma), p=p)
+        want = _logistic_oracle_grid(d_grid, p, 1.0, sigma)
         worst_log = max(worst_log, float(np.max(np.abs(got - want))))
 
     worst_beta = 0.0
@@ -155,9 +156,10 @@ def test_criterion_2_rule_oracle_equivalence():
         worst_beta = max(worst_beta, float(np.max(np.abs(got - want))))
 
     worst_bams = 0.0
-    for alpha, tau, mu in [(0.5, 2.0, 1.0), (0.8, 3.0, 1.0), (0.2, 0.8, 4.0)]:
-        got = bams_rule(d_grid, Bams(alpha=alpha, tau=tau, mu=mu))
-        want = _bams_oracle_grid(d_grid, alpha, tau, mu)
+    # alpha = 0.8, tau = 3 sigma, mu = 1 / sigma^2
+    for sigma in (0.5, 1.0, 2.0):
+        got = bams_rule(d_grid, Bams(sigma=sigma))
+        want = _bams_oracle_grid(d_grid, 0.8, 3.0 * sigma, 1.0 / sigma ** 2)
         worst_bams = max(worst_bams, float(np.max(np.abs(got - want))))
 
     elapsed = time.perf_counter() - t0
@@ -169,7 +171,7 @@ def test_criterion_2_rule_oracle_equivalence():
 def test_criterion_3_closed_form_spot_values():
     checks = [
         ("abe_rule(2, sigma=1)", abe_rule(2.0, Abe(sigma=1.0)), 0.5),
-        ("lpm_rule(3, k=1, sigma=1)", lpm_rule(3.0, Lpm(k=1.0, sigma=1.0)),
+        ("lpm_rule(3, sigma=1)", lpm_rule(3.0, Lpm(sigma=1.0)),
          (3.0 + np.sqrt(5.0)) / 2.0),
         ("estimate_sigma(calibrated)",
          estimate_sigma([0.6745, -0.6745, 0.6745, 0.6745]), 1.0),
@@ -187,12 +189,11 @@ def test_criterion_4_property_suite():
 
     def rule_set(sigma):
         return {
-            "log": lambda d: logistic_rule(d, Logistic(tau=1.0, sigma=sigma), p=0.9),
+            "log": lambda d: logistic_rule(d, Logistic(sigma=sigma), p=0.9),
             "beta": lambda d: beta_rule(d, Beta(sigma=sigma), p=0.9, m=10.0 * sigma),
-            "lpm": lambda d: lpm_rule(d, Lpm(k=1.0, sigma=sigma)),
+            "lpm": lambda d: lpm_rule(d, Lpm(sigma=sigma)),
             "abe": lambda d: abe_rule(d, Abe(sigma=sigma)),
-            "bams": lambda d: bams_rule(d, Bams(alpha=0.8, tau=3.0 * sigma,
-                                                mu=1.0 / sigma ** 2)),
+            "bams": lambda d: bams_rule(d, Bams(sigma=sigma)),
         }
 
     rng = np.random.default_rng(404)
@@ -210,13 +211,12 @@ def test_criterion_4_property_suite():
 
     # threshold regions
     for sigma in (0.5, 1.0, 2.0):
-        for k in (1.0, 2.0):
-            lam = 2.0 * sigma * np.sqrt(2.0 * k - 1.0)
-            spec = Lpm(k=k, sigma=sigma)
-            for d in np.linspace(-3 * lam, 3 * lam, 301):
-                v = lpm_rule(float(d), spec)
-                if (abs(d) < lam) != (v == 0.0):
-                    failures.append(f"lpm threshold sigma={sigma} k={k} d={d}")
+        lam = 2.0 * sigma  # 2 sigma sqrt(2k - 1) at k = 1
+        spec = Lpm(sigma=sigma)
+        for d in np.linspace(-3 * lam, 3 * lam, 301):
+            v = lpm_rule(float(d), spec)
+            if (abs(d) < lam) != (v == 0.0):
+                failures.append(f"lpm threshold sigma={sigma} d={d}")
         bound = np.sqrt(3.0) * sigma
         spec = Abe(sigma=sigma)
         for d in np.linspace(-3 * bound, 3 * bound, 301):
@@ -226,7 +226,7 @@ def test_criterion_4_property_suite():
 
     # monotone shrinkage in p: a heavier point mass shrinks harder
     for d in (0.5, 1.5, 4.0):
-        vals = [logistic_rule(d, Logistic(tau=1.0, sigma=1.0), p=p)
+        vals = [logistic_rule(d, Logistic(sigma=1.0), p=p)
                 for p in np.linspace(0.05, 0.95, 10)]
         if not all(b < a for a, b in zip(vals, vals[1:])):
             failures.append(f"logistic p-monotonicity d={d}")

@@ -19,7 +19,10 @@ from wavecal.wavelet import make_filter
 
 def test_rules(capsys):
     assert main(["rules"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    with open(os.path.join(os.path.dirname(__file__), "data", "rules.json")) as want:
+        assert out == want.read()  # the checked-in output, byte for byte
+    payload = json.loads(out)
     assert set(payload) == {"log", "beta", "lpm", "abe", "bams"}
     assert payload["abe"]["threshold"] == "sqrt(3) sigma"
     # beta's shape is fixed at a = 2, reported as the float the run.json files hold
@@ -368,14 +371,18 @@ def test_estimate_bytes_match_the_checked_in_outputs(tmp_path, rule):
         assert got.read() == want.read()
 
 
-def test_estimate_arithmetic_failure_exits_with_its_stage(tmp_path):
-    # BAMS's 1 / sigma^2 used to escape as a ZeroDivisionError traceback
+@pytest.mark.parametrize("rule,error", [("bams", "ZeroDivisionError"),
+                                        ("log", "logistic_rule: sigma^2 underflows")])
+def test_estimate_arithmetic_failure_exits_with_its_stage(tmp_path, rule, error):
+    # BAMS's 1 / sigma^2 used to escape as a ZeroDivisionError traceback; log
+    # divided by its underflowed sigma^2 with a numpy RuntimeWarning, dropped
+    # the point mass and exited 0
     run = subprocess.run([sys.executable, "-m", "wavecal",
-                          *write_scaled_dataset(tmp_path, 1e-300), "--rule", "bams"],
+                          *write_scaled_dataset(tmp_path, 1e-300), "--rule", rule],
                          capture_output=True, text=True)
     assert run.returncode == 1
-    assert "error: [shrinkage] ZeroDivisionError" in run.stderr
-    assert "Traceback" not in run.stderr
+    assert f"error: [shrinkage] {error}" in run.stderr
+    assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
     assert not (tmp_path / "o" / "alpha_hat.csv").exists()
 
 

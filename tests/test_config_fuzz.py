@@ -182,8 +182,6 @@ def test_the_broken_fields_seen_before_are_rejected():
     for broken in (dict(M=64.0), dict(snr="3"), dict(I=4.5), dict(seed=-1), dict(seed=1.5),
                    dict(seed=True), dict(snr=math.inf), dict(snr=10 ** 400)):
         assert built(lambda: DatasetSpec(**{**VALID_DATASET, **broken})) is None, broken
-    # a bare TypeError when built, or accepted: tau=True as tau 1
-    for rule, broken in (("log", dict(tau=None)), ("lpm", dict(k=None)),
-                         ("bams", dict(alpha=None)), ("log", dict(tau="1")),
-                         ("bams", dict(tau=True, mu=1.0))):
+    # a bare TypeError when built, or accepted: sigma=True as sigma 1
+    for rule, broken in (("log", dict(sigma="1")), ("bams", dict(sigma=True))):
         assert built(lambda: RULES[rule](**broken)) is None, (rule, broken)

@@ -71,14 +71,6 @@ def normal_equations_longdouble(shrunk, weights):
     return np.asarray(a[:, L:].T, dtype=float)
 
 
-def carrying_sigma(rule, sigma):
-    """``rule`` with its own noise sd ``sigma``; for BAMS, the scales that
-    resolve_rule derives from it."""
-    if isinstance(rule, Bams):
-        return replace(rule, tau=3.0 * sigma, mu=1.0 / sigma ** 2)
-    return replace(rule, sigma=sigma)
-
-
 @pytest.fixture(scope="module")
 def db10():
     return make_filter("daubechies", 10)
@@ -284,7 +276,7 @@ class TestEstimateComponents:
         # floating-point sums changes
         spec = DatasetSpec(components=STUDY_COMPONENTS[2], M=512, I=50, snr=3.0, seed=13)
         ds = generate_dataset(spec)
-        rule = RULES[rule]() if sigma is None else carrying_sigma(RULES[rule](), sigma)
+        rule = RULES[rule]() if sigma is None else RULES[rule](sigma=sigma)
         config = EstimationConfig(filter=db10, rule=rule, J0=3)
         base = estimate_components(ds.observed, ds.weights, config)
         perm = np.random.default_rng(0).permutation(50)
@@ -320,7 +312,7 @@ class TestEstimateComponents:
                            snr=4.0, seed=29)
         ds = generate_dataset(spec)
         if sigma is not None:
-            rule = carrying_sigma(rule, sigma)
+            rule = replace(rule, sigma=sigma)
         config = EstimationConfig(filter=db10, rule=rule, J0=3, policy=policy)
         got = estimate_components(ds.observed, ds.weights, config)
         want = column_by_column(ds.observed, ds.weights, config)
@@ -360,7 +352,7 @@ class TestEstimateComponents:
         want = estimate_components(ds.observed, ds.weights, pooled)
         D = transform_columns(ds.observed, db10, 3, "forward")
         sigma_hat = float(np.mean(estimate_sigma(D[D.shape[0] // 2:])))
-        fixed = replace(pooled, rule=carrying_sigma(RULES[rule](), sigma_hat))
+        fixed = replace(pooled, rule=RULES[rule](sigma=sigma_hat))
         np.testing.assert_array_equal(
             estimate_components(ds.observed, ds.weights, fixed), want)
 
@@ -529,7 +521,7 @@ class TestRuleIndependentMemo:
 
     @staticmethod
     def config(filt, rule="lpm", sigma=None, J0=3):
-        spec = RULES[rule]() if sigma is None else carrying_sigma(RULES[rule](), sigma)
+        spec = RULES[rule]() if sigma is None else RULES[rule](sigma=sigma)
         return EstimationConfig(filter=filt, rule=spec, J0=J0)
 
     @pytest.fixture(scope="class")

@@ -3,7 +3,9 @@ the rank cutoff.
 
 `estimate_components` on data scaled by 2^k, for k across nearly the whole
 double exponent range, every rule and I from L to 60 samples, either returns
-a finite estimate or raises `PipelineError` naming one of its stages.  On
+a finite estimate or raises `PipelineError` naming one of its stages; for
+the rules free of a fixed scale, `beta`, `lpm` and `abe`, it returns the
+estimate at scale 1 times 2^k, bit for bit.  On
 weights whose singular values span about the cutoff ratio 1e-10, it returns
 a finite estimate or fails at the least-squares stage, and caches nothing
 of the weights it rejects.
@@ -29,7 +31,7 @@ FILTER = make_filter("daubechies", 10)
 
 @st.composite
 def scaled_datasets(draw):
-    """(observed * 2^k, weights) of a study dataset with L <= I <= 60."""
+    """(dataset, k) of a study dataset with L <= I <= 60 and k in [-900, 900]."""
     components = STUDY_COMPONENTS[draw(st.sampled_from(sorted(STUDY_COMPONENTS)))]
     spec = DatasetSpec(components=components, M=draw(st.sampled_from([64, 128, 256])),
                        I=draw(st.integers(len(components), 60)),
@@ -39,14 +41,15 @@ def scaled_datasets(draw):
     # k in [-900, 900], drawn from the ends of the range, where the rules'
     # arithmetic fails, as often as from the rest
     k = draw(st.integers(0, 900) | st.integers(500, 900)) * draw(st.sampled_from([1, -1]))
-    return data.observed * 2.0 ** k, data.weights
+    return data, k
 
 
 @pytest.mark.parametrize("rule", sorted(RULES))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(data=scaled_datasets())
-def test_estimate_is_finite_or_names_a_stage(rule, data):
-    observed, weights = data
+@given(scaled=scaled_datasets())
+def test_estimate_is_finite_or_names_a_stage(rule, scaled):
+    data, k = scaled
+    observed, weights = data.observed * 2.0 ** k, data.weights
     config = EstimationConfig(filter=FILTER, rule=RULES[rule](), J0=3)
     with warnings.catch_warnings():
         # a numpy warning on the way is not a failure; the outcome is
@@ -58,6 +61,21 @@ def test_estimate_is_finite_or_names_a_stage(rule, data):
             return
     assert alpha.shape == (observed.shape[0], weights.shape[0])
     assert np.isfinite(alpha).all()
+
+
+@pytest.mark.parametrize("rule", ["beta", "lpm", "abe"])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(scaled=scaled_datasets())
+def test_scale_free_rules_are_exact_at_every_power_of_two(rule, scaled):
+    # every stage is homogeneous of degree one in the data, and power-of-two
+    # scaling is exact while no value leaves the normal range
+    data, k = scaled
+    config = EstimationConfig(filter=FILTER, rule=RULES[rule](), J0=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled_estimate = estimate_components(data.observed * 2.0 ** k, data.weights, config)
+        estimate = estimate_components(data.observed, data.weights, config)
+    assert scaled_estimate.tobytes() == (estimate * 2.0 ** k).tobytes()
 
 
 @st.composite

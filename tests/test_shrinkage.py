@@ -1,9 +1,10 @@
 """Shrinkage rules against independent oracles, plus the property suite."""
 
 import functools
+import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -38,8 +39,8 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 # frozen dense-trapezoid value (1e6 panels on u in [-12, 12]) for
 # d=2, p=0.9, tau=1, sigma=1
 LOGISTIC_SPOT = 0.27789667054691214
-# frozen quadrature-oracle value for d=2, alpha=0.5, tau=2, mu=1
-BAMS_SPOT = 1.1339149425426418
+# frozen quadrature-oracle value for d=2, sigma=1: alpha=0.8, tau=3, mu=1
+BAMS_SPOT = 0.5988928684802048
 
 ALL_RULES = tuple(shrinkage.RULES)
 
@@ -191,22 +192,22 @@ class TestEstimateSigma:
 
 class TestLogisticRule:
     def test_zero_maps_to_zero(self):
-        for p, tau, s in [(0.5, 1.0, 1.0), (0.9, 2.0, 0.5)]:
-            assert logistic_rule(0.0, Logistic(tau=tau, sigma=s), p=p) == pytest.approx(
+        for p, s in [(0.5, 1.0), (0.9, 0.25)]:
+            assert logistic_rule(0.0, Logistic(sigma=s), p=p) == pytest.approx(
                 0.0, abs=1e-15)
 
     def test_point_mass_limit(self):
-        spec = Logistic(tau=1.0, sigma=1.0)
+        spec = Logistic(sigma=1.0)
         assert abs(logistic_rule(1.0, spec, p=1 - 1e-12)) < 1e-6
 
     def test_matches_dense_trapezoid_spot(self):
-        spec = Logistic(tau=1.0, sigma=1.0)
+        spec = Logistic(sigma=1.0)
         v = logistic_rule(2.0, spec, p=0.9)
         assert v == pytest.approx(LOGISTIC_SPOT, abs=1e-6)
         assert v == pytest.approx(logistic_oracle(2.0, 0.9, 1.0, 1.0), abs=1e-6)
 
     def test_strictly_between_zero_and_d(self):
-        spec = Logistic(tau=1.0, sigma=1.0)
+        spec = Logistic(sigma=1.0)
         for d in (0.5, 1.0, 3.0, 8.0):
             v = logistic_rule(d, spec, p=0.9)
             assert 0.0 < v < d
@@ -217,20 +218,20 @@ class TestLogisticRule:
         # posterior mean is d - sigma^2 / tau, and no warning is raised
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert logistic_rule(1e6, Logistic(tau=1.0, sigma=1.0), p=0.9) == pytest.approx(
+            assert logistic_rule(1e6, Logistic(sigma=1.0), p=0.9) == pytest.approx(
                 1e6 - 1.0, rel=1e-15)
-            assert logistic_rule(-1e6, Logistic(tau=2.0, sigma=0.5), p=0.9) == pytest.approx(
-                -1e6 + 0.125, rel=1e-15)
+            assert logistic_rule(-5e5, Logistic(sigma=0.25), p=0.9) == pytest.approx(
+                -5e5 + 0.0625, rel=1e-15)
 
     def test_large_coefficient_kept(self):
         # far in the tail the posterior mean is d - sigma^2 / tau
-        spec = Logistic(tau=1.0, sigma=1.0)
+        spec = Logistic(sigma=1.0)
         assert logistic_rule(700.0, spec, p=0.9) == pytest.approx(699.0, abs=1e-6)
         assert logistic_rule(720.0, spec, p=0.9) == pytest.approx(719.0, abs=1e-6)
 
     def test_vectorized_matches_scalar(self):
-        spec = Logistic(tau=1.5, sigma=0.7)
-        d = np.linspace(-4, 4, 9)
+        spec = Logistic(sigma=0.7 / 1.5)
+        d = np.linspace(-4, 4, 9) / 1.5
         np.testing.assert_allclose(logistic_rule(d, spec, p=0.8),
                                    [logistic_rule(v, spec, p=0.8) for v in d],
                                    rtol=0, atol=1e-12)
@@ -238,7 +239,7 @@ class TestLogisticRule:
     def test_subnormal_mixture_weight_is_no_point_mass(self):
         # K = p / (1 - p) tau / (sigma sqrt(2 pi)) underflows to 0; its log
         # warned of a division by zero
-        spec = Logistic(tau=1.0, sigma=1.0)
+        spec = Logistic(sigma=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert logistic_rule(1.0, spec, p=5e-324) == logistic_rule(1.0, spec, p=0.0)
@@ -246,6 +247,14 @@ class TestLogisticRule:
     def test_unresolved_sigma_rejected(self):
         with pytest.raises(ValueError, match="Logistic spec has no sigma"):
             logistic_rule(1.0, Logistic(), p=0.9)
+
+    def test_sigma_whose_square_underflows_rejected(self):
+        # x / (2 sigma^2) would divide by 0 and drop the point mass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"sigma\^2 underflows"):
+                logistic_rule(1e-160, Logistic(sigma=1e-160), p=0.9)
+            assert logistic_rule(2e-150, Logistic(sigma=1e-150), p=0.0) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -395,27 +404,31 @@ class TestBetaRule:
 
 class TestLpmRule:
     def test_below_threshold(self):
-        assert lpm_rule(1.0, Lpm(k=1.0, sigma=1.0)) == 0.0
+        assert lpm_rule(1.0, Lpm(sigma=1.0)) == 0.0
 
     def test_larger_mode_value(self):
-        assert lpm_rule(3.0, Lpm(k=1.0, sigma=1.0)) == pytest.approx((3 + np.sqrt(5)) / 2, abs=1e-12)
+        assert lpm_rule(3.0, Lpm(sigma=1.0)) == pytest.approx((3 + np.sqrt(5)) / 2, abs=1e-12)
 
     def test_antisymmetric_value(self):
-        assert lpm_rule(-3.0, Lpm(k=1.0, sigma=1.0)) == pytest.approx(-(3 + np.sqrt(5)) / 2, abs=1e-12)
+        assert lpm_rule(-3.0, Lpm(sigma=1.0)) == pytest.approx(-(3 + np.sqrt(5)) / 2, abs=1e-12)
 
     def test_closed_interval_at_threshold(self):
-        spec = Lpm(k=1.0, sigma=1.0)  # lambda = 2 sigma sqrt(2k - 1) = 2
+        spec = Lpm(sigma=1.0)  # lambda = 2 sigma sqrt(2k - 1) = 2
         assert lpm_rule(2.0, spec) == pytest.approx(1.0)  # d/2 exactly at lambda
         assert lpm_rule(np.nextafter(2.0, 0.0), spec) == 0.0
 
-    def test_k_must_exceed_half(self):
-        with pytest.raises(ValueError):
-            Lpm(k=0.5, sigma=1.0)
-
     def test_sigma_zero_is_identity(self):
-        spec = Lpm(k=1.0, sigma=0.0)
-        for d in (-2.0, 0.0, 0.3, 5.0):
+        spec = Lpm(sigma=0.0)
+        for d in (-2.0, 0.0, 0.3, 5.0, 1e-200, -5e-324):
             assert lpm_rule(d, spec) == pytest.approx(d, abs=0)
+
+    def test_below_the_squares_range(self):
+        # d^2 and sigma^2 underflow below 2^-537: the rule runs on them scaled
+        # by 2^600 and gives the scaled value exactly
+        tiny = 2.0 ** -900
+        assert lpm_rule(3.0 * tiny, Lpm(sigma=tiny)) == tiny * lpm_rule(3.0, Lpm(sigma=1.0))
+        got = lpm_rule(np.array([3.0 * tiny, -3.0, 1.0]), Lpm(sigma=tiny))
+        np.testing.assert_array_equal(got, [tiny * (3.0 + np.sqrt(5.0)) / 2.0, -3.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +455,14 @@ class TestAbeRule:
 
     def test_sigma_zero_is_identity(self):
         spec = Abe(sigma=0.0)
-        for d in (-2.0, 0.7, 5.0):
+        for d in (-2.0, 0.7, 5.0, 1e-200):
             assert abe_rule(d, spec) == pytest.approx(d, abs=0)
+
+    def test_below_the_squares_range(self):
+        tiny = 2.0 ** -900
+        assert abe_rule(2.0 * tiny, Abe(sigma=tiny)) == 0.5 * tiny
+        np.testing.assert_array_equal(abe_rule(np.array([-3.0 * tiny, tiny, 2.0]),
+                                               Abe(sigma=tiny)), [-2.0 * tiny, 0.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -452,50 +471,26 @@ class TestAbeRule:
 
 class TestBamsRule:
     def test_zero_maps_to_zero(self):
-        assert bams_rule(0.0, Bams(alpha=0.5, tau=2.0, mu=1.0)) == 0.0
+        assert bams_rule(0.0, Bams(sigma=1.0)) == 0.0
 
     def test_matches_quadrature_oracle_spot(self):
-        got = bams_rule(2.0, Bams(alpha=0.5, tau=2.0, mu=1.0))
+        got = bams_rule(2.0, Bams(sigma=1.0))
         assert got == pytest.approx(BAMS_SPOT, abs=1e-10)
-        assert got == pytest.approx(bams_oracle(2.0, 0.5, 2.0, 1.0), abs=1e-10)
+        assert got == pytest.approx(bams_oracle(2.0, 0.8, 3.0, 1.0), abs=1e-10)
 
-    @pytest.mark.parametrize("alpha,tau,mu", [
-        (0.5, 2.0, 1.0),
-        (0.8, 3.0, 1.0),
-        (0.2, 0.8, 4.0),
-    ])
-    def test_matches_quadrature_oracle_grid(self, alpha, tau, mu):
-        spec = Bams(alpha=alpha, tau=tau, mu=mu)
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_matches_quadrature_oracle_grid(self, sigma):
+        # tau = 3 sigma and mu = 1 / sigma^2
+        spec = Bams(sigma=sigma)
         for d in np.linspace(-10, 10, 41):
             assert bams_rule(float(d), spec) == pytest.approx(
-                bams_oracle(float(d), alpha, tau, mu), abs=1e-10)
-
-    def test_vanishing_mixture_weight_gives_pure_de_rule(self):
-        # alpha -> 0: the point mass drops out, leaving the double-exponential
-        # posterior mean, which the quadrature oracle computes directly
-        spec = Bams(alpha=1e-13, tau=2.0, mu=1.0)
-        for d in (0.5, 2.0, 6.0):
-            pure = bams_oracle(d, 0.0, 2.0, 1.0)
-            assert bams_rule(d, spec) == pytest.approx(pure, rel=1e-9)
+                bams_oracle(float(d), 0.8, 3.0 * sigma, 1.0 / sigma ** 2), abs=1e-10)
 
     def test_large_d_does_not_overflow(self):
-        spec = Bams(alpha=0.5, tau=2.0, mu=1.0)
+        spec = Bams(sigma=1.0)
         v = bams_rule(5000.0, spec)
         assert np.isfinite(v)
         assert abs(v) <= 5000.0
-
-    def test_singularity_guard(self):
-        # 2 mu tau^2 = 1 is the degenerate manifold of the closed form, and
-        # the closed form is kept only for tau > s = 1/sqrt(2 mu)
-        for tau in (1.0 / np.sqrt(2.0), 0.3, np.sqrt(0.5 * (1.0 + 0.5e-8))):
-            with pytest.raises(ValueError, match="tau must exceed s"):
-                Bams(alpha=0.5, tau=tau, mu=1.0)
-        Bams(alpha=0.5, tau=np.sqrt(0.5 * (1.0 + 2e-8)), mu=1.0)
-        # valid specs whose tau ** 2 overflows: 2 mu tau^2 raised OverflowError
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for tau, mu in ((1e200, 1.0), (1e160, 1e-300)):
-                assert Bams(alpha=0.5, tau=tau, mu=mu).tau == tau
 
     @staticmethod
     def whole_array_reference(d, alpha, tau, mu):
@@ -515,28 +510,18 @@ class TestBamsRule:
         weight = (1.0 - alpha) * marg
         return weight * delta / (weight + alpha * noise)
 
-    @pytest.mark.parametrize("alpha,tau,mu", [
-        (0.8, 3.0, 1.0),     # tau > s = 1/sqrt(2 mu)
-        (0.1, 0.5, 3.0),
-        (0.3, 40.0, 0.02),
-    ])
-    def test_in_place_matches_whole_array_form(self, alpha, tau, mu):
+    @pytest.mark.parametrize("sigma", [1.0, 0.3, 7.0])
+    def test_in_place_matches_whole_array_form(self, sigma):
         rng = np.random.default_rng(29)
         d = np.concatenate([[0.0, 5e-324, 1e-300, 1e300], 10.0 ** rng.uniform(-300, 300, 4000),
                             rng.uniform(0.0, 50.0, 4000)])
         d = np.concatenate([d, -d])
-        spec = Bams(alpha=alpha, tau=tau, mu=mu)
-        want = self.whole_array_reference(d, alpha, tau, mu)
+        spec = Bams(sigma=sigma)
+        want = self.whole_array_reference(d, 0.8, 3.0 * sigma, 1.0 / sigma ** 2)
         np.testing.assert_array_equal(_bits(bams_rule(d, spec)), _bits(want))
         np.testing.assert_array_equal(_bits(bams_rule(d.reshape(-1, 4), spec)),
                                       _bits(want).reshape(-1, 4))
         assert bams_rule(float(d[5]), spec) == want[5]
-
-    def test_parameter_ranges(self):
-        with pytest.raises(ValueError):
-            Bams(alpha=0.0, tau=1.0, mu=1.0)
-        with pytest.raises(ValueError):
-            Bams(alpha=0.5, tau=-1.0, mu=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +544,7 @@ class TestShrinkPyramid:
     def test_zero_pyramid_stays_zero(self):
         pyr = Pyramid(np.zeros(64), 2)
         for rule in (Logistic(sigma=1.0), Beta(sigma=1.0), Lpm(sigma=1.0),
-                     Abe(sigma=1.0), Bams(alpha=0.5, tau=2.0, mu=1.0)):
+                     Abe(sigma=1.0), Bams(sigma=1.0)):
             out = shrink_pyramid(pyr, rule)
             assert np.max(np.abs(out.flat)) == 0.0
 
@@ -575,7 +560,7 @@ class TestShrinkPyramid:
         flat = np.zeros(64)
         flat[10] = 3.0  # inside the level-3 detail block
         pyr = Pyramid(flat, 3)
-        out = shrink_pyramid(pyr, Lpm(k=1.0, sigma=1.0))
+        out = shrink_pyramid(pyr, Lpm(sigma=1.0))
         got = out.flat
         assert got[10] == pytest.approx(2.618033988, abs=1e-9)
         assert np.all(got[np.arange(64) != 10] == 0.0)
@@ -617,8 +602,7 @@ class TestShrinkPyramid:
         sigma = float(np.mean(estimate_sigma(flat[64:])))
         spec = shrinkage.RULES[name]()
         if source == "fixed":  # the spec's own sigma wins over sigma-hat
-            spec = (Bams(tau=1.2, mu=1.0 / 0.4 ** 2) if name == "bams"
-                    else replace(spec, sigma=0.4))
+            spec = replace(spec, sigma=0.4)
         spec = resolve_rule(spec, sigma)
         policy = LevelPolicy(J0=3) if use_policy else None
 
@@ -641,26 +625,19 @@ class TestShrinkPyramid:
         lambda: Lpm(sigma=-1.0),
         lambda: Lpm(sigma=float("nan")),
         lambda: Abe(sigma=-1.0),
-        lambda: Bams(tau=1.0 / np.sqrt(2.0), mu=1.0),  # on 2 mu tau^2 = 1
+        lambda: Bams(sigma=0.0),  # mu = 1 / sigma^2
         lambda: resolve_rule(Bams(), 0.0),
-        # every field is a scalar, checked when the spec is built
+        # sigma is a scalar, checked when the spec is built
         lambda: Logistic(sigma=np.array([1.0, 2.0])),
-        lambda: Logistic(tau=np.array([1.0, 2.0])),
         lambda: Beta(sigma=np.array([1.0, 2.0])),
         lambda: Lpm(sigma=np.array([1.0, 2.0])),
-        lambda: Lpm(k=np.array([1.0, 2.0])),
         lambda: Abe(sigma=np.array([1.0, 2.0])),
-        lambda: Bams(tau=np.array([1.0, 2.0])),
-        lambda: Bams(mu=np.array([1.0, 2.0])),
-        lambda: Bams(alpha=np.array([0.5, 0.6])),
-        # infinite hyperparameters, which gave NaN or zeros
-        lambda: Logistic(tau=np.inf),
+        lambda: Bams(sigma=np.array([1.0, 2.0])),
+        # infinite noise sds, which gave NaN or zeros
         lambda: Logistic(sigma=np.inf),
         lambda: Beta(sigma=np.inf),
-        lambda: Bams(tau=np.inf),
-        lambda: Bams(mu=np.inf),
+        lambda: Bams(sigma=np.inf),
         lambda: Lpm(sigma=np.inf),
-        lambda: Lpm(k=np.inf),
         lambda: Abe(sigma=np.inf),
         lambda: resolve_rule(Lpm(), np.inf),
         # the standalone rules check p and m as a spec checks its fields
@@ -682,8 +659,8 @@ class TestShrinkPyramid:
         lambda: Lpm(sigma=True),
         lambda: Abe(sigma="0"),
         # an int past the float range, which float() cannot convert
-        lambda: Logistic(tau=10 ** 400),
-        lambda: Bams(tau=10 ** 400, mu=1.0),
+        lambda: Logistic(sigma=10 ** 400),
+        lambda: Bams(sigma=10 ** 400),
     ])
     def test_invalid_parameters_rejected(self, make):
         with pytest.raises(ValueError) as info:
@@ -693,10 +670,22 @@ class TestShrinkPyramid:
 
     def test_unknown_spec_rejected(self):
         pyr = Pyramid(np.ones(16), 2)
-        with pytest.raises(TypeError, match="unknown rule spec"):
-            shrink_pyramid(pyr, LevelPolicy())
-        with pytest.raises(TypeError, match="unknown rule spec"):
-            resolve_rule(LevelPolicy(), 1.0)
+        for spec in (LevelPolicy(), shrinkage.RuleSpec(sigma=1.0)):
+            with pytest.raises(TypeError, match="unknown rule spec"):
+                shrink_pyramid(pyr, spec)
+            with pytest.raises(TypeError, match="unknown rule spec"):
+                resolve_rule(spec, 1.0)
+
+    @pytest.mark.parametrize("name", ALL_RULES)
+    def test_sigma_is_the_only_field(self, name):
+        # tau, k and alpha are the paper's, fixed; BAMS's tau and mu follow from sigma
+        spec = shrinkage.RULES[name]
+        assert tuple(f.name for f in fields(spec)) == ("sigma",)
+        other = Abe if spec is Beta else Beta
+        assert spec(0.5) == spec(sigma=0.5) != other(sigma=0.5)
+        for removed in ("tau", "k", "alpha", "mu"):
+            with pytest.raises(TypeError):
+                spec(**{removed: 1.0})
 
     @pytest.mark.parametrize("name", ALL_RULES)
     def test_rule_function_looked_up_on_the_module(self, monkeypatch, name):
@@ -739,7 +728,7 @@ class TestShrinkPyramid:
         # shrinks less than the standalone rule's p = 0.9 would
         rng = np.random.default_rng(23)
         pyr = Pyramid(rng.standard_normal(64), 2)
-        spec = Logistic(tau=1.0, sigma=1.0)
+        spec = Logistic(sigma=1.0)
         d0, p0 = pyr.details[0], shrink_pyramid(pyr, spec).details[0]
         np.testing.assert_allclose(p0, logistic_rule(d0, spec, p=0.0), rtol=1e-13)
         assert np.all(np.abs(p0) >= np.abs(logistic_rule(d0, spec, p=0.9)))
@@ -858,10 +847,13 @@ class TestResolveRule:
         assert resolve_rule(Abe(sigma=2.0), 0.3).sigma == 2.0
 
     def test_bams_defaults_from_sigma(self):
+        # tau = 3 sigma, mu = 1 / sigma^2 and alpha = 0.8, bit for bit
         spec = resolve_rule(Bams(), 0.5)
-        assert spec.tau == pytest.approx(1.5)
-        assert spec.mu == pytest.approx(4.0)
-        assert spec.alpha == 0.8
+        assert spec == Bams(sigma=0.5)
+        d = np.linspace(-6.0, 6.0, 101)
+        np.testing.assert_array_equal(
+            _bits(bams_rule(d, spec)),
+            _bits(TestBamsRule.whole_array_reference(d, 0.8, 1.5, 4.0)))
 
     def test_bams_needs_positive_sigma(self):
         with pytest.raises(ValueError):
@@ -874,14 +866,14 @@ class TestResolveRule:
 
 def _rule_callable(name, sigma=1.0):
     if name == "log":
-        return lambda d: logistic_rule(d, Logistic(tau=1.0, sigma=sigma), p=0.9)
+        return lambda d: logistic_rule(d, Logistic(sigma=sigma), p=0.9)
     if name == "beta":
         return lambda d: beta_rule(d, Beta(sigma=sigma), p=0.9, m=10.0 * sigma)
     if name == "lpm":
-        return lambda d: lpm_rule(d, Lpm(k=1.0, sigma=sigma))
+        return lambda d: lpm_rule(d, Lpm(sigma=sigma))
     if name == "abe":
         return lambda d: abe_rule(d, Abe(sigma=sigma))
-    return lambda d: bams_rule(d, Bams(alpha=0.8, tau=3.0 * sigma, mu=1.0 / sigma ** 2))
+    return lambda d: bams_rule(d, Bams(sigma=sigma))
 
 
 
@@ -901,8 +893,8 @@ class TestProperties:
             assert abs(rule(float(d))) <= abs(d) + 1e-12
 
     def test_lpm_threshold_region_exact(self):
-        spec = Lpm(k=2.0, sigma=1.5)
-        lam = 2 * 1.5 * np.sqrt(3.0)
+        spec = Lpm(sigma=1.5)
+        lam = 2 * 1.5
         for d in np.linspace(-3 * lam, 3 * lam, 401):
             v = lpm_rule(float(d), spec)
             if abs(d) < lam:
@@ -923,7 +915,7 @@ class TestProperties:
     def test_logistic_monotone_in_p(self):
         # heavier point mass shrinks harder
         for d in (0.5, 1.5, 4.0):
-            values = [logistic_rule(d, Logistic(tau=1.0, sigma=1.0), p=p)
+            values = [logistic_rule(d, Logistic(sigma=1.0), p=p)
                       for p in np.linspace(0.05, 0.95, 10)]
             assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -960,6 +952,14 @@ def _odd_and_shrinks(rule, d, sigma):
     assert abs(plus) <= abs(d) + slack
 
 
+def _normal_when_scaled(power, *values):
+    """Whether every value is 0, or it and it times 2^power are normal
+    doubles, so that 2^power times it is exact."""
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    return all(v == 0.0 or tiny <= abs(v) and tiny < abs(v) * 2.0 ** power <= huge
+               for v in values)
+
+
 _SIGMA = st.floats(1e-3, 1e3)
 _WEIGHT = st.floats(0.0, 0.999)
 _PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -970,15 +970,14 @@ class TestHypothesisProperties:
     """Every rule is odd and shrinks, for random d, sigma and mixture weight."""
 
     @_PROPERTY_SETTINGS
-    @given(d=st.floats(-1e300, 1e300), tau=st.floats(0.01, 100.0), ratio=st.floats(1e-3, 20.0),
-           p=_WEIGHT)
-    def test_logistic(self, d, tau, ratio, p):
-        # sigma above 2 tau takes the table's sums on the prior's scale
-        spec = Logistic(tau=tau, sigma=ratio * tau)
-        _odd_and_shrinks(lambda x: logistic_rule(x, spec, p=p), d, ratio * tau)
+    @given(d=st.floats(-1e300, 1e300), ratio=st.floats(1e-3, 20.0), p=_WEIGHT)
+    def test_logistic(self, d, ratio, p):
+        # sigma = ratio * tau; above 2 tau the table's sums are on the prior's scale
+        spec = Logistic(sigma=ratio)
+        _odd_and_shrinks(lambda x: logistic_rule(x, spec, p=p), d, ratio)
 
     def test_logistic_prior_narrow_against_sigma(self):
-        _odd_and_shrinks(lambda x: logistic_rule(x, Logistic(tau=1.0, sigma=16.0), p=0.0),
+        _odd_and_shrinks(lambda x: logistic_rule(x, Logistic(sigma=16.0), p=0.0),
                          1.0, 16.0)
 
     @_PROPERTY_SETTINGS
@@ -990,10 +989,10 @@ class TestHypothesisProperties:
         _odd_and_shrinks(lambda x: beta_rule(x, spec, p=p, m=ratio * sigma), d, sigma)
 
     @_PROPERTY_SETTINGS
-    @given(d=st.floats(-1e300, 1e300), sigma=_SIGMA, k=st.floats(0.51, 5.0))
-    def test_lpm(self, d, sigma, k):
+    @given(d=st.floats(-1e300, 1e300), sigma=_SIGMA)
+    def test_lpm(self, d, sigma):
         # d * d overflows beyond |d| = 1.3e154
-        _odd_and_shrinks(lambda x: lpm_rule(x, Lpm(k=k, sigma=sigma)), d, sigma)
+        _odd_and_shrinks(lambda x: lpm_rule(x, Lpm(sigma=sigma)), d, sigma)
 
     @_PROPERTY_SETTINGS
     @given(d=st.floats(-1e300, 1e300), sigma=_SIGMA)
@@ -1001,32 +1000,33 @@ class TestHypothesisProperties:
         _odd_and_shrinks(lambda x: abe_rule(x, Abe(sigma=sigma)), d, sigma)
 
     @_PROPERTY_SETTINGS
-    @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA, k=st.floats(0.51, 5.0),
-           power=st.integers(-40, 40), c=st.floats(1e-3, 1e3))
-    def test_lpm_scale_equivariant(self, d, sigma, k, power, c):
-        # delta(c d; c sigma) = c delta(d; sigma): exact for a power of two c,
-        # to rounding otherwise.  Away from the jump at |d| = lambda, where
+    @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA, power=st.integers(-1022, 1023),
+           c=st.floats(1e-3, 1e3))
+    def test_lpm_scale_equivariant(self, d, sigma, power, c):
+        # delta(c d; c sigma) = c delta(d; sigma): exact for a power of two c
+        # wherever the scaled d, sigma and delta are normal doubles, to
+        # rounding otherwise.  Away from the jump at |d| = lambda, where
         # rounding c lambda can move a coefficient across the threshold.
-        rule = lambda x, s: lpm_rule(x, Lpm(k=k, sigma=s))
+        rule = lambda x, s: lpm_rule(x, Lpm(sigma=s))
+        assume(_normal_when_scaled(power, d, sigma, rule(d, sigma)))
         assert rule(2.0 ** power * d, 2.0 ** power * sigma) == 2.0 ** power * rule(d, sigma)
-        assume(abs(abs(d) - 2.0 * sigma * np.sqrt(2.0 * k - 1.0)) > 1e-12 * abs(d))
+        assume(abs(abs(d) - 2.0 * sigma) > 1e-12 * abs(d))
         assert abs(rule(c * d, c * sigma) - c * rule(d, sigma)) <= 1e-13 * abs(c * d)
 
     @_PROPERTY_SETTINGS
-    @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA, power=st.integers(-40, 40),
+    @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA, power=st.integers(-1022, 1023),
            c=st.floats(1e-3, 1e3))
     def test_abe_scale_equivariant(self, d, sigma, power, c):
         rule = lambda x, s: abe_rule(x, Abe(sigma=s))
+        assume(_normal_when_scaled(power, d, sigma, rule(d, sigma)))
         assert rule(2.0 ** power * d, 2.0 ** power * sigma) == 2.0 ** power * rule(d, sigma)
         assert abs(rule(c * d, c * sigma) - c * rule(d, sigma)) <= 1e-13 * abs(c * d)
 
     @_PROPERTY_SETTINGS
-    @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA, alpha=st.floats(0.001, 0.999),
-           scale=st.floats(0.71, 10.0))
-    def test_bams(self, d, sigma, alpha, scale):
-        # tau above s = sigma / sqrt(2), as Bams requires
-        tau, mu = scale * sigma, 1.0 / sigma ** 2
-        spec = Bams(alpha=alpha, tau=tau, mu=mu)
+    @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA)
+    def test_bams(self, d, sigma):
+        # tau = 3 sigma, above the marginal noise scale s = sigma / sqrt(2)
+        spec = Bams(sigma=sigma)
         _odd_and_shrinks(lambda x: bams_rule(x, spec), d, sigma)
 
 
@@ -1047,10 +1047,10 @@ class TestNodeGridChunks:
         rng = np.random.default_rng(41)
         return rng.standard_normal((rows, columns)) * np.array([0.3, 1, 2, 4, 8, 0.5, 3])
 
-    @pytest.mark.parametrize("sigma", [0.2, 1.0, 3.0])  # tau = 1.5: below and at 2 tau
+    @pytest.mark.parametrize("sigma", [0.2, 1.0, 3.0])  # against 1.5 tau: below and at 2 tau
     def test_logistic_slice_spanning_chunks(self, sigma):
-        d = self.slice_spanning_chunks(64)
-        spec = Logistic(tau=1.5, sigma=sigma)
+        d = self.slice_spanning_chunks(64) / 1.5
+        spec = Logistic(sigma=sigma / 1.5)
         got = logistic_rule(d, spec, p=0.8)
         want = [[logistic_rule(float(x), spec, p=0.8) for x in row] for row in d]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -1100,19 +1100,21 @@ def factorised_logistic(d, p, tau, sigma):
 
 
 class TestLogisticTable:
-    @pytest.mark.parametrize("tau", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("ratio", [1e-3, 0.1, 0.5, 1.0, 1.5, 2.0])
-    def test_matches_direct_factorised_sums(self, tau, ratio):
-        sigma = ratio * tau
-        table = shrinkage._logistic_table(Logistic(tau=tau, sigma=sigma), 1e4)
+    def test_matches_direct_factorised_sums(self, scale, ratio):
+        # the rule is homogeneous in (d, sigma, tau): data up to 1e4 at a
+        # prior scale ``scale`` are data up to 1e4 / scale at tau = 1
+        sigma, top = ratio, 1e4 / scale
+        table = shrinkage._logistic_table(Logistic(sigma=sigma), top)
         width = 2.0 / table.scale
         edges = np.append(np.arange(1, table.last + 1) * width, table.cutoff)
         d = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
-                            np.geomspace(1e-12, 1e4, 400), [0.0, 1e4]])
+                            np.geomspace(1e-12, top, 400), [0.0, top]])
         d = np.concatenate([d, -d[:50]])
         for p in (0.0, 0.75, 0.9):
-            got = logistic_rule(d, Logistic(tau=tau, sigma=sigma), p=p)
-            want = factorised_logistic(d, p, tau, sigma)
+            got = logistic_rule(d, Logistic(sigma=sigma), p=p)
+            want = factorised_logistic(d, p, 1.0, sigma)
             assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(d) + sigma))
 
     @pytest.mark.parametrize("ratio", [2.5, 4.0, 16.0, 20.0, 60.0, 200.0])
@@ -1130,7 +1132,7 @@ class TestLogisticTable:
             for p in (0.0, 0.9):
                 num = (1 - p) * np.trapezoid(theta * f, theta)
                 den = p * np.exp(-0.5 * (d / sigma) ** 2 - top) + (1 - p) * np.trapezoid(f, theta)
-                got = logistic_rule(d, Logistic(tau=tau, sigma=sigma), p=p)
+                got = logistic_rule(d, Logistic(sigma=sigma), p=p)
                 assert abs(got - num / den) <= 1e-12 * (d + sigma)
 
     def test_one_table_per_pyramid(self, monkeypatch):

@@ -91,6 +91,11 @@ class TestComponentFunctions:
             eval_component("bumps", 1.5)
         with pytest.raises(ValueError):
             eval_component("bumps", -0.1)
+        # NaN is outside [0, 1] too, alone or in an array
+        with pytest.raises(ValueError, match=r"defined on \[0, 1\]"):
+            eval_component("bumps", float("nan"))
+        with pytest.raises(ValueError, match=r"defined on \[0, 1\]"):
+            eval_component("doppler", np.array([0.5, np.nan]))
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown component"):
