@@ -46,7 +46,6 @@ from .decomposition import (
     solve_gamma,
 )
 from .simharness import (
-    AmseReport,
     ReplicateResult,
     StudyConfig,
     compute_mse,
@@ -66,6 +65,6 @@ __all__ = [
     "eval_component", "generate_dataset", "sample_grid", "sigma_for_snr",
     "EstimationConfig", "PipelineError", "RankDeficiencyError",
     "estimate_components", "solve_gamma",
-    "AmseReport", "ReplicateResult", "StudyConfig", "compute_mse",
+    "ReplicateResult", "StudyConfig", "compute_mse",
     "emit_reports", "run_study",
 ]

@@ -99,8 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     config = StudyConfig(**{f.name: getattr(args, f.name)
                             for f in fields(StudyConfig) if f.name in args})
-    report, stream, failures = run_study(config)
-    paths = emit_reports(report, stream, args.out, config=config, failures=failures)
+    rows, stream, failures = run_study(config)
+    paths = emit_reports(rows, stream, args.out, config=config, failures=failures)
     for name in ("replicates", "amse", "run"):
         print(paths[name])
     if failures:

@@ -20,6 +20,7 @@ Each stage's ValueError, TypeError or ArithmeticError becomes a
 
 from __future__ import annotations
 
+import csv
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -29,6 +30,7 @@ import numpy as np
 
 from .shrinkage import (RULES, LevelPolicy, RuleSpec, check_integer, estimate_sigma,
                         resolve_rule, shrink_pyramid)
+from .testbed import _fmt
 from .wavelet import Pyramid, WaveletFilter, transform_columns
 
 __all__ = [
@@ -214,12 +216,10 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
 
 
 def estimates_to_csv(alpha_hat: np.ndarray, grid: np.ndarray, path) -> None:
-    """Write estimated component curves as rows (t, component_index, estimate),
-    with CSV line endings (CRLF)."""
+    """Write estimated component curves as rows (t, component_index, estimate)."""
     M, L = alpha_hat.shape
-    t = [format(float(v), ".17g") for v in grid[:M]]
-    lines = ["t,component_index,estimate"]
-    lines += [f"{t[m]},{l},{format(float(alpha_hat[m, l]), '.17g')}"
-              for l in range(L) for m in range(M)]
+    t = [_fmt(v) for v in grid[:M]]
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(["t", "component_index", "estimate"])
+        writer.writerows([t[m], l, _fmt(alpha_hat[m, l])] for l in range(L) for m in range(M))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .decomposition import EstimationConfig, PipelineError, estimate_components
 from .shrinkage import POLICY_GAMMA, RULES, check_integer, rule_defaults
-from .testbed import COMPONENT_NAMES, DatasetSpec, generate_dataset
+from .testbed import COMPONENT_NAMES, DatasetSpec, _fmt, generate_dataset
 from .wavelet import make_filter
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "StudyConfig",
     "ReplicateResult",
     "AmseRow",
-    "AmseReport",
     "ReplicateFailure",
     "compute_mse",
     "run_study",
@@ -132,17 +131,6 @@ class AmseRow:
     n: int
 
 
-@dataclass
-class AmseReport:
-    rows: list[AmseRow] = field(default_factory=list)
-
-    def cell(self, rule: str, M: int, snr: float, component: str) -> AmseRow:
-        for row in self.rows:
-            if (row.rule, row.M, row.snr, row.component) == (rule, M, snr, component):
-                return row
-        raise KeyError((rule, M, snr, component))
-
-
 def compute_mse(estimate: np.ndarray, truth: np.ndarray) -> float:
     """Mean squared error over the sampling grid: (1/M) sum (est - truth)^2;
     PipelineError at the ``mse`` stage when it is not finite."""
@@ -161,14 +149,18 @@ def _sort_key(r):
     return (r.study, r.rule, r.M, r.snr, r.replicate, r.component)
 
 
+def _amse_key(row):
+    return (row.study, row.rule, row.M, row.snr, row.component)
+
+
 def run_study(config: StudyConfig):
     """Run the replicate loop.
 
-    Returns (report, results, failures).  Within one replicate all rules see
-    the identical dataset.  Per-replicate substreams are spawned from
-    (seed, (M, snr-index, replicate)), so output is deterministic regardless
-    of execution order or thread count.  A failing pipeline or MSE aborts
-    only its (rule, replicate) cell and is recorded with its stage label.
+    Returns (aggregate(results), results, failures).  Within one replicate
+    all rules see the identical dataset.  Per-replicate substreams are
+    spawned from (seed, (M, snr-index, replicate)), so output is
+    deterministic regardless of execution order or thread count.  A failing
+    pipeline or MSE aborts only its (rule, replicate) cell, recorded with its stage.
     """
     filt = make_filter("daubechies", VANISHING_MOMENTS)
     est_configs = {name: EstimationConfig(filter=filt, rule=RULES[name](), J0=config.J0)
@@ -202,13 +194,13 @@ def run_study(config: StudyConfig):
     return aggregate(results), results, failures
 
 
-def aggregate(results: Sequence[ReplicateResult]) -> AmseReport:
-    """Group replicate MSEs by (study, rule, M, snr, component) into AMSE rows.
-    Groups of one size are the rows of one matrix, reduced with the bits that
-    np.mean and np.std give each group alone."""
+def aggregate(results: Sequence[ReplicateResult]) -> list[AmseRow]:
+    """Group replicate MSEs by (study, rule, M, snr, component) into AMSE rows,
+    sorted by that key.  Groups of one size are the rows of one matrix,
+    reduced with the bits that np.mean and np.std give each group alone."""
     groups: dict[tuple, list[float]] = {}
     for r in results:
-        groups.setdefault((r.study, r.rule, r.M, r.snr, r.component), []).append(r.mse)
+        groups.setdefault(_amse_key(r), []).append(r.mse)
     by_count: dict[int, list[tuple]] = {}
     for key, mses in groups.items():
         by_count.setdefault(len(mses), []).append(key)
@@ -219,15 +211,11 @@ def aggregate(results: Sequence[ReplicateResult]) -> AmseReport:
         sd = np.std(arr, axis=1, ddof=1) if n > 1 else np.full(len(keys), np.nan)
         rows += [AmseRow(*key, amse=float(a), sd=float(d), n=n)
                  for key, a, d in zip(keys, amse, sd)]
-    rows.sort(key=lambda row: (row.study, row.rule, row.M, row.snr, row.component))
-    return AmseReport(rows=rows)
+    rows.sort(key=_amse_key)
+    return rows
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def emit_reports(report: AmseReport, stream: Sequence[ReplicateResult], outdir,
+def emit_reports(rows: Sequence[AmseRow], stream: Sequence[ReplicateResult], outdir,
                  config: StudyConfig,
                  failures: Sequence[ReplicateFailure] = ()) -> dict[str, str]:
     """Write replicates.csv, amse.csv and run.json into ``outdir``.
@@ -249,7 +237,7 @@ def emit_reports(report: AmseReport, stream: Sequence[ReplicateResult], outdir,
     with open(paths["amse"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["study", "rule", "M", "snr", "component", "amse", "sd"])
-        for row in sorted(report.rows, key=lambda r: (r.study, r.rule, r.M, r.snr, r.component)):
+        for row in sorted(rows, key=_amse_key):
             writer.writerow([row.study, row.rule, row.M, _fmt(row.snr),
                              row.component, _fmt(row.amse), _fmt(row.sd)])
 
@@ -269,7 +257,7 @@ def emit_reports(report: AmseReport, stream: Sequence[ReplicateResult], outdir,
         "incomplete_cells": [
             {"rule": row.rule, "M": row.M, "snr": row.snr, "component": row.component,
              "n": row.n}
-            for row in report.rows if row.n < config.replicates],
+            for row in rows if row.n < config.replicates],
     }
     with open(paths["run"], "w") as fh:
         # a config's integers may be numpy integers, which json writes as ints

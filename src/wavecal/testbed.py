@@ -7,8 +7,8 @@ with i.i.d. Gaussian noise calibrated to a signal-to-noise ratio.
 
 Randomness is fully reproducible: a PCG64 generator seeded through
 ``numpy.random.SeedSequence`` (callers may pass spawn keys for substreams),
-with normal variates produced by inverse-CDF transform of 53-bit uniforms so
-that results do not depend on platform or thread count.
+with normal variates produced by inverse-CDF transform of 53-bit uniforms, a
+fixed number of draws each, so that results do not depend on thread count.
 """
 
 from __future__ import annotations
@@ -110,13 +110,10 @@ def _rng_from(seed) -> np.random.Generator:
 
 
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Inverse-CDF normal variates from 53-bit uniforms on the open (0, 1).
-
-    Deterministic given the generator state; avoids rejection sampling so the
-    draw count per variate is fixed.
-    """
-    k = rng.integers(0, 2 ** 53, size=shape, dtype=np.int64)
-    return ndtri((k + 0.5) / 2 ** 53)
+    """Inverse-CDF normal variates of the uniforms (k + 1/2) / 2^53 on (0, 1),
+    k the top 53 bits of one 64-bit output each: no rejection sampling, so the
+    draw count per variate is fixed and the variates follow the generator state."""
+    return ndtri(rng.random(shape) + 2.0 ** -54)
 
 
 def draw_weights(L: int, I: int, rng: np.random.Generator) -> np.ndarray:

@@ -296,27 +296,28 @@ def test_criterion_7_qualitative_study_one():
     t0 = time.perf_counter()
     config = StudyConfig(study=1, m_values=(512,), snr_values=(3.0, 9.0),
                          replicates=20, seed=42)
-    report, _, failures = run_study(config)
+    rows, _, failures = run_study(config)
     elapsed = time.perf_counter() - t0
+    amse = {(row.rule, row.snr, row.component): row.amse for row in rows}
 
     blocking = []
     if failures:
         blocking.append(f"{len(failures)} failed replicates")
     for comp in ("bumps", "blocks"):
-        lpm9 = report.cell("lpm", 512, 9.0, comp).amse
-        log9 = report.cell("log", 512, 9.0, comp).amse
+        lpm9 = amse["lpm", 9.0, comp]
+        log9 = amse["log", 9.0, comp]
         if not lpm9 < log9:
             blocking.append(f"LPM !< LOG at SNR=9 for {comp} ({lpm9:.4f} vs {log9:.4f})")
         for rule in config.rules:
-            a3 = report.cell(rule, 512, 3.0, comp).amse
-            a9 = report.cell(rule, 512, 9.0, comp).amse
+            a3 = amse[rule, 3.0, comp]
+            a9 = amse[rule, 9.0, comp]
             if not a9 <= a3:
                 blocking.append(f"{rule} AMSE(9)={a9:.4f} > AMSE(3)={a3:.4f} for {comp}")
 
     # non-blocking: report which rule wins at SNR=3 (original finding: log)
     snr3_best = {}
     for comp in ("bumps", "blocks"):
-        best = min(config.rules, key=lambda r: report.cell(r, 512, 3.0, comp).amse)
+        best = min(config.rules, key=lambda r: amse[r, 3.0, comp])
         snr3_best[comp] = best
     reversal = any(best != "log" for best in snr3_best.values())
     print(f"     criterion 7 note: SNR=3 best rule {snr3_best} "
@@ -332,9 +333,9 @@ def test_criterion_8_determinism(tmp_path):
     t0 = time.perf_counter()
     config = StudyConfig(study=3, m_values=(512,), snr_values=(3.0, 9.0),
                          replicates=20, seed=7)
-    report, stream, failures = run_study(config)
+    rows, stream, failures = run_study(config)
     dir_a = tmp_path / "run_a"
-    paths_a = emit_reports(report, stream, dir_a, config=config, failures=failures)
+    paths_a = emit_reports(rows, stream, dir_a, config=config, failures=failures)
 
     # second run through the CLI in a subprocess pinned to one thread
     dir_b = tmp_path / "run_b"

@@ -1,4 +1,5 @@
-"""Every exported name resolves, and no module imports a name it does not use."""
+"""Every exported name resolves, and no module or test file imports a name it
+does not use."""
 
 import ast
 import importlib
@@ -46,7 +47,8 @@ def _unused_imports(path):
                   if name not in used | exported)
 
 
-@pytest.mark.parametrize("path", sorted(Path(wavecal.__file__).parent.glob("*.py")),
+@pytest.mark.parametrize("path", sorted(Path(wavecal.__file__).parent.glob("*.py"))
+                         + sorted(Path(__file__).parent.glob("*.py")),
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []

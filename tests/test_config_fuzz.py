@@ -101,7 +101,7 @@ def test_study_config(field):
     with warnings.catch_warnings():
         # a numpy warning on the way is not a failure; the outcome is
         warnings.simplefilter("ignore", RuntimeWarning)
-        report, results, failures = run_study(config)
+        _, results, failures = run_study(config)
     assert all(math.isfinite(r.mse) for r in results)
     assert all(f.stage in STAGES for f in failures)
     assert len(results) + len(failures) * len(config.components) == (

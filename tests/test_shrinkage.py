@@ -29,7 +29,6 @@ from wavecal.shrinkage import (
     rule_defaults,
     shrink_pyramid,
 )
-from wavecal.decomposition import EstimationConfig, PipelineError, estimate_components
 from wavecal.simharness import STUDY_COMPONENTS
 from wavecal.testbed import DatasetSpec, generate_dataset
 from wavecal.wavelet import Pyramid, make_filter, transform_columns

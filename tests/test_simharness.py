@@ -11,7 +11,6 @@ import wavecal.simharness as sh
 from wavecal.decomposition import PipelineError
 from wavecal.shrinkage import RULES, rule_defaults
 from wavecal.simharness import (
-    AmseReport,
     ReplicateResult,
     StudyConfig,
     aggregate,
@@ -88,12 +87,12 @@ class TestRunStudy:
     def test_single_replicate_counting(self):
         cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0, 9.0),
                           replicates=1, rules=("lpm",), seed=0, n_samples=8)
-        report, stream, failures = run_study(cfg)
+        rows, stream, failures = run_study(cfg)
         assert not failures
         # L results per (M, snr) cell
         assert len(stream) == 2 * 2
-        assert len(report.rows) == 4
-        for row in report.rows:
+        assert len(rows) == 4
+        for row in rows:
             assert row.n == 1 and np.isnan(row.sd)
 
     def test_level_policy_follows_study_j0(self):
@@ -129,19 +128,19 @@ class TestRunStudy:
         monkeypatch.setattr(sh, "estimate_components", flaky)
         cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
                           replicates=2, rules=("lpm",), seed=1, n_samples=8)
-        report, stream, failures = run_study(cfg)
+        rows, stream, failures = run_study(cfg)
         assert len(failures) == 1
         assert failures[0].stage == "shrinkage"
         assert len(stream) == 2  # one surviving replicate x two components
-        assert all(row.n == 1 for row in report.rows)
+        assert all(row.n == 1 for row in rows)
 
     def test_overflowing_mse_recorded_as_failure(self):
         # at SNR 1e-300 the noise, and every estimate, is about 1e300: the
         # squared errors of beta, lpm and abe overflow, and log and bams fail
         # in their arithmetic first
         cfg = StudyConfig(study=1, m_values=(64,), snr_values=(1e-300,), replicates=2)
-        report, stream, failures = run_study(cfg)
-        assert report.rows == [] and stream == []
+        rows, stream, failures = run_study(cfg)
+        assert rows == [] and stream == []
         stages = {(f.rule, f.replicate): f.stage for f in failures}
         assert stages == {(rule, rep): "mse" if rule in ("beta", "lpm", "abe") else "shrinkage"
                           for rule in RULES for rep in (0, 1)}
@@ -149,25 +148,18 @@ class TestRunStudy:
 
 class TestAggregate:
     def test_mean_and_sample_sd(self):
-        rows = [ReplicateResult(1, "lpm", 64, 3.0, j, "bumps", mse)
-                for j, mse in enumerate([1.0, 2.0, 3.0])]
-        report = aggregate(rows)
-        assert len(report.rows) == 1
-        assert report.rows[0].amse == pytest.approx(2.0)
-        assert report.rows[0].sd == pytest.approx(1.0)
-        assert report.rows[0].n == 3
-
-    def test_cell_lookup(self):
-        rows = [ReplicateResult(1, "lpm", 64, 3.0, 0, "bumps", 1.5)]
-        report = aggregate(rows)
-        assert report.cell("lpm", 64, 3.0, "bumps").amse == 1.5
-        with pytest.raises(KeyError):
-            report.cell("abe", 64, 3.0, "bumps")
+        results = [ReplicateResult(1, "lpm", 64, 3.0, j, "bumps", mse)
+                   for j, mse in enumerate([1.0, 2.0, 3.0])]
+        rows = aggregate(results)
+        assert len(rows) == 1
+        assert rows[0].amse == pytest.approx(2.0)
+        assert rows[0].sd == pytest.approx(1.0)
+        assert rows[0].n == 3
 
 
 class TestEmitReports:
     def test_empty_stream_headers_only(self, tmp_path):
-        paths = emit_reports(AmseReport(), [], tmp_path, config=StudyConfig())
+        paths = emit_reports([], [], tmp_path, config=StudyConfig())
         assert Path(paths["replicates"]).read_bytes() == \
             b"study,rule,M,snr,replicate,component,mse\r\n"
         assert Path(paths["amse"]).read_bytes() == \
@@ -178,12 +170,12 @@ class TestEmitReports:
     def test_row_counts(self, tmp_path):
         cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0, 9.0),
                           replicates=2, rules=("lpm", "abe"), seed=3, n_samples=8)
-        report, stream, failures = run_study(cfg)
-        paths = emit_reports(report, stream, tmp_path, config=cfg, failures=failures)
+        rows, stream, failures = run_study(cfg)
+        paths = emit_reports(rows, stream, tmp_path, config=cfg, failures=failures)
         with open(paths["amse"], newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            amse = list(csv.DictReader(fh))
         # |rules| * |M| * |snr| * L
-        assert len(rows) == 2 * 1 * 2 * 2
+        assert len(amse) == 2 * 1 * 2 * 2
         with open(paths["replicates"], newline="") as fh:
             reps = list(csv.DictReader(fh))
         assert len(reps) == 2 * 1 * 2 * 2 * 2
@@ -191,8 +183,8 @@ class TestEmitReports:
     def test_reaggregation_reproduces_amse_exactly(self, tmp_path):
         cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
                           replicates=5, rules=("lpm", "abe"), seed=9, n_samples=8)
-        report, stream, failures = run_study(cfg)
-        paths = emit_reports(report, stream, tmp_path, config=cfg, failures=failures)
+        rows, stream, failures = run_study(cfg)
+        paths = emit_reports(rows, stream, tmp_path, config=cfg, failures=failures)
         parsed = []
         with open(paths["replicates"], newline="") as fh:
             for row in csv.DictReader(fh):
@@ -200,13 +192,11 @@ class TestEmitReports:
                     study=int(row["study"]), rule=row["rule"], M=int(row["M"]),
                     snr=float(row["snr"]), replicate=int(row["replicate"]),
                     component=row["component"], mse=float(row["mse"])))
-        re_report = aggregate(parsed)
         with open(paths["amse"], newline="") as fh:
             emitted = list(csv.DictReader(fh))
-        assert len(emitted) == len(re_report.rows)
-        for row, want in zip(emitted,
-                             sorted(re_report.rows,
-                                    key=lambda r: (r.study, r.rule, r.M, r.snr, r.component))):
+        wanted = aggregate(parsed)
+        assert len(emitted) == len(wanted)
+        for row, want in zip(emitted, wanted):
             # 17 significant digits round-trip: equality must be exact
             assert float(row["amse"]) == want.amse
             assert float(row["sd"]) == want.sd
@@ -214,8 +204,8 @@ class TestEmitReports:
     def test_run_json_contents(self, tmp_path):
         cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
                           replicates=1, rules=("lpm",), seed=7, n_samples=8)
-        report, stream, failures = run_study(cfg)
-        paths = emit_reports(report, stream, tmp_path, config=cfg, failures=failures)
+        rows, stream, failures = run_study(cfg)
+        paths = emit_reports(rows, stream, tmp_path, config=cfg, failures=failures)
         payload = json.loads(Path(paths["run"]).read_text())
         assert payload["config"]["seed"] == 7
         assert payload["config"]["rules"] == ["lpm"]
@@ -235,8 +225,8 @@ class TestEmitReports:
         monkeypatch.setattr(sh, "estimate_components", flaky)
         cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
                           replicates=2, rules=("abe",), seed=2, n_samples=8)
-        report, stream, failures = run_study(cfg)
-        paths = emit_reports(report, stream, tmp_path, config=cfg, failures=failures)
+        rows, stream, failures = run_study(cfg)
+        paths = emit_reports(rows, stream, tmp_path, config=cfg, failures=failures)
         payload = json.loads(Path(paths["run"]).read_text())
         assert len(payload["failed_replicates"]) == 1
         assert payload["failed_replicates"][0]["stage"] == "least-squares"
@@ -256,11 +246,11 @@ def test_aggregate_matches_per_group_reduction(n):
     results += [ReplicateResult(study=2, rule="bams", M=64, snr=3.0, replicate=rep,
                                 component="bumps", mse=float(rng.lognormal(-4.0, 3.0)))
                 for rep in range(max(1, n // 2))]
-    report = aggregate(results)
-    keys = [(r.study, r.rule, r.M, r.snr, r.component) for r in report.rows]
+    rows = aggregate(results)
+    keys = [(r.study, r.rule, r.M, r.snr, r.component) for r in rows]
     assert keys == sorted(set((r.study, r.rule, r.M, r.snr, r.component)
                               for r in results))
-    for row in report.rows:
+    for row in rows:
         mses = np.array([r.mse for r in results
                          if (r.rule, r.M, r.snr, r.component)
                          == (row.rule, row.M, row.snr, row.component)])
@@ -292,8 +282,8 @@ def test_numpy_integer_fields_write_the_same_reports(tmp_path):
         config = StudyConfig(**{**fields, **{name: cast(fields[name]) for name in
                                              ("study", "n_samples", "replicates", "seed", "J0")},
                                 "m_values": (cast(64),)})
-        report, stream, failures = run_study(config)
-        paths = emit_reports(report, stream, tmp_path / cast.__name__, config=config,
+        rows, stream, failures = run_study(config)
+        paths = emit_reports(rows, stream, tmp_path / cast.__name__, config=config,
                              failures=failures)
         written.append([Path(paths[name]).read_bytes() for name in ("replicates", "amse", "run")])
     assert written[0] == written[1]

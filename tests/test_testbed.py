@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from wavecal.testbed import (
     COMPONENT_NAMES,
@@ -14,6 +15,7 @@ from wavecal.testbed import (
     generate_dataset,
     sample_grid,
     sigma_for_snr,
+    standard_normal,
 )
 
 # frozen regression value: sigma_true for (bumps, blocks), M=512, I=50,
@@ -237,6 +239,20 @@ class TestGenerateDataset:
         spec = DatasetSpec(components=("bumps", "blocks"), M=64, I=4, snr=snr)
         with pytest.raises(ValueError, match="too small"):
             generate_dataset(spec)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7,), (512, 50), (1024, 50)], ids=str)
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 3])
+def test_standard_normal_takes_one_53_bit_draw_per_variate(seed, shape):
+    # each variate is the inverse CDF of (k + 1/2) / 2^53, k one integer draw
+    # on [0, 2^53); other bits, or another number of draws taken from the
+    # generator, change every dataset after the first
+    rng, ref = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    got = standard_normal(rng, shape)
+    want = ndtri((ref.integers(0, 2 ** 53, size=shape, dtype=np.int64) + 0.5) / 2 ** 53)
+    assert got.shape == shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng.random() == ref.random()
 
 
 class TestCsvExport:
