@@ -220,12 +220,24 @@ def estimate_sigma(finest_details: np.ndarray):
     detail coefficients (Donoho and Johnstone, 1994).
 
     A vector gives a float; a (rows x I) level slice gives one estimate per
-    column.
+    column.  The median has the bits of ``np.median(np.abs(d), axis=0)``:
+    the middle value, or the mean of the middle pair, of each column sorted
+    as a contiguous row (numpy's vectorised sort, several times faster than
+    the median's selection along the strided axis), and NaN for a column
+    holding NaN.
     """
     d = np.asarray(finest_details, dtype=float)
     if d.size == 0:
         raise ValueError("cannot estimate sigma from an empty coefficient vector")
-    return np.median(np.abs(d), axis=0) / MAD_TO_SIGMA
+    rows = np.abs(np.moveaxis(d, 0, -1), order="C")
+    rows.sort()
+    half = rows.shape[-1] // 2
+    if rows.shape[-1] % 2:
+        median = rows[..., half]
+    else:
+        median = (rows[..., half - 1] + rows[..., half]) / 2.0
+    largest = rows[..., -1]  # NaN sorts last
+    return np.where(np.isnan(largest), largest, median)[()] / MAD_TO_SIGMA
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,14 @@ def _rng_from(seed) -> np.random.Generator:
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Inverse-CDF normal variates of the uniforms (k + 1/2) / 2^53 on (0, 1),
     k the top 53 bits of one 64-bit output each: no rejection sampling, so the
-    draw count per variate is fixed and the variates follow the generator state."""
-    return ndtri(rng.random(shape) + 2.0 ** -54)
+    draw count per variate is fixed and the variates follow the generator state.
+    Above 1/2 the sum rounds half to even, and k = 2^53 - 1 would round to
+    1.0, where ndtri is +inf; that one uniform is clamped to 1 - 2^-53
+    (variate 8.21).  Each step works in place on the one uniform array."""
+    u = rng.random(shape)
+    u += 2.0 ** -54
+    np.minimum(u, 1.0 - 2.0 ** -53, out=u)
+    return ndtri(u, out=u)
 
 
 def draw_weights(L: int, I: int, rng: np.random.Generator) -> np.ndarray:

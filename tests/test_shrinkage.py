@@ -184,6 +184,29 @@ class TestEstimateSigma:
         assert got.shape == (7,)
         np.testing.assert_array_equal(got, [estimate_sigma(d[:, i]) for i in range(7)])
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=st.integers(1, 600), columns=st.one_of(st.none(), st.integers(1, 9)),
+           seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-300, 1e300),
+           specials=st.lists(st.tuples(
+               st.integers(0, 10 ** 6),
+               st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.7e308])),
+               max_size=12))
+    def test_bits_of_the_numpy_median(self, rows, columns, seed, scale, specials):
+        # the sorted median against np.median on odd and even row counts, a
+        # vector or a matrix, with signed zeros, infinities, NaN and values
+        # whose middle pair overflows (both sums overflow alike)
+        shape = (rows,) if columns is None else (rows, columns)
+        d = np.random.default_rng(seed).standard_normal(shape) * scale
+        for position, value in specials:
+            d.flat[position % d.size] = value
+        with np.errstate(over="ignore"):
+            got = estimate_sigma(d)
+            want = np.median(np.abs(d), axis=0) / shrinkage.MAD_TO_SIGMA
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.uint64),
+                              np.asarray(want).view(np.uint64))
+
 
 # ---------------------------------------------------------------------------
 # logistic rule

@@ -134,6 +134,26 @@ class TestRunStudy:
         assert len(stream) == 2  # one surviving replicate x two components
         assert all(row.n == 1 for row in rows)
 
+    def test_one_non_finite_component_fails_only_its_cell(self, monkeypatch):
+        calls = {"n": 0}
+        real = sh.estimate_components
+
+        def overflowing(observed, weights, config):
+            calls["n"] += 1
+            alpha = real(observed, weights, config)
+            if calls["n"] == 2:  # replicate 0, abe
+                alpha[:, 1] = 1e300  # its squared error overflows
+            return alpha
+
+        monkeypatch.setattr(sh, "estimate_components", overflowing)
+        cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
+                          replicates=2, rules=("lpm", "abe"), seed=4, n_samples=8)
+        rows, stream, failures = run_study(cfg)
+        assert [(f.rule, f.replicate, f.stage) for f in failures] == [("abe", 0, "mse")]
+        assert sorted((r.rule, r.replicate, r.component) for r in stream) == sorted(
+            (rule, rep, comp) for rule, rep in (("lpm", 0), ("lpm", 1), ("abe", 1))
+            for comp in cfg.components)
+
     def test_overflowing_mse_recorded_as_failure(self):
         # at SNR 1e-300 the noise, and every estimate, is about 1e300: the
         # squared errors of beta, lpm and abe overflow, and log and bams fail

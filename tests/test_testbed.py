@@ -255,6 +255,22 @@ def test_standard_normal_takes_one_53_bit_draw_per_variate(seed, shape):
     assert rng.random() == ref.random()
 
 
+class _TopUniform:
+    """A generator whose every uniform is the largest, k = 2^53 - 1."""
+
+    def random(self, shape):
+        return np.full(shape, (2 ** 53 - 1) / 2 ** 53)
+
+
+def test_standard_normal_is_finite_at_the_top_uniform():
+    # (k + 1/2) / 2^53 rounds to 1.0 there, where ndtri is +inf; the uniform
+    # is clamped to the largest double below 1
+    got = standard_normal(_TopUniform(), (3, 2))
+    assert got.shape == (3, 2)
+    assert np.all(got == ndtri(1.0 - 2.0 ** -53))
+    assert 8.2 < got[0, 0] < 8.22
+
+
 class TestCsvExport:
     def test_dataset_round_trip(self, tmp_path):
         spec = DatasetSpec(components=("logit",), M=16, I=3, snr=2.0, seed=8)
