@@ -20,7 +20,6 @@ Each stage's ValueError, TypeError or ArithmeticError becomes a
 
 from __future__ import annotations
 
-import csv
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -28,9 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .shrinkage import (RULES, LevelPolicy, RuleSpec, check_integer, estimate_sigma,
-                        resolve_rule, shrink_pyramid)
-from .testbed import _fmt
+from .shrinkage import (DEFAULT_J0, RULES, LevelPolicy, RuleSpec, check_integer,
+                        estimate_sigma, resolve_rule, shrink_pyramid)
+from .testbed import _columns_to_csv
 from .wavelet import Pyramid, WaveletFilter, transform_columns
 
 __all__ = [
@@ -69,7 +68,7 @@ class EstimationConfig:
 
     filter: WaveletFilter
     rule: RuleSpec
-    J0: int = 3
+    J0: int = DEFAULT_J0
     policy: Optional[LevelPolicy] = None
 
     def __post_init__(self):
@@ -217,9 +216,4 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
 
 def estimates_to_csv(alpha_hat: np.ndarray, grid: np.ndarray, path) -> None:
     """Write estimated component curves as rows (t, component_index, estimate)."""
-    M, L = alpha_hat.shape
-    t = [_fmt(v) for v in grid[:M]]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "component_index", "estimate"])
-        writer.writerows([t[m], l, _fmt(alpha_hat[m, l])] for l in range(L) for m in range(M))
+    _columns_to_csv(["t", "component_index", "estimate"], grid, alpha_hat, path)

@@ -99,6 +99,9 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 MAD_TO_SIGMA = 0.6745  # median absolute deviation of N(0,1), Donoho-Johnstone constant
 
+# The primary resolution level J0 of every configuration's default.
+DEFAULT_J0 = 3
+
 # The exponent gamma of the level policy's mixture weight p(j) (`_mixture_weight`).
 POLICY_GAMMA = 2.0
 
@@ -140,7 +143,7 @@ class LevelPolicy:
     and Vidakovic, 2004) that `shrink_pyramid` gives `log` and `beta` at the
     pyramid's J0.  It changes nothing, and stays only for the benchmark."""
 
-    J0: int = 0
+    J0: int = DEFAULT_J0
 
     def __post_init__(self):
         check_integer("J0", self.J0)
@@ -224,7 +227,8 @@ def estimate_sigma(finest_details: np.ndarray):
     the middle value, or the mean of the middle pair, of each column sorted
     as a contiguous row (numpy's vectorised sort, several times faster than
     the median's selection along the strided axis), and NaN for a column
-    holding NaN.
+    holding NaN.  Only where the pair's sum a + b overflows, and np.median
+    gives inf, is the mean a/2 + b/2 instead, which is finite.
     """
     d = np.asarray(finest_details, dtype=float)
     if d.size == 0:
@@ -235,7 +239,9 @@ def estimate_sigma(finest_details: np.ndarray):
     if rows.shape[-1] % 2:
         median = rows[..., half]
     else:
-        median = (rows[..., half - 1] + rows[..., half]) / 2.0
+        a, b = rows[..., half - 1], rows[..., half]
+        with np.errstate(over="ignore"):  # where a + b overflows, a/2 + b/2 does not
+            median = np.where(np.isinf(a + b), a / 2.0 + b / 2.0, (a + b) / 2.0)
     largest = rows[..., -1]  # NaN sorts last
     return np.where(np.isnan(largest), largest, median)[()] / MAD_TO_SIGMA
 
@@ -790,6 +796,9 @@ def bams_rule(d, spec: Bams):
 RULES: dict[str, type] = {"log": Logistic, "beta": Beta, "lpm": Lpm, "abe": Abe,
                           "bams": Bams}
 
+# The rules that `shrink_pyramid` gives the level policy's p(j) (and beta m(j)).
+POLICY_RULES = ("log", "beta")
+
 # The function `shrink_pyramid` calls on each row block, per spec type: the
 # kernels of `log` and `beta`, which take per-row resolved values, and the rule
 # functions of the others.
@@ -839,7 +848,7 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
     # `per_level` values have one row per level, and each block gets them row
     # by row; `fixed` values are passed whole
     per_level, fixed, live = (), (rule,), None
-    if isinstance(rule, (Logistic, Beta)):
+    if isinstance(rule, tuple(RULES[name] for name in POLICY_RULES)):
         # max_k |d_jk| per level and column: m(j), and the logistic table's range
         peaks = np.maximum.reduceat(np.abs(details), [2 ** j - first for j in levels],
                                     axis=0)

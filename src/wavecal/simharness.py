@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .decomposition import EstimationConfig, PipelineError, estimate_components
-from .shrinkage import POLICY_GAMMA, RULES, check_integer, rule_defaults
+from .shrinkage import (DEFAULT_J0, POLICY_GAMMA, POLICY_RULES, RULES, check_integer,
+                        rule_defaults)
 from .testbed import COMPONENT_NAMES, DatasetSpec, _fmt, generate_dataset
 from .wavelet import make_filter
 
@@ -66,7 +67,7 @@ class StudyConfig:
     replicates: int = DESK_REPLICATES
     rules: tuple[str, ...] = RULE_NAMES
     seed: int = 0
-    J0: int = 3
+    J0: int = DEFAULT_J0
 
     def __post_init__(self):
         for name, low in (("study", 1), ("replicates", 1), ("J0", 0)):
@@ -98,33 +99,31 @@ class StudyConfig:
 
 
 @dataclass(frozen=True)
-class ReplicateResult:
+class _Cell:
+    """The cell a row belongs to: a rule at one (M, snr) point of a study."""
+
     study: int
     rule: str
     M: int
     snr: float
+
+
+@dataclass(frozen=True)
+class ReplicateResult(_Cell):
     replicate: int
     component: str
     mse: float
 
 
 @dataclass(frozen=True)
-class ReplicateFailure:
-    study: int
-    rule: str
-    M: int
-    snr: float
+class ReplicateFailure(_Cell):
     replicate: int
     stage: str
     message: str
 
 
 @dataclass(frozen=True)
-class AmseRow:
-    study: int
-    rule: str
-    M: int
-    snr: float
+class AmseRow(_Cell):
     component: str
     amse: float
     sd: float
@@ -157,10 +156,11 @@ def run_study(config: StudyConfig):
     """Run the replicate loop.
 
     Returns (aggregate(results), results, failures).  Within one replicate
-    all rules see the identical dataset.  Per-replicate substreams are
-    spawned from (seed, (M, snr-index, replicate)), so output is
-    deterministic regardless of execution order or thread count.  A failing
-    pipeline or MSE aborts only its (rule, replicate) cell, recorded with its stage.
+    all rules see the identical dataset.  Replicate r of cell (M, snr) is
+    ``generate_dataset(spec, spawn_key=(M, snr_index, r))``, a substream of
+    the study seed, so output is deterministic regardless of execution order
+    or thread count.  A failing pipeline or MSE aborts only its (rule,
+    replicate) cell, recorded with its stage.
     """
     filt = make_filter("daubechies", VANISHING_MOMENTS)
     est_configs = {name: EstimationConfig(filter=filt, rule=RULES[name](), J0=config.J0)
@@ -172,24 +172,19 @@ def run_study(config: StudyConfig):
             spec = DatasetSpec(components=config.components, M=M,
                                I=config.n_samples, snr=snr, seed=config.seed)
             for rep in range(config.replicates):
-                seed_seq = np.random.SeedSequence(
-                    config.seed, spawn_key=(M, snr_index, rep))
-                dataset = generate_dataset(spec, seed_seq=seed_seq)
+                dataset = generate_dataset(spec, spawn_key=(M, snr_index, rep))
                 for rule_name in config.rules:
+                    key = (config.study, rule_name, M, snr, rep)
                     try:
                         alpha_hat = estimate_components(
                             dataset.observed, dataset.weights, est_configs[rule_name])
                         mses = [compute_mse(alpha_hat[:, l], dataset.truth[:, l])
                                 for l in range(len(config.components))]
                     except PipelineError as exc:
-                        failures.append(ReplicateFailure(
-                            study=config.study, rule=rule_name, M=M, snr=snr,
-                            replicate=rep, stage=exc.stage, message=str(exc)))
+                        failures.append(ReplicateFailure(*key, exc.stage, str(exc)))
                         continue
-                    results += [ReplicateResult(
-                        study=config.study, rule=rule_name, M=M, snr=snr,
-                        replicate=rep, component=comp, mse=mse)
-                        for comp, mse in zip(config.components, mses)]
+                    results += [ReplicateResult(*key, comp, mse)
+                                for comp, mse in zip(config.components, mses)]
     results.sort(key=_sort_key)
     return aggregate(results), results, failures
 
@@ -250,7 +245,7 @@ def emit_reports(rows: Sequence[AmseRow], stream: Sequence[ReplicateResult], out
             "filter": {"family": "daubechies", "vanishing_moments": VANISHING_MOMENTS},
             "weight_scheme": "uniform",
             "sigma_mode": "pooled",
-            "level_policy": {"gamma": POLICY_GAMMA, "applies_to": ["log", "beta"]},
+            "level_policy": {"gamma": POLICY_GAMMA, "applies_to": list(POLICY_RULES)},
             "rule_defaults": rule_defaults(),
         },
         "failed_replicates": [asdict(f) for f in failures],

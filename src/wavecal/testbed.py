@@ -6,8 +6,8 @@ samples are weighted linear combinations of the components on a dyadic grid
 with i.i.d. Gaussian noise calibrated to a signal-to-noise ratio.
 
 Randomness is fully reproducible: a PCG64 generator seeded through
-``numpy.random.SeedSequence`` (callers may pass spawn keys for substreams),
-with normal variates produced by inverse-CDF transform of 53-bit uniforms, a
+``numpy.random.SeedSequence`` from the spec's seed and a spawn key, with
+normal variates produced by inverse-CDF transform of 53-bit uniforms, a
 fixed number of draws each, so that results do not depend on thread count.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -103,12 +103,6 @@ def sample_grid(M: int) -> np.ndarray:
     return np.arange(1, M + 1) / M
 
 
-def _rng_from(seed) -> np.random.Generator:
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Inverse-CDF normal variates of the uniforms (k + 1/2) / 2^53 on (0, 1),
     k the top 53 bits of one 64-bit output each: no rejection sampling, so the
@@ -154,8 +148,9 @@ def sigma_for_snr(signal: np.ndarray, snr: float) -> float:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Inputs fully determining one synthetic dataset.  A field of the wrong
-    kind or out of range fails when the spec is built."""
+    """Inputs that, with a spawn key (`generate_dataset`), fully determine one
+    synthetic dataset; ``seed`` is the root of every substream.  A field of
+    the wrong kind or out of range fails when the spec is built."""
 
     components: tuple[str, ...]
     M: int
@@ -201,14 +196,15 @@ def _truth(components: tuple[str, ...], M: int) -> np.ndarray:
     return truth
 
 
-def generate_dataset(spec: DatasetSpec,
-                     seed_seq: Optional[np.random.SeedSequence] = None) -> Dataset:
+def generate_dataset(spec: DatasetSpec, spawn_key: tuple[int, ...] = ()) -> Dataset:
     """Sample the truth, draw weights, and add SNR-calibrated Gaussian noise.
 
-    Fully determined by ``spec`` (and ``seed_seq`` when given, which is how
-    the simulation harness injects per-replicate substreams).
+    Fully determined by ``spec`` and ``spawn_key``: the generator is seeded
+    with ``SeedSequence(spec.seed, spawn_key=spawn_key)``, and the simulation
+    harness gives each replicate its own key (`run_study`).
     """
-    rng = _rng_from(seed_seq if seed_seq is not None else spec.seed)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(spec.seed, spawn_key=spawn_key)))
     grid = sample_grid(spec.M)
     truth = _truth(spec.components, spec.M).copy()  # each dataset owns its truth
     weights = draw_weights(len(spec.components), spec.I, rng)
@@ -223,12 +219,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dataset_to_csv(dataset: Dataset, path) -> None:
-    """Write observed samples as rows (t, sample_id, value)."""
+def _columns_to_csv(header: list[str], grid: np.ndarray, matrix: np.ndarray, path) -> None:
+    """Write an M x K matrix as rows (t, column index, value), column by
+    column, each float with 17 significant digits."""
+    M, K = matrix.shape
+    t = [_fmt(v) for v in grid[:M]]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "sample_id", "value"])
-        M, I = dataset.observed.shape
-        for i in range(I):
-            for m in range(M):
-                writer.writerow([_fmt(dataset.grid[m]), i, _fmt(dataset.observed[m, i])])
+        writer.writerow(header)
+        writer.writerows([t[m], k, _fmt(matrix[m, k])] for k in range(K) for m in range(M))
+
+
+def dataset_to_csv(dataset: Dataset, path) -> None:
+    """Write observed samples as rows (t, sample_id, value)."""
+    _columns_to_csv(["t", "sample_id", "value"], dataset.grid, dataset.observed, path)

@@ -29,19 +29,24 @@ def test_rules(capsys):
     assert type(payload["beta"]["a"]) is float and payload["beta"]["a"] == 2.0
 
 
-def test_simulate_writes_reports(tmp_path, capsys):
+@pytest.mark.parametrize("snr,failed_stages", [("3", []), ("1e-300", ["mse"])])
+def test_simulate_writes_reports(tmp_path, capsys, snr, failed_stages):
+    # at SNR 1e-300 the squared error overflows: the replicate fails at its
+    # stage, the reports are still written, and the run exits 0 with a warning
     out = tmp_path / "results"
-    rc = main(["simulate", "--study", "1", "--m", "64", "--snr", "3",
+    rc = main(["simulate", "--study", "1", "--m", "64", "--snr", snr,
                "--replicates", "1", "--rules", "lpm", "--seed", "4",
                "--samples", "8", "--out", str(out)])
     assert rc == 0
-    printed = capsys.readouterr().out.splitlines()
-    assert str(out / "replicates.csv") in printed
+    captured = capsys.readouterr()
+    assert str(out / "replicates.csv") in captured.out.splitlines()
+    assert ("replicate(s) failed" in captured.err) == bool(failed_stages)
     with open(out / "amse.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert {r["component"] for r in rows} == {"bumps", "blocks"}
+    assert {r["component"] for r in rows} == (set() if failed_stages else {"bumps", "blocks"})
     payload = json.loads((out / "run.json").read_text())
     assert payload["config"]["replicates"] == 1
+    assert [f["stage"] for f in payload["failed_replicates"]] == failed_stages
 
 
 def test_simulate_m_both_parses(tmp_path):

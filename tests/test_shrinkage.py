@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import ndtr
 
 from wavecal import shrinkage
@@ -189,19 +189,25 @@ class TestEstimateSigma:
            seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-300, 1e300),
            specials=st.lists(st.tuples(
                st.integers(0, 10 ** 6),
-               st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.7e308])),
+               st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, 1.7e308])),
                max_size=12))
+    @example(rows=2, columns=None, seed=0, scale=1.0, specials=[(0, 1e308), (1, 1e308)])
+    @example(rows=4, columns=2, seed=0, scale=1.0,
+             specials=[(0, 1e308), (2, 1e308), (4, 1e308)])
     def test_bits_of_the_numpy_median(self, rows, columns, seed, scale, specials):
         # the sorted median against np.median on odd and even row counts, a
         # vector or a matrix, with signed zeros, infinities, NaN and values
-        # whose middle pair overflows (both sums overflow alike)
+        # whose middle pair overflows, where the reference takes the mean of
+        # the halves as estimate_sigma does (np.median gives inf there)
         shape = (rows,) if columns is None else (rows, columns)
         d = np.random.default_rng(seed).standard_normal(shape) * scale
         for position, value in specials:
             d.flat[position % d.size] = value
         with np.errstate(over="ignore"):
             got = estimate_sigma(d)
-            want = np.median(np.abs(d), axis=0) / shrinkage.MAD_TO_SIGMA
+            median = np.median(np.abs(d), axis=0)
+            halves = np.median(np.abs(d) / 2.0, axis=0) * 2.0
+            want = np.where(np.isinf(median), halves, median)[()] / shrinkage.MAD_TO_SIGMA
         assert type(got) is type(want)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(np.asarray(got).view(np.uint64),

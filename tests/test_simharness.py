@@ -18,6 +18,7 @@ from wavecal.simharness import (
     emit_reports,
     run_study,
 )
+from wavecal.testbed import DatasetSpec, generate_dataset
 
 
 class TestComputeMse:
@@ -114,6 +115,29 @@ class TestRunStudy:
         _, s1, _ = run_study(cfg)
         _, s2, _ = run_study(cfg)
         assert s1 == s2
+
+    def test_replicates_are_substreams_of_the_study_seed(self, monkeypatch):
+        # replicate r of cell (M, snr) is generate_dataset(spec, spawn_key=(M,
+        # snr_index, r)) bit for bit, the contract the checked-in bytes rest on
+        seen = []
+        real = sh.estimate_components
+
+        def record(observed, weights, config):
+            seen.append((observed, weights))
+            return real(observed, weights, config)
+
+        monkeypatch.setattr(sh, "estimate_components", record)
+        cfg = StudyConfig(study=2, m_values=(64, 128), snr_values=(3.0, 9.0),
+                          replicates=2, rules=("lpm",), seed=11, n_samples=8)
+        run_study(cfg)
+        cells = [(M, i, snr, r) for M in cfg.m_values
+                 for i, snr in enumerate(cfg.snr_values) for r in range(cfg.replicates)]
+        assert len(seen) == len(cells)
+        for (observed, weights), (M, i, snr, r) in zip(seen, cells):
+            spec = DatasetSpec(cfg.components, M=M, I=cfg.n_samples, snr=snr, seed=cfg.seed)
+            want = generate_dataset(spec, spawn_key=(M, i, r))
+            assert np.array_equal(observed.view(np.uint64), want.observed.view(np.uint64))
+            assert np.array_equal(weights.view(np.uint64), want.weights.view(np.uint64))
 
     def test_failures_recorded_and_study_continues(self, monkeypatch):
         calls = {"n": 0}

@@ -187,8 +187,8 @@ class TestGenerateDataset:
 
     def test_substream_changes_draws(self):
         spec = DatasetSpec(components=("bumps",), M=64, I=4, snr=3.0, seed=1)
-        a = generate_dataset(spec, seed_seq=np.random.SeedSequence(1, spawn_key=(0,)))
-        b = generate_dataset(spec, seed_seq=np.random.SeedSequence(1, spawn_key=(1,)))
+        a = generate_dataset(spec, spawn_key=(0,))
+        b = generate_dataset(spec, spawn_key=(1,))
         assert not np.array_equal(a.observed, b.observed)
 
     def test_residual_sd_matches_sigma(self):
@@ -203,8 +203,8 @@ class TestGenerateDataset:
         # the curves are evaluated once per (components, M); a dataset that
         # writes to its truth changes no other dataset's
         spec = DatasetSpec(components=("doppler", "bumps"), M=128, I=4, snr=3.0, seed=5)
-        a = generate_dataset(spec, seed_seq=np.random.SeedSequence(5, spawn_key=(0,)))
-        b = generate_dataset(spec, seed_seq=np.random.SeedSequence(5, spawn_key=(1,)))
+        a = generate_dataset(spec, spawn_key=(0,))
+        b = generate_dataset(spec, spawn_key=(1,))
         assert a.truth.flags.writeable and b.truth.flags.writeable
         assert not np.shares_memory(a.truth, b.truth)
         want = np.column_stack([eval_component(c, sample_grid(128))
