@@ -12,10 +12,12 @@ same dataset, so each is kept in a one-entry cache (`_LastResult`) for the
 last key it saw: (observed, filter taps, J0) for the coefficients and
 sigma-hat, the weights for the pseudo-inverse.  Keys are read-only copies
 compared bit for bit, so a hit returns the same bits as a recomputation;
-the cached arrays are read-only.  The least-squares stage takes one thin SVD
-of the weights, which serves both the rank check and the pseudo-inverse.
-Each stage's ValueError, TypeError or ArithmeticError becomes a
-`PipelineError` naming the stage (`_stage`).
+the cached arrays are read-only.  The first stage checks the inputs and the
+coefficients, so the cache holds only a finite observed matrix with finite
+coefficients, and a later rule call on it skips the finiteness pass.  The
+least-squares stage takes one thin SVD of the weights, which serves both the
+rank check and the pseudo-inverse.  Each stage's ValueError, TypeError or
+ArithmeticError becomes a `PipelineError` naming the stage (`_stage`).
 """
 
 from __future__ import annotations
@@ -165,10 +167,26 @@ def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return D @ _pseudoinverse.get((y,), partial(_pinv, y, L))
 
 
-def _rule_independent_stages(A: np.ndarray, config: EstimationConfig):
-    """(read-only flat coefficients, pooled sigma-hat) of the observed matrix."""
-    with _stage("transform"):
+def _check_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.all(np.isfinite(values), axis=0))
+        raise PipelineError("input", f"{name} has NaN or inf in sample column(s) "
+                                     f"{', '.join(map(str, bad))}")
+
+
+def _rule_independent_stages(A: np.ndarray, y: np.ndarray, config: EstimationConfig):
+    """(read-only flat coefficients, pooled sigma-hat) of the observed matrix.
+
+    Both inputs are checked first, observed before weights, so that a bad
+    input is named before any stage fails and only a finite observed matrix
+    is cached.  Finite input whose transform overflows fails here, at the
+    transform, and is not cached either."""
+    _check_finite("observed", A)
+    _check_finite("weights", y)
+    with _stage("transform"), np.errstate(over="ignore", invalid="ignore"):
         D = transform_columns(A, config.filter, config.J0, "forward")
+    if not np.isfinite(D).all():
+        raise PipelineError("transform", "output has NaN or inf")
     with _stage("sigma"):
         sigma = float(np.mean(estimate_sigma(D[A.shape[0] // 2:])))
     return _read_only(D), sigma
@@ -192,14 +210,11 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
     if y.ndim != 2 or y.shape[1] != A.shape[1]:
         raise PipelineError("input", f"weights shape {y.shape} incompatible with "
                                      f"{A.shape[1]} observed samples")
-    for name, values in (("observed", A), ("weights", y)):
-        if not np.isfinite(values).all():
-            bad = np.flatnonzero(~np.all(np.isfinite(values), axis=0))
-            raise PipelineError("input", f"{name} has NaN or inf in sample column(s) "
-                                         f"{', '.join(map(str, bad))}")
-
+    # a cache hit's observed matrix is the finite one that was checked when it
+    # was stored; the small weights are checked on every call
     D, sigma = _transformed.get((A, config.filter.low_pass, config.J0),
-                                partial(_rule_independent_stages, A, config))
+                                partial(_rule_independent_stages, A, y, config))
+    _check_finite("weights", y)
     with _stage("shrinkage"):
         shrunk = shrink_pyramid(Pyramid(D, config.J0), resolve_rule(config.rule, sigma)).flat
     with _stage("least-squares"):
@@ -207,8 +222,7 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
     with _stage("inverse-transform"):
         alpha = transform_columns(gamma, config.filter, config.J0, "inverse")
     if not np.isfinite(alpha).all():  # NaN and inf reach all later stages; name the first
-        stages = (("transform", D), ("sigma", sigma), ("shrinkage", shrunk),
-                  ("least-squares", gamma))
+        stages = (("sigma", sigma), ("shrinkage", shrunk), ("least-squares", gamma))
         raise PipelineError(next((name for name, out in stages if not np.isfinite(out).all()),
                                  "inverse-transform"), "output has NaN or inf")
     return alpha

@@ -29,9 +29,10 @@ per level instead.
 Pyramid, the level views of one flat coefficient matrix, and writes the
 result into one new matrix of the same layout, the coarse rows copied
 unchanged.  It hands the detail rows to the rule in blocks of whole rows
-that cross level boundaries, at most 8192 coefficients each (one row when a
-row is longer), which bounds the elementwise temporaries of every rule:
-7 blocks for M = 1024, I = 50.  `log` and `beta` always take the level-
+that cross level boundaries, about 12800 coefficients each, with equal row
+counts (one row when a row is longer), which bounds the elementwise
+temporaries of every rule: 2 blocks of 252 rows for M = 512, I = 50, and 4
+of 254 rows for M = 1024.  `log` and `beta` always take the level-
 dependent p(j) and m(j) of Angelini and Vidakovic (2004), resolved once per
 level, and each block passes its rows' values to their kernels,
 `_logistic_from_table` and `_beta_kernel`.  Every rule's result at a
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
@@ -111,11 +112,13 @@ LOGISTIC_TAU = 1.0
 LPM_K = 1.0
 BAMS_ALPHA = 0.8
 
-# Largest number of coefficients `shrink_pyramid` hands to one rule call, in
-# row blocks that cross level boundaries.  It bounds the elementwise
-# temporaries of a rule, 64 KiB each, which stay in L2 cache; a sweep of all
-# five rules over study-3 pyramids (M = 1024, I = 50) found this size fastest.
-_BLOCK_COEFFICIENTS = 8192
+# The number of coefficients `shrink_pyramid` aims to hand to one rule call:
+# it splits the detail rows into round(coefficients / _BLOCK_COEFFICIENTS)
+# blocks of equal row counts that cross level boundaries.  This bounds the
+# elementwise temporaries of a rule, about 100 KiB each, which stay in L2
+# cache; a sweep of all five rules over M = 512 and M = 1024 pyramids
+# (I = 50, BENCH_25.json) found the 2 and 4 blocks it gives there fastest.
+_BLOCK_COEFFICIENTS = 12800
 
 # Largest number of node-grid values `_grid_sums` holds at once: 256 KiB,
 # which stays in L2 cache and is reused for every chunk of a rule call.
@@ -829,11 +832,11 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
 
     The result is a new pyramid over one new flat matrix, whose coarse rows
     are copied unchanged; ``pyr`` is only read.  The rule runs on row blocks
-    of the whole detail matrix, at most _BLOCK_COEFFICIENTS coefficients
-    each (one row when a row is longer), that cross level boundaries; the
-    columns of a 2-D pyramid are independent signals, and every rule's
-    result at a coefficient is independent of the block it sits in.  For
-    Logistic and Beta the mixture weight p(j) = 1 - (j - J0 + 1)^(-gamma)
+    of the whole detail matrix that cross level boundaries, of equal row
+    counts and about _BLOCK_COEFFICIENTS coefficients each (one row when a
+    row is longer); the columns of a 2-D pyramid are independent signals,
+    and every rule's result at a coefficient does not depend on its block.
+    For Logistic and Beta the mixture weight p(j) = 1 - (j - J0 + 1)^(-gamma)
     and the beta half-support m(j) = max_k |d_jk|, one per column, are
     resolved once per level at the pyramid's J0.  A column whose level is
     all zeros is set to zero.  ``policy`` changes nothing and stays only for
@@ -870,9 +873,9 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
     out[:first] = pyr.flat[:first]
     shrunk = out[first:]
     level = np.repeat(np.arange(len(levels)), [2 ** j for j in levels])  # of each row
-    rows = max(1, _BLOCK_COEFFICIENTS // max(1, details[0].size))
-    for k in range(0, len(details), rows):
-        block = slice(k, k + rows)
+    count = min(len(details), max(1, round(details.size / _BLOCK_COEFFICIENTS)))
+    for k in range(count):
+        block = slice(k * len(details) // count, (k + 1) * len(details) // count)
         shrunk[block] = evaluate(details[block],
                                  *(v.take(level[block], axis=0) for v in per_level), *fixed)
     if live is not None and not live.all():
@@ -892,7 +895,7 @@ def resolve_rule(spec: RuleSpec, sigma) -> RuleSpec:
     p(j) and m(j) of Logistic and Beta are `shrink_pyramid`'s.
     """
     _rule_function(spec)  # rejects a spec type not in RULES
-    return spec if spec.sigma is not None else replace(spec, sigma=sigma)
+    return spec if spec.sigma is not None else type(spec)(sigma)
 
 
 def rule_defaults() -> dict[str, dict[str, object]]:

@@ -138,7 +138,9 @@ def compute_mse(estimate: np.ndarray, truth: np.ndarray) -> float:
     if est.shape != tr.shape:
         raise ValueError(f"length mismatch: {est.shape} vs {tr.shape}")
     with np.errstate(over="ignore"):
-        mse = float(np.mean((est - tr) ** 2))
+        squares = np.subtract(est, tr)
+        squares *= squares
+        mse = float(np.add.reduce(squares, axis=None) / squares.size)  # np.mean's bits
     if not np.isfinite(mse):
         raise PipelineError("mse", f"the mean squared error is {mse}")
     return mse

@@ -210,7 +210,9 @@ def generate_dataset(spec: DatasetSpec, spawn_key: tuple[int, ...] = ()) -> Data
     weights = draw_weights(len(spec.components), spec.I, rng)
     signal = truth @ weights
     sigma = sigma_for_snr(signal, spec.snr)
-    observed = signal + sigma * standard_normal(rng, (spec.M, spec.I))
+    observed = standard_normal(rng, (spec.M, spec.I))
+    observed *= sigma
+    observed += signal
     return Dataset(grid=grid, truth=truth, weights=weights, observed=observed,
                    sigma_true=sigma)
 

@@ -376,17 +376,25 @@ def test_estimate_bytes_match_the_checked_in_outputs(tmp_path, rule):
         assert got.read() == want.read()
 
 
-@pytest.mark.parametrize("rule,error", [("bams", "ZeroDivisionError"),
-                                        ("log", "logistic_rule: sigma^2 underflows")])
-def test_estimate_arithmetic_failure_exits_with_its_stage(tmp_path, rule, error):
+@pytest.mark.parametrize("rule,scale,error", [
+    pytest.param("bams", 1e-300, "[shrinkage] ZeroDivisionError",
+                 id="bams-ZeroDivisionError"),
+    pytest.param("log", 1e-300, "[shrinkage] logistic_rule: sigma^2 underflows",
+                 id="log-logistic_rule: sigma^2 underflows"),
+    *(pytest.param(rule, 1e307, "[transform] output has NaN or inf",
+                   id=f"{rule}-transform-overflow") for rule in RULES),
+])
+def test_estimate_arithmetic_failure_exits_with_its_stage(tmp_path, rule, scale, error):
     # BAMS's 1 / sigma^2 used to escape as a ZeroDivisionError traceback; log
     # divided by its underflowed sigma^2 with a numpy RuntimeWarning, dropped
-    # the point mass and exited 0
+    # the point mass and exited 0.  At x1e307 the data are finite but the
+    # forward transform overflows, which numpy warned about before a later
+    # stage (shrinkage, for log and bams) took the blame
     run = subprocess.run([sys.executable, "-m", "wavecal",
-                          *write_scaled_dataset(tmp_path, 1e-300), "--rule", rule],
+                          *write_scaled_dataset(tmp_path, scale), "--rule", rule],
                          capture_output=True, text=True)
     assert run.returncode == 1
-    assert f"error: [shrinkage] {error}" in run.stderr
+    assert f"error: {error}" in run.stderr
     assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
     assert not (tmp_path / "o" / "alpha_hat.csv").exists()
 

@@ -321,15 +321,29 @@ class TestEstimateComponents:
         else:
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_observations_rejected(self, db10, bad):
+    @pytest.mark.parametrize("bad,cached,bad_weights", [
+        pytest.param(np.nan, False, False, id="nan"),
+        pytest.param(np.inf, False, False, id="inf"),
+        pytest.param(-np.inf, False, False, id="-inf"),
+        # the observed check runs only when the transform cache misses: a
+        # finite dataset of the same shape cached first must not let NaN pass,
+        # and observed is named before weights
+        pytest.param(np.nan, True, False, id="nan-after-a-cached-dataset"),
+        pytest.param(np.nan, True, True, id="nan-in-both-after-a-cached-dataset"),
+        pytest.param(np.inf, False, True, id="inf-in-both"),
+    ])
+    def test_non_finite_observations_rejected(self, db10, bad, cached, bad_weights):
         ds = generate_dataset(DatasetSpec(components=("bumps",), M=64, I=6,
                                           snr=3.0, seed=31))
-        observed = ds.observed.copy()
-        observed[10, 4] = bad
         config = EstimationConfig(filter=db10, rule=Lpm(), J0=3)
+        if cached:
+            estimate_components(ds.observed, ds.weights, config)
+        observed, weights = ds.observed.copy(), ds.weights.copy()
+        observed[10, 4] = bad
+        if bad_weights:
+            weights[0, 1] = bad
         with pytest.raises(PipelineError, match=r"\[input\] observed .* column\(s\) 4$"):
-            estimate_components(observed, ds.weights, config)
+            estimate_components(observed, weights, config)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected(self, db10, bad):

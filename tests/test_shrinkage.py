@@ -719,8 +719,10 @@ class TestShrinkPyramid:
     def test_rule_function_looked_up_on_the_module(self, monkeypatch, name):
         # a wrapper set in the table of block functions is the one a pipeline
         # runs, once per row block: a study-3 pyramid (M = 1024, I = 50,
-        # J0 = 3) has 1016 detail rows, in 7 blocks of at most 8192 // 50 = 163
-        # rows that cross level boundaries
+        # J0 = 3) has 1016 detail rows, in round(1016 * 50 / _BLOCK_COEFFICIENTS)
+        # blocks of equal row counts that cross level boundaries
+        count = round(1016 * 50 / shrinkage._BLOCK_COEFFICIENTS)
+        assert count > 1
         pyr = Pyramid(np.random.default_rng(26).standard_normal((1024, 50)), 3)
         spec = resolve_rule(shrinkage.RULES[name](), 1.0)
         function = shrinkage._RULE_FUNCTIONS[type(spec)]
@@ -733,7 +735,9 @@ class TestShrinkPyramid:
         want = shrink_pyramid(pyr, spec).flat
         monkeypatch.setitem(shrinkage._RULE_FUNCTIONS, type(spec), wrapped)
         np.testing.assert_array_equal(shrink_pyramid(pyr, spec).flat, want)
-        assert calls == [(163, 50)] * 6 + [(1016 - 6 * 163, 50)]
+        rows = [r for r, _ in calls]
+        assert len(calls) == count and sum(rows) == 1016 and max(rows) - min(rows) <= 1
+        assert {columns for _, columns in calls} == {50}
 
     @pytest.mark.parametrize("name", ALL_RULES)
     def test_policy_changes_nothing(self, name):
