@@ -736,10 +736,13 @@ def abe_rule(d, spec: Abe):
     with the value at d = 0 defined as 0."""
     arr, scalar = _as_array(d)
     arr, sigma, factor = _downscaled(arr, _sigma(spec))
-    excess = arr * arr - 3.0 * sigma * sigma
+    excess = arr * arr
+    excess -= 3.0 * sigma * sigma
     keep = excess > 0.0  # implies d != 0
     # divide only where kept: excess / d overflows for a subnormal d
-    out = np.where(keep, excess / np.where(keep, arr, 1.0), 0.0) * factor
+    out = np.divide(excess, arr, out=np.zeros_like(excess), where=keep)
+    if isinstance(factor, np.ndarray):  # a float factor is 1.0
+        out *= factor
     return float(out) if scalar else out
 
 

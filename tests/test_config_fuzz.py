@@ -58,6 +58,8 @@ ESTIMATION_FIELDS = {
     | st.sampled_from([LevelPolicy(), RULES["log"], "bams"]),
     "J0": st.integers(-1, 7) | JUNK,
     "policy": st.integers(0, 7).map(lambda J0: LevelPolicy(J0=J0)) | JUNK,
+    "output": st.sampled_from(["curves", "coefficients", "Curves", "coefficient", "alpha"])
+    | JUNK,
 }
 
 
@@ -113,7 +115,7 @@ def test_study_config(field):
 @given(field=fields_broken_one_at_a_time(ESTIMATION_FIELDS))
 def test_estimation_config(field):
     name, value = field
-    valid = dict(filter=FILTER, rule=RULES["log"](), J0=3, policy=None)
+    valid = dict(filter=FILTER, rule=RULES["log"](), J0=3, policy=None, output="curves")
     config = built(lambda: EstimationConfig(**{**valid, name: value}))
     if config is None:
         return
@@ -173,7 +175,8 @@ def test_the_broken_fields_seen_before_are_rejected():
                    dict(snr_values=(math.nan,)), dict(seed=-1), dict(replicates=True),
                    dict(study=True), dict(m_values=64), dict(snr_values=(10 ** 400,))):
         assert built(lambda: StudyConfig(**{**VALID_STUDY, **broken})) is None, broken
-    for broken in (dict(filter="daubechies"), dict(policy=3), dict(rule=LevelPolicy())):
+    for broken in (dict(filter="daubechies"), dict(policy=3), dict(rule=LevelPolicy()),
+                   dict(output="Curves"), dict(output=FILTER.low_pass)):
         assert built(lambda: EstimationConfig(**{**dict(filter=FILTER, rule=RULES["log"]()),
                                                 **broken})) is None, broken
     # a bare TypeError when built, or accepted and failed in generate_dataset

@@ -9,6 +9,7 @@ import pytest
 
 from wavecal import decomposition, shrinkage
 from wavecal.decomposition import (
+    OUTPUTS,
     EstimationConfig,
     PipelineError,
     RankDeficiencyError,
@@ -284,6 +285,18 @@ class TestEstimateComponents:
         np.testing.assert_allclose(swapped, base, rtol=0,
                                    atol=1e-12 * np.max(np.abs(base)))
 
+    @pytest.mark.parametrize("rule", tuple(RULES))
+    def test_curves_are_the_inverse_transform_of_the_coefficients(self, db10, rule):
+        ds = generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[3], M=256, I=20,
+                                          snr=3.0, seed=17))
+        config = EstimationConfig(filter=db10, rule=RULES[rule](), J0=3)
+        gamma = estimate_components(ds.observed, ds.weights,
+                                    replace(config, output="coefficients"))
+        alpha = estimate_components(ds.observed, ds.weights, config)
+        want = transform_columns(gamma, db10, 3, "inverse")
+        assert gamma.shape == alpha.shape == (256, 6)
+        assert np.array_equal(alpha.view(np.uint64), want.view(np.uint64))
+
     def test_mse_decreases_with_more_samples(self, db10):
         # L=1 with unit weights: averaging I samples shrinks the noise floor
         truth = eval_component("doppler", sample_grid(256)).reshape(-1, 1)
@@ -407,13 +420,16 @@ class TestEstimateComponents:
     def test_config_validation(self, db10):
         # sigma comes from the data or the rule spec; the config has no say in it
         assert [f.name for f in fields(EstimationConfig)] == ["filter", "rule", "J0",
-                                                              "policy"]
+                                                              "policy", "output"]
         with pytest.raises(TypeError):
             EstimationConfig(filter=db10, rule=Abe(), sigma_mode="fixed")
         with pytest.raises(TypeError):
             EstimationConfig(filter=db10, rule=Abe(), sigma_value=1.0)
         with pytest.raises(ValueError, match="J0 must be >= 0"):
             EstimationConfig(filter=db10, rule=Abe(), J0=-1)
+        for output in ("Curves", "coefficient", "", None, ("curves",), np.str_("alpha")):
+            with pytest.raises(ValueError, match="output must be one of"):
+                EstimationConfig(filter=db10, rule=Abe(), output=output)
 
     @pytest.mark.parametrize("J0", [3.0, True, np.float64(3.0), "3"])
     def test_j0_must_be_an_integer(self, db10, J0):
@@ -443,8 +459,8 @@ class TestNoSilentNonFiniteEstimate:
                                             snr=5.0, seed=3))
 
     @staticmethod
-    def config(db10, rule):
-        return EstimationConfig(filter=db10, rule=RULES[rule](), J0=3)
+    def config(db10, rule, output="curves"):
+        return EstimationConfig(filter=db10, rule=RULES[rule](), J0=3, output=output)
 
     @pytest.mark.parametrize("scale,error", [(1e-300, "ZeroDivisionError"),
                                              (1e300, "OverflowError")])
@@ -461,8 +477,10 @@ class TestNoSilentNonFiniteEstimate:
         # estimate used to come back non-finite without an error
         monkeypatch.setitem(shrinkage._RULE_FUNCTIONS, Lpm,
                             lambda d, spec: np.full_like(d, np.nan))
-        with pytest.raises(PipelineError, match=r"\[shrinkage\] output has NaN or inf"):
-            estimate_components(dataset.observed, dataset.weights, self.config(db10, "lpm"))
+        for output in OUTPUTS:
+            with pytest.raises(PipelineError, match=r"\[shrinkage\] output has NaN or inf"):
+                estimate_components(dataset.observed, dataset.weights,
+                                    self.config(db10, "lpm", output))
 
     def test_log_sigma_too_large_is_a_shrinkage_failure(self, db10, dataset):
         # at this scale sigma^2 / tau overflows, and log's table sums would be NaN
@@ -484,9 +502,10 @@ class TestNoSilentNonFiniteEstimate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_least_squares_overflow_names_its_stage(self, db10, dataset):
-        with pytest.raises(PipelineError, match=r"\[least-squares\] output has NaN or inf"):
-            estimate_components(dataset.observed * 1e300, dataset.weights * 1e-12,
-                                self.config(db10, "lpm"))
+        for output in OUTPUTS:
+            with pytest.raises(PipelineError, match=r"\[least-squares\] output has NaN or inf"):
+                estimate_components(dataset.observed * 1e300, dataset.weights * 1e-12,
+                                    self.config(db10, "lpm", output))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_inverse_transform_overflow_names_its_stage(self, db10, dataset, monkeypatch):
@@ -495,20 +514,24 @@ class TestNoSilentNonFiniteEstimate:
         with pytest.raises(PipelineError, match=r"\[inverse-transform\] output has NaN"):
             estimate_components(dataset.observed, dataset.weights,
                                 self.config(db10, "abe"))
+        # the coefficients are finite: without the inverse nothing fails
+        assert (estimate_components(dataset.observed, dataset.weights,
+                                    self.config(db10, "abe", "coefficients")) == 1e308).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("rule", list(RULES))
     @pytest.mark.parametrize("k", [-1000, -500, 0, 500, 1000])
     def test_every_rule_at_every_scale_is_finite_or_names_a_stage(self, db10, dataset,
                                                                   rule, k):
-        try:
-            alpha = estimate_components(dataset.observed * 2.0 ** k, dataset.weights,
-                                        self.config(db10, rule))
-        except PipelineError as exc:
-            assert exc.stage in ("transform", "sigma", "shrinkage", "least-squares",
-                                 "inverse-transform")
-        else:
-            assert np.isfinite(alpha).all()
+        stages = ("transform", "sigma", "shrinkage", "least-squares", "inverse-transform")
+        for output, named in zip(OUTPUTS, (stages, stages[:-1])):
+            try:
+                estimate = estimate_components(dataset.observed * 2.0 ** k, dataset.weights,
+                                               self.config(db10, rule, output))
+            except PipelineError as exc:
+                assert exc.stage in named
+            else:
+                assert np.isfinite(estimate).all()
 
 
 RULE_CONFIGS = [pytest.param(rule, sigma, id=f"{rule}-{source}") for rule in RULES

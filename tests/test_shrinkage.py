@@ -9,6 +9,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr
 
 from wavecal import shrinkage
@@ -1044,6 +1045,22 @@ class TestHypothesisProperties:
         assert rule(2.0 ** power * d, 2.0 ** power * sigma) == 2.0 ** power * rule(d, sigma)
         assume(abs(abs(d) - 2.0 * sigma) > 1e-12 * abs(d))
         assert abs(rule(c * d, c * sigma) - c * rule(d, sigma)) <= 1e-13 * abs(c * d)
+
+    @_PROPERTY_SETTINGS
+    @given(d=arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 6)),
+                    elements=st.floats() | st.sampled_from(
+                        [0.0, -0.0, 5e-324, -1e-310, 1e300, -1e300, np.inf, -np.inf, np.nan])),
+           sigma=st.sampled_from([0.0, 1.3, 1e-310, 1e305, 2.0 ** -600]) | _SIGMA)
+    def test_abe_bits_match_the_full_divide(self, d, sigma):
+        # abe_rule divides only where it keeps a coefficient; the reference is
+        # its earlier form, which divided everywhere and picked with np.where
+        arr, s, factor = shrinkage._downscaled(d, sigma)
+        with np.errstate(all="ignore"):
+            excess = arr * arr - 3.0 * s * s
+            keep = excess > 0.0
+            want = np.where(keep, excess / np.where(keep, arr, 1.0), 0.0) * factor
+            got = abe_rule(d, Abe(sigma=sigma))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @_PROPERTY_SETTINGS
     @given(d=st.floats(-1e6, 1e6), sigma=_SIGMA, power=st.integers(-1022, 1023),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wavecal.simharness as sh
-from wavecal.decomposition import PipelineError
+from wavecal.decomposition import EstimationConfig, PipelineError, estimate_components
 from wavecal.shrinkage import RULES, rule_defaults
 from wavecal.simharness import (
     ReplicateResult,
@@ -19,6 +19,7 @@ from wavecal.simharness import (
     run_study,
 )
 from wavecal.testbed import DatasetSpec, generate_dataset
+from wavecal.wavelet import make_filter
 
 
 class TestComputeMse:
@@ -177,6 +178,27 @@ class TestRunStudy:
         assert sorted((r.rule, r.replicate, r.component) for r in stream) == sorted(
             (rule, rep, comp) for rule, rep in (("lpm", 0), ("lpm", 1), ("abe", 1))
             for comp in cfg.components)
+
+    @pytest.mark.parametrize("study", [1, 2, 3])
+    def test_mses_are_the_curve_mses(self, study):
+        # run_study scores each component's wavelet coefficients against the
+        # truth's; the transform is orthonormal, so that is the curves' MSE
+        cfg = StudyConfig(study=study, m_values=(64, 512), snr_values=(1.0, 3.0, 9.0, 25.0),
+                          replicates=1, seed=5)
+        _, stream, failures = run_study(cfg)
+        assert not failures
+        got = {(r.rule, r.M, r.snr, r.component): r.mse for r in stream}
+        filt = make_filter("daubechies", sh.VANISHING_MOMENTS)
+        for M in cfg.m_values:
+            for i, snr in enumerate(cfg.snr_values):
+                spec = DatasetSpec(cfg.components, M=M, I=cfg.n_samples, snr=snr, seed=cfg.seed)
+                ds = generate_dataset(spec, spawn_key=(M, i, 0))
+                for rule in cfg.rules:
+                    alpha = estimate_components(ds.observed, ds.weights, EstimationConfig(
+                        filter=filt, rule=RULES[rule](), J0=cfg.J0))
+                    for l, component in enumerate(cfg.components):
+                        want = compute_mse(alpha[:, l], ds.truth[:, l])
+                        assert got[(rule, M, snr, component)] == pytest.approx(want, rel=1e-12)
 
     def test_overflowing_mse_recorded_as_failure(self):
         # at SNR 1e-300 the noise, and every estimate, is about 1e300: the
