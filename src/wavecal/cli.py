@@ -113,6 +113,20 @@ def _cmd_simulate(args) -> int:
 _SAMPLE_ROW = np.dtype([("t", float), ("sample_id", np.int64), ("value", float)])
 
 
+def _load_rows(path, source, **kwargs) -> np.ndarray:
+    """The CSV rows of ``source`` (``path`` or its open file) by np.loadtxt,
+    whose errors name ``path``; a file without rows is an error too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no rows: reported below
+        try:
+            rows = np.loadtxt(source, delimiter=",", **kwargs)
+        except ValueError as exc:  # a field that does not parse, such as a float sample_id
+            raise ValueError(f"{path}: {exc}") from None
+    if rows.size == 0:
+        raise ValueError(f"{path}: no data rows")
+    return rows
+
+
 def _read_samples(path):
     """(grid, M x I observations), one column per sample_id in increasing
     numeric order.  Every sample must have distinct t values on one common,
@@ -121,16 +135,8 @@ def _read_samples(path):
         header = next(csv.reader(fh), None)
         if header is None or not set(_SAMPLE_ROW.names).issubset(header):
             raise ValueError(f"{path}: expected columns t,sample_id,value")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows: reported below
-            try:
-                rows = np.loadtxt(fh, dtype=_SAMPLE_ROW, delimiter=",", quotechar='"',
-                                  usecols=[header.index(n) for n in _SAMPLE_ROW.names],
-                                  ndmin=1)
-            except ValueError as exc:  # includes a sample_id that is not an integer
-                raise ValueError(f"{path}: {exc}") from None
-    if rows.size == 0:
-        raise ValueError(f"{path}: no data rows")
+        rows = _load_rows(path, fh, dtype=_SAMPLE_ROW, quotechar='"', ndmin=1,
+                          usecols=[header.index(n) for n in _SAMPLE_ROW.names])
     rows = rows[np.lexsort((rows["value"], rows["t"], rows["sample_id"]))]
     t, ids = rows["t"], rows["sample_id"]
     same_sample = ids[1:] == ids[:-1]
@@ -154,7 +160,7 @@ def _read_samples(path):
 
 def _cmd_estimate(args) -> int:
     grid, observed = _read_samples(args.input)
-    weights = np.loadtxt(args.weights, delimiter=",", dtype=float, ndmin=2)
+    weights = _load_rows(args.weights, args.weights, dtype=float, ndmin=2)
     if weights.shape[1] != observed.shape[1]:
         raise ValueError(f"{args.input} has {observed.shape[1]} distinct sample_ids "
                          f"but {args.weights} has {weights.shape[1]} weight columns")

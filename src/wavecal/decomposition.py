@@ -6,23 +6,21 @@ M x I coefficient matrix in row blocks that span levels, solve a
 least-squares system for the component coefficients through the known
 mixing weights, and invert the transform.  With ``output="coefficients"``
 the pipeline stops before the inverse and returns the components' wavelet
-coefficients: the periodic Daubechies transform is orthonormal, so the mean
-squared error of those coefficients against the truth's equals the curves'
-(Parseval), to about 1e-14 relative, and a Monte Carlo study scores them
-without an inverse transform per rule and dataset.
+coefficients, which `run_study` scores.
 
 The forward transform, the pooled noise estimate and the pseudo-inverse of
 the weights do not depend on the rule, and a study runs every rule on the
 same dataset, so each is kept in a one-entry cache (`_LastResult`) for the
-last key it saw: (observed, filter taps, J0) for the coefficients and
-sigma-hat, the weights for the pseudo-inverse.  Keys are read-only copies
-compared bit for bit, so a hit returns the same bits as a recomputation;
-the cached arrays are read-only.  The first stage checks the inputs and the
-coefficients, so the cache holds only a finite observed matrix with finite
-coefficients, and a later rule call on it skips the finiteness pass.  The
-least-squares stage takes one thin SVD of the weights, which serves both the
-rank check and the pseudo-inverse.  Each stage's ValueError, TypeError or
-ArithmeticError becomes a `PipelineError` naming the stage (`_stage`).
+last key it saw: (observed, weights, filter taps, J0) for the coefficients
+and sigma-hat, the weights for the pseudo-inverse.  Keys are read-only
+copies compared bit for bit, so a hit returns the same bits as a
+recomputation; the cached arrays are read-only.  The first stage checks both
+inputs and the coefficients, so the cache holds only finite inputs with
+finite coefficients, and a later rule call on them skips the finiteness
+passes.  The least-squares stage takes one thin SVD of the weights, which
+serves both the rank check and the pseudo-inverse.  Each stage's ValueError,
+TypeError or ArithmeticError becomes a `PipelineError` naming the stage
+(`_stage`).
 """
 
 from __future__ import annotations
@@ -77,10 +75,8 @@ class EstimationConfig:
     ``output`` is what `estimate_components` returns.  ``"curves"``, the
     default, is the M x L component curves.  ``"coefficients"`` is their
     M x L wavelet coefficients gamma-hat in the flat pyramid layout, the
-    least-squares result before the inverse transform.  By Parseval,
-    (1/M) ||gamma-hat_l - W(alpha_l)||^2 equals the curve MSE to about 1e-14
-    relative; `run_study` scores that way, and `wavecal estimate` still
-    writes curves.
+    least-squares result before the inverse transform, which `run_study`
+    scores; `wavecal estimate` writes curves.
     """
 
     filter: WaveletFilter
@@ -180,6 +176,8 @@ def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
     L, I = y.shape
     if D.shape[1] != I:
         raise ValueError(f"coefficient matrix has {D.shape[1]} columns, weights have {I}")
+    if L == 0:
+        raise ValueError("weights have no rows: no component to solve for")
     if I < L:
         raise RankDeficiencyError(f"underdetermined mixing: L={L} components, I={I} samples")
     return D @ _pseudoinverse.get((y,), partial(_pinv, y, L))
@@ -196,8 +194,8 @@ def _rule_independent_stages(A: np.ndarray, y: np.ndarray, config: EstimationCon
     """(read-only flat coefficients, pooled sigma-hat) of the observed matrix.
 
     Both inputs are checked first, observed before weights, so that a bad
-    input is named before any stage fails and only a finite observed matrix
-    is cached.  Finite input whose transform overflows fails here, at the
+    input is named before any stage fails and only finite inputs are
+    cached.  Finite input whose transform overflows fails here, at the
     transform, and is not cached either."""
     _check_finite("observed", A)
     _check_finite("weights", y)
@@ -227,16 +225,15 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
     y = np.asarray(weights, dtype=float)
     if A.ndim != 2:
         raise PipelineError("input", f"observed matrix must be 2-D, got shape {A.shape}")
-    if y.ndim != 2 or y.shape[1] != A.shape[1]:
-        raise PipelineError("input", f"weights shape {y.shape} incompatible with "
-                                     f"{A.shape[1]} observed samples")
-    # a cache hit's observed matrix is the finite one that was checked when it
-    # was stored; the small weights are checked on every call
-    D, sigma = _transformed.get((A, config.filter.low_pass, config.J0),
+    if y.ndim != 2 or y.shape[1] != A.shape[1] or y.shape[0] == 0:
+        raise PipelineError("input", f"weights shape {y.shape} is not L x {A.shape[1]} "
+                                     f"with L >= 1, for {A.shape[1]} observed samples")
+    D, sigma = _transformed.get((A, y, config.filter.low_pass, config.J0),
                                 partial(_rule_independent_stages, A, y, config))
-    _check_finite("weights", y)
+    with _stage("sigma"):
+        rule = resolve_rule(config.rule, sigma)
     with _stage("shrinkage"):
-        shrunk = shrink_pyramid(Pyramid(D, config.J0), resolve_rule(config.rule, sigma)).flat
+        shrunk = shrink_pyramid(Pyramid(D, config.J0), rule).flat
     with _stage("least-squares"):
         estimate = gamma = solve_gamma(shrunk, y)
     if config.output == "curves":

@@ -29,10 +29,8 @@ per level instead.
 Pyramid, the level views of one flat coefficient matrix, and writes the
 result into one new matrix of the same layout, the coarse rows copied
 unchanged.  It hands the detail rows to the rule in blocks of whole rows
-that cross level boundaries, about 12800 coefficients each, with equal row
-counts (one row when a row is longer), which bounds the elementwise
-temporaries of every rule: 2 blocks of 252 rows for M = 512, I = 50, and 4
-of 254 rows for M = 1024.  `log` and `beta` always take the level-
+that cross level boundaries, which bounds the elementwise temporaries of
+every rule (`_BLOCK_COEFFICIENTS`).  `log` and `beta` always take the level-
 dependent p(j) and m(j) of Angelini and Vidakovic (2004), resolved once per
 level, and each block passes its rows' values to their kernels,
 `_logistic_from_table` and `_beta_kernel`.  Every rule's result at a
@@ -47,7 +45,7 @@ asymptotes past a cutoff.  Each coefficient then costs two Horner
 evaluations and one exponential, and the scaled kernel cannot underflow at
 any |d|; a table that would need more than 2^14 panels is refused.
 `_grid_sums` builds the table's (points x nodes) grid in chunks of at most
-32768 values in one reused buffer.
+`_GRID_VALUES` values in one reused buffer.
 
 The beta rule has the shape a = 2 of the paper and is evaluated at
 c = |d| / sigma and w = m / sigma, with the sign of d restored last.  Its
@@ -117,7 +115,8 @@ BAMS_ALPHA = 0.8
 # blocks of equal row counts that cross level boundaries.  This bounds the
 # elementwise temporaries of a rule, about 100 KiB each, which stay in L2
 # cache; a sweep of all five rules over M = 512 and M = 1024 pyramids
-# (I = 50, BENCH_25.json) found the 2 and 4 blocks it gives there fastest.
+# (I = 50, BENCH_25.json) found the blocks it gives there fastest: 2 of 252
+# rows and 4 of 254 rows.
 _BLOCK_COEFFICIENTS = 12800
 
 # Largest number of node-grid values `_grid_sums` holds at once: 256 KiB,

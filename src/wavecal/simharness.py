@@ -3,15 +3,13 @@
 Three canned studies aggregate L = 2, 4 and 6 component functions.  For each
 (M, SNR) cell, N replicate datasets are generated from per-replicate RNG
 substreams and every shrinkage rule is run on the identical dataset within a
-replicate, so rule comparisons are paired.  Per-component mean squared errors,
-taken on the wavelet coefficients (`run_study`), are aggregated into AMSE
-tables and serialized as CSV/JSON with 17 significant digits (bitwise
-round-trip for 64-bit floats).
+replicate, so rule comparisons are paired.  Per-component mean squared errors
+(`run_study`) are aggregated into AMSE tables and serialized as CSV/JSON with
+17 significant digits (bitwise round-trip for 64-bit floats).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -23,7 +21,7 @@ from . import __version__
 from .decomposition import EstimationConfig, PipelineError, estimate_components
 from .shrinkage import (DEFAULT_J0, POLICY_GAMMA, POLICY_RULES, RULES, check_integer,
                         rule_defaults)
-from .testbed import COMPONENT_NAMES, DatasetSpec, _fmt, _truth, generate_dataset
+from .testbed import COMPONENT_NAMES, DatasetSpec, _fmt, _truth, _write_csv, generate_dataset
 from .wavelet import make_filter, transform_columns
 
 __all__ = [
@@ -133,9 +131,7 @@ class AmseRow(_Cell):
 
 def compute_mse(estimate: np.ndarray, truth: np.ndarray) -> float:
     """Mean squared error (1/M) sum (est - truth)^2 over M values; PipelineError
-    at the ``mse`` stage when it is not finite.  `run_study` passes a
-    component's wavelet coefficients and the truth's, whose MSE equals that
-    of the curves on the sampling grid (Parseval) to about 1e-14 relative."""
+    at the ``mse`` stage when it is not finite."""
     est = np.asarray(estimate, dtype=float)
     tr = np.asarray(truth, dtype=float)
     if est.shape != tr.shape:
@@ -235,19 +231,13 @@ def emit_reports(rows: Sequence[AmseRow], stream: Sequence[ReplicateResult], out
     paths = {name: os.path.join(outdir, name + ext)
              for name, ext in (("replicates", ".csv"), ("amse", ".csv"), ("run", ".json"))}
 
-    with open(paths["replicates"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["study", "rule", "M", "snr", "replicate", "component", "mse"])
-        for r in sorted(stream, key=_sort_key):
-            writer.writerow([r.study, r.rule, r.M, _fmt(r.snr), r.replicate,
-                             r.component, _fmt(r.mse)])
-
-    with open(paths["amse"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["study", "rule", "M", "snr", "component", "amse", "sd"])
-        for row in sorted(rows, key=_amse_key):
-            writer.writerow([row.study, row.rule, row.M, _fmt(row.snr),
-                             row.component, _fmt(row.amse), _fmt(row.sd)])
+    _write_csv(paths["replicates"],
+               ["study", "rule", "M", "snr", "replicate", "component", "mse"],
+               ([r.study, r.rule, r.M, _fmt(r.snr), r.replicate, r.component, _fmt(r.mse)]
+                for r in sorted(stream, key=_sort_key)))
+    _write_csv(paths["amse"], ["study", "rule", "M", "snr", "component", "amse", "sd"],
+               ([row.study, row.rule, row.M, _fmt(row.snr), row.component, _fmt(row.amse),
+                 _fmt(row.sd)] for row in sorted(rows, key=_amse_key)))
 
     payload = {
         "version": __version__,

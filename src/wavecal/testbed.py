@@ -221,15 +221,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write a header and then ``rows``, each a list of fields, as CSV."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _columns_to_csv(header: list[str], grid: np.ndarray, matrix: np.ndarray, path) -> None:
     """Write an M x K matrix as rows (t, column index, value), column by
     column, each float with 17 significant digits."""
     M, K = matrix.shape
     t = [_fmt(v) for v in grid[:M]]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([t[m], k, _fmt(matrix[m, k])] for k in range(K) for m in range(M))
+    _write_csv(path, header, ([t[m], k, _fmt(matrix[m, k])] for k in range(K) for m in range(M)))
 
 
 def dataset_to_csv(dataset: Dataset, path) -> None:

@@ -195,18 +195,19 @@ class Pyramid:
         flat = np.asarray(flat, dtype=float)
         if flat.ndim not in (1, 2):
             raise ValueError(f"expected a flat vector or matrix, got shape {flat.shape}")
-        J = _dyadic_depth(flat.shape[0])
-        if not 0 <= J0 < J:
-            raise ValueError(f"invalid levels: J0={J0}, J={J}")
-        self.flat, self.J, self.J0 = flat, J, J0
+        self.flat, self.J, self.J0 = flat, _depth(flat.shape[0], J0), J0
         self.coarse = flat[:2 ** J0]
-        self.details = [flat[2 ** j: 2 ** (j + 1)] for j in range(J0, J)]
+        self.details = [flat[2 ** j: 2 ** (j + 1)] for j in range(J0, self.J)]
 
 
-def _dyadic_depth(m: int) -> int:
+def _depth(m: int, J0: int) -> int:
+    """J of a signal length m = 2^J whose transform down to level J0 has at
+    least one detail level."""
     J = int(m).bit_length() - 1
     if m < 2 or m != 2 ** J:
         raise ValueError(f"signal length {m} is not a power of two >= 2")
+    if not 0 <= J0 < J:
+        raise ValueError(f"J0={J0} must satisfy 0 <= J0 < J={J}")
     return J
 
 
@@ -248,9 +249,7 @@ def transform_columns(matrix: np.ndarray, filt: WaveletFilter, J0: int,
     if a.ndim != 2:
         raise ValueError("transform_columns expects a 2-D matrix")
     if direction == "forward":
-        J = _dyadic_depth(a.shape[0])
-        if not 0 <= J0 < J:
-            raise ValueError(f"J0={J0} must satisfy 0 <= J0 < J={J}")
+        J = _depth(a.shape[0], J0)
         # Each level reads its input, extended periodically, from one of two
         # buffers, and its GEMM writes into one scratch matrix; from there the
         # approximation goes to the other buffer, where the next level extends

@@ -32,86 +32,12 @@ from wavecal.simharness import STUDY_COMPONENTS, StudyConfig, emit_reports, run_
 from wavecal.testbed import draw_weights, eval_component, sample_grid
 from wavecal.wavelet import make_filter, transform_columns
 
-SQRT_2PI = np.sqrt(2.0 * np.pi)
+from oracles import bams_oracle, beta_oracle, logistic_oracle
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} criterion {criterion}: {detail}")
     assert ok, detail
-
-
-# ---------------------------------------------------------------------------
-# oracles
-# ---------------------------------------------------------------------------
-
-def _phi(x):
-    return np.exp(-0.5 * np.asarray(x) ** 2) / SQRT_2PI
-
-
-def _logistic_pdf(x, tau):
-    e = np.exp(-np.abs(x) / tau)
-    return e / (tau * (1.0 + e) ** 2)
-
-
-def _logistic_oracle_grid(d_grid, p, tau, sigma, panels=25_000, lim=12.0):
-    u = np.linspace(-lim, lim, panels + 1)
-    f = _phi(u)
-    out = np.empty_like(d_grid)
-    for lo in range(0, d_grid.size, 32):
-        d = d_grid[lo: lo + 32, None]
-        theta = sigma * u + d
-        g = _logistic_pdf(theta, tau)
-        num = (1 - p) * np.trapezoid(theta * g * f, u, axis=1)
-        den = (p / sigma) * _phi(d[:, 0] / sigma) + (1 - p) * np.trapezoid(g * f, u, axis=1)
-        out[lo: lo + 32] = num / den
-    return out
-
-
-def _beta_pdf(t, m):
-    # the beta density of shape a = 2 on [-m, m]
-    return 3.0 * (m * m - t * t) / (4.0 * m ** 3)
-
-
-def _beta_oracle_grid(d_grid, p, m, sigma, panels=25_000):
-    t = np.linspace(-m, m, panels + 1)
-    g = _beta_pdf(t, m)
-    out = np.empty_like(d_grid)
-    for lo in range(0, d_grid.size, 32):
-        d = d_grid[lo: lo + 32, None]
-        lik = _phi((d - t) / sigma) / sigma
-        num = (1 - p) * np.trapezoid(t * g * lik, t, axis=1)
-        den = p * _phi(d[:, 0] / sigma) / sigma + (1 - p) * np.trapezoid(g * lik, t, axis=1)
-        out[lo: lo + 32] = num / den
-    return out
-
-
-def _laplace_pdf(x, scale):
-    return np.exp(-np.abs(x) / scale) / (2.0 * scale)
-
-
-def _bams_oracle_grid(d_grid, alpha, tau, mu):
-    """Piecewise Gauss-Legendre posterior mean, split at the kinks 0 and d."""
-    s = 1.0 / np.sqrt(2.0 * mu)
-    span = 60.0 * max(tau, s, 1.0)
-    x, w = np.polynomial.legendre.leggauss(200)
-    d = np.asarray(d_grid, dtype=float)[:, None]
-    lows = np.concatenate([np.full_like(d, -span), np.minimum(d, 0.0),
-                           np.maximum(d, 0.0)], axis=1)
-    highs = np.concatenate([np.minimum(d, 0.0), np.maximum(d, 0.0),
-                            np.full_like(d, span)], axis=1)
-    num = np.zeros(d.shape[0])
-    den = np.zeros(d.shape[0])
-    for piece in range(3):
-        lo = lows[:, piece: piece + 1]
-        hi = highs[:, piece: piece + 1]
-        t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        wt = 0.5 * (hi - lo) * w
-        f = _laplace_pdf(t, tau) * _laplace_pdf(d - t, s)
-        num += np.sum(wt * t * f, axis=1)
-        den += np.sum(wt * f, axis=1)
-    delta = num / den
-    return (1 - alpha) * den * delta / ((1 - alpha) * den
-                                        + alpha * _laplace_pdf(d[:, 0], s))
 
 
 # ---------------------------------------------------------------------------
@@ -146,20 +72,20 @@ def test_criterion_2_rule_oracle_equivalence():
     # tau = 1: the cases sigma / tau = 1, 1 / 2 and 0.5 / 1.5
     for p, sigma in [(0.9, 1.0), (0.5, 0.5), (0.8, 0.5 / 1.5)]:
         got = logistic_rule(d_grid, Logistic(sigma=sigma), p=p)
-        want = _logistic_oracle_grid(d_grid, p, 1.0, sigma)
+        want = logistic_oracle(d_grid, p, 1.0, sigma, panels=25_000)
         worst_log = max(worst_log, float(np.max(np.abs(got - want))))
 
     worst_beta = 0.0
     for p, m, sigma in [(0.9, 5.0, 1.0), (0.5, 8.0, 2.0), (0.0, 10.0, 1.0)]:
         got = beta_rule(d_grid, Beta(sigma=sigma), p=p, m=m)
-        want = _beta_oracle_grid(d_grid, p, m, sigma)
+        want = beta_oracle(d_grid, p, m, sigma, panels=25_000)
         worst_beta = max(worst_beta, float(np.max(np.abs(got - want))))
 
     worst_bams = 0.0
     # alpha = 0.8, tau = 3 sigma, mu = 1 / sigma^2
     for sigma in (0.5, 1.0, 2.0):
         got = bams_rule(d_grid, Bams(sigma=sigma))
-        want = _bams_oracle_grid(d_grid, 0.8, 3.0 * sigma, 1.0 / sigma ** 2)
+        want = bams_oracle(d_grid, 0.8, 3.0 * sigma, 1.0 / sigma ** 2)
         worst_bams = max(worst_bams, float(np.max(np.abs(got - want))))
 
     elapsed = time.perf_counter() - t0

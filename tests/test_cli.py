@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -178,6 +179,21 @@ def test_estimate_reads_a_one_column_weights_file_as_one_sample(tmp_path, capsys
     assert rc == 1
     err = capsys.readouterr().err
     assert "[least-squares] underdetermined mixing: L=2 components, I=1 samples" in err
+
+
+def test_estimate_empty_weights_file_has_no_data_rows(tmp_path, capsys):
+    # np.loadtxt reads an empty file as 0 x 1 weights, with a warning; with a
+    # one-sample input those pass the column check
+    ds = generate_dataset(DatasetSpec(components=("bumps",), M=64, I=1, snr=5.0, seed=23))
+    data_csv, weights_csv = tmp_path / "data.csv", tmp_path / "y.csv"
+    dataset_to_csv(ds, data_csv)
+    weights_csv.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["estimate", "--input", str(data_csv), "--weights", str(weights_csv),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: [input] {weights_csv}: no data rows\n"
 
 
 def test_estimate_non_integer_sample_id_rejected(tmp_path, capsys):

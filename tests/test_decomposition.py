@@ -140,8 +140,11 @@ class TestSolveGamma:
             solve_gamma(np.zeros((4, 2)), np.ones((3, 2)))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_gamma(np.zeros((4, 5)), np.ones((2, 6)))
+        # zero-row weights have no largest singular value to rank against
+        for weights, message in ((np.ones((2, 6)), "5 columns, weights have 6"),
+                                 (np.empty((0, 5)), "weights have no rows")):
+            with pytest.raises(ValueError, match=message):
+                solve_gamma(np.zeros((4, 5)), weights)
 
     @pytest.mark.parametrize("spread", [None, 1e-1, 1e-2])
     def test_matches_lstsq(self, spread):
@@ -406,8 +409,9 @@ class TestEstimateComponents:
 
     def test_stage_label_on_bad_weights(self, db10):
         config = EstimationConfig(filter=db10, rule=Abe(), J0=3)
-        with pytest.raises(PipelineError, match=r"\[input\]"):
-            estimate_components(np.zeros((128, 4)), np.ones((1, 3)), config)
+        for weights in (np.ones((1, 3)), np.empty((0, 4))):
+            with pytest.raises(PipelineError, match=r"^\[input\] weights shape"):
+                estimate_components(np.zeros((128, 4)), weights, config)
 
     def test_stage_label_on_rank_deficiency(self, db10):
         rng = np.random.default_rng(23)
@@ -490,15 +494,29 @@ class TestNoSilentNonFiniteEstimate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("rule", list(RULES))
-    def test_overflowing_sigma_is_a_shrinkage_failure(self, db10, rule):
+    def test_overflowing_sigma_is_a_sigma_failure(self, db10, rule):
         # every column's finest details are finite, near 1.4e307, but their
         # pooled sigma-hat overflows to inf; lpm and abe used to zero every
         # detail with it and return an estimate without an error
         rng = np.random.default_rng(0)
         alternating = np.where(np.arange(64) % 2, 1.0, -1.0)[:, None] * np.full((64, 12), 1e307)
-        with pytest.raises(PipelineError, match=r"\[shrinkage\] .* must be finite"):
+        with pytest.raises(PipelineError, match=r"^\[sigma\] sigma must be finite .* got inf$"):
             estimate_components(alternating, rng.uniform(0.5, 1.5, (2, 12)),
                                 self.config(db10, rule))
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_zero_sigma_fails_at_sigma_where_the_rule_needs_sigma(self, db10, dataset, rule):
+        # all-zero data give sigma-hat = 0, which lpm and abe admit (they
+        # are then the identity) and the other rules cannot use
+        zeros = np.zeros_like(dataset.observed)
+        if rule in ("lpm", "abe"):
+            for output in OUTPUTS:
+                estimate = estimate_components(zeros, dataset.weights,
+                                               self.config(db10, rule, output))
+                assert estimate.shape == (64, 2) and not estimate.any()
+            return
+        with pytest.raises(PipelineError, match=r"^\[sigma\] sigma must be finite .* got 0\.0$"):
+            estimate_components(zeros, dataset.weights, self.config(db10, rule))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_least_squares_overflow_names_its_stage(self, db10, dataset):
@@ -540,7 +558,7 @@ RULE_CONFIGS = [pytest.param(rule, sigma, id=f"{rule}-{source}") for rule in RUL
 
 class TestRuleIndependentMemo:
     """estimate_components shares the forward transform and sigma-hat of the
-    last (observed, filter, J0) it saw."""
+    last (observed, weights, filter, J0) it saw."""
 
     @pytest.fixture
     def forward_calls(self, monkeypatch):
@@ -600,6 +618,18 @@ class TestRuleIndependentMemo:
         estimate_components(observed, np.ones((1, 2)), config)
         assert len(forward_calls) == 2
 
+    def test_other_weights_miss(self, db10, dataset, forward_calls):
+        # a hit skips the input checks, so it must be on weights that were checked
+        config = self.config(db10)
+        other = dataset.weights.copy()
+        other[1, 4] *= 2.0
+        for weights in (dataset.weights, other, other, dataset.weights):
+            estimate_components(dataset.observed, weights, config)
+        assert len(forward_calls) == 3
+        other[1, 4] = np.nan
+        with pytest.raises(PipelineError, match=r"\[input\] weights .* column\(s\) 4$"):
+            estimate_components(dataset.observed, other, config)
+
     def test_other_filter_or_j0_misses(self, db10, dataset, forward_calls):
         db4 = make_filter("daubechies", 4)
         for filt, J0 in ((db10, 3), (db10, 2), (db4, 2), (db4, 2)):
@@ -609,8 +639,8 @@ class TestRuleIndependentMemo:
 
     def test_cached_arrays_are_read_only(self, db10, dataset, forward_calls):
         estimate_components(dataset.observed, dataset.weights, self.config(db10))
-        (observed, taps, _), (coefficients, _) = decomposition._transformed.entry
-        for array in (observed, taps, coefficients):
+        (observed, weights, taps, _), (coefficients, _) = decomposition._transformed.entry
+        for array in (observed, weights, taps, coefficients):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0

@@ -34,7 +34,7 @@ from wavecal.simharness import STUDY_COMPONENTS
 from wavecal.testbed import DatasetSpec, generate_dataset
 from wavecal.wavelet import Pyramid, make_filter, transform_columns
 
-SQRT_2PI = np.sqrt(2.0 * np.pi)
+from oracles import SQRT_2PI, bams_oracle, beta_oracle, logistic_oracle, phi
 
 # frozen dense-trapezoid value (1e6 panels on u in [-12, 12]) for
 # d=2, p=0.9, tau=1, sigma=1
@@ -46,42 +46,8 @@ ALL_RULES = tuple(shrinkage.RULES)
 
 
 # ---------------------------------------------------------------------------
-# independent oracles (library-free evaluation paths)
+# the beta rule's references: truncated normal moments and Gauss-Legendre
 # ---------------------------------------------------------------------------
-
-def phi(x):
-    return np.exp(-0.5 * np.asarray(x) ** 2) / SQRT_2PI
-
-
-def logistic_pdf(x, tau):
-    e = np.exp(-np.abs(x) / tau)
-    return e / (tau * (1.0 + e) ** 2)
-
-
-def logistic_oracle(d, p, tau, sigma, panels=10 ** 6, lim=12.0):
-    """Dense-trapezoid evaluation of the logistic posterior mean."""
-    u = np.linspace(-lim, lim, panels + 1)
-    g = logistic_pdf(sigma * u + d, tau)
-    f = phi(u)
-    num = (1 - p) * np.trapezoid((sigma * u + d) * g * f, u)
-    den = (p / sigma) * phi(d / sigma) + (1 - p) * np.trapezoid(g * f, u)
-    return num / den
-
-
-def beta_pdf(t, m):
-    # the beta density of shape a = 2 on [-m, m]
-    return 3.0 * (m * m - t * t) / (4.0 * m ** 3)
-
-
-def beta_oracle(d, p, m, sigma, panels=200_000):
-    """Dense-trapezoid evaluation of the beta posterior mean on [-m, m]."""
-    t = np.linspace(-m, m, panels + 1)
-    g = beta_pdf(t, m)
-    lik = phi((d - t) / sigma) / sigma
-    num = (1 - p) * np.trapezoid(t * g * lik, t)
-    den = p * phi(d / sigma) / sigma + (1 - p) * np.trapezoid(g * lik, t)
-    return num / den
-
 
 def beta_moments(c, w):
     """The beta prior integrals (sigma Z, N) from truncated normal moments,
@@ -125,35 +91,6 @@ def beta_gauss_legendre(d, p, m, sigma, nodes=2048):
     likelihood = phi(c[:, None] - w * x)
     z, n = likelihood @ h, w * (likelihood @ (h * x))
     return np.sign(d) * sigma * (1 - p) * n / (p * phi(c) + (1 - p) * z)
-
-
-def laplace_pdf(x, scale):
-    return np.exp(-np.abs(x) / scale) / (2.0 * scale)
-
-
-def bams_oracle(d, alpha, tau, mu):
-    """Piecewise Gauss-Legendre quadrature of the BAMS posterior mean.
-
-    Independent of the closed form: integrates theta against the
-    double-exponential prior times the double-exponential marginal noise
-    (scale 1/sqrt(2 mu)), splitting at the integrand kinks theta = 0 and
-    theta = d.
-    """
-    s = 1.0 / np.sqrt(2.0 * mu)
-    span = 60.0 * max(tau, s, 1.0)
-    breaks = sorted({-span, 0.0, float(d), span})
-    x, w = np.polynomial.legendre.leggauss(200)
-    num = den = 0.0
-    for lo, hi in zip(breaks, breaks[1:]):
-        t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        wt = 0.5 * (hi - lo) * w
-        f = laplace_pdf(t, tau) * laplace_pdf(d - t, s)
-        num += wt @ (t * f)
-        den += wt @ f
-    delta = num / den
-    marginal = den
-    return (1 - alpha) * marginal * delta / ((1 - alpha) * marginal
-                                             + alpha * laplace_pdf(d, s))
 
 
 # ---------------------------------------------------------------------------
