@@ -4,6 +4,9 @@
         --rules log,beta,lpm,abe,bams --seed 42 --out results/
     wavecal estimate --input data.csv --weights y.csv --rule log --out results/
     wavecal rules
+
+The parser is built on the first `main` call and reused by every later one;
+a parse changes nothing in it, so each call parses as a fresh process would.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import os
 import sys
 import warnings
 from dataclasses import fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +60,7 @@ def _parse_rules(value: str) -> tuple[str, ...]:
     return tuple(r for r in _comma_list(str.strip, value) if r)
 
 
+@lru_cache(maxsize=None)  # one parser per process, built on first use
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavecal",

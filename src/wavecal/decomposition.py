@@ -155,7 +155,11 @@ def _pinv(y: np.ndarray, L: int) -> np.ndarray:
         raise RankDeficiencyError(
             f"weights are rank deficient: singular values span "
             f"[{svals[-1]:.3e}, {svals[0]:.3e}], effective rank {rank} < {L}")
-    return _read_only(vt.T / svals @ u.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1/s of subnormal weights
+        pinv = vt.T / svals @ u.T
+    if not np.isfinite(pinv).all():
+        raise ValueError(f"the pseudo-inverse of the weights is not finite (s = {svals})")
+    return _read_only(pinv)
 
 
 def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:

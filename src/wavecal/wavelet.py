@@ -21,6 +21,7 @@ to windows of the interleaved (approx, detail) sequence and yields 2b
 samples per window.  b is `_BLOCK` rows, or N/2 on a shorter level.  Both
 directions run every level in the same few buffers, allocated once per call:
 each level's input is extended in place and its GEMM writes to one output.
+`make_filter` builds each filter and its block operators once per process.
 
 `transform_columns` is the only transform entry point: it transforms every
 column of an M x I matrix, and a single signal is a one-column matrix.  Its
@@ -170,13 +171,18 @@ def _band(taps: np.ndarray, b: int) -> np.ndarray:
 
 
 def make_filter(family: str, vanishing_moments: int) -> WaveletFilter:
-    """Build a wavelet filter from tabulated constants.
+    """The wavelet filter of tabulated constants: one shared instance per V.
 
     Supported: ``daubechies`` with 1 <= vanishing_moments <= 10 (V = 1 is
     the Haar filter).
     """
     if family.strip().lower() != "daubechies":
         raise UnsupportedFilterError(f"unsupported filter family {family!r}")
+    return _daubechies(vanishing_moments)
+
+
+@lru_cache(maxsize=None)  # one entry per supported V; a failed request stores none
+def _daubechies(vanishing_moments: int) -> WaveletFilter:
     taps = DAUBECHIES_LOWPASS.get(vanishing_moments)
     if taps is None:
         raise UnsupportedFilterError(

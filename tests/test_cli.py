@@ -11,7 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wavecal.cli import _read_samples, main
+import wavecal
+from wavecal.cli import _build_parser, _read_samples, main
 from wavecal.decomposition import EstimationConfig, estimate_components
 from wavecal.shrinkage import RULES
 from wavecal.testbed import DatasetSpec, dataset_to_csv, generate_dataset
@@ -424,6 +425,55 @@ def test_estimate_at_huge_scale_fails_at_shrinkage(tmp_path, capsys, rule):
     assert rc == 1
     assert "error: [shrinkage]" in capsys.readouterr().err
     assert not (tmp_path / "o" / "alpha_hat.csv").exists()
+
+
+def test_estimate_subnormal_weights_exit_at_least_squares(tmp_path):
+    # full-rank weights of 1e-320 overflow the pseudo-inverse: exit 1 at its
+    # stage, with no numpy warning
+    argv = write_scaled_dataset(tmp_path, 1.0)
+    np.savetxt(tmp_path / "y.csv", np.full((1, 12), 1e-320), delimiter=",")
+    run = subprocess.run([sys.executable, "-m", "wavecal", *argv, "--rule", "lpm"],
+                         capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: [least-squares] the pseudo-inverse of the "
+                                 "weights is not finite")
+    assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+
+
+SIMULATE_SMALL = ["simulate", "--study", "1", "--m", "64", "--replicates", "1",
+                  "--rules", "lpm", "--samples", "4", "--out", "r"]
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process(tmp_path, monkeypatch, capsys):
+    # main reuses one parser: a call before must leave no option, such as
+    # the --seed of a call that failed, to a later call that omits it
+    calls = [(2, ["simulate", "--seed", "5", "--study", "one", "--out", "r"]),
+             (1, ["simulate", "--seed", "7", "--study", "4", "--out", "r"]),
+             (0, [*SIMULATE_SMALL, "--seed", "3"]),
+             (0, SIMULATE_SMALL)]
+    # the fresh process runs in its own directory: put this wavecal on its path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wavecal.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for k, (code, argv) in enumerate(calls):
+        fresh, shared = tmp_path / f"fresh{k}", tmp_path / f"shared{k}"
+        fresh.mkdir()
+        shared.mkdir()
+        want = subprocess.run([sys.executable, "-m", "wavecal", *argv], cwd=fresh,
+                              env=env, capture_output=True, text=True)
+        monkeypatch.chdir(shared)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        got = capsys.readouterr()
+        assert (rc, got.out, got.err) == (code, want.stdout, want.stderr)
+        written = sorted(p.relative_to(shared) for p in shared.rglob("*"))
+        assert written == sorted(p.relative_to(fresh) for p in fresh.rglob("*"))
+        for name in written:
+            if (shared / name).is_file():
+                assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert json.loads((shared / "r" / "run.json").read_text())["config"]["seed"] == 0
+    assert _build_parser.cache_info().currsize == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -253,6 +253,17 @@ class TestPseudoinverseCache:
             (weights,), _ = decomposition._pseudoinverse.entry
             assert self.same_bits(weights, good)
 
+    def test_subnormal_weights_fail_at_least_squares_and_store_nothing(self):
+        # full rank, but 1 / s overflows: the stage is named, with no numpy
+        # warning (an error under this suite's filters), and nothing is cached
+        A = np.random.default_rng(29).standard_normal((64, 3))
+        config = EstimationConfig(make_filter("daubechies", 4), Lpm())
+        for _ in range(2):
+            with pytest.raises(PipelineError, match=r"^\[least-squares\] the pseudo-inverse "
+                                                    r"of the weights is not finite"):
+                estimate_components(A, np.full((1, 3), 1e-320), config)
+            assert decomposition._pseudoinverse.entry is None
+
 
 class TestEstimateComponents:
     @pytest.mark.parametrize("rule", [Lpm(sigma=0.0), Abe(sigma=0.0)])

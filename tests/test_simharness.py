@@ -18,8 +18,8 @@ from wavecal.simharness import (
     emit_reports,
     run_study,
 )
-from wavecal.testbed import DatasetSpec, generate_dataset
-from wavecal.wavelet import make_filter
+from wavecal.testbed import DatasetSpec, _truth, generate_dataset
+from wavecal.wavelet import make_filter, transform_columns
 
 
 class TestComputeMse:
@@ -199,6 +199,18 @@ class TestRunStudy:
                     for l, component in enumerate(cfg.components):
                         want = compute_mse(alpha[:, l], ds.truth[:, l])
                         assert got[(rule, M, snr, component)] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("study", [1, 2, 3])
+    def test_truth_coefficients_are_the_truths_transform(self, study):
+        # computed once per (components, M, J0) and shared by every study
+        components = sh.STUDY_COMPONENTS[study]
+        filt = make_filter("daubechies", 10)
+        for M, J0 in ((64, 3), (512, 3), (1024, 5)):
+            cached = sh._truth_coefficients(components, M, J0)
+            assert sh._truth_coefficients(components, M, J0) is cached
+            assert not cached.flags.writeable
+            want = transform_columns(_truth(components, M), filt, J0)
+            assert np.array_equal(cached.view(np.uint64), want.view(np.uint64))
 
     def test_overflowing_mse_recorded_as_failure(self):
         # at SNR 1e-300 the noise, and every estimate, is about 1e300: the

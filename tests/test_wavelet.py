@@ -71,10 +71,18 @@ class TestMakeFilter:
             assert abs(g @ n ** p) < 1e-12 * scale
 
     def test_unsupported_moment_count(self):
-        with pytest.raises(UnsupportedFilterError):
-            make_filter("daubechies", 11)
-        with pytest.raises(UnsupportedFilterError):
-            make_filter("daubechies", 0)
+        for _ in range(2):  # a failed request caches nothing and fails again
+            for v in (11, 0):
+                with pytest.raises(UnsupportedFilterError):
+                    make_filter("daubechies", v)
+
+    def test_one_shared_filter_per_moment_count(self):
+        f = make_filter("daubechies", 10)
+        assert make_filter(" Daubechies ", 10) is f
+        assert make_filter("daubechies", 4) is not f
+        # shared, so no caller may change it
+        assert not any(a.flags.writeable for a in (f.low_pass, f.high_pass,
+                                                   f.analysis_block, f.synthesis_block))
 
     def test_unsupported_family(self):
         for family, v in (("coiflet", 2), ("haar", 1), ("db", 10)):
