@@ -5,8 +5,9 @@
     wavecal estimate --input data.csv --weights y.csv --rule log --out results/
     wavecal rules
 
-The parser is built on the first `main` call and reused by every later one;
-a parse changes nothing in it, so each call parses as a fresh process would.
+The parser is built on the first `main` call; later `main` calls in the same
+process (the benchmark's, the tests') reuse it.  A parse changes nothing in
+it, so each call parses as a fresh process would.
 """
 
 from __future__ import annotations

@@ -178,17 +178,16 @@ def make_filter(family: str, vanishing_moments: int) -> WaveletFilter:
     """
     if family.strip().lower() != "daubechies":
         raise UnsupportedFilterError(f"unsupported filter family {family!r}")
-    return _daubechies(vanishing_moments)
-
-
-@lru_cache(maxsize=None)  # one entry per supported V; a failed request stores none
-def _daubechies(vanishing_moments: int) -> WaveletFilter:
-    taps = DAUBECHIES_LOWPASS.get(vanishing_moments)
-    if taps is None:
+    if vanishing_moments not in DAUBECHIES_LOWPASS:
         raise UnsupportedFilterError(
             f"unsupported filter: daubechies with {vanishing_moments} vanishing "
             f"moments (supported: 1..10)")
-    return WaveletFilter(np.array(taps), vanishing_moments)
+    return _daubechies(int(vanishing_moments))
+
+
+@lru_cache(maxsize=None)  # keyed on the int V, so at most 10 entries
+def _daubechies(vanishing_moments: int) -> WaveletFilter:
+    return WaveletFilter(np.array(DAUBECHIES_LOWPASS[vanishing_moments]), vanishing_moments)
 
 
 class Pyramid:

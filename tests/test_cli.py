@@ -11,8 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import wavecal
-from wavecal.cli import _build_parser, _read_samples, main
+from wavecal import cli
+from wavecal.cli import _read_samples, main
 from wavecal.decomposition import EstimationConfig, estimate_components
 from wavecal.shrinkage import RULES
 from wavecal.testbed import DatasetSpec, dataset_to_csv, generate_dataset
@@ -444,36 +444,32 @@ SIMULATE_SMALL = ["simulate", "--study", "1", "--m", "64", "--replicates", "1",
                   "--rules", "lpm", "--samples", "4", "--out", "r"]
 
 
-def test_one_parser_serves_every_call_as_a_fresh_process(tmp_path, monkeypatch, capsys):
+def test_one_parser_serves_every_call_as_a_fresh_parser(tmp_path, monkeypatch, capsys):
     # main reuses one parser: a call before must leave no option, such as
     # the --seed of a call that failed, to a later call that omits it
     calls = [(2, ["simulate", "--seed", "5", "--study", "one", "--out", "r"]),
              (1, ["simulate", "--seed", "7", "--study", "4", "--out", "r"]),
              (0, [*SIMULATE_SMALL, "--seed", "3"]),
              (0, SIMULATE_SMALL)]
-    # the fresh process runs in its own directory: put this wavecal on its path
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wavecal.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     for k, (code, argv) in enumerate(calls):
-        fresh, shared = tmp_path / f"fresh{k}", tmp_path / f"shared{k}"
-        fresh.mkdir()
-        shared.mkdir()
-        want = subprocess.run([sys.executable, "-m", "wavecal", *argv], cwd=fresh,
-                              env=env, capture_output=True, text=True)
-        monkeypatch.chdir(shared)
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
-        got = capsys.readouterr()
-        assert (rc, got.out, got.err) == (code, want.stdout, want.stderr)
-        written = sorted(p.relative_to(shared) for p in shared.rglob("*"))
-        assert written == sorted(p.relative_to(fresh) for p in fresh.rglob("*"))
-        for name in written:
-            if (shared / name).is_file():
-                assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
-    assert json.loads((shared / "r" / "run.json").read_text())["config"]["seed"] == 0
-    assert _build_parser.cache_info().currsize == 1
+        runs = []  # each call with a parser built for it, then with the shared one
+        for side, build in (("fresh", cli._build_parser.__wrapped__),
+                            ("shared", cli._build_parser)):
+            out = tmp_path / f"{side}{k}"
+            out.mkdir()
+            monkeypatch.chdir(out)
+            monkeypatch.setattr(cli, "_build_parser", build)
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            got = capsys.readouterr()
+            files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            runs.append((rc, got.out, got.err, files))
+        assert runs[0][0] == code
+        assert runs[1] == runs[0]
+    assert json.loads(files[os.path.join("r", "run.json")])["config"]["seed"] == 0
+    assert cli._build_parser.cache_info().currsize == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -80,6 +80,8 @@ class TestMakeFilter:
         f = make_filter("daubechies", 10)
         assert make_filter(" Daubechies ", 10) is f
         assert make_filter("daubechies", 4) is not f
+        assert make_filter("daubechies", np.int64(10)) is f  # one entry per value of V
+        assert type(f.vanishing_moments) is int
         # shared, so no caller may change it
         assert not any(a.flags.writeable for a in (f.low_pass, f.high_pass,
                                                    f.analysis_block, f.synthesis_block))
