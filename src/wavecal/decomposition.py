@@ -10,21 +10,24 @@ coefficients, which `run_study` scores.
 
 The forward transform, the pooled noise estimate and the pseudo-inverse of
 the weights do not depend on the rule, and a study runs every rule on the
-same dataset, so each is kept in a one-entry cache (`_LastResult`) for the
-last key it saw: (observed, weights, filter taps, J0) for the coefficients
-and sigma-hat, the weights for the pseudo-inverse.  Keys are read-only
-copies compared bit for bit, so a hit returns the same bits as a
-recomputation; the cached arrays are read-only.  The first stage checks both
+same dataset, so each is kept in a one-entry cache per thread (`_LastResult`)
+for the last key that thread saw: (observed, weights, filter taps, J0) for
+the coefficients and sigma-hat, the weights for the pseudo-inverse.  Keys
+are read-only copies compared bit for bit, so a hit returns the same bits as
+a recomputation; the cached arrays are read-only.  The first stage checks both
 inputs and the coefficients, so the cache holds only finite inputs with
 finite coefficients, and a later rule call on them skips the finiteness
 passes.  The least-squares stage takes one thin SVD of the weights, which
 serves both the rank check and the pseudo-inverse.  Each stage's ValueError,
 TypeError or ArithmeticError becomes a `PipelineError` naming the stage
-(`_stage`).
+(`_stage`); the transform, least-squares and inverse stages let numpy
+overflow silently and check their output instead, so a pipeline call emits
+no numpy warning there.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -106,12 +109,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class _LastResult:
+class _LastResult(threading.local):
     """A one-entry cache of the value computed for the last key, a tuple of
-    float64 arrays and plain values.  The entry, (key, value), keeps
-    read-only copies of the key's arrays.  Each lookup reads the entry once
-    and a miss replaces it whole, so concurrent callers never see a torn
-    entry; nothing is stored when the computation raises."""
+    float64 arrays and plain values, one entry per thread: `run_study`'s
+    workers each run whole datasets, so each keeps its own last dataset.
+    The entry, (key, value), keeps read-only copies of the key's arrays; a
+    miss replaces it whole, and nothing is stored when the computation
+    raises."""
 
     def __init__(self):
         self.entry: Optional[tuple] = None
@@ -238,10 +242,11 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
         rule = resolve_rule(config.rule, sigma)
     with _stage("shrinkage"):
         shrunk = shrink_pyramid(Pyramid(D, config.J0), rule).flat
-    with _stage("least-squares"):
+    # an overflow in the last two stages is named by the check below, not warned of
+    with _stage("least-squares"), np.errstate(over="ignore", invalid="ignore"):
         estimate = gamma = solve_gamma(shrunk, y)
     if config.output == "curves":
-        with _stage("inverse-transform"):
+        with _stage("inverse-transform"), np.errstate(over="ignore", invalid="ignore"):
             estimate = transform_columns(gamma, config.filter, config.J0, "inverse")
     if not np.isfinite(estimate).all():  # NaN and inf reach all later stages; name the first
         stages = (("sigma", sigma), ("shrinkage", shrunk), ("least-squares", gamma))

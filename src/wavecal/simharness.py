@@ -3,7 +3,8 @@
 Three canned studies aggregate L = 2, 4 and 6 component functions.  For each
 (M, SNR) cell, N replicate datasets are generated from per-replicate RNG
 substreams and every shrinkage rule is run on the identical dataset within a
-replicate, so rule comparisons are paired.  Per-component mean squared errors
+replicate, so rule comparisons are paired; the replicates run on one worker
+thread per available CPU, with the same output for any number of threads.  Per-component mean squared errors
 (`run_study`) are aggregated into AMSE tables and serialized as CSV/JSON with
 17 significant digits (bitwise round-trip for 64-bit floats).  The true
 curves and their wavelet coefficients are computed once per process.
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import json
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -163,15 +166,52 @@ def _amse_key(row):
     return (row.study, row.rule, row.M, row.snr, row.component)
 
 
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_replicate(config: StudyConfig, est_configs: dict, gamma: np.ndarray,
+                   spec: DatasetSpec, snr_index: int, rep: int):
+    """(results, failures) of every rule of the study on one replicate
+    dataset, in rule order."""
+    dataset = generate_dataset(spec, spawn_key=(spec.M, snr_index, rep))
+    results: list[ReplicateResult] = []
+    failures: list[ReplicateFailure] = []
+    for rule_name, est_config in est_configs.items():
+        key = (config.study, rule_name, spec.M, config.snr_values[snr_index], rep)
+        try:
+            gamma_hat = estimate_components(dataset.observed, dataset.weights, est_config)
+            mses = [compute_mse(gamma_hat[:, l], gamma[:, l])
+                    for l in range(len(config.components))]
+        except PipelineError as exc:
+            failures.append(ReplicateFailure(*key, exc.stage, str(exc)))
+            continue
+        results += [ReplicateResult(*key, comp, mse)
+                    for comp, mse in zip(config.components, mses)]
+    return results, failures
+
+
 def run_study(config: StudyConfig):
     """Run the replicate loop.
 
     Returns (aggregate(results), results, failures).  Within one replicate
     all rules see the identical dataset.  Replicate r of cell (M, snr) is
     ``generate_dataset(spec, spawn_key=(M, snr_index, r))``, a substream of
-    the study seed, so output is deterministic regardless of execution order
-    or thread count.  A failing pipeline or MSE aborts only its (rule,
+    the study seed.  A failing pipeline or MSE aborts only its (rule,
     replicate) cell, recorded with its stage.
+
+    The replicates run on one thread per CPU this process may run on, at
+    most one per replicate: this thread and a per-call pool of the others,
+    each taking the next replicate not yet taken.  Results and failures are
+    kept in the order of the cells (M, then snr, then replicate, then rule),
+    so the output does not depend on the number of threads or on their
+    timing.  When a replicate raises anything but a `PipelineError`, or on
+    KeyboardInterrupt, no thread starts another replicate, and the exception
+    is raised once the running ones have ended.
 
     Each MSE is `compute_mse` of a component's estimated wavelet coefficients
     (the pipeline's ``output="coefficients"``) against the truth's, which
@@ -183,27 +223,38 @@ def run_study(config: StudyConfig):
     est_configs = {name: EstimationConfig(filter=filt, rule=RULES[name](), J0=config.J0,
                                           output="coefficients")
                    for name in config.rules}
-    results: list[ReplicateResult] = []
-    failures: list[ReplicateFailure] = []
+    jobs = []
     for M in config.m_values:
         gamma = _truth_coefficients(config.components, M, config.J0)
         for snr_index, snr in enumerate(config.snr_values):
             spec = DatasetSpec(components=config.components, M=M,
                                I=config.n_samples, snr=snr, seed=config.seed)
-            for rep in range(config.replicates):
-                dataset = generate_dataset(spec, spawn_key=(M, snr_index, rep))
-                for rule_name in config.rules:
-                    key = (config.study, rule_name, M, snr, rep)
-                    try:
-                        gamma_hat = estimate_components(
-                            dataset.observed, dataset.weights, est_configs[rule_name])
-                        mses = [compute_mse(gamma_hat[:, l], gamma[:, l])
-                                for l in range(len(config.components))]
-                    except PipelineError as exc:
-                        failures.append(ReplicateFailure(*key, exc.stage, str(exc)))
-                        continue
-                    results += [ReplicateResult(*key, comp, mse)
-                                for comp, mse in zip(config.components, mses)]
+            jobs += [(gamma, spec, snr_index, rep) for rep in range(config.replicates)]
+    outcomes: list = [None] * len(jobs)
+    unclaimed, lock, stop = iter(range(len(jobs))), threading.Lock(), threading.Event()
+
+    def work():
+        # run the next unclaimed replicate until none is left or a worker raised
+        while not stop.is_set():
+            with lock:
+                k = next(unclaimed, None)
+            if k is None:
+                return
+            try:
+                outcomes[k] = _run_replicate(config, est_configs, *jobs[k])
+            except BaseException:
+                stop.set()
+                raise
+
+    # this thread is one of the workers, so the pool has one thread fewer
+    helpers = min(_available_cpus(), len(jobs)) - 1
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for future in futures:
+            future.result()
+    results = [r for done, _ in outcomes for r in done]
+    failures = [f for _, failed in outcomes for f in failed]
     results.sort(key=_sort_key)
     return aggregate(results), results, failures
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wavecal import cli
+from wavecal import cli, simharness
 from wavecal.cli import _read_samples, main
 from wavecal.decomposition import EstimationConfig, estimate_components
 from wavecal.shrinkage import RULES
@@ -369,6 +369,29 @@ def test_simulate_bytes_match_the_checked_in_outputs(tmp_path, capsys):
         with open(os.path.join(GOLDEN, name), "rb") as want, \
                 open(tmp_path / name, "rb") as got:
             assert got.read() == want.read(), name
+
+
+def test_simulate_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
+    # run_study runs the replicates on one thread per available CPU; every
+    # report byte, the failures of the SNR 1e-300 cell and their order in
+    # run.json included, is the same for one CPU, two, and eight (one thread
+    # per dataset, more than the cores) with a short thread switch interval
+    outputs = []
+    interval = sys.getswitchinterval()
+    try:
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(simharness, "_available_cpus", lambda: cpus)
+            if cpus > 2:
+                sys.setswitchinterval(1e-6)
+            out = tmp_path / str(cpus)
+            assert main(["simulate", "--study", "1", "--m", "64", "--snr", "1e-300,3",
+                         "--replicates", "3", "--seed", "2", "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("replicates.csv", "amse.csv", "run.json")])
+    finally:
+        sys.setswitchinterval(interval)
+    assert "15 replicate(s) failed" in capsys.readouterr().err
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def write_scaled_dataset(tmp_path, scale):

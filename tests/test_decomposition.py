@@ -529,14 +529,12 @@ class TestNoSilentNonFiniteEstimate:
         with pytest.raises(PipelineError, match=r"^\[sigma\] sigma must be finite .* got 0\.0$"):
             estimate_components(zeros, dataset.weights, self.config(db10, rule))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_least_squares_overflow_names_its_stage(self, db10, dataset):
         for output in OUTPUTS:
             with pytest.raises(PipelineError, match=r"\[least-squares\] output has NaN or inf"):
                 estimate_components(dataset.observed * 1e300, dataset.weights * 1e-12,
                                     self.config(db10, "lpm", output))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_inverse_transform_overflow_names_its_stage(self, db10, dataset, monkeypatch):
         monkeypatch.setattr(decomposition, "solve_gamma",
                             lambda shrunk, weights: np.full((64, 2), 1e308))
@@ -667,9 +665,28 @@ class TestRuleIndependentMemo:
             estimate_components(dataset.observed, dataset.weights, self.config(db10))
         assert decomposition._transformed.entry is None
 
+    def test_each_thread_keeps_its_own_entry(self, db10, dataset, forward_calls):
+        # run_study's worker threads each run whole datasets: another thread
+        # neither sees this thread's entry nor replaces it
+        config = self.config(db10)
+        estimate_components(dataset.observed, dataset.weights, config)
+        entry = decomposition._transformed.entry
+        seen = []
+
+        def other():
+            seen.append(decomposition._transformed.entry)
+            estimate_components(dataset.observed, dataset.weights, config)
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert seen == [None] and len(forward_calls) == 2
+        assert decomposition._transformed.entry is entry
+
     def test_threads_sharing_the_memo(self, db10):
-        # each call reads the cache entry once and replaces it whole; alternating
-        # datasets across threads must never mix one's coefficients into another
+        # each thread keeps its own cache entry; alternating datasets across
+        # threads must never mix one's coefficients into another
         datasets = [generate_dataset(DatasetSpec(components=("bumps", "blocks"), M=64,
                                                  I=6, snr=3.0, seed=s)) for s in (1, 2)]
         configs = [self.config(db10, rule) for rule in ("lpm", "bams")]

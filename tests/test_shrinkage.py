@@ -984,6 +984,21 @@ class TestHypothesisProperties:
         assert abs(rule(c * d, c * sigma) - c * rule(d, sigma)) <= 1e-13 * abs(c * d)
 
     @_PROPERTY_SETTINGS
+    @given(d=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 6)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+                        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.7e308, -1.7e308])),
+           cuts=st.sets(st.integers(1, 39), max_size=5))
+    @example(d=np.array([[0.0, -0.0, 0.0, 5e-324], [0.0, -0.0, -0.0, -0.0],
+                         [0.0, -0.0, -0.0, -1e-310], [0.0, -0.0, 0.0, 0.0]]), cuts={2})
+    def test_level_peaks_bits_match_the_abs_reduction(self, d, cuts):
+        # shrink_pyramid's m(j) without an |d| temporary, on levels of any
+        # lengths, including levels of signed zeros only
+        starts = [0] + sorted(k for k in cuts if k < len(d))
+        want = np.maximum.reduceat(np.abs(d), starts, axis=0)
+        got = shrinkage._level_peaks(d, starts)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @_PROPERTY_SETTINGS
     @given(d=arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 6)),
                     elements=st.floats() | st.sampled_from(
                         [0.0, -0.0, 5e-324, -1e-310, 1e300, -1e300, np.inf, -np.inf, np.nan])),

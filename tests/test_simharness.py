@@ -22,6 +22,13 @@ from wavecal.testbed import DatasetSpec, _truth, generate_dataset
 from wavecal.wavelet import make_filter, transform_columns
 
 
+def replicate_dataset(cfg, M, snr_index, rep):
+    """Replicate ``rep`` of the study's cell (M, snr_values[snr_index])."""
+    spec = DatasetSpec(cfg.components, M=M, I=cfg.n_samples,
+                       snr=cfg.snr_values[snr_index], seed=cfg.seed)
+    return generate_dataset(spec, spawn_key=(M, snr_index, rep))
+
+
 class TestComputeMse:
     def test_zero_for_equal(self):
         x = np.arange(10.0)
@@ -119,7 +126,9 @@ class TestRunStudy:
 
     def test_replicates_are_substreams_of_the_study_seed(self, monkeypatch):
         # replicate r of cell (M, snr) is generate_dataset(spec, spawn_key=(M,
-        # snr_index, r)) bit for bit, the contract the checked-in bytes rest on
+        # snr_index, r)) bit for bit, the contract the checked-in bytes rest
+        # on; the replicates run on worker threads, so each call is matched
+        # to its spawn key by its bits, not by its place in the call order
         seen = []
         real = sh.estimate_components
 
@@ -131,53 +140,75 @@ class TestRunStudy:
         cfg = StudyConfig(study=2, m_values=(64, 128), snr_values=(3.0, 9.0),
                           replicates=2, rules=("lpm",), seed=11, n_samples=8)
         run_study(cfg)
-        cells = [(M, i, snr, r) for M in cfg.m_values
-                 for i, snr in enumerate(cfg.snr_values) for r in range(cfg.replicates)]
-        assert len(seen) == len(cells)
-        for (observed, weights), (M, i, snr, r) in zip(seen, cells):
-            spec = DatasetSpec(cfg.components, M=M, I=cfg.n_samples, snr=snr, seed=cfg.seed)
-            want = generate_dataset(spec, spawn_key=(M, i, r))
-            assert np.array_equal(observed.view(np.uint64), want.observed.view(np.uint64))
-            assert np.array_equal(weights.view(np.uint64), want.weights.view(np.uint64))
+        cells = [(M, i, r) for M in cfg.m_values
+                 for i in range(len(cfg.snr_values)) for r in range(cfg.replicates)]
+        datasets = {cell: replicate_dataset(cfg, *cell) for cell in cells}
+        key_of = {ds.observed.tobytes(): cell for cell, ds in datasets.items()}
+        assert len(key_of) == len(cells)
+        matched = []
+        for observed, weights in seen:
+            cell = key_of[observed.tobytes()]
+            assert np.array_equal(weights.view(np.uint64),
+                                  datasets[cell].weights.view(np.uint64))
+            matched.append(cell)
+        assert sorted(matched) == cells  # each replicate once
 
     def test_failures_recorded_and_study_continues(self, monkeypatch):
-        calls = {"n": 0}
+        cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
+                          replicates=2, rules=("lpm",), seed=1, n_samples=8)
+        first = replicate_dataset(cfg, 64, 0, 0).observed.tobytes()
         real = sh.estimate_components
 
         def flaky(observed, weights, config):
-            calls["n"] += 1
-            if calls["n"] == 1:
+            if observed.tobytes() == first:
                 raise PipelineError("shrinkage", "synthetic failure")
             return real(observed, weights, config)
 
         monkeypatch.setattr(sh, "estimate_components", flaky)
-        cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
-                          replicates=2, rules=("lpm",), seed=1, n_samples=8)
         rows, stream, failures = run_study(cfg)
-        assert len(failures) == 1
-        assert failures[0].stage == "shrinkage"
+        assert [(f.replicate, f.stage) for f in failures] == [(0, "shrinkage")]
         assert len(stream) == 2  # one surviving replicate x two components
         assert all(row.n == 1 for row in rows)
 
     def test_one_non_finite_component_fails_only_its_cell(self, monkeypatch):
-        calls = {"n": 0}
+        cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
+                          replicates=2, rules=("lpm", "abe"), seed=4, n_samples=8)
+        first = replicate_dataset(cfg, 64, 0, 0).observed.tobytes()
         real = sh.estimate_components
 
         def overflowing(observed, weights, config):
-            calls["n"] += 1
             alpha = real(observed, weights, config)
-            if calls["n"] == 2:  # replicate 0, abe
+            if observed.tobytes() == first and isinstance(config.rule, RULES["abe"]):
                 alpha[:, 1] = 1e300  # its squared error overflows
             return alpha
 
         monkeypatch.setattr(sh, "estimate_components", overflowing)
-        cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
-                          replicates=2, rules=("lpm", "abe"), seed=4, n_samples=8)
         rows, stream, failures = run_study(cfg)
         assert [(f.rule, f.replicate, f.stage) for f in failures] == [("abe", 0, "mse")]
         assert sorted((r.rule, r.replicate, r.component) for r in stream) == sorted(
             (rule, rep, comp) for rule, rep in (("lpm", 0), ("lpm", 1), ("abe", 1))
             for comp in cfg.components)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_an_exception_stops_every_worker(self, monkeypatch, error):
+        # anything but a PipelineError, raised by any worker, ends the study:
+        # no thread starts another replicate, and the exception reaches the caller
+        generated = []
+        real = sh.generate_dataset
+
+        def failing(spec, spawn_key):
+            generated.append(spawn_key)
+            if spawn_key[2] == 0:
+                raise error("synthetic")
+            return real(spec, spawn_key=spawn_key)
+
+        monkeypatch.setattr(sh, "generate_dataset", failing)
+        monkeypatch.setattr(sh, "_available_cpus", lambda: 4)
+        cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,), replicates=40,
+                          rules=("lpm",), n_samples=8)
+        with pytest.raises(error, match="synthetic"):
+            run_study(cfg)
+        assert (64, 0, 0) in generated and len(generated) < 20
 
     @pytest.mark.parametrize("study", [1, 2, 3])
     def test_mses_are_the_curve_mses(self, study):
@@ -191,8 +222,7 @@ class TestRunStudy:
         filt = make_filter("daubechies", sh.VANISHING_MOMENTS)
         for M in cfg.m_values:
             for i, snr in enumerate(cfg.snr_values):
-                spec = DatasetSpec(cfg.components, M=M, I=cfg.n_samples, snr=snr, seed=cfg.seed)
-                ds = generate_dataset(spec, spawn_key=(M, i, 0))
+                ds = replicate_dataset(cfg, M, i, 0)
                 for rule in cfg.rules:
                     alpha = estimate_components(ds.observed, ds.weights, EstimationConfig(
                         filter=filt, rule=RULES[rule](), J0=cfg.J0))
@@ -291,23 +321,23 @@ class TestEmitReports:
         assert payload["incomplete_cells"] == []
 
     def test_incomplete_cells_flagged(self, tmp_path, monkeypatch):
-        calls = {"n": 0}
+        cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
+                          replicates=2, rules=("abe",), seed=2, n_samples=8)
+        first = replicate_dataset(cfg, 64, 0, 0).observed.tobytes()
         real = sh.estimate_components
 
         def flaky(observed, weights, config):
-            calls["n"] += 1
-            if calls["n"] == 1:
+            if observed.tobytes() == first:
                 raise PipelineError("least-squares", "synthetic")
             return real(observed, weights, config)
 
         monkeypatch.setattr(sh, "estimate_components", flaky)
-        cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
-                          replicates=2, rules=("abe",), seed=2, n_samples=8)
         rows, stream, failures = run_study(cfg)
         paths = emit_reports(rows, stream, tmp_path, config=cfg, failures=failures)
         payload = json.loads(Path(paths["run"]).read_text())
         assert len(payload["failed_replicates"]) == 1
         assert payload["failed_replicates"][0]["stage"] == "least-squares"
+        assert payload["failed_replicates"][0]["replicate"] == 0
         assert len(payload["incomplete_cells"]) == 2  # both components short one rep
 
 
