@@ -23,6 +23,12 @@ TypeError or ArithmeticError becomes a `PipelineError` naming the stage
 (`_stage`); the transform, least-squares and inverse stages let numpy
 overflow silently and check their output instead, so a pipeline call emits
 no numpy warning there.
+
+On its first call in a process, `estimate_components` runs
+`_keep_freed_heap`, which allocates and frees one untouched 16 MiB array.
+Under glibc, that raises the heap's mmap and trim thresholds (see the
+helper), so the freed temporaries of each shrinkage block stay in the
+process for the next block instead of going back to the kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -140,6 +146,22 @@ _pseudoinverse = _LastResult()
 _transformed = _LastResult()
 
 
+@lru_cache(maxsize=None)  # once per process
+def _keep_freed_heap() -> None:
+    """Allocate and free one untouched 16 MiB array.
+
+    glibc serves it with mmap, and freeing it raises the mmap threshold to its
+    size and the trim threshold to twice that (the dynamic threshold rule of
+    mallopt(3), which goes up to 32 MiB), as freeing any array that large
+    would.  Afterwards the shrinkage blocks' temporaries come from the heap,
+    and free() keeps them for the next block instead of returning them to
+    the kernel, which would fault them in again.  No page of the array is
+    touched, so the resident memory does not grow; under another C library
+    this does nothing.
+    """
+    np.empty(16 << 20, np.uint8)
+
+
 @contextmanager
 def _stage(name: str):
     """Raise a failure inside the block as a PipelineError at stage ``name``."""
@@ -229,6 +251,7 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
     ``input`` stage, and a non-finite estimate at the first stage whose
     output is not finite.
     """
+    _keep_freed_heap()
     A = np.asarray(observed, dtype=float)
     y = np.asarray(weights, dtype=float)
     if A.ndim != 2:

@@ -29,8 +29,9 @@ per level instead.
 Pyramid, the level views of one flat coefficient matrix, and writes the
 result into one new matrix of the same layout, the coarse rows copied
 unchanged.  It hands the detail rows to the rule in blocks of whole rows
-that cross level boundaries, which bounds the elementwise temporaries of
-every rule (`_BLOCK_COEFFICIENTS`).  `log` and `beta` always take the level-
+that cross level boundaries, large enough that each numpy pass of a rule
+outlasts handing the interpreter lock to another of `run_study`'s worker
+threads (`_BLOCK_COEFFICIENTS`).  `log` and `beta` always take the level-
 dependent p(j) and m(j) of Angelini and Vidakovic (2004), resolved once per
 level, and each block passes its rows' values to their kernels,
 `_logistic_from_table` and `_beta_kernel`.  Every rule's result at a
@@ -112,12 +113,13 @@ BAMS_ALPHA = 0.8
 
 # The number of coefficients `shrink_pyramid` aims to hand to one rule call:
 # it splits the detail rows into round(coefficients / _BLOCK_COEFFICIENTS)
-# blocks of equal row counts that cross level boundaries.  This bounds the
-# elementwise temporaries of a rule, about 100 KiB each, which stay in L2
-# cache; a sweep of all five rules over M = 512 and M = 1024 pyramids
-# (I = 50, BENCH_25.json) found the blocks it gives there fastest: 2 of 252
-# rows and 4 of 254 rows.
-_BLOCK_COEFFICIENTS = 12800
+# blocks of equal row counts that cross level boundaries, 1 of 504 rows at
+# M = 512 and 2 of 508 rows at M = 1024 (I = 50).  With two of `run_study`'s
+# worker threads, half this size made each numpy pass about 5 us, about what
+# handing the interpreter lock to the other worker costs.  Together with the
+# heap kept by `decomposition._keep_freed_heap`, this size gave study 3 at
+# M = 1024 18% more replicates per second on two CPUs (BENCH_30.json).
+_BLOCK_COEFFICIENTS = 25600
 
 # Largest number of node-grid values `_grid_sums` holds at once: 256 KiB,
 # which stays in L2 cache and is reused for every chunk of a rule call.

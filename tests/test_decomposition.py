@@ -1,5 +1,7 @@
 """Least-squares recovery and the end-to-end estimation pipeline."""
 
+import platform
+import subprocess
 import sys
 import threading
 from dataclasses import fields, replace
@@ -714,6 +716,38 @@ class TestRuleIndependentMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+# Minor page faults of 20 beta calls on one study-3 dataset after a warm-up
+# call, in a fresh interpreter, whose heap no earlier test has grown
+_FAULTS_OF_REPEATED_CALLS = """
+import resource
+from wavecal.decomposition import EstimationConfig, estimate_components
+from wavecal.shrinkage import Beta
+from wavecal.simharness import STUDY_COMPONENTS
+from wavecal.testbed import DatasetSpec, generate_dataset
+from wavecal.wavelet import make_filter
+
+ds = generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[3], M=1024, I=50,
+                                  snr=3.0, seed=5))
+config = EstimationConfig(filter=make_filter("daubechies", 10), rule=Beta(), J0=3)
+estimate_components(ds.observed, ds.weights, config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    estimate_components(ds.observed, ds.weights, config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the kept heap rests on glibc's dynamic mmap threshold")
+def test_repeated_calls_keep_their_heap():
+    # the shrinkage blocks' temporaries are reused from the heap, not handed
+    # back to the kernel and faulted in again on every block
+    run = subprocess.run([sys.executable, "-c", _FAULTS_OF_REPEATED_CALLS],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 200
 
 
 def test_estimates_csv_round_trip(tmp_path):

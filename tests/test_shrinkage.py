@@ -5,6 +5,7 @@ import sys
 import time
 import warnings
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -750,13 +751,16 @@ class TestRowBlocks:
     @pytest.mark.parametrize("use_policy", [False, True])
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(J0=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e3),
-           noise=st.sampled_from([1.0, 0.3, 8.0, 30.0]), dead=st.booleans())
-    def test_matches_per_level_loop(self, name, use_policy, J0, seed, scale, noise, dead):
+           noise=st.sampled_from([1.0, 0.3, 8.0, 30.0]), dead=st.booleans(),
+           block=st.sampled_from([shrinkage._BLOCK_COEFFICIENTS, 1000]))
+    def test_matches_per_level_loop(self, name, use_policy, J0, seed, scale, noise, dead,
+                                    block):
         # M = 2^J from 8 to 2048 and I from 1 to 60 are drawn uniformly from
-        # the seed, and one pyramid in five is 1-D, so that many span several
-        # row blocks; sigma = noise * scale.  At noise 8 and 30 sigma is large
-        # against |d|, so that the beta supports are narrow, some or all of
-        # them, and take the Hermite series
+        # the seed, and one pyramid in five is 1-D; sigma = noise * scale.
+        # Blocks of 1000 coefficients make most of these small pyramids span
+        # several row blocks.  At noise 8 and 30 sigma is large against |d|,
+        # so that the beta supports are narrow, some or all of them, and take
+        # the Hermite series
         rng = np.random.default_rng(seed)
         J, I = int(rng.integers(max(3, J0 + 1), 12)), int(rng.integers(1, 61))
         one_d = rng.random() < 0.2
@@ -770,7 +774,8 @@ class TestRowBlocks:
         pyr = Pyramid(flat, J0)
         spec = resolve_rule(shrinkage.RULES[name](), noise * scale)
         policy = LevelPolicy(J0=J0) if use_policy else None
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), \
+                mock.patch.object(shrinkage, "_BLOCK_COEFFICIENTS", block):
             warnings.simplefilter("error")
             got = shrink_pyramid(pyr, spec, policy).flat
             want = per_level_shrink(pyr, spec).flat
