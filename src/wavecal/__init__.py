@@ -41,8 +41,10 @@ from .testbed import (
 from .decomposition import (
     EstimationConfig,
     PipelineError,
+    Prepared,
     RankDeficiencyError,
     estimate_components,
+    prepare,
     solve_gamma,
 )
 from .simharness import (
@@ -63,8 +65,8 @@ __all__ = [
     "logistic_rule", "lpm_rule", "resolve_rule", "shrink_pyramid",
     "COMPONENT_NAMES", "Dataset", "DatasetSpec", "draw_weights",
     "eval_component", "generate_dataset", "sample_grid", "sigma_for_snr",
-    "EstimationConfig", "PipelineError", "RankDeficiencyError",
-    "estimate_components", "solve_gamma",
+    "EstimationConfig", "PipelineError", "Prepared", "RankDeficiencyError",
+    "estimate_components", "prepare", "solve_gamma",
     "ReplicateResult", "StudyConfig", "compute_mse",
     "emit_reports", "run_study",
 ]

@@ -9,35 +9,34 @@ the pipeline stops before the inverse and returns the components' wavelet
 coefficients, which `run_study` scores.
 
 The forward transform, the pooled noise estimate and the pseudo-inverse of
-the weights do not depend on the rule, and a study runs every rule on the
-same dataset, so each is kept in a one-entry cache per thread (`_LastResult`)
-for the last key that thread saw: (observed, weights, filter taps, J0) for
-the coefficients and sigma-hat, the weights for the pseudo-inverse.  Keys
-are read-only copies compared bit for bit, so a hit returns the same bits as
-a recomputation; the cached arrays are read-only.  The first stage checks both
-inputs and the coefficients, so the cache holds only finite inputs with
-finite coefficients, and a later rule call on them skips the finiteness
-passes.  The least-squares stage takes one thin SVD of the weights, which
-serves both the rank check and the pseudo-inverse.  Each stage's ValueError,
-TypeError or ArithmeticError becomes a `PipelineError` naming the stage
-(`_stage`); the transform, least-squares and inverse stages let numpy
-overflow silently and check their output instead, so a pipeline call emits
-no numpy warning there.
+the weights do not depend on the rule.  `prepare` runs them once per
+dataset, after checking both inputs, and returns them as an immutable
+`Prepared` dataset: read-only arrays computed afresh, so that later edits
+to the caller's arrays do not reach it.  One thin SVD of the weights serves
+both the rank check and the pseudo-inverse; when the weights have no usable
+pseudo-inverse, the `Prepared` keeps the error, and each rule call raises it
+at its least-squares stage, after its own shrinkage, as a one-shot call
+would.  `estimate_components` takes the raw inputs or a `Prepared` dataset,
+so a study runs every rule on one `Prepared` while `wavecal estimate` makes
+one call.  Nothing per dataset is kept at module or thread level.  Each
+stage's ValueError, TypeError or ArithmeticError becomes a `PipelineError`
+naming the stage (`_stage`); the transform, least-squares and inverse
+stages let numpy overflow silently and check their output instead, so a
+pipeline call emits no numpy warning there.
 
-On its first call in a process, `estimate_components` runs
-`_keep_freed_heap`, which allocates and frees one untouched 16 MiB array.
-Under glibc, that raises the heap's mmap and trim thresholds (see the
-helper), so the freed temporaries of each shrinkage block stay in the
-process for the next block instead of going back to the kernel.
+On its first call in a process, `prepare` runs `_keep_freed_heap`, which
+allocates and frees one untouched 16 MiB array.  Under glibc, that raises
+the heap's mmap and trim thresholds (see the helper), so the freed
+temporaries of each shrinkage block stay in the process for the next block
+instead of going back to the kernel.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Union
 
 import numpy as np
 
@@ -50,6 +49,8 @@ __all__ = [
     "PipelineError",
     "RankDeficiencyError",
     "EstimationConfig",
+    "Prepared",
+    "prepare",
     "solve_gamma",
     "estimate_components",
     "estimates_to_csv",
@@ -115,37 +116,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class _LastResult(threading.local):
-    """A one-entry cache of the value computed for the last key, a tuple of
-    float64 arrays and plain values, one entry per thread: `run_study`'s
-    workers each run whole datasets, so each keeps its own last dataset.
-    The entry, (key, value), keeps read-only copies of the key's arrays; a
-    miss replaces it whole, and nothing is stored when the computation
-    raises."""
-
-    def __init__(self):
-        self.entry: Optional[tuple] = None
-
-    def get(self, key: tuple, compute):
-        entry = self.entry
-        # float64 arrays bit for bit, so that a hit returns exactly what a
-        # recomputation would (array_equal alone equates 0.0 and -0.0)
-        if entry is not None and all(
-                np.array_equal(a.view(np.uint64), b.view(np.uint64))
-                if isinstance(a, np.ndarray) else a == b for a, b in zip(entry[0], key)):
-            return entry[1]
-        value = compute()
-        self.entry = (tuple(_read_only(k.copy()) if isinstance(k, np.ndarray) else k
-                            for k in key), value)
-        return value
-
-
-# the pseudo-inverse V diag(1/s) U^T of the last full-rank weights
-_pseudoinverse = _LastResult()
-# (flat coefficients, pooled sigma-hat) of the last (observed, filter taps, J0)
-_transformed = _LastResult()
-
-
 @lru_cache(maxsize=None)  # once per process
 def _keep_freed_heap() -> None:
     """Allocate and free one untouched 16 MiB array.
@@ -173,7 +143,32 @@ def _stage(name: str):
         raise PipelineError(name, f"{type(exc).__name__}: {exc}") from exc
 
 
-def _pinv(y: np.ndarray, L: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """One dataset after the stages that do not depend on the rule (`prepare`).
+
+    ``coefficients`` is the read-only M x I forward transform of the observed
+    matrix in the flat pyramid layout, and ``sigma`` its pooled sigma-hat.
+    ``pseudoinverse`` is the read-only I x L pseudo-inverse of the weights, or
+    the error (a RankDeficiencyError, say) that the least-squares stage of
+    each rule call raises for them.  ``low_pass`` and ``J0`` are the filter
+    taps and the level it was built with.
+    """
+
+    coefficients: np.ndarray
+    sigma: float
+    pseudoinverse: Union[np.ndarray, Exception]
+    low_pass: np.ndarray
+    J0: int
+
+
+def _pinv(y: np.ndarray) -> np.ndarray:
+    """The read-only pseudo-inverse V diag(1/s) U^T of full-rank L x I weights."""
+    L, I = y.shape
+    if L == 0:
+        raise ValueError("weights have no rows: no component to solve for")
+    if I < L:
+        raise RankDeficiencyError(f"underdetermined mixing: L={L} components, I={I} samples")
     u, svals, vt = np.linalg.svd(y, full_matrices=False)
     # the rank a least-squares solver with rcond = _RANK_RTOL would use
     rank = int(np.sum(svals > _RANK_RTOL * svals[0]))
@@ -188,29 +183,30 @@ def _pinv(y: np.ndarray, L: int) -> np.ndarray:
     return _read_only(pinv)
 
 
-def solve_gamma(shrunk: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def solve_gamma(shrunk: np.ndarray, weights: Union[np.ndarray, Prepared]) -> np.ndarray:
     """Least-squares recovery of component coefficients.
 
     Returns the M x L matrix minimizing ||shrunk - gamma @ weights||_F,
     computed as shrunk @ pinv(weights) from the thin SVD
     weights = U diag(s) V^T, i.e. shrunk @ V diag(1/s) U^T (never by forming
     (y y^T)^-1).  Raises RankDeficiencyError when the smallest singular value
-    of the weights falls below 1e-10 times the largest.  Weights with the
-    bits of the last full-rank weights reuse their pseudo-inverse, and get
-    the same result.
+    of the weights falls below 1e-10 times the largest.  ``weights`` may also
+    be a `Prepared` dataset, whose pseudo-inverse is used, or whose error is
+    raised.
     """
     D = np.asarray(shrunk, dtype=float)
+    if isinstance(weights, Prepared):
+        pinv = weights.pseudoinverse
+        if isinstance(pinv, Exception):
+            raise type(pinv)(*pinv.args)  # a fresh exception for each call
+        return D @ pinv
     y = np.asarray(weights, dtype=float)
     if D.ndim != 2 or y.ndim != 2:
         raise ValueError("solve_gamma expects 2-D arrays")
-    L, I = y.shape
-    if D.shape[1] != I:
-        raise ValueError(f"coefficient matrix has {D.shape[1]} columns, weights have {I}")
-    if L == 0:
-        raise ValueError("weights have no rows: no component to solve for")
-    if I < L:
-        raise RankDeficiencyError(f"underdetermined mixing: L={L} components, I={I} samples")
-    return D @ _pseudoinverse.get((y,), partial(_pinv, y, L))
+    if D.shape[1] != y.shape[1]:
+        raise ValueError(f"coefficient matrix has {D.shape[1]} columns, "
+                         f"weights have {y.shape[1]}")
+    return D @ _pinv(y)
 
 
 def _check_finite(name: str, values: np.ndarray) -> None:
@@ -220,36 +216,16 @@ def _check_finite(name: str, values: np.ndarray) -> None:
                                      f"{', '.join(map(str, bad))}")
 
 
-def _rule_independent_stages(A: np.ndarray, y: np.ndarray, config: EstimationConfig):
-    """(read-only flat coefficients, pooled sigma-hat) of the observed matrix.
+def prepare(observed: np.ndarray, weights: np.ndarray,
+            config: EstimationConfig) -> Prepared:
+    """Run the stages of `estimate_components` that do not depend on the rule.
 
-    Both inputs are checked first, observed before weights, so that a bad
-    input is named before any stage fails and only finite inputs are
-    cached.  Finite input whose transform overflows fails here, at the
-    transform, and is not cached either."""
-    _check_finite("observed", A)
-    _check_finite("weights", y)
-    with _stage("transform"), np.errstate(over="ignore", invalid="ignore"):
-        D = transform_columns(A, config.filter, config.J0, "forward")
-    if not np.isfinite(D).all():
-        raise PipelineError("transform", "output has NaN or inf")
-    with _stage("sigma"):
-        sigma = float(np.mean(estimate_sigma(D[A.shape[0] // 2:])))
-    return _read_only(D), sigma
-
-
-def estimate_components(observed: np.ndarray, weights: np.ndarray,
-                        config: EstimationConfig) -> np.ndarray:
-    """Estimate the M x L component matrix from M x I aggregated samples.
-
-    Stages: forward transform -> noise-scale estimation -> coefficientwise
-    shrinkage -> least squares through the weights -> inverse transform,
-    which ``config.output == "coefficients"`` leaves out (the result is then
-    the least-squares coefficients).  The first two, and the weights'
-    pseudo-inverse, are cached (see the module docstring).  Errors carry the
-    failing stage name; NaN or inf in either input is rejected at the
-    ``input`` stage, and a non-finite estimate at the first stage whose
-    output is not finite.
+    Checks both inputs, observed before weights, transforms the observed
+    matrix with ``config``'s filter down to its J0, pools sigma-hat, and
+    takes the pseudo-inverse of the weights.  A failure of the input,
+    transform or sigma stage is raised here, as a `PipelineError` naming the
+    stage; a least-squares failure is kept in the result (see `Prepared`).
+    ``config.rule`` and ``config.output`` are not used.
     """
     _keep_freed_heap()
     A = np.asarray(observed, dtype=float)
@@ -259,20 +235,61 @@ def estimate_components(observed: np.ndarray, weights: np.ndarray,
     if y.ndim != 2 or y.shape[1] != A.shape[1] or y.shape[0] == 0:
         raise PipelineError("input", f"weights shape {y.shape} is not L x {A.shape[1]} "
                                      f"with L >= 1, for {A.shape[1]} observed samples")
-    D, sigma = _transformed.get((A, y, config.filter.low_pass, config.J0),
-                                partial(_rule_independent_stages, A, y, config))
+    _check_finite("observed", A)
+    _check_finite("weights", y)
+    with _stage("transform"), np.errstate(over="ignore", invalid="ignore"):
+        D = transform_columns(A, config.filter, config.J0, "forward")
+    if not np.isfinite(D).all():
+        raise PipelineError("transform", "output has NaN or inf")
     with _stage("sigma"):
-        rule = resolve_rule(config.rule, sigma)
+        sigma = float(np.mean(estimate_sigma(D[A.shape[0] // 2:])))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            pinv = _pinv(y)
+    except (ValueError, TypeError, ArithmeticError) as exc:  # as `_stage` names them
+        # each rule call raises it at its least-squares stage
+        pinv = exc
+    return Prepared(_read_only(D), sigma, pinv, config.filter.low_pass, config.J0)
+
+
+def estimate_components(observed: Union[np.ndarray, Prepared], weights: Optional[np.ndarray],
+                        config: EstimationConfig) -> np.ndarray:
+    """Estimate the M x L component matrix from M x I aggregated samples.
+
+    Stages: forward transform -> noise-scale estimation -> coefficientwise
+    shrinkage -> least squares through the weights -> inverse transform,
+    which ``config.output == "coefficients"`` leaves out (the result is then
+    the least-squares coefficients).  ``observed`` may be a `Prepared`
+    dataset instead, with ``weights=None``: the call then runs only the
+    stages from shrinkage on, with the bits of a call on the raw inputs.  It
+    must have been prepared with ``config``'s filter taps and J0.  Errors
+    carry the failing stage name; NaN or inf in either input is rejected at
+    the ``input`` stage, and a non-finite estimate at the first stage whose
+    output is not finite.
+    """
+    if isinstance(observed, Prepared):
+        prepared = observed
+        if weights is not None:
+            raise PipelineError("input", "a Prepared dataset takes weights=None, "
+                                         "its weights are already in it")
+        if prepared.J0 != config.J0 or not np.array_equal(
+                prepared.low_pass.view(np.uint64), config.filter.low_pass.view(np.uint64)):
+            raise PipelineError("input", "the dataset was prepared with another filter "
+                                         "or J0 than the config's")
+    else:
+        prepared = prepare(observed, weights, config)
+    with _stage("sigma"):
+        rule = resolve_rule(config.rule, prepared.sigma)
     with _stage("shrinkage"):
-        shrunk = shrink_pyramid(Pyramid(D, config.J0), rule).flat
+        shrunk = shrink_pyramid(Pyramid(prepared.coefficients, config.J0), rule).flat
     # an overflow in the last two stages is named by the check below, not warned of
     with _stage("least-squares"), np.errstate(over="ignore", invalid="ignore"):
-        estimate = gamma = solve_gamma(shrunk, y)
+        estimate = gamma = solve_gamma(shrunk, prepared)
     if config.output == "curves":
         with _stage("inverse-transform"), np.errstate(over="ignore", invalid="ignore"):
             estimate = transform_columns(gamma, config.filter, config.J0, "inverse")
     if not np.isfinite(estimate).all():  # NaN and inf reach all later stages; name the first
-        stages = (("sigma", sigma), ("shrinkage", shrunk), ("least-squares", gamma))
+        stages = (("sigma", prepared.sigma), ("shrinkage", shrunk), ("least-squares", gamma))
         raise PipelineError(next((name for name, out in stages if not np.isfinite(out).all()),
                                  "inverse-transform"), "output has NaN or inf")
     return estimate

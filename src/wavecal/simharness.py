@@ -2,12 +2,16 @@
 
 Three canned studies aggregate L = 2, 4 and 6 component functions.  For each
 (M, SNR) cell, N replicate datasets are generated from per-replicate RNG
-substreams and every shrinkage rule is run on the identical dataset within a
-replicate, so rule comparisons are paired; the replicates run on one worker
-thread per available CPU, with the same output for any number of threads.  Per-component mean squared errors
-(`run_study`) are aggregated into AMSE tables and serialized as CSV/JSON with
-17 significant digits (bitwise round-trip for 64-bit floats).  The true
-curves and their wavelet coefficients are computed once per process.
+substreams.  Each replicate dataset is prepared once (`prepare`: input
+checks, forward transform, sigma-hat, pseudo-inverse of the weights), and
+every shrinkage rule then runs on that identical prepared dataset, so rule
+comparisons are paired.  The replicates run on one worker thread per
+available CPU, with the same output for any number of threads.
+Per-component mean squared errors (`run_study`), one `compute_mse` call
+per rule over all components, are aggregated into AMSE tables and
+serialized as CSV/JSON with 17 significant digits (bitwise round-trip for
+64-bit floats).  The true curves and their wavelet coefficients are computed
+once per process.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .decomposition import EstimationConfig, PipelineError, _read_only, estimate_components
+from .decomposition import (EstimationConfig, PipelineError, _read_only, estimate_components,
+                            prepare)
 from .shrinkage import (DEFAULT_J0, POLICY_GAMMA, POLICY_RULES, RULES, check_integer,
                         rule_defaults)
 from .testbed import COMPONENT_NAMES, DatasetSpec, _fmt, _truth, _write_csv, generate_dataset
@@ -134,20 +139,28 @@ class AmseRow(_Cell):
     n: int
 
 
-def compute_mse(estimate: np.ndarray, truth: np.ndarray) -> float:
-    """Mean squared error (1/M) sum (est - truth)^2 over M values; PipelineError
-    at the ``mse`` stage when it is not finite."""
+def compute_mse(estimate: np.ndarray, truth: np.ndarray):
+    """Mean squared error (1/M) sum (est - truth)^2 over the M values of a
+    vector, as a float, or over each column of an M x L matrix, as an array
+    of L; PipelineError at the ``mse`` stage when an MSE is not finite,
+    naming the first such column's value."""
     est = np.asarray(estimate, dtype=float)
     tr = np.asarray(truth, dtype=float)
     if est.shape != tr.shape:
         raise ValueError(f"length mismatch: {est.shape} vs {tr.shape}")
-    with np.errstate(over="ignore"):
-        squares = np.subtract(est, tr)
+    if est.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or an M x L matrix, got shape {est.shape}")
+    M = est.shape[0]
+    # each column's squares are one contiguous row of an L x M array, so its
+    # MSE has the bits of np.mean on that column alone
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, named below
+        squares = np.subtract(est.reshape(M, -1).T, tr.reshape(M, -1).T, order="C")
         squares *= squares
-        mse = float(np.add.reduce(squares, axis=None) / squares.size)  # np.mean's bits
-    if not np.isfinite(mse):
-        raise PipelineError("mse", f"the mean squared error is {mse}")
-    return mse
+        mse = np.add.reduce(squares, axis=1) / M
+    bad = mse[~np.isfinite(mse)]
+    if bad.size:
+        raise PipelineError("mse", f"the mean squared error is {float(bad[0])}")
+    return float(mse[0]) if est.ndim == 1 else mse
 
 
 @lru_cache(maxsize=16)
@@ -177,32 +190,39 @@ def _available_cpus() -> int:
 def _run_replicate(config: StudyConfig, est_configs: dict, gamma: np.ndarray,
                    spec: DatasetSpec, snr_index: int, rep: int):
     """(results, failures) of every rule of the study on one replicate
-    dataset, in rule order."""
+    dataset, prepared once, in rule order."""
     dataset = generate_dataset(spec, spawn_key=(spec.M, snr_index, rep))
     results: list[ReplicateResult] = []
     failures: list[ReplicateFailure] = []
+    try:  # the rules' configs differ in the rule alone
+        prepared, failure = prepare(dataset.observed, dataset.weights,
+                                    next(iter(est_configs.values()))), None
+    except PipelineError as exc:  # every rule fails with it, as each call would
+        prepared, failure = None, exc
     for rule_name, est_config in est_configs.items():
         key = (config.study, rule_name, spec.M, config.snr_values[snr_index], rep)
         try:
-            gamma_hat = estimate_components(dataset.observed, dataset.weights, est_config)
-            mses = [compute_mse(gamma_hat[:, l], gamma[:, l])
-                    for l in range(len(config.components))]
+            if failure is not None:
+                raise failure
+            mses = compute_mse(estimate_components(prepared, None, est_config), gamma)
         except PipelineError as exc:
             failures.append(ReplicateFailure(*key, exc.stage, str(exc)))
             continue
         results += [ReplicateResult(*key, comp, mse)
-                    for comp, mse in zip(config.components, mses)]
+                    for comp, mse in zip(config.components, mses.tolist())]
     return results, failures
 
 
 def run_study(config: StudyConfig):
     """Run the replicate loop.
 
-    Returns (aggregate(results), results, failures).  Within one replicate
-    all rules see the identical dataset.  Replicate r of cell (M, snr) is
-    ``generate_dataset(spec, spawn_key=(M, snr_index, r))``, a substream of
-    the study seed.  A failing pipeline or MSE aborts only its (rule,
-    replicate) cell, recorded with its stage.
+    Returns (aggregate(results), results, failures).  Replicate r of cell
+    (M, snr) is ``generate_dataset(spec, spawn_key=(M, snr_index, r))``, a
+    substream of the study seed.  It is prepared once (`prepare`), and every
+    rule runs on that prepared dataset (`estimate_components`), with the bits
+    of a call on the raw dataset.  A failing pipeline or MSE aborts only its
+    (rule, replicate) cell, recorded with its stage; a dataset whose input,
+    transform or sigma stage fails records that failure for every rule.
 
     The replicates run on one thread per CPU this process may run on, at
     most one per replicate: this thread and a per-call pool of the others,
@@ -213,11 +233,12 @@ def run_study(config: StudyConfig):
     KeyboardInterrupt, no thread starts another replicate, and the exception
     is raised once the running ones have ended.
 
-    Each MSE is `compute_mse` of a component's estimated wavelet coefficients
-    (the pipeline's ``output="coefficients"``) against the truth's, which
-    are transformed once per process.  The transform is orthonormal, so this is
-    the curve MSE to about 1e-14 relative, without an inverse transform per
-    rule and dataset; `estimate_components` still returns curves by default.
+    Each rule's MSEs are one `compute_mse` call on its estimated wavelet
+    coefficients (the pipeline's ``output="coefficients"``) against the
+    truth's, which are transformed once per process, one MSE per component.
+    The transform is orthonormal, so this is the curve MSE to about 1e-14
+    relative, without an inverse transform per rule and dataset;
+    `estimate_components` still returns curves by default.
     """
     filt = make_filter("daubechies", VANISHING_MOMENTS)
     est_configs = {name: EstimationConfig(filter=filt, rule=RULES[name](), J0=config.J0,

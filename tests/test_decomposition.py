@@ -1,6 +1,7 @@
 """Least-squares recovery and the end-to-end estimation pipeline."""
 
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -8,6 +9,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavecal import decomposition, shrinkage
 from wavecal.decomposition import (
@@ -17,6 +19,7 @@ from wavecal.decomposition import (
     RankDeficiencyError,
     estimate_components,
     estimates_to_csv,
+    prepare,
     solve_gamma,
 )
 from wavecal.shrinkage import (
@@ -39,7 +42,7 @@ from wavecal.testbed import (
     sample_grid,
     standard_normal,
 )
-from wavecal.wavelet import Pyramid, make_filter, transform_columns
+from wavecal.wavelet import Pyramid, WaveletFilter, make_filter, transform_columns
 
 
 def column_by_column(observed, weights, config):
@@ -194,79 +197,6 @@ class TestSolveGamma:
             solve_gamma(np.ones((4, 3)), np.zeros((2, 3)))
 
 
-def fresh_pinv_solution(D, y):
-    """solve_gamma's arithmetic on a fresh thin SVD of the weights."""
-    u, svals, vt = np.linalg.svd(y, full_matrices=False)
-    return D @ (vt.T / svals @ u.T)
-
-
-class TestPseudoinverseCache:
-    """solve_gamma reuses the pseudo-inverse of the last weights it saw when
-    the next weights have the same bits."""
-
-    @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(decomposition, "_pseudoinverse", decomposition._LastResult())
-
-    @staticmethod
-    def same_bits(a, b):
-        return np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-    def test_alternating_and_mutated_weights(self):
-        rng = np.random.default_rng(17)
-        A, B = rng.uniform(0.5, 1.5, (4, 50)), rng.uniform(0.5, 1.5, (4, 50))
-        D = rng.standard_normal((128, 50))
-        for y in (A, B, A, A):
-            assert self.same_bits(solve_gamma(D, y), fresh_pinv_solution(D, y))
-            assert self.same_bits(solve_gamma(2.0 * D, y), fresh_pinv_solution(2.0 * D, y))
-        entry = decomposition._pseudoinverse.entry
-        solve_gamma(D, A.copy())
-        assert decomposition._pseudoinverse.entry is entry  # a hit keeps the entry
-        A[2, 7] += 1e-3  # in place: the cache holds its own copy of the key
-        assert self.same_bits(solve_gamma(D, A), fresh_pinv_solution(D, A))
-        assert decomposition._pseudoinverse.entry is not entry
-        (weights,), pinv = decomposition._pseudoinverse.entry
-        assert not weights.flags.writeable
-        assert not pinv.flags.writeable
-
-    def test_key_is_bitwise(self):
-        y = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
-        D = np.ones((4, 3))
-        solve_gamma(D, y)
-        entry = decomposition._pseudoinverse.entry
-        negative_zero = y.copy()
-        negative_zero[0, 1] = -0.0
-        assert self.same_bits(solve_gamma(D, negative_zero),
-                              fresh_pinv_solution(D, negative_zero))
-        assert decomposition._pseudoinverse.entry is not entry
-
-    def test_rank_deficient_weights_raise_on_every_call(self):
-        rng = np.random.default_rng(19)
-        good = rng.uniform(0.5, 1.5, (3, 9))
-        bad = good.copy()
-        bad[2] = 2.0 * bad[0]
-        D = rng.standard_normal((16, 9))
-        for y in (good, bad, bad, good, bad):
-            if y is good:
-                assert self.same_bits(solve_gamma(D, y), fresh_pinv_solution(D, y))
-                continue
-            with pytest.raises(RankDeficiencyError, match=r"effective rank 2 < 3"):
-                solve_gamma(D, y)
-            (weights,), _ = decomposition._pseudoinverse.entry
-            assert self.same_bits(weights, good)
-
-    def test_subnormal_weights_fail_at_least_squares_and_store_nothing(self):
-        # full rank, but 1 / s overflows: the stage is named, with no numpy
-        # warning (an error under this suite's filters), and nothing is cached
-        A = np.random.default_rng(29).standard_normal((64, 3))
-        config = EstimationConfig(make_filter("daubechies", 4), Lpm())
-        for _ in range(2):
-            with pytest.raises(PipelineError, match=r"^\[least-squares\] the pseudo-inverse "
-                                                    r"of the weights is not finite"):
-                estimate_components(A, np.full((1, 3), 1e-320), config)
-            assert decomposition._pseudoinverse.entry is None
-
-
 class TestEstimateComponents:
     @pytest.mark.parametrize("rule", [Lpm(sigma=0.0), Abe(sigma=0.0)])
     def test_noise_free_recovery(self, db10, rule):
@@ -354,9 +284,8 @@ class TestEstimateComponents:
         pytest.param(np.nan, False, False, id="nan"),
         pytest.param(np.inf, False, False, id="inf"),
         pytest.param(-np.inf, False, False, id="-inf"),
-        # the observed check runs only when the transform cache misses: a
-        # finite dataset of the same shape cached first must not let NaN pass,
-        # and observed is named before weights
+        # a finite dataset of the same shape estimated first must not let
+        # NaN pass, and observed is named before weights
         pytest.param(np.nan, True, False, id="nan-after-a-cached-dataset"),
         pytest.param(np.nan, True, True, id="nan-in-both-after-a-cached-dataset"),
         pytest.param(np.inf, False, True, id="inf-in-both"),
@@ -567,131 +496,156 @@ RULE_CONFIGS = [pytest.param(rule, sigma, id=f"{rule}-{source}") for rule in RUL
                 for source, sigma in (("pooled", None), ("fixed", 0.3))]
 
 
-class TestRuleIndependentMemo:
-    """estimate_components shares the forward transform and sigma-hat of the
-    last (observed, weights, filter, J0) it saw."""
+def outcome(call):
+    """The bytes a pipeline call returns, or the stage and message it fails with."""
+    try:
+        return call().tobytes()
+    except PipelineError as exc:
+        return exc.stage, str(exc)
 
-    @pytest.fixture
-    def forward_calls(self, monkeypatch):
-        calls = []
-        transform = decomposition.transform_columns
 
-        def counted(matrix, filt, J0, direction="forward"):
-            if direction == "forward":
-                calls.append(J0)
-            return transform(matrix, filt, J0, direction)
+@st.composite
+def pipeline_inputs(draw):
+    """(observed, weights, filter, J0, sigma) of a random shape: M = 2^J with
+    4 <= J <= 7, 1 <= L <= I <= 12, 0 <= J0 < J, and sigma None (pooled) or
+    a value on the rule spec."""
+    J = draw(st.integers(4, 7))
+    I = draw(st.integers(1, 12))
+    L = draw(st.integers(1, min(I, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    observed = (rng.standard_normal((2 ** J, L)) @ rng.uniform(0.5, 1.5, (L, I))
+                + draw(st.sampled_from([0.1, 1.0, 10.0])) * rng.standard_normal((2 ** J, I)))
+    weights = rng.uniform(0.5, 1.5, (L, I))
+    return (observed, weights, make_filter("daubechies", draw(st.sampled_from([1, 2, 4, 10]))),
+            draw(st.integers(0, J - 1)), draw(st.sampled_from([None, 0.3])))
 
-        monkeypatch.setattr(decomposition, "transform_columns", counted)
-        monkeypatch.setattr(decomposition, "_transformed", decomposition._LastResult())
-        return calls
+
+class TestPrepared:
+    """`prepare` runs the rule-independent stages once, and every rule call on
+    its `Prepared` dataset gives what a call on the raw inputs gives."""
 
     @staticmethod
-    def config(filt, rule="lpm", sigma=None, J0=3):
+    def config(filt, rule="lpm", J0=3, output="curves", sigma=None):
         spec = RULES[rule]() if sigma is None else RULES[rule](sigma=sigma)
-        return EstimationConfig(filter=filt, rule=spec, J0=J0)
+        return EstimationConfig(filter=filt, rule=spec, J0=J0, output=output)
 
     @pytest.fixture(scope="class")
     def dataset(self):
         return generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[2], M=128,
                                             I=12, snr=3.0, seed=53))
 
-    @pytest.mark.parametrize("rule,sigma", RULE_CONFIGS)
-    def test_hit_is_bit_equal_to_cleared_memo(self, db10, dataset, forward_calls,
-                                              monkeypatch, rule, sigma):
-        config = self.config(db10, rule, sigma)
-        estimate_components(dataset.observed, dataset.weights, self.config(db10))
-        hit = estimate_components(dataset.observed, dataset.weights, config)
-        assert len(forward_calls) == 1
-        monkeypatch.setattr(decomposition, "_transformed", decomposition._LastResult())
-        miss = estimate_components(dataset.observed, dataset.weights, config)
-        assert len(forward_calls) == 2
-        assert hit.tobytes() == miss.tobytes()
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(inputs=pipeline_inputs())
+    def test_prepared_calls_have_the_bits_of_one_shot_calls(self, inputs):
+        observed, weights, filt, J0, sigma = inputs
+        prepared = prepare(observed, weights, self.config(filt, J0=J0))
+        for rule in RULES:
+            for output in OUTPUTS:
+                config = self.config(filt, rule, J0, output, sigma)
+                assert outcome(lambda: estimate_components(prepared, None, config)) == \
+                    outcome(lambda: estimate_components(observed, weights, config))
 
-    def test_in_place_change_recomputes(self, db10, dataset, forward_calls):
-        observed = dataset.observed.copy()
-        config = self.config(db10)
-        first = estimate_components(observed, dataset.weights, config)
-        observed[5, 3] += 1.0
-        second = estimate_components(observed, dataset.weights, config)
-        assert len(forward_calls) == 2
-        assert not np.array_equal(first, second)
-        observed[5, 3] -= 1.0
-        np.testing.assert_array_equal(
-            estimate_components(observed, dataset.weights, config), first)
-        assert len(forward_calls) == 3
+    @staticmethod
+    def nan_input(observed, weights):
+        observed = observed.copy()
+        observed[3, 2] = np.nan
+        return observed, weights
 
-    def test_key_is_bitwise(self, db10, forward_calls):
-        # 0.0 == -0.0, but the two may transform to zeros of different sign
-        observed = np.zeros((16, 2))
-        config = self.config(db10, "abe", 0.3, J0=1)
-        estimate_components(observed, np.ones((1, 2)), config)
-        observed[3, 1] = -0.0
-        estimate_components(observed, np.ones((1, 2)), config)
-        assert len(forward_calls) == 2
+    @staticmethod
+    def rank_deficient(observed, weights):
+        weights = weights.copy()
+        weights[2] = 2.0 * weights[0]
+        return observed, weights
 
-    def test_other_weights_miss(self, db10, dataset, forward_calls):
-        # a hit skips the input checks, so it must be on weights that were checked
-        config = self.config(db10)
-        other = dataset.weights.copy()
-        other[1, 4] *= 2.0
-        for weights in (dataset.weights, other, other, dataset.weights):
-            estimate_components(dataset.observed, weights, config)
-        assert len(forward_calls) == 3
-        other[1, 4] = np.nan
-        with pytest.raises(PipelineError, match=r"\[input\] weights .* column\(s\) 4$"):
-            estimate_components(dataset.observed, other, config)
+    @pytest.mark.parametrize("make,stage,message", [
+        (nan_input, "input", r"observed has NaN or inf in sample column\(s\) 2$"),
+        (lambda A, y: (A * 1e307, y), "transform", r"output has NaN or inf$"),
+        (lambda A, y: (A, y * 1e-320), "least-squares",
+         r"the pseudo-inverse of the weights is not finite"),
+        (rank_deficient, "least-squares", r"effective rank 3 < 4$"),
+        (lambda A, y: (A[:, :3], y[:, :3]), "least-squares",
+         r"underdetermined mixing: L=4 components, I=3 samples$"),
+    ], ids=["nan", "transform-overflow", "subnormal-weights", "rank-deficient",
+            "underdetermined"])
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_failures_keep_their_stage_and_message(self, db10, dataset, make, stage,
+                                                   message, rule):
+        # the rule fails as a call on the raw inputs does, with no numpy
+        # warning (an error under this suite's filters), on every call
+        observed, weights = make(dataset.observed, dataset.weights)
+        config = self.config(db10, rule)
+        with pytest.raises(PipelineError) as one_shot:
+            estimate_components(observed, weights, config)
+        assert one_shot.value.stage == stage
+        assert re.search(message, str(one_shot.value))
+        if stage in ("input", "transform"):
+            with pytest.raises(PipelineError) as early:
+                prepare(observed, weights, config)
+            assert str(early.value) == str(one_shot.value)
+            return
+        prepared = prepare(observed, weights, config)
+        failed = []
+        for _ in range(2):
+            with pytest.raises(PipelineError) as info:
+                estimate_components(prepared, None, config)
+            failed.append(info.value)
+        assert [(e.stage, str(e)) for e in failed] == [(stage, str(one_shot.value))] * 2
+        assert failed[0].__cause__ is not failed[1].__cause__  # a fresh error each call
 
-    def test_other_filter_or_j0_misses(self, db10, dataset, forward_calls):
-        db4 = make_filter("daubechies", 4)
-        for filt, J0 in ((db10, 3), (db10, 2), (db4, 2), (db4, 2)):
-            estimate_components(dataset.observed, dataset.weights,
-                                self.config(filt, J0=J0))
-        assert forward_calls == [3, 2, 2]
-
-    def test_cached_arrays_are_read_only(self, db10, dataset, forward_calls):
-        estimate_components(dataset.observed, dataset.weights, self.config(db10))
-        (observed, weights, taps, _), (coefficients, _) = decomposition._transformed.entry
-        for array in (observed, weights, taps, coefficients):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1.0
-        assert dataset.observed.flags.writeable
-
-    def test_sigma_failure_names_its_stage(self, db10, dataset, forward_calls,
-                                           monkeypatch):
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_sigma_failure_names_its_stage(self, db10, dataset, monkeypatch, rule):
         def unusable(details):
             raise ValueError("no sigma-hat for these coefficients")
 
         monkeypatch.setattr(decomposition, "estimate_sigma", unusable)
-        with pytest.raises(PipelineError, match=r"\[sigma\] no sigma-hat"):
-            estimate_components(dataset.observed, dataset.weights, self.config(db10))
-        assert decomposition._transformed.entry is None
+        config = self.config(db10, rule)
+        for call in (prepare, estimate_components):
+            with pytest.raises(PipelineError, match=r"^\[sigma\] no sigma-hat for these "
+                                                    r"coefficients$"):
+                call(dataset.observed, dataset.weights, config)
 
-    def test_each_thread_keeps_its_own_entry(self, db10, dataset, forward_calls):
-        # run_study's worker threads each run whole datasets: another thread
-        # neither sees this thread's entry nor replaces it
-        config = self.config(db10)
-        estimate_components(dataset.observed, dataset.weights, config)
-        entry = decomposition._transformed.entry
-        seen = []
+    def test_prepared_is_read_only_and_its_own(self, db10, dataset):
+        observed, weights = dataset.observed.copy(), dataset.weights.copy()
+        config = self.config(db10, "bams")
+        prepared = prepare(observed, weights, config)
+        want = estimate_components(prepared, None, config)
+        for array in (prepared.coefficients, prepared.pseudoinverse, prepared.low_pass):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(AttributeError):
+            prepared.sigma = 1.0
+        assert observed.flags.writeable and weights.flags.writeable
+        observed *= 2.0  # later edits of the caller's arrays do not reach it
+        weights[0] = 0.0
+        assert estimate_components(prepared, None, config).tobytes() == want.tobytes()
+        assert want.tobytes() == estimate_components(dataset.observed, dataset.weights,
+                                                     config).tobytes()
 
-        def other():
-            seen.append(decomposition._transformed.entry)
-            estimate_components(dataset.observed, dataset.weights, config)
+    def test_other_filter_or_j0_fails_at_input(self, db10, dataset):
+        prepared = prepare(dataset.observed, dataset.weights, self.config(db10))
+        db4 = make_filter("daubechies", 4)
+        for config in (self.config(db4), self.config(db10, J0=2)):
+            with pytest.raises(PipelineError, match=r"^\[input\] the dataset was prepared "
+                                                    r"with another filter or J0"):
+                estimate_components(prepared, None, config)
+        # a filter built apart from make_filter, with the same taps, is the same filter
+        same = WaveletFilter(np.array(db10.low_pass), 10)
+        assert same is not db10
+        assert estimate_components(prepared, None, self.config(same)).tobytes() == \
+            estimate_components(prepared, None, self.config(db10)).tobytes()
+        with pytest.raises(PipelineError, match=r"^\[input\] a Prepared dataset takes "
+                                                r"weights=None"):
+            estimate_components(prepared, dataset.weights, self.config(db10))
 
-        thread = threading.Thread(target=other)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert seen == [None] and len(forward_calls) == 2
-        assert decomposition._transformed.entry is entry
-
-    def test_threads_sharing_the_memo(self, db10):
-        # each thread keeps its own cache entry; alternating datasets across
-        # threads must never mix one's coefficients into another
+    def test_threads_sharing_prepared_datasets(self, db10):
+        # four threads run two rules on two datasets, each dataset prepared
+        # once and shared, and prepared afresh by the thread; no thread's
+        # result may carry another dataset's coefficients
         datasets = [generate_dataset(DatasetSpec(components=("bumps", "blocks"), M=64,
                                                  I=6, snr=3.0, seed=s)) for s in (1, 2)]
         configs = [self.config(db10, rule) for rule in ("lpm", "bams")]
+        shared = [prepare(d.observed, d.weights, configs[0]) for d in datasets]
         want = [[column_by_column(d.observed, d.weights, c) for c in configs]
                 for d in datasets]
         wrong = []
@@ -699,9 +653,10 @@ class TestRuleIndependentMemo:
         def work(offset):
             for k in range(60):
                 i, j = (k + offset) % 2, (k // 2) % 2
-                got = estimate_components(datasets[i].observed, datasets[i].weights,
-                                          configs[j])
-                if not np.array_equal(got, want[i][j]):
+                prepared = shared[i] if k % 3 else prepare(
+                    datasets[i].observed, datasets[i].weights, configs[j])
+                if not np.array_equal(estimate_components(prepared, None, configs[j]),
+                                      want[i][j]):
                     wrong.append((i, j))
 
         interval = sys.getswitchinterval()

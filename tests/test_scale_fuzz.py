@@ -7,19 +7,17 @@ a finite estimate or raises `PipelineError` naming one of its stages; for
 the rules free of a fixed scale, `beta`, `lpm` and `abe`, it returns the
 estimate at scale 1 times 2^k, bit for bit.  On
 weights whose singular values span about the cutoff ratio 1e-10, it returns
-a finite estimate or fails at the least-squares stage, and caches nothing
-of the weights it rejects.
+a finite estimate or fails at the least-squares stage, and so does every
+rule call on the weights' `Prepared` dataset, with the same message.
 """
 
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavecal import decomposition
-from wavecal.decomposition import EstimationConfig, PipelineError, estimate_components
+from wavecal.decomposition import EstimationConfig, PipelineError, estimate_components, prepare
 from wavecal.shrinkage import RULES
 from wavecal.simharness import STUDY_COMPONENTS
 from wavecal.testbed import DatasetSpec, generate_dataset
@@ -99,19 +97,15 @@ OBSERVED = generate_dataset(DatasetSpec(components=STUDY_COMPONENTS[3], M=64, I=
 def test_weights_near_the_rank_cutoff(weights):
     L, I = weights.shape
     observed = OBSERVED[:, :I]
-    full_rank = np.random.default_rng(I).uniform(0.5, 1.5, (L, I))
     config = EstimationConfig(filter=FILTER, rule=RULES["lpm"](), J0=3)
-    with mock.patch.object(decomposition, "_pseudoinverse", decomposition._LastResult()):
-        try:
-            alpha = estimate_components(observed, weights, config)
-        except PipelineError as exc:
-            assert exc.stage == "least-squares"
-            assert decomposition._pseudoinverse.entry is None  # nothing cached
-            with pytest.raises(PipelineError, match=r"\[least-squares\]"):
-                estimate_components(observed, weights, config)
-            after = estimate_components(observed, full_rank, config)
-            decomposition._pseudoinverse = decomposition._LastResult()
-            fresh = estimate_components(observed, full_rank, config)
-            assert after.tobytes() == fresh.tobytes()
-            return
+    try:
+        alpha = estimate_components(observed, weights, config)
+    except PipelineError as exc:
+        assert exc.stage == "least-squares"
+        prepared = prepare(observed, weights, config)
+        for _ in range(2):  # the kept failure is raised on every call
+            with pytest.raises(PipelineError) as again:
+                estimate_components(prepared, None, config)
+            assert str(again.value) == str(exc)
+        return
     assert alpha.shape == (64, L) and np.isfinite(alpha).all()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wavecal.simharness as sh
-from wavecal.decomposition import EstimationConfig, PipelineError, estimate_components
+from wavecal.decomposition import EstimationConfig, PipelineError, estimate_components, prepare
 from wavecal.shrinkage import RULES, rule_defaults
 from wavecal.simharness import (
     ReplicateResult,
@@ -27,6 +27,15 @@ def replicate_dataset(cfg, M, snr_index, rep):
     spec = DatasetSpec(cfg.components, M=M, I=cfg.n_samples,
                        snr=cfg.snr_values[snr_index], seed=cfg.seed)
     return generate_dataset(spec, spawn_key=(M, snr_index, rep))
+
+
+def prepared_coefficients(cfg, M, snr_index, rep):
+    """The bytes of the prepared coefficients of one replicate of the study,
+    by which a rule call on it is told from the others."""
+    ds = replicate_dataset(cfg, M, snr_index, rep)
+    config = EstimationConfig(filter=make_filter("daubechies", sh.VANISHING_MOMENTS),
+                              rule=RULES[cfg.rules[0]](), J0=cfg.J0)
+    return prepare(ds.observed, ds.weights, config).coefficients.tobytes()
 
 
 class TestComputeMse:
@@ -50,6 +59,43 @@ class TestComputeMse:
         with pytest.raises(PipelineError) as info:
             compute_mse(np.full(4, 1e300), np.zeros(4))
         assert info.value.stage == "mse"
+
+    @pytest.mark.parametrize("M,L", [(512, 2), (1024, 6), (64, 4), (7, 3)])
+    def test_columns_have_the_bits_of_one_column(self, M, L):
+        # one call over an M x L matrix scores each column with the bits of
+        # np.mean on that column alone, as a call on the column does, at the
+        # study shapes
+        rng = np.random.default_rng(M + L)
+        truth = rng.standard_normal((M, L)) * np.logspace(-3, 3, L)
+        estimate = truth + rng.standard_normal((M, L)) * 0.1
+        got = compute_mse(estimate, truth)
+        assert got.shape == (L,)
+        want = np.array([np.mean((estimate[:, l] - truth[:, l]) ** 2) for l in range(L)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for l in range(L):
+            column = compute_mse(estimate[:, l], truth[:, l])
+            assert type(column) is float and column == want[l]
+
+    @pytest.mark.parametrize("bad,value", [(np.inf, "nan"), (-np.inf, "nan"),
+                                           (np.nan, "nan")])
+    def test_non_finite_columns_fail_at_the_mse_stage_without_a_warning(self, bad, value):
+        # inf - inf used to warn of an invalid value (an error under this
+        # suite's filters) instead of failing at the mse stage; the first
+        # column that is not finite names the value
+        estimate, truth = np.zeros((16, 3)), np.zeros((16, 3))
+        estimate[5, 1] = truth[5, 1] = bad
+        estimate[2, 2] = 1e300
+        for est, tr in ((estimate, truth), (estimate[:, 1], truth[:, 1])):
+            with pytest.raises(PipelineError, match=rf"^\[mse\] the mean squared error "
+                                                    rf"is {value}$") as info:
+                compute_mse(est, tr)
+            assert info.value.stage == "mse"
+        with pytest.raises(PipelineError, match=r"is inf$"):
+            compute_mse(estimate[:, 2:], truth[:, 2:])
+
+    def test_shape_must_be_a_vector_or_a_matrix(self):
+        with pytest.raises(ValueError, match="expected a vector or an M x L matrix"):
+            compute_mse(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
 
 
 def test_one_rule_table():
@@ -130,13 +176,13 @@ class TestRunStudy:
         # on; the replicates run on worker threads, so each call is matched
         # to its spawn key by its bits, not by its place in the call order
         seen = []
-        real = sh.estimate_components
+        real = sh.prepare
 
         def record(observed, weights, config):
             seen.append((observed, weights))
             return real(observed, weights, config)
 
-        monkeypatch.setattr(sh, "estimate_components", record)
+        monkeypatch.setattr(sh, "prepare", record)
         cfg = StudyConfig(study=2, m_values=(64, 128), snr_values=(3.0, 9.0),
                           replicates=2, rules=("lpm",), seed=11, n_samples=8)
         run_study(cfg)
@@ -156,13 +202,13 @@ class TestRunStudy:
     def test_failures_recorded_and_study_continues(self, monkeypatch):
         cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
                           replicates=2, rules=("lpm",), seed=1, n_samples=8)
-        first = replicate_dataset(cfg, 64, 0, 0).observed.tobytes()
+        first = prepared_coefficients(cfg, 64, 0, 0)
         real = sh.estimate_components
 
-        def flaky(observed, weights, config):
-            if observed.tobytes() == first:
+        def flaky(prepared, weights, config):
+            if prepared.coefficients.tobytes() == first:
                 raise PipelineError("shrinkage", "synthetic failure")
-            return real(observed, weights, config)
+            return real(prepared, weights, config)
 
         monkeypatch.setattr(sh, "estimate_components", flaky)
         rows, stream, failures = run_study(cfg)
@@ -173,12 +219,12 @@ class TestRunStudy:
     def test_one_non_finite_component_fails_only_its_cell(self, monkeypatch):
         cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
                           replicates=2, rules=("lpm", "abe"), seed=4, n_samples=8)
-        first = replicate_dataset(cfg, 64, 0, 0).observed.tobytes()
+        first = prepared_coefficients(cfg, 64, 0, 0)
         real = sh.estimate_components
 
-        def overflowing(observed, weights, config):
-            alpha = real(observed, weights, config)
-            if observed.tobytes() == first and isinstance(config.rule, RULES["abe"]):
+        def overflowing(prepared, weights, config):
+            alpha = real(prepared, weights, config)
+            if prepared.coefficients.tobytes() == first and isinstance(config.rule, RULES["abe"]):
                 alpha[:, 1] = 1e300  # its squared error overflows
             return alpha
 
@@ -323,13 +369,13 @@ class TestEmitReports:
     def test_incomplete_cells_flagged(self, tmp_path, monkeypatch):
         cfg = StudyConfig(study=1, m_values=(64,), snr_values=(3.0,),
                           replicates=2, rules=("abe",), seed=2, n_samples=8)
-        first = replicate_dataset(cfg, 64, 0, 0).observed.tobytes()
+        first = prepared_coefficients(cfg, 64, 0, 0)
         real = sh.estimate_components
 
-        def flaky(observed, weights, config):
-            if observed.tobytes() == first:
+        def flaky(prepared, weights, config):
+            if prepared.coefficients.tobytes() == first:
                 raise PipelineError("least-squares", "synthetic")
-            return real(observed, weights, config)
+            return real(prepared, weights, config)
 
         monkeypatch.setattr(sh, "estimate_components", flaky)
         rows, stream, failures = run_study(cfg)
