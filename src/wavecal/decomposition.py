@@ -14,15 +14,15 @@ dataset, after checking both inputs, and returns them as an immutable
 `Prepared` dataset: read-only arrays computed afresh, so that later edits
 to the caller's arrays do not reach it.  One thin SVD of the weights serves
 both the rank check and the pseudo-inverse; when the weights have no usable
-pseudo-inverse, the `Prepared` keeps the error, and each rule call raises it
-at its least-squares stage, after its own shrinkage, as a one-shot call
-would.  `estimate_components` takes the raw inputs or a `Prepared` dataset,
-so a study runs every rule on one `Prepared` while `wavecal estimate` makes
-one call.  Nothing per dataset is kept at module or thread level.  Each
-stage's ValueError, TypeError or ArithmeticError becomes a `PipelineError`
-naming the stage (`_stage`); the transform, least-squares and inverse
-stages let numpy overflow silently and check their output instead, so a
-pipeline call emits no numpy warning there.
+pseudo-inverse, `prepare` raises that failure at the least-squares stage, so
+it comes before any failure of a rule's own stages, in a one-shot call too.
+`estimate_components` takes the raw inputs or a `Prepared` dataset, so a
+study runs every rule on one `Prepared` while `wavecal estimate` makes one
+call.  Nothing per dataset is kept at module or thread level.  Each stage's
+ValueError, TypeError or ArithmeticError becomes a `PipelineError` naming
+the stage (`_stage`).  `prepare` and `estimate_components` each run under
+one ``np.errstate(all="ignore")``: no stage emits a numpy warning, and the
+finiteness checks name the first stage whose output is not finite.
 
 On its first call in a process, `prepare` runs `_keep_freed_heap`, which
 allocates and frees one untouched 16 MiB array.  Under glibc, that raises
@@ -149,15 +149,14 @@ class Prepared:
 
     ``coefficients`` is the read-only M x I forward transform of the observed
     matrix in the flat pyramid layout, and ``sigma`` its pooled sigma-hat.
-    ``pseudoinverse`` is the read-only I x L pseudo-inverse of the weights, or
-    the error (a RankDeficiencyError, say) that the least-squares stage of
-    each rule call raises for them.  ``low_pass`` and ``J0`` are the filter
-    taps and the level it was built with.
+    ``pseudoinverse`` is the read-only I x L pseudo-inverse of the weights.
+    ``low_pass`` and ``J0`` are the filter taps and the level it was built
+    with.
     """
 
     coefficients: np.ndarray
     sigma: float
-    pseudoinverse: Union[np.ndarray, Exception]
+    pseudoinverse: np.ndarray
     low_pass: np.ndarray
     J0: int
 
@@ -191,15 +190,11 @@ def solve_gamma(shrunk: np.ndarray, weights: Union[np.ndarray, Prepared]) -> np.
     weights = U diag(s) V^T, i.e. shrunk @ V diag(1/s) U^T (never by forming
     (y y^T)^-1).  Raises RankDeficiencyError when the smallest singular value
     of the weights falls below 1e-10 times the largest.  ``weights`` may also
-    be a `Prepared` dataset, whose pseudo-inverse is used, or whose error is
-    raised.
+    be a `Prepared` dataset, whose pseudo-inverse is used.
     """
     D = np.asarray(shrunk, dtype=float)
     if isinstance(weights, Prepared):
-        pinv = weights.pseudoinverse
-        if isinstance(pinv, Exception):
-            raise type(pinv)(*pinv.args)  # a fresh exception for each call
-        return D @ pinv
+        return D @ weights.pseudoinverse
     y = np.asarray(weights, dtype=float)
     if D.ndim != 2 or y.ndim != 2:
         raise ValueError("solve_gamma expects 2-D arrays")
@@ -216,16 +211,18 @@ def _check_finite(name: str, values: np.ndarray) -> None:
                                      f"{', '.join(map(str, bad))}")
 
 
+@np.errstate(all="ignore")
 def prepare(observed: np.ndarray, weights: np.ndarray,
             config: EstimationConfig) -> Prepared:
     """Run the stages of `estimate_components` that do not depend on the rule.
 
     Checks both inputs, observed before weights, transforms the observed
     matrix with ``config``'s filter down to its J0, pools sigma-hat, and
-    takes the pseudo-inverse of the weights.  A failure of the input,
-    transform or sigma stage is raised here, as a `PipelineError` naming the
-    stage; a least-squares failure is kept in the result (see `Prepared`).
-    ``config.rule`` and ``config.output`` are not used.
+    takes the pseudo-inverse of the weights.  A failure of any of these
+    stages is raised here, as a `PipelineError` naming the stage (input,
+    transform, sigma or least-squares), with the message a one-shot
+    `estimate_components` call gives.  ``config.rule`` and ``config.output``
+    are not used.
     """
     _keep_freed_heap()
     A = np.asarray(observed, dtype=float)
@@ -237,21 +234,18 @@ def prepare(observed: np.ndarray, weights: np.ndarray,
                                      f"with L >= 1, for {A.shape[1]} observed samples")
     _check_finite("observed", A)
     _check_finite("weights", y)
-    with _stage("transform"), np.errstate(over="ignore", invalid="ignore"):
+    with _stage("transform"):
         D = transform_columns(A, config.filter, config.J0, "forward")
     if not np.isfinite(D).all():
         raise PipelineError("transform", "output has NaN or inf")
     with _stage("sigma"):
         sigma = float(np.mean(estimate_sigma(D[A.shape[0] // 2:])))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            pinv = _pinv(y)
-    except (ValueError, TypeError, ArithmeticError) as exc:  # as `_stage` names them
-        # each rule call raises it at its least-squares stage
-        pinv = exc
+    with _stage("least-squares"):
+        pinv = _pinv(y)
     return Prepared(_read_only(D), sigma, pinv, config.filter.low_pass, config.J0)
 
 
+@np.errstate(all="ignore")
 def estimate_components(observed: Union[np.ndarray, Prepared], weights: Optional[np.ndarray],
                         config: EstimationConfig) -> np.ndarray:
     """Estimate the M x L component matrix from M x I aggregated samples.
@@ -282,14 +276,13 @@ def estimate_components(observed: Union[np.ndarray, Prepared], weights: Optional
         rule = resolve_rule(config.rule, prepared.sigma)
     with _stage("shrinkage"):
         shrunk = shrink_pyramid(Pyramid(prepared.coefficients, config.J0), rule).flat
-    # an overflow in the last two stages is named by the check below, not warned of
-    with _stage("least-squares"), np.errstate(over="ignore", invalid="ignore"):
+    with _stage("least-squares"):
         estimate = gamma = solve_gamma(shrunk, prepared)
     if config.output == "curves":
-        with _stage("inverse-transform"), np.errstate(over="ignore", invalid="ignore"):
+        with _stage("inverse-transform"):
             estimate = transform_columns(gamma, config.filter, config.J0, "inverse")
     if not np.isfinite(estimate).all():  # NaN and inf reach all later stages; name the first
-        stages = (("sigma", prepared.sigma), ("shrinkage", shrunk), ("least-squares", gamma))
+        stages = (("shrinkage", shrunk), ("least-squares", gamma))
         raise PipelineError(next((name for name, out in stages if not np.isfinite(out).all()),
                                  "inverse-transform"), "output has NaN or inf")
     return estimate

@@ -16,6 +16,7 @@ once per process.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -192,18 +193,17 @@ def _run_replicate(config: StudyConfig, est_configs: dict, gamma: np.ndarray,
     """(results, failures) of every rule of the study on one replicate
     dataset, prepared once, in rule order."""
     dataset = generate_dataset(spec, spawn_key=(spec.M, snr_index, rep))
+    snr = config.snr_values[snr_index]
+    try:  # the rules' configs differ in the rule alone
+        prepared = prepare(dataset.observed, dataset.weights, next(iter(est_configs.values())))
+    except PipelineError as exc:  # every rule fails with it, as each call would
+        return [], [ReplicateFailure(config.study, rule_name, spec.M, snr, rep, exc.stage,
+                                     str(exc)) for rule_name in est_configs]
     results: list[ReplicateResult] = []
     failures: list[ReplicateFailure] = []
-    try:  # the rules' configs differ in the rule alone
-        prepared, failure = prepare(dataset.observed, dataset.weights,
-                                    next(iter(est_configs.values()))), None
-    except PipelineError as exc:  # every rule fails with it, as each call would
-        prepared, failure = None, exc
     for rule_name, est_config in est_configs.items():
-        key = (config.study, rule_name, spec.M, config.snr_values[snr_index], rep)
+        key = (config.study, rule_name, spec.M, snr, rep)
         try:
-            if failure is not None:
-                raise failure
             mses = compute_mse(estimate_components(prepared, None, est_config), gamma)
         except PipelineError as exc:
             failures.append(ReplicateFailure(*key, exc.stage, str(exc)))
@@ -221,8 +221,9 @@ def run_study(config: StudyConfig):
     substream of the study seed.  It is prepared once (`prepare`), and every
     rule runs on that prepared dataset (`estimate_components`), with the bits
     of a call on the raw dataset.  A failing pipeline or MSE aborts only its
-    (rule, replicate) cell, recorded with its stage; a dataset whose input,
-    transform or sigma stage fails records that failure for every rule.
+    (rule, replicate) cell, recorded with its stage; a dataset that `prepare`
+    rejects (at its input, transform, sigma or least-squares stage) records
+    that failure for every rule.
 
     The replicates run on one thread per CPU this process may run on, at
     most one per replicate: this thread and a per-call pool of the others,
@@ -307,7 +308,9 @@ def emit_reports(rows: Sequence[AmseRow], stream: Sequence[ReplicateResult], out
     """Write replicates.csv, amse.csv and run.json into ``outdir``.
 
     Returns the mapping of logical name to written path.  Numbers carry 17
-    significant digits so re-parsing reproduces the exact doubles.
+    significant digits so re-parsing reproduces the exact doubles.  run.json
+    lists each (rule, M, snr, component) cell of ``config`` with fewer than
+    ``config.replicates`` successful replicates, n = 0 included.
     """
     os.makedirs(outdir, exist_ok=True)
     paths = {name: os.path.join(outdir, name + ext)
@@ -321,6 +324,7 @@ def emit_reports(rows: Sequence[AmseRow], stream: Sequence[ReplicateResult], out
                ([row.study, row.rule, row.M, _fmt(row.snr), row.component, _fmt(row.amse),
                  _fmt(row.sd)] for row in sorted(rows, key=_amse_key)))
 
+    counts = {(row.rule, row.M, row.snr, row.component): row.n for row in rows}
     payload = {
         "version": __version__,
         "config": {
@@ -335,9 +339,10 @@ def emit_reports(rows: Sequence[AmseRow], stream: Sequence[ReplicateResult], out
         },
         "failed_replicates": [asdict(f) for f in failures],
         "incomplete_cells": [
-            {"rule": row.rule, "M": row.M, "snr": row.snr, "component": row.component,
-             "n": row.n}
-            for row in rows if row.n < config.replicates],
+            {"rule": rule, "M": M, "snr": snr, "component": component, "n": n}
+            for rule, M, snr, component in sorted(itertools.product(
+                config.rules, config.m_values, config.snr_values, config.components))
+            if (n := counts.get((rule, M, snr, component), 0)) < config.replicates],
     }
     with open(paths["run"], "w") as fh:
         # a config's integers may be numpy integers, which json writes as ints

@@ -440,14 +440,33 @@ def test_estimate_arithmetic_failure_exits_with_its_stage(tmp_path, rule, scale,
     assert not (tmp_path / "o" / "alpha_hat.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("rule", ["log", "bams"])
 def test_estimate_at_huge_scale_fails_at_shrinkage(tmp_path, capsys, rule):
-    # log returned a non-finite estimate with exit code 0; bams overflowed
+    # log returned a non-finite estimate with exit code 0; bams overflowed,
+    # with a numpy warning
     rc = main([*write_scaled_dataset(tmp_path, 1e300), "--rule", rule])
     assert rc == 1
     assert "error: [shrinkage]" in capsys.readouterr().err
     assert not (tmp_path / "o" / "alpha_hat.csv").exists()
+
+
+@pytest.mark.parametrize("rule", tuple(RULES))
+def test_estimate_overflowing_sigma_exits_at_sigma(tmp_path, rule):
+    # finite data, rows alternating +-9e307, whose sigma-hat overflows: the
+    # overflow used to be warned of, a traceback under -W error::RuntimeWarning
+    ds = generate_dataset(DatasetSpec(components=("bumps", "blocks"), M=64, I=12,
+                                      snr=5.0, seed=3))
+    observed = np.where(np.arange(64) % 2, 9e307, -9e307)[:, None] * np.linspace(1, 1.001, 12)
+    dataset_to_csv(replace(ds, observed=observed), tmp_path / "data.csv")
+    np.savetxt(tmp_path / "y.csv", ds.weights, delimiter=",")
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "wavecal",
+                          "estimate", "--input", str(tmp_path / "data.csv"),
+                          "--weights", str(tmp_path / "y.csv"), "--out", str(tmp_path / "o"),
+                          "--rule", rule], capture_output=True, text=True)
+    low = "[" if rule in ("lpm", "abe") else "("  # only they admit sigma = 0
+    assert run.returncode == 1
+    assert run.stderr == f"error: [sigma] sigma must be finite and in {low}0, inf), got inf\n"
+    assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
 
 
 def test_estimate_subnormal_weights_exit_at_least_squares(tmp_path):

@@ -101,8 +101,8 @@ def test_study_config(field):
     if config is None:
         return
     with warnings.catch_warnings():
-        # a numpy warning on the way is not a failure; the outcome is
-        warnings.simplefilter("ignore", RuntimeWarning)
+        # no stage warns: the outcome is finite MSEs or named stages
+        warnings.simplefilter("error", RuntimeWarning)
         _, results, failures = run_study(config)
     assert all(math.isfinite(r.mse) for r in results)
     assert all(f.stage in STAGES for f in failures)
@@ -122,7 +122,7 @@ def test_estimation_config(field):
     data = generate_dataset(DatasetSpec(components=("bumps", "blocks"), M=128, I=6,
                                         snr=5.0, seed=2))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             alpha = estimate_components(data.observed, data.weights, config)
         except PipelineError as exc:
@@ -143,7 +143,7 @@ def test_rule_spec(rule, data):
     dataset = generate_dataset(DatasetSpec(components=("bumps", "blocks"), M=128, I=6,
                                            snr=5.0, seed=2))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             alpha = estimate_components(dataset.observed, dataset.weights,
                                         EstimationConfig(filter=FILTER, rule=spec, J0=3))

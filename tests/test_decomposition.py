@@ -396,6 +396,12 @@ class TestEstimateComponents:
                              policy=LevelPolicy(J0=policy_j0))
 
 
+def overflowing_sigma_data():
+    """Finite M = 64, I = 12 observations whose pooled sigma-hat overflows to
+    inf: rows alternating +-9e307, column i scaled by linspace(1, 1.001, 12)[i]."""
+    return np.where(np.arange(64) % 2, 9e307, -9e307)[:, None] * np.linspace(1.0, 1.001, 12)
+
+
 class TestNoSilentNonFiniteEstimate:
     """Every failure names its stage, and no estimate comes back with NaN or inf."""
 
@@ -434,17 +440,27 @@ class TestNoSilentNonFiniteEstimate:
             estimate_components(dataset.observed * 1e300, dataset.weights,
                                 self.config(db10, "log"))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("rule", list(RULES))
     def test_overflowing_sigma_is_a_sigma_failure(self, db10, rule):
         # every column's finest details are finite, near 1.4e307, but their
         # pooled sigma-hat overflows to inf; lpm and abe used to zero every
-        # detail with it and return an estimate without an error
+        # detail with it and return an estimate without an error, and the
+        # overflow used to be warned of besides
         rng = np.random.default_rng(0)
         alternating = np.where(np.arange(64) % 2, 1.0, -1.0)[:, None] * np.full((64, 12), 1e307)
         with pytest.raises(PipelineError, match=r"^\[sigma\] sigma must be finite .* got inf$"):
             estimate_components(alternating, rng.uniform(0.5, 1.5, (2, 12)),
                                 self.config(db10, rule))
+
+    @pytest.mark.parametrize("rule", [Lpm, Abe])
+    def test_an_unused_overflowing_sigma_hat_is_not_blamed(self, db10, rule):
+        # the sigma on the spec replaces the sigma-hat, which overflows to inf
+        # on these data; the least-squares product through weights of 1e-3
+        # overflows, and used to be blamed on that unused sigma-hat
+        weights = np.random.default_rng(0).uniform(0.5, 1.5, (2, 12)) * 1e-3
+        config = EstimationConfig(filter=db10, rule=rule(sigma=1.0), output="coefficients")
+        with pytest.raises(PipelineError, match=r"^\[least-squares\] output has NaN or inf$"):
+            estimate_components(overflowing_sigma_data(), weights, config)
 
     @pytest.mark.parametrize("rule", list(RULES))
     def test_zero_sigma_fails_at_sigma_where_the_rule_needs_sigma(self, db10, dataset, rule):
@@ -476,7 +492,6 @@ class TestNoSilentNonFiniteEstimate:
         assert (estimate_components(dataset.observed, dataset.weights,
                                     self.config(db10, "abe", "coefficients")) == 1e308).all()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("rule", list(RULES))
     @pytest.mark.parametrize("k", [-1000, -500, 0, 500, 1000])
     def test_every_rule_at_every_scale_is_finite_or_names_a_stage(self, db10, dataset,
@@ -570,27 +585,30 @@ class TestPrepared:
     @pytest.mark.parametrize("rule", list(RULES))
     def test_failures_keep_their_stage_and_message(self, db10, dataset, make, stage,
                                                    message, rule):
-        # the rule fails as a call on the raw inputs does, with no numpy
-        # warning (an error under this suite's filters), on every call
+        # `prepare` fails as a call on the raw inputs does, with no numpy
+        # warning (an error under this suite's filters)
         observed, weights = make(dataset.observed, dataset.weights)
         config = self.config(db10, rule)
         with pytest.raises(PipelineError) as one_shot:
             estimate_components(observed, weights, config)
         assert one_shot.value.stage == stage
         assert re.search(message, str(one_shot.value))
-        if stage in ("input", "transform"):
-            with pytest.raises(PipelineError) as early:
-                prepare(observed, weights, config)
-            assert str(early.value) == str(one_shot.value)
-            return
-        prepared = prepare(observed, weights, config)
-        failed = []
-        for _ in range(2):
-            with pytest.raises(PipelineError) as info:
-                estimate_components(prepared, None, config)
-            failed.append(info.value)
-        assert [(e.stage, str(e)) for e in failed] == [(stage, str(one_shot.value))] * 2
-        assert failed[0].__cause__ is not failed[1].__cause__  # a fresh error each call
+        with pytest.raises(PipelineError) as early:
+            prepare(observed, weights, config)
+        assert str(early.value) == str(one_shot.value)
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_weights_fail_before_the_rule_stages(self, db10, rule):
+        # all-zero data give sigma-hat = 0, which log, beta and bams reject at
+        # their sigma stage; the rank-deficient weights fail first, in
+        # `prepare` and so in a one-shot call, for every rule
+        weights = np.random.default_rng(0).uniform(0.5, 1.5, (2, 12))
+        weights[1] = 2.0 * weights[0]
+        config = self.config(db10, rule)
+        for call in (prepare, estimate_components):
+            with pytest.raises(PipelineError, match=r"^\[least-squares\] weights are rank "
+                                                    r"deficient: .* effective rank 1 < 2$"):
+                call(np.zeros((64, 12)), weights, config)
 
     @pytest.mark.parametrize("rule", list(RULES))
     def test_sigma_failure_names_its_stage(self, db10, dataset, monkeypatch, rule):

@@ -386,6 +386,19 @@ class TestEmitReports:
         assert payload["failed_replicates"][0]["replicate"] == 0
         assert len(payload["incomplete_cells"]) == 2  # both components short one rep
 
+    def test_cells_without_a_successful_replicate_are_incomplete(self, tmp_path):
+        # at SNR 1e-300 every rule fails every replicate, so those cells have
+        # no AMSE row, and run.json used to leave them out
+        cfg = StudyConfig(study=1, m_values=(64,), snr_values=(1e-300, 3.0), replicates=3,
+                          seed=2)
+        rows, stream, failures = run_study(cfg)
+        paths = emit_reports(rows, stream, tmp_path, config=cfg, failures=failures)
+        payload = json.loads(Path(paths["run"]).read_text())
+        assert len(payload["failed_replicates"]) == 15
+        assert payload["incomplete_cells"] == [
+            {"rule": rule, "M": 64, "snr": 1e-300, "component": component, "n": 0}
+            for rule in sorted(RULES) for component in ("blocks", "bumps")]
+
 
 @pytest.mark.parametrize("n", [1, 2, 20, 100])
 def test_aggregate_matches_per_group_reduction(n):
