@@ -42,7 +42,6 @@ from .decomposition import (
     EstimationConfig,
     PipelineError,
     Prepared,
-    RankDeficiencyError,
     estimate_components,
     prepare,
     solve_gamma,
@@ -65,7 +64,7 @@ __all__ = [
     "logistic_rule", "lpm_rule", "resolve_rule", "shrink_pyramid",
     "COMPONENT_NAMES", "Dataset", "DatasetSpec", "draw_weights",
     "eval_component", "generate_dataset", "sample_grid", "sigma_for_snr",
-    "EstimationConfig", "PipelineError", "Prepared", "RankDeficiencyError",
+    "EstimationConfig", "PipelineError", "Prepared",
     "estimate_components", "prepare", "solve_gamma",
     "ReplicateResult", "StudyConfig", "compute_mse",
     "emit_reports", "run_study",

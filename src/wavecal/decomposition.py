@@ -13,9 +13,10 @@ the weights do not depend on the rule.  `prepare` runs them once per
 dataset, after checking both inputs, and returns them as an immutable
 `Prepared` dataset: read-only arrays computed afresh, so that later edits
 to the caller's arrays do not reach it.  One thin SVD of the weights serves
-both the rank check and the pseudo-inverse; when the weights have no usable
-pseudo-inverse, `prepare` raises that failure at the least-squares stage, so
-it comes before any failure of a rule's own stages, in a one-shot call too.
+both the rank check and the pseudo-inverse, which `solve_gamma` applies;
+when the weights have no usable pseudo-inverse, `prepare` raises that
+failure at the least-squares stage, so it comes before any failure of a
+rule's own stages, in a one-shot call too.
 `estimate_components` takes the raw inputs or a `Prepared` dataset, so a
 study runs every rule on one `Prepared` while `wavecal estimate` makes one
 call.  Nothing per dataset is kept at module or thread level.  Each stage's
@@ -47,7 +48,6 @@ from .wavelet import Pyramid, WaveletFilter, transform_columns
 
 __all__ = [
     "PipelineError",
-    "RankDeficiencyError",
     "EstimationConfig",
     "Prepared",
     "prepare",
@@ -67,10 +67,6 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
-
-
-class RankDeficiencyError(ValueError):
-    """The mixing matrix does not have full row rank."""
 
 
 @dataclass(frozen=True)
@@ -162,46 +158,32 @@ class Prepared:
 
 
 def _pinv(y: np.ndarray) -> np.ndarray:
-    """The read-only pseudo-inverse V diag(1/s) U^T of full-rank L x I weights."""
+    """The read-only pseudo-inverse V diag(1/s) U^T of full-rank L x I weights,
+    L >= 1, under `prepare`'s errstate (1/s of subnormal weights overflows)."""
     L, I = y.shape
-    if L == 0:
-        raise ValueError("weights have no rows: no component to solve for")
     if I < L:
-        raise RankDeficiencyError(f"underdetermined mixing: L={L} components, I={I} samples")
+        raise ValueError(f"underdetermined mixing: L={L} components, I={I} samples")
     u, svals, vt = np.linalg.svd(y, full_matrices=False)
     # the rank a least-squares solver with rcond = _RANK_RTOL would use
     rank = int(np.sum(svals > _RANK_RTOL * svals[0]))
     if rank < L:
-        raise RankDeficiencyError(
-            f"weights are rank deficient: singular values span "
-            f"[{svals[-1]:.3e}, {svals[0]:.3e}], effective rank {rank} < {L}")
-    with np.errstate(over="ignore", invalid="ignore"):  # 1/s of subnormal weights
-        pinv = vt.T / svals @ u.T
+        raise ValueError(f"weights are rank deficient: singular values span "
+                         f"[{svals[-1]:.3e}, {svals[0]:.3e}], effective rank {rank} < {L}")
+    pinv = vt.T / svals @ u.T
     if not np.isfinite(pinv).all():
         raise ValueError(f"the pseudo-inverse of the weights is not finite (s = {svals})")
     return _read_only(pinv)
 
 
-def solve_gamma(shrunk: np.ndarray, weights: Union[np.ndarray, Prepared]) -> np.ndarray:
+def solve_gamma(shrunk: np.ndarray, prepared: Prepared) -> np.ndarray:
     """Least-squares recovery of component coefficients.
 
-    Returns the M x L matrix minimizing ||shrunk - gamma @ weights||_F,
-    computed as shrunk @ pinv(weights) from the thin SVD
-    weights = U diag(s) V^T, i.e. shrunk @ V diag(1/s) U^T (never by forming
-    (y y^T)^-1).  Raises RankDeficiencyError when the smallest singular value
-    of the weights falls below 1e-10 times the largest.  ``weights`` may also
-    be a `Prepared` dataset, whose pseudo-inverse is used.
+    Returns the M x L matrix minimizing ||shrunk - gamma @ weights||_F for
+    the weights ``prepared`` was made from, as shrunk @ P with P the
+    pseudo-inverse V diag(1/s) U^T that `prepare` took from the thin SVD
+    weights = U diag(s) V^T (never by forming (y y^T)^-1).
     """
-    D = np.asarray(shrunk, dtype=float)
-    if isinstance(weights, Prepared):
-        return D @ weights.pseudoinverse
-    y = np.asarray(weights, dtype=float)
-    if D.ndim != 2 or y.ndim != 2:
-        raise ValueError("solve_gamma expects 2-D arrays")
-    if D.shape[1] != y.shape[1]:
-        raise ValueError(f"coefficient matrix has {D.shape[1]} columns, "
-                         f"weights have {y.shape[1]}")
-    return D @ _pinv(y)
+    return shrunk @ prepared.pseudoinverse
 
 
 def _check_finite(name: str, values: np.ndarray) -> None:

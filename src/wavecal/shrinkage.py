@@ -166,9 +166,12 @@ def check_real(name: str, value, low: float = 0.0, high: float = np.inf,
     """Reject ``value`` unless it is a finite real number below ``high`` and
     above ``low``, or equal to ``low`` when ``closed``.  None, a bool, a
     string, an array, NaN, +-inf and an int past the float range are."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (low <= value if closed else low < value)
-            or not value < high or abs(value) > sys.float_info.max):
+    # a numpy scalar compares as a Python number: a float32 or float16 would
+    # cast the bound sys.float_info.max down to its own type, which overflows
+    number = value.item() if isinstance(value, np.generic) else value
+    if (isinstance(number, bool) or not isinstance(number, numbers.Real)
+            or not (low <= number if closed else low < number)
+            or not number < high or abs(number) > sys.float_info.max):
         raise ValueError(f"{name} must be finite and in {'[' if closed else '('}{low:g}, "
                          f"{high:g}), got {value!r}")
 

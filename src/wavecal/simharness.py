@@ -345,6 +345,6 @@ def emit_reports(rows: Sequence[AmseRow], stream: Sequence[ReplicateResult], out
             if (n := counts.get((rule, M, snr, component), 0)) < config.replicates],
     }
     with open(paths["run"], "w") as fh:
-        # a config's integers may be numpy integers, which json writes as ints
-        fh.write(json.dumps(payload, indent=2, sort_keys=True, default=int) + "\n")
+        # a config's numbers may be numpy scalars, which json writes by value
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item) + "\n")
     return paths

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from wavecal.decomposition import EstimationConfig, estimate_components, solve_gamma
+from wavecal.decomposition import EstimationConfig, estimate_components, prepare, solve_gamma
 from wavecal.shrinkage import (
     Abe,
     Bams,
@@ -204,13 +204,15 @@ def test_criterion_6_least_squares_oracle():
                     a[r] -= a[r, col] * a[col]
         return np.asarray(a[:, L:].T, dtype=float)
 
+    # the pseudo-inverse comes from prepare, here of zero observations
+    config = EstimationConfig(filter=make_filter("daubechies", 4), rule=Lpm())
     rng = np.random.default_rng(606)
     worst = 0.0
     for trial in range(100):
         L = (2, 4, 6)[trial % 3]
         D = rng.standard_normal((64, 10))
         y = rng.uniform(0.5, 1.5, (L, 10))
-        got = solve_gamma(D, y)
+        got = solve_gamma(D, prepare(np.zeros((16, 10)), y, config))
         want = normal_equations_longdouble(D, y)
         worst = max(worst, float(np.max(np.abs(got - want))))
     ok = worst < 1e-8

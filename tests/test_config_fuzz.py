@@ -33,6 +33,11 @@ SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=
 JUNK = st.sampled_from([None, True, False, 1.5, 64.0, math.nan, math.inf, -1.0, "3", "log",
                         b"1", (), [], {}, np.float64(2.0), object()])
 
+# numpy float32 and float16 scalars, in a config's range and out of it
+NUMPY_FLOATS = (st.floats(-10.0, 1e3, width=32).map(np.float32)
+                | st.floats(-10.0, 1e3, width=16).map(np.float16)
+                | st.sampled_from([np.float32(math.nan), np.float16(math.inf)]))
+
 VALID_STUDY = dict(study=1, m_values=(64,), snr_values=(3.0,), n_samples=4, replicates=1,
                    rules=("lpm",), seed=0, J0=3)
 
@@ -41,7 +46,7 @@ STUDY_FIELDS = {
     "m_values": (st.lists(st.sampled_from([0, 2, 8, 16, 32, 64, 96, 128, -64]) | JUNK,
                           max_size=3).map(tuple)
                  | st.integers(-64, 128) | JUNK),
-    "snr_values": (st.lists(st.floats(1e-3, 1e3) | st.integers(-2, 9) | JUNK,
+    "snr_values": (st.lists(st.floats(1e-3, 1e3) | st.integers(-2, 9) | NUMPY_FLOATS | JUNK,
                             max_size=3).map(tuple) | JUNK),
     "n_samples": st.integers(-1, 12) | JUNK,
     "replicates": st.integers(-1, 2) | JUNK,
@@ -70,13 +75,13 @@ DATASET_FIELDS = {
                             | JUNK, max_size=3).map(tuple) | JUNK),
     "M": st.integers(-2, 128) | JUNK,
     "I": st.integers(-1, 8) | JUNK,
-    "snr": st.floats(1e-3, 1e3) | st.integers(-2, 9) | JUNK,
+    "snr": st.floats(1e-3, 1e3) | st.integers(-2, 9) | NUMPY_FLOATS | JUNK,
     "seed": st.integers(-3, 2 ** 64) | JUNK,
 }
 
 
 # values in and out of the range of a rule spec's real fields
-REAL = (st.floats(-2.0, 2.0) | st.integers(-1, 3)
+REAL = (st.floats(-2.0, 2.0) | st.integers(-1, 3) | NUMPY_FLOATS
         | st.sampled_from([-0.0, 0.5, 1.0, 5e-324, 1e-300, 1e300, -math.inf]))
 
 

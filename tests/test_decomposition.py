@@ -16,7 +16,6 @@ from wavecal.decomposition import (
     OUTPUTS,
     EstimationConfig,
     PipelineError,
-    RankDeficiencyError,
     estimate_components,
     estimates_to_csv,
     prepare,
@@ -55,8 +54,15 @@ def column_by_column(observed, weights, config):
     for i in range(D.shape[1]):
         pyr = Pyramid(D[:, i], config.J0)
         shrunk[:, i] = shrink_pyramid(pyr, resolve_rule(config.rule, sigma), config.policy).flat
-    return transform_columns(solve_gamma(shrunk, weights), config.filter, config.J0,
-                             "inverse")
+    return transform_columns(solve_gamma(shrunk, prepare(observed, weights, config)),
+                             config.filter, config.J0, "inverse")
+
+
+def prepared(weights):
+    """A `Prepared` dataset of zero observations, for its pseudo-inverse of
+    ``weights``: the one least-squares path `solve_gamma` applies."""
+    config = EstimationConfig(filter=make_filter("daubechies", 4), rule=Lpm())
+    return prepare(np.zeros((16, np.shape(weights)[1])), weights, config)
 
 
 def normal_equations_longdouble(shrunk, weights):
@@ -86,21 +92,21 @@ class TestSolveGamma:
     def test_single_component_row_means(self):
         rng = np.random.default_rng(1)
         D = rng.standard_normal((16, 6))
-        gamma = solve_gamma(D, np.ones((1, 6)))
+        gamma = solve_gamma(D, prepared(np.ones((1, 6))))
         np.testing.assert_allclose(gamma[:, 0], D.mean(axis=1), rtol=0, atol=1e-12)
 
     def test_square_weights_interpolate(self):
         rng = np.random.default_rng(2)
         D = rng.standard_normal((8, 3))
         y = rng.uniform(0.5, 1.5, (3, 3))
-        gamma = solve_gamma(D, y)
+        gamma = solve_gamma(D, prepared(y))
         np.testing.assert_allclose(gamma, D @ np.linalg.inv(y), rtol=0, atol=1e-8)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(3)
         D = rng.standard_normal((8, 5))
         y = rng.uniform(0.5, 1.5, (2, 5))
-        np.testing.assert_allclose(solve_gamma(D, y),
+        np.testing.assert_allclose(solve_gamma(D, prepared(y)),
                                    normal_equations_longdouble(D, y),
                                    rtol=0, atol=1e-8)
 
@@ -111,7 +117,7 @@ class TestSolveGamma:
             L = (2, 4, 6)[trial % 3]
             D = rng.standard_normal((64, 10))
             y = rng.uniform(0.5, 1.5, (L, 10))
-            np.testing.assert_allclose(solve_gamma(D, y),
+            np.testing.assert_allclose(solve_gamma(D, prepared(y)),
                                        normal_equations_longdouble(D, y),
                                        rtol=0, atol=1e-8)
 
@@ -119,7 +125,7 @@ class TestSolveGamma:
         rng = np.random.default_rng(4)
         D = rng.standard_normal((32, 9))
         y = rng.uniform(0.5, 1.5, (3, 9))
-        gamma = solve_gamma(D, y)
+        gamma = solve_gamma(D, prepared(y))
         resid = D - gamma @ y
         assert np.max(np.abs(resid @ y.T)) < 1e-8
 
@@ -128,8 +134,8 @@ class TestSolveGamma:
         D = rng.standard_normal((16, 7))
         y = rng.uniform(0.5, 1.5, (2, 7))
         perm = rng.permutation(7)
-        base = solve_gamma(D, y)
-        permuted = solve_gamma(D[:, perm], y[:, perm])
+        base = solve_gamma(D, prepared(y))
+        permuted = solve_gamma(D[:, perm], prepared(y[:, perm]))
         np.testing.assert_allclose(permuted, base, rtol=0, atol=1e-10)
 
     def test_rank_deficiency_detected(self):
@@ -137,19 +143,18 @@ class TestSolveGamma:
         D = rng.standard_normal((8, 6))
         y = rng.uniform(0.5, 1.5, (1, 6))
         y = np.vstack([y, 2.0 * y])  # duplicated direction
-        with pytest.raises(RankDeficiencyError, match="rank"):
-            solve_gamma(D, y)
+        with pytest.raises(PipelineError, match=r"^\[least-squares\] weights are rank deficient"):
+            solve_gamma(D, prepared(y))
 
     def test_underdetermined_rejected(self):
-        with pytest.raises(RankDeficiencyError):
-            solve_gamma(np.zeros((4, 2)), np.ones((3, 2)))
+        with pytest.raises(PipelineError, match=r"^\[least-squares\] underdetermined mixing: "
+                                                r"L=3 components, I=2 samples$"):
+            solve_gamma(np.zeros((4, 2)), prepared(np.ones((3, 2))))
 
-    def test_shape_mismatch(self):
-        # zero-row weights have no largest singular value to rank against
-        for weights, message in ((np.ones((2, 6)), "5 columns, weights have 6"),
-                                 (np.empty((0, 5)), "weights have no rows")):
-            with pytest.raises(ValueError, match=message):
-                solve_gamma(np.zeros((4, 5)), weights)
+    def test_raw_weights_refused(self):
+        # prepare is the one least-squares path: a weight matrix has no pseudo-inverse
+        with pytest.raises(AttributeError, match="pseudoinverse"):
+            solve_gamma(np.zeros((4, 2)), np.ones((1, 2)))
 
     @pytest.mark.parametrize("spread", [None, 1e-1, 1e-2])
     def test_matches_lstsq(self, spread):
@@ -166,7 +171,7 @@ class TestSolveGamma:
                 y = (u * np.geomspace(1.0, spread, L)) @ v.T
             D = rng.standard_normal((64, 50))
             want = np.linalg.lstsq(y.T, D.T, rcond=decomposition._RANK_RTOL)[0].T
-            np.testing.assert_allclose(solve_gamma(D, y), want, rtol=1e-12,
+            np.testing.assert_allclose(solve_gamma(D, prepared(y)), want, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("ratio", [1.5e-10, 1.01e-10])
@@ -179,7 +184,7 @@ class TestSolveGamma:
         y[[0, 1, 2], [4, 1, 7]] = [1.0, 0.5, ratio]
         D = rng.standard_normal((16, 9))
         want = np.linalg.lstsq(y.T, D.T, rcond=decomposition._RANK_RTOL)[0].T
-        np.testing.assert_allclose(solve_gamma(D, y), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(solve_gamma(D, prepared(y)), want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("ratio", [0.99e-10, 1e-12, 0.0])
     def test_rank_tolerance_just_outside(self, ratio):
@@ -188,13 +193,14 @@ class TestSolveGamma:
         v = np.linalg.qr(rng.standard_normal((9, 3)))[0]
         y = (u * [1.0, 0.5, ratio]) @ v.T
         assert np.linalg.lstsq(y.T, np.zeros((9, 1)), rcond=decomposition._RANK_RTOL)[2] < 3
-        with pytest.raises(RankDeficiencyError, match=r"effective rank 2 < 3"):
-            solve_gamma(rng.standard_normal((16, 9)), y)
+        with pytest.raises(PipelineError, match=r"^\[least-squares\] .*effective rank 2 < 3$"):
+            solve_gamma(rng.standard_normal((16, 9)), prepared(y))
 
     def test_all_zero_weights(self):
-        with pytest.raises(RankDeficiencyError, match=r"rank deficient: singular values span \[0\.000e\+00, 0\.000e\+00\], "
-                                                     r"effective rank 0 < 2"):
-            solve_gamma(np.ones((4, 3)), np.zeros((2, 3)))
+        with pytest.raises(PipelineError, match=r"^\[least-squares\] weights are rank deficient: "
+                                                r"singular values span \[0\.000e\+00, 0\.000e\+00\], "
+                                                r"effective rank 0 < 2$"):
+            solve_gamma(np.ones((4, 3)), prepared(np.zeros((2, 3))))
 
 
 class TestEstimateComponents:
@@ -484,7 +490,7 @@ class TestNoSilentNonFiniteEstimate:
 
     def test_inverse_transform_overflow_names_its_stage(self, db10, dataset, monkeypatch):
         monkeypatch.setattr(decomposition, "solve_gamma",
-                            lambda shrunk, weights: np.full((64, 2), 1e308))
+                            lambda shrunk, prepared: np.full((64, 2), 1e308))
         with pytest.raises(PipelineError, match=r"\[inverse-transform\] output has NaN"):
             estimate_components(dataset.observed, dataset.weights,
                                 self.config(db10, "abe"))

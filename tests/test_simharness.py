@@ -454,3 +454,27 @@ def test_numpy_integer_fields_write_the_same_reports(tmp_path):
                              failures=failures)
         written.append([Path(paths[name]).read_bytes() for name in ("replicates", "amse", "run")])
     assert written[0] == written[1]
+
+
+def test_numpy_float_snrs_are_written_by_value(tmp_path, monkeypatch):
+    # run.json wrote a numpy float SNR of a failure or an incomplete cell
+    # through int(), so 2.5 became 2 there and stayed 2.5 in the CSVs
+    real = sh.estimate_components
+
+    def abe_fails(prepared, weights, config):
+        if isinstance(config.rule, RULES["abe"]):
+            raise PipelineError("shrinkage", "synthetic")
+        return real(prepared, weights, config)
+
+    monkeypatch.setattr(sh, "estimate_components", abe_fails)
+    config = StudyConfig(study=1, m_values=(64,), snr_values=(np.float32(2.5), 9.0),
+                         n_samples=4, replicates=1, rules=("lpm", "abe"), seed=5)
+    rows, stream, failures = run_study(config)
+    paths = emit_reports(rows, stream, tmp_path, config=config, failures=failures)
+    payload = json.loads(Path(paths["run"]).read_text())
+    assert payload["config"]["snr_values"] == [2.5, 9.0]
+    assert [f["snr"] for f in payload["failed_replicates"]] == [2.5, 9.0]
+    assert [cell["snr"] for cell in payload["incomplete_cells"]] == [2.5, 2.5, 9.0, 9.0]
+    for name in ("replicates", "amse"):
+        with open(paths[name], newline="") as fh:
+            assert {float(row["snr"]) for row in csv.DictReader(fh)} == {2.5, 9.0}
