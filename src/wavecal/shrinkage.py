@@ -45,8 +45,8 @@ Chebyshev interpolants in |d|, built from factorised Gauss-Hermite sums
 asymptotes past a cutoff.  Each coefficient then costs two Horner
 evaluations and one exponential, and the scaled kernel cannot underflow at
 any |d|; a table that would need more than 2^14 panels is refused.
-`_grid_sums` builds the table's (points x nodes) grid in chunks of at most
-`_GRID_VALUES` values in one reused buffer.
+Below sigma = 2 tau the table's (points x nodes) grid is one product of at
+most 219 panels x 9 points x 44 nodes = 86 724 values, whatever the data.
 
 The beta rule has the shape a = 2 of the paper and is evaluated at
 c = |d| / sigma and w = m / sigma, with the sign of d restored last.  Its
@@ -121,8 +121,9 @@ BAMS_ALPHA = 0.8
 # M = 1024 18% more replicates per second on two CPUs (BENCH_30.json).
 _BLOCK_COEFFICIENTS = 25600
 
-# Largest number of node-grid values `_grid_sums` holds at once: 256 KiB,
-# which stays in L2 cache and is reused for every chunk of a rule call.
+# Largest number of grid values `_prior_scale_sums` holds at once: 256 KiB,
+# which stays in L2 cache.  It bounds the prior-scale sums only; the table
+# bounds the Gauss-Hermite grid below sigma = 2 tau.
 _GRID_VALUES = 32768
 
 # Past this magnitude d * d or sigma * sigma may overflow, and below its
@@ -277,27 +278,6 @@ def _logistic_pdf(y, out=None):
     return np.divide(1.0, g, out=out)
 
 
-def _grid_sums(x, nodes, weights):
-    """sum_i weights[i, :] * _logistic_pdf(x * nodes[i]) at every point x.
-
-    The result has one row per point and one column per column of
-    ``weights`` (nodes x K).  The (points x nodes) grid is never built whole:
-    one buffer of at most _GRID_VALUES values is filled a chunk of points at
-    a time by an outer product, the kernel is applied to it in place, and a
-    matmul reduces it.
-    """
-    rows = max(1, min(x.size, _GRID_VALUES // nodes.size))
-    buffer = np.empty((rows, nodes.size))
-    sums = np.empty((x.size, weights.shape[1]))
-    for start in range(0, x.size, rows):
-        stop = min(start + rows, x.size)
-        grid = buffer[:stop - start]
-        np.multiply.outer(x[start:stop], nodes, out=grid)
-        _logistic_pdf(grid, out=grid)
-        np.matmul(grid, weights, out=sums[start:stop])
-    return sums
-
-
 def _as_array(d):
     arr = np.asarray(d, dtype=float)
     return arr, arr.ndim == 0
@@ -385,7 +365,8 @@ def _prior_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _likelihood_scale_sums(a, sigma: float, tau: float, nodes):
-    """(ell, R) at a > 0 from the factorised Gauss-Hermite sums.
+    """(ell, R) at a > 0 from the factorised Gauss-Hermite sums, taken on one
+    (points x nodes) grid.
 
     With u_i, w_i the nodes and weights, c_i = e^(-sigma u_i / tau) and
     F = e^(-a / tau), tau Z e^(a / tau) = sum_i w_i c_i k(F c_i) and
@@ -394,7 +375,8 @@ def _likelihood_scale_sums(a, sigma: float, tau: float, nodes):
     """
     u, w = nodes
     c = np.exp(-(sigma / tau) * u)
-    z, s1 = _grid_sums(np.exp(-a / tau), c, np.stack([w * c, w * u * c], axis=1)).T
+    grid = np.multiply.outer(np.exp(-a / tau), c)
+    z, s1 = (_logistic_pdf(grid, out=grid) @ np.stack([w * c, w * u * c], axis=1)).T
     return np.log(z), 1.0 + sigma * s1 / (a * z)
 
 
@@ -482,7 +464,8 @@ def _logistic_from_table(arr, log_k, table: _LogisticTable):
     delta = sign(d) a R(a) / (1 + K e^x), with x = a / tau - a^2 / (2 sigma^2)
     - ell(a) and ``log_k`` = log K from `_point_mass_log`, a scalar or one
     value per row of ``arr``: K e^x is the point mass's share p phi_sigma(a)
-    over (1 - p) Z(a).  A row whose log K is -inf gets e^x = 0 exactly.
+    over (1 - p) Z(a).  A row whose log K is -inf gets e^x = 0 exactly, so
+    its ratio is divided by exactly 1.
     """
     tau, sigma, cutoff = LOGISTIC_TAU, table.sigma, table.cutoff
     a = np.abs(arr)
@@ -510,18 +493,17 @@ def _logistic_from_table(arr, log_k, table: _LogisticTable):
         ell = np.where(beyond, sigma * sigma / (2.0 * tau * tau), ell)
         ratio = np.where(beyond, 1.0 - sigma * sigma / (tau * np.fmax(a, cutoff)), ratio)
     ratio *= a
-    if np.any(log_k > -np.inf):
-        # past cutoff + 40 sigma, e^x < e^-800 K: the point mass has no weight;
-        # x and its factor take the buffers of t and the powers
-        x = np.fmin(a, cutoff + 40.0 * sigma, out=t)
-        factor = np.divide(x, 2.0 * sigma * sigma, out=power)
-        x *= np.subtract(1.0 / tau, factor, out=factor)
-        x -= ell
-        x += log_k
-        np.minimum(x, 700.0, out=x)
-        np.exp(x, out=x)
-        x += 1.0
-        ratio /= x
+    # past cutoff + 40 sigma, e^x < e^-800 K: the point mass has no weight;
+    # x and its factor take the buffers of t and the powers
+    x = np.fmin(a, cutoff + 40.0 * sigma, out=t)
+    factor = np.divide(x, 2.0 * sigma * sigma, out=power)
+    x *= np.subtract(1.0 / tau, factor, out=factor)
+    x -= ell
+    x += log_k
+    np.minimum(x, 700.0, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    ratio /= x
     return np.copysign(ratio, arr, out=ratio)
 
 

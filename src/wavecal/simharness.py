@@ -102,6 +102,8 @@ class StudyConfig:
         for name, values in lists.items():
             if len(set(values)) < len(values):
                 raise ValueError(f"duplicate value in {name}: {values}")
+        # one type for an SNR in every report: an int 3 is written 3.0 as well
+        object.__setattr__(self, "snr_values", tuple(float(s) for s in self.snr_values))
 
     @property
     def components(self) -> tuple[str, ...]:
@@ -330,7 +332,6 @@ def emit_reports(rows: Sequence[AmseRow], stream: Sequence[ReplicateResult], out
         "config": {
             **asdict(config),
             "components": config.components,
-            "snr_values": [float(s) for s in config.snr_values],
             "filter": {"family": "daubechies", "vanishing_moments": VANISHING_MOMENTS},
             "weight_scheme": "uniform",
             "sigma_mode": "pooled",

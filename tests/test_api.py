@@ -1,9 +1,10 @@
-"""Every exported name resolves, and no module or test file imports a name it
-does not use."""
+"""Every exported name resolves, every private name the docs name in
+backticks exists, and no module or test file imports a name it does not use."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,33 @@ def test_all_names_resolve(name):
 
 def test_modules_found():
     assert {"wavecal.shrinkage", "wavecal.wavelet", "wavecal.cli"} <= set(MODULES)
+
+
+def _stale_names(text):
+    """The backticked private names in ``text``, `_x` or `module._x`, that
+    are no attribute of a wavecal module (of ``module``, when it is named)."""
+    modules = {name.rpartition(".")[2]: importlib.import_module(name) for name in MODULES}
+    stale = []
+    for module, name in re.findall(r"`(?:(\w+)\.)?(_[A-Za-z]\w*)`", text):
+        if module:
+            owners = [modules[module]] if module in modules else []
+        else:
+            owners = modules.values()
+        if not any(hasattr(owner, name) for owner in owners):
+            stale.append(f"{module}.{name}" if module else name)
+    return stale
+
+
+@pytest.mark.parametrize("path", sorted(Path(wavecal.__file__).parent.glob("*.py"))
+                         + [Path(__file__).parents[1] / "README.md"],
+                         ids=lambda path: path.name)
+def test_backticked_private_names_exist(path):
+    assert _stale_names(path.read_text()) == []
+
+
+def test_stale_name_is_found():
+    text = "`_pinv`, `decomposition._stage`, `shrinkage._stage`, `_gone` and `np._x`"
+    assert _stale_names(text) == ["shrinkage._stage", "_gone", "np._x"]
 
 
 def _unused_imports(path):

@@ -1041,9 +1041,11 @@ class TestHypothesisProperties:
 # ---------------------------------------------------------------------------
 
 class TestNodeGridChunks:
-    """The logistic table's node grids are evaluated in chunks of at most
-    _GRID_VALUES values; a level slice whose grid spans several chunks and
-    ends in a partial one must equal coefficient-by-coefficient evaluation."""
+    """Below sigma = 2 tau the logistic table's node grid is one product of at
+    most 219 panels x 9 points x 44 nodes; beyond, the prior-scale sums take
+    their grid in chunks of at most _GRID_VALUES values.  A level slice whose
+    grid spans several chunks and ends in a partial one must equal
+    coefficient-by-coefficient evaluation, and the same bits as one chunk."""
 
     @staticmethod
     def slice_spanning_chunks(nodes):
@@ -1061,11 +1063,23 @@ class TestNodeGridChunks:
         want = [[logistic_rule(float(x), spec, p=0.8) for x in row] for row in d]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
+    def test_prior_scale_sums_spanning_chunks(self, monkeypatch):
+        # at sigma = 3 tau and top = 60 the table has 161 panels, 1449 points:
+        # 15 chunks of 102 points (320 nodes each), the last one partial
+        spec, nodes = Logistic(sigma=3.0), shrinkage._prior_rule()[0].size
+        assert nodes == 320 and shrinkage._GRID_VALUES // nodes == 102
+        chunked = shrinkage._logistic_table(spec, 60.0)
+        assert chunked.last + 1 == 161
+        monkeypatch.setattr(shrinkage, "_GRID_VALUES", 2 ** 30)
+        whole = shrinkage._logistic_table(spec, 60.0)
+        assert chunked.cutoff == whole.cutoff
+        assert chunked.coef.tobytes() == whole.coef.tobytes()
+
     def test_logistic_table_grid_stays_within_bound(self, monkeypatch):
         # `log` evaluates no (coefficients x nodes) grid: its kernel runs only
-        # on the (table points x nodes) grid of the table build, in chunks
-        rng = np.random.default_rng(42)
-        pyr = Pyramid(rng.standard_normal((1024, 50)) * 3.0, 9)
+        # on the (table points x nodes) grid of the table build, one product
+        # per table of at most 219 panels x 9 points, reached at sigma = 2 tau
+        # and any top past the cutoff
         grids, points = [], []
         pdf, sums = shrinkage._logistic_pdf, shrinkage._likelihood_scale_sums
 
@@ -1079,12 +1093,21 @@ class TestNodeGridChunks:
 
         monkeypatch.setattr(shrinkage, "_logistic_pdf", recording_pdf)
         monkeypatch.setattr(shrinkage, "_likelihood_scale_sums", recording_sums)
-        shrink_pyramid(pyr, resolve_rule(Logistic(), 1.0))
         nodes = shrinkage._logistic_nodes()[0].size
         assert nodes == 44
+        table = shrinkage._logistic_table(Logistic(sigma=2.0 * shrinkage.LOGISTIC_TAU),
+                                          1e300)
+        assert table.last + 1 == 219
+        assert grids == [(219 * 9, nodes)] and points == [219 * 9]
+
+        grids.clear()
+        points.clear()
+        rng = np.random.default_rng(42)
+        pyr = Pyramid(rng.standard_normal((1024, 50)) * 3.0, 9)
+        shrink_pyramid(pyr, resolve_rule(Logistic(), 1.0))
         assert all(len(shape) == 2 and shape[1] == nodes for shape in grids)
-        assert max(np.prod(shape) for shape in grids) <= shrinkage._GRID_VALUES
-        assert sum(np.prod(shape) for shape in grids) == sum(points) * nodes
+        assert [shape[0] for shape in grids] == points
+        assert max(points) <= 219 * 9
 
 
 # ---------------------------------------------------------------------------

@@ -478,3 +478,25 @@ def test_numpy_float_snrs_are_written_by_value(tmp_path, monkeypatch):
     for name in ("replicates", "amse"):
         with open(paths[name], newline="") as fh:
             assert {float(row["snr"]) for row in csv.DictReader(fh)} == {2.5, 9.0}
+
+
+def test_int_snrs_are_written_as_floats(tmp_path, monkeypatch):
+    # run.json wrote the config's SNRs through float() but a failure's and an
+    # incomplete cell's as given, so an int 3 was 3.0 in one place, 3 in another
+    real = sh.estimate_components
+
+    def abe_not_finite(prepared, weights, config):
+        estimate = real(prepared, weights, config)
+        return estimate * np.nan if isinstance(config.rule, RULES["abe"]) else estimate
+
+    monkeypatch.setattr(sh, "estimate_components", abe_not_finite)
+    config = StudyConfig(study=1, m_values=(64,), snr_values=(3, 9), n_samples=4,
+                         replicates=1, rules=("lpm", "abe"), seed=5)
+    rows, stream, failures = run_study(config)
+    paths = emit_reports(rows, stream, tmp_path, config=config, failures=failures)
+    payload = json.loads(Path(paths["run"]).read_text())
+    assert [f["stage"] for f in payload["failed_replicates"]] == ["mse", "mse"]
+    snrs = (payload["config"]["snr_values"] + [f["snr"] for f in payload["failed_replicates"]]
+            + [cell["snr"] for cell in payload["incomplete_cells"]])
+    assert snrs == [3.0, 9.0, 3.0, 9.0, 3.0, 3.0, 9.0, 9.0]
+    assert all(type(snr) is float for snr in snrs)
