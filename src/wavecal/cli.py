@@ -143,7 +143,7 @@ def _read_samples(path):
             raise ValueError(f"{path}: expected columns t,sample_id,value")
         rows = _load_rows(path, fh, dtype=_SAMPLE_ROW, quotechar='"', ndmin=1,
                           usecols=[header.index(n) for n in _SAMPLE_ROW.names])
-    rows = rows[np.lexsort((rows["value"], rows["t"], rows["sample_id"]))]
+    rows = rows[np.lexsort((rows["t"], rows["sample_id"]))]
     t, ids = rows["t"], rows["sample_id"]
     same_sample = ids[1:] == ids[:-1]
     duplicate = same_sample & (t[1:] == t[:-1])

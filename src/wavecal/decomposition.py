@@ -123,7 +123,8 @@ def _keep_freed_heap() -> None:
     and free() keeps them for the next block instead of returning them to
     the kernel, which would fault them in again.  No page of the array is
     touched, so the resident memory does not grow; under another C library
-    this does nothing.
+    this does nothing.  Without it, study 3 at M = 1024 ran at 116 and 124
+    replicates/s against 173 and 166 (10 s runs on two Xeon CPUs).
     """
     np.empty(16 << 20, np.uint8)
 

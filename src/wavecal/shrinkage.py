@@ -118,7 +118,8 @@ BAMS_ALPHA = 0.8
 # worker threads, half this size made each numpy pass about 5 us, about what
 # handing the interpreter lock to the other worker costs.  Together with the
 # heap kept by `decomposition._keep_freed_heap`, this size gave study 3 at
-# M = 1024 18% more replicates per second on two CPUs (BENCH_30.json).
+# M = 1024 18% more replicates per second on two CPUs (BENCH_30.json).  One
+# block per pyramid raised its peak RSS from 67.1-67.5 to 71.3-71.5 MiB (+6%).
 _BLOCK_COEFFICIENTS = 25600
 
 # Largest number of grid values `_prior_scale_sums` holds at once: 256 KiB,
@@ -476,15 +477,13 @@ def _logistic_from_table(arr, log_k, table: _LogisticTable):
     np.minimum(panel, table.last, out=panel)
     t -= 2.0 * panel + 1.0
 
-    power = np.empty_like(t)
-
     def horner(coef):
         # one polynomial at every coefficient, its panel's powers gathered one
-        # at a time into one buffer (panel is in [0, last])
+        # at a time (panel is in [0, last])
         value = coef[_CHEB_DEGREE].take(panel, mode="clip")
         for j in range(_CHEB_DEGREE - 1, -1, -1):
             value *= t
-            value += coef[j].take(panel, out=power, mode="clip")
+            value += coef[j].take(panel, mode="clip")
         return value
 
     ell = horner(table.coef[:_CHEB_DEGREE + 1])
@@ -493,11 +492,9 @@ def _logistic_from_table(arr, log_k, table: _LogisticTable):
         ell = np.where(beyond, sigma * sigma / (2.0 * tau * tau), ell)
         ratio = np.where(beyond, 1.0 - sigma * sigma / (tau * np.fmax(a, cutoff)), ratio)
     ratio *= a
-    # past cutoff + 40 sigma, e^x < e^-800 K: the point mass has no weight;
-    # x and its factor take the buffers of t and the powers
-    x = np.fmin(a, cutoff + 40.0 * sigma, out=t)
-    factor = np.divide(x, 2.0 * sigma * sigma, out=power)
-    x *= np.subtract(1.0 / tau, factor, out=factor)
+    # past cutoff + 40 sigma, e^x < e^-800 K: the point mass has no weight
+    x = np.fmin(a, cutoff + 40.0 * sigma)
+    x *= 1.0 / tau - x / (2.0 * sigma * sigma)
     x -= ell
     x += log_k
     np.minimum(x, 700.0, out=x)
@@ -818,17 +815,6 @@ def _mixture_weight(j: int, J0: int) -> float:
     return 1.0 - (j - J0 + 1) ** (-POLICY_GAMMA)
 
 
-def _level_peaks(details: np.ndarray, starts: list[int]) -> np.ndarray:
-    """max |d| over the rows of each level, which starts at its row of
-    ``starts``, per column: on finite input the bits of
-    ``np.maximum.reduceat(np.abs(details), starts, axis=0)``, taken as
-    max(max d, -min d) without an |d| temporary of the details' size."""
-    peaks = np.maximum(np.maximum.reduceat(details, starts, axis=0),
-                       np.negative(np.minimum.reduceat(details, starts, axis=0)))
-    peaks += 0.0  # the peak of a level of zeros is +0.0, as abs makes it
-    return peaks
-
-
 def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
                    policy: Optional[LevelPolicy] = None) -> Pyramid:
     """Apply a shrinkage rule to every detail coefficient of a pyramid.
@@ -855,8 +841,9 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
     # by row; `fixed` values are passed whole
     per_level, fixed, live = (), (rule,), None
     if isinstance(rule, tuple(RULES[name] for name in POLICY_RULES)):
-        # m(j), and the logistic table's range
-        peaks = _level_peaks(details, [2 ** j - first for j in levels])
+        # max_k |d_jk| per level and column: m(j), and the logistic table's range
+        peaks = np.maximum.reduceat(np.abs(details), [2 ** j - first for j in levels],
+                                    axis=0)
         p = [_mixture_weight(j, pyr.J0) for j in levels]
         live = peaks > 0.0
         column = (-1,) + (1,) * (details.ndim - 1)  # a value per row, broadcast

@@ -20,7 +20,8 @@ b detail coefficients, interleaved; synthesis applies the transposed operator
 to windows of the interleaved (approx, detail) sequence and yields 2b
 samples per window.  b is `_BLOCK` rows, or N/2 on a shorter level.  Both
 directions run every level in the same few buffers, allocated once per call:
-each level's input is extended in place and its GEMM writes to one output.
+each level's input is extended in place, and its GEMM writes to one matrix,
+the forward's scratch of products or the inverse's output.
 `make_filter` builds each filter and its block operators once per process.
 
 `transform_columns` is the only transform entry point: it transforms every
@@ -178,7 +179,8 @@ def make_filter(family: str, vanishing_moments: int) -> WaveletFilter:
     """
     if family.strip().lower() != "daubechies":
         raise UnsupportedFilterError(f"unsupported filter family {family!r}")
-    if vanishing_moments not in DAUBECHIES_LOWPASS:
+    if (isinstance(vanishing_moments, bool) or not isinstance(vanishing_moments, (int, np.integer))
+            or vanishing_moments not in DAUBECHIES_LOWPASS):
         raise UnsupportedFilterError(
             f"unsupported filter: daubechies with {vanishing_moments} vanishing "
             f"moments (supported: 1..10)")
@@ -256,25 +258,21 @@ def transform_columns(matrix: np.ndarray, filt: WaveletFilter, J0: int,
     if direction == "forward":
         J = _depth(a.shape[0], J0)
         # Each level reads its input, extended periodically, from one of two
-        # buffers, and its GEMM writes the interleaved (approx, detail) pairs
-        # to the output's leading rows, which the levels before have left
-        # free; the approximation goes to the other buffer, where the next
-        # level extends it in place, and the details to their rows of the
-        # output through the level's own input buffer, which the GEMM has
-        # consumed, so that the levels allocate nothing.
+        # buffers, and its GEMM writes into one scratch matrix; from there the
+        # approximation goes to the other buffer, where the next level extends
+        # it in place, and the details to their rows of the output.
         M, T = a.shape[0], len(filt)
-        out = np.empty_like(a)
+        out, products = np.empty_like(a), np.empty_like(a)
         buffers = np.empty((M + T - 2, a.shape[1])), np.empty((M // 2 + T - 2, a.shape[1]))
         np.take(a, _periodic_index(M, 0, M + T - 2), axis=0, out=buffers[0], mode="clip")
         for level in range(J - J0):
             N = M >> level
             ext, approx = buffers[level % 2], buffers[1 - level % 2]
             half = N // 2
-            pairs = _apply_blocks(filt.analysis_block, ext[:N + T - 2], min(_BLOCK, half),
-                                  out[:N])
-            approx[:half] = pairs[0:N:2]
-            ext[:half] = pairs[1:N:2]
-            out[half:N] = ext[:half]
+            _apply_blocks(filt.analysis_block, ext[:N + T - 2], min(_BLOCK, half),
+                          products[:N])
+            approx[:half] = products[0:N:2]
+            out[half:N] = products[1:N:2]
             if level + 1 < J - J0:
                 np.take(approx[:half], _periodic_index(half, 0, T - 2), axis=0,
                         out=approx[half:half + T - 2], mode="clip")

@@ -1,5 +1,6 @@
 """Every exported name resolves, every private name the docs name in
-backticks exists, and no module or test file imports a name it does not use."""
+backticks exists, every private module-level name is read somewhere, and no
+module or test file imports a name it does not use."""
 
 import ast
 import importlib
@@ -54,6 +55,49 @@ def test_backticked_private_names_exist(path):
 def test_stale_name_is_found():
     text = "`_pinv`, `decomposition._stage`, `shrinkage._stage`, `_gone` and `np._x`"
     assert _stale_names(text) == ["shrinkage._stage", "_gone", "np._x"]
+
+
+def _orphan_names(paths, users):
+    """The module-level private functions, classes and constants of the
+    modules at ``paths`` that no code in ``paths`` or ``users`` reads, an
+    import included, with their line numbers."""
+    defined, read = {}, set()
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [(node.name, node.lineno)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [(t.id, t.lineno) for t in names if isinstance(t, ast.Name)]
+            else:
+                targets = []
+            defined.update((f"{path.name}:{line} {name}", name) for name, line in targets
+                           if name.startswith("_") and not name.startswith("__"))
+    for path in [*paths, *users]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(where for where, name in defined.items() if name not in read)
+
+
+def test_no_orphan_private_names():
+    # bench/ is read, never changed: `shrinkage._phi` lives only for its counters
+    source = Path(wavecal.__file__).parent
+    users = sorted((source.parents[1] / "bench").glob("*.py"))
+    assert _orphan_names(sorted(source.glob("*.py")), users) == []
+
+
+def test_orphan_name_is_found(tmp_path):
+    (tmp_path / "a.py").write_text("_KEPT = 1\n_GONE: int = 2\n__all__ = []\n"
+                                   "def _helper():\n    return _KEPT\n"
+                                   "class _Unused:\n    _attribute = 3\n")
+    (tmp_path / "b.py").write_text("from .a import _helper\n")
+    assert _orphan_names([tmp_path / "a.py"], [tmp_path / "b.py"]) == [
+        "a.py:2 _GONE", "a.py:6 _Unused"]
 
 
 def _unused_imports(path):

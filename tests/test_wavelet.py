@@ -72,7 +72,7 @@ class TestMakeFilter:
 
     def test_unsupported_moment_count(self):
         for _ in range(2):  # a failed request caches nothing and fails again
-            for v in (11, 0):
+            for v in (11, 0, True, 10.0):  # True == 1 and 10.0 == 10, yet neither is an int V
                 with pytest.raises(UnsupportedFilterError):
                     make_filter("daubechies", v)
 
