@@ -68,7 +68,6 @@ from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr
 
 from .wavelet import Pyramid
 
@@ -395,6 +394,8 @@ def _prior_scale_sums(a, sigma: float, tau: float):
     phi(z_i) / Phi(z_i) = sqrt(2 / pi) / erfcx(-z_i / sqrt 2) under the
     weights w_i Phi(z_i), which keeps its full precision.
     """
+    from scipy.special import erfcx, log_ndtr  # only this path of `log` needs them
+
     y, log_w = _prior_rule()
     mu = a - sigma * sigma / tau
     log_q, mills = np.empty_like(a), np.empty_like(a)
@@ -466,35 +467,45 @@ def _logistic_from_table(arr, log_k, table: _LogisticTable):
     - ell(a) and ``log_k`` = log K from `_point_mass_log`, a scalar or one
     value per row of ``arr``: K e^x is the point mass's share p phi_sigma(a)
     over (1 - p) Z(a).  A row whose log K is -inf gets e^x = 0 exactly, so
-    its ratio is divided by exactly 1.
+    its ratio is divided by exactly 1.  The terms are evaluated in place, in
+    five arrays of ``arr``'s shape and one of its panel indices.
     """
     tau, sigma, cutoff = LOGISTIC_TAU, table.sigma, table.cutoff
     a = np.abs(arr)
     beyond = a >= cutoff
     t = np.fmin(a, cutoff)
     t *= table.scale  # in half panels
-    panel = (0.5 * t).astype(np.intp)
+    ell, ratio, x = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    panel = np.multiply(t, 0.5, out=x).astype(np.intp)
     np.minimum(panel, table.last, out=panel)
-    t -= 2.0 * panel + 1.0
+    np.multiply(panel, 2.0, out=x)
+    x += 1.0
+    t -= x
 
-    def horner(coef):
+    def horner(coef, value, gathered):
         # one polynomial at every coefficient, its panel's powers gathered one
         # at a time (panel is in [0, last])
-        value = coef[_CHEB_DEGREE].take(panel, mode="clip")
+        coef[_CHEB_DEGREE].take(panel, mode="clip", out=value)
         for j in range(_CHEB_DEGREE - 1, -1, -1):
             value *= t
-            value += coef[j].take(panel, mode="clip")
-        return value
+            value += coef[j].take(panel, mode="clip", out=gathered)
 
-    ell = horner(table.coef[:_CHEB_DEGREE + 1])
-    ratio = horner(table.coef[_CHEB_DEGREE + 1:])
+    horner(table.coef[:_CHEB_DEGREE + 1], ell, ratio)
+    horner(table.coef[_CHEB_DEGREE + 1:], ratio, x)
     if np.any(beyond):
-        ell = np.where(beyond, sigma * sigma / (2.0 * tau * tau), ell)
-        ratio = np.where(beyond, 1.0 - sigma * sigma / (tau * np.fmax(a, cutoff)), ratio)
+        np.copyto(ell, sigma * sigma / (2.0 * tau * tau), where=beyond)
+        # R = 1 - sigma^2 / (tau a), with a >= cutoff where it is taken
+        edge = np.fmax(a, cutoff, out=t)
+        edge *= tau
+        np.divide(sigma * sigma, edge, out=edge)
+        np.subtract(1.0, edge, out=edge)
+        np.copyto(ratio, edge, where=beyond)
     ratio *= a
     # past cutoff + 40 sigma, e^x < e^-800 K: the point mass has no weight
-    x = np.fmin(a, cutoff + 40.0 * sigma)
-    x *= 1.0 / tau - x / (2.0 * sigma * sigma)
+    np.fmin(a, cutoff + 40.0 * sigma, out=x)
+    factor = np.divide(x, 2.0 * sigma * sigma, out=t)
+    np.subtract(1.0 / tau, factor, out=factor)
+    x *= factor
     x -= ell
     x += log_k
     np.minimum(x, 700.0, out=x)
@@ -523,9 +534,9 @@ def logistic_rule(d, spec: Logistic, *, p: float):
     return float(out[0]) if scalar else out
 
 
-def _beta_two(c, w, r):
+def _beta_two(c, w, p):
     """|delta| / sigma of the beta rule at shape a = 2, from c = |d| / sigma,
-    w = m / sigma and r from `_beta_point_mass`.
+    w = m / sigma and the mixture weight p.
 
     With theta = sigma (c + u) the prior kernel m^2 - theta^2 is sigma^2 times
     a quadratic in u, so the prior integrals are sums of the truncated normal
@@ -538,51 +549,56 @@ def _beta_two(c, w, r):
         |delta| / sigma = num / (s0 + r e^(-c^2 / 2)),  r = p / (1 - p) (4 / 3) w^3,
 
     where s0 and num are sqrt(2 pi) (4 / 3) w^3 times sigma Z and N, and
-    r e^(-c^2 / 2) is the point mass's share on that scale.  The terms are
-    evaluated in place, a few whole-array passes each.  The denominator is
-    positive wherever `beta_rule` uses this form; s0 is never -0, so an r of
-    0 leaves it bit for bit.
+    r e^(-c^2 / 2) is the point mass's share on that scale, with r exactly 0
+    at p = 0, whatever w.  The denominator is positive wherever `beta_rule`
+    uses this form; s0 is never -0, so an r of 0 leaves it bit for bit.
+
+    ``c`` and ``w`` are arrays of one shape, which this overwrites, and p a
+    scalar or an array broadcasting against them.  The terms are evaluated
+    in place, in four more arrays of that shape: w - c and w + c are taken
+    afresh from w and c where a live copy would need a fifth.
     """
+    from scipy.special import ndtr  # loaded by the first call, not by `import wavecal`
+
     hi = np.subtract(w, c)
     sm = np.add(w, c)
     g = ndtr(hi)
     t = np.negative(sm)
     g -= ndtr(t, out=t)
     g *= _SQRT_2PI
-    big_p = np.multiply(sm, sm, out=t)
-    big_p *= -0.5
-    np.exp(big_p, out=big_p)
-    big_h = np.multiply(hi, hi)
-    big_h *= -0.5
-    np.exp(big_h, out=big_h)
-    s0 = np.multiply(hi, sm)
+    # s0 = ((w - c)(w + c) - 1) G; from here on g holds c G
+    s0 = np.multiply(hi, sm, out=hi)
     s0 -= 1.0
     s0 *= g
-    hi *= big_p
-    s0 += hi
-    sm *= big_h
-    s0 += sm
-    big_p -= big_h
     g *= c
+    big_p = np.multiply(sm, sm, out=sm)
+    big_p *= -0.5
+    np.exp(big_p, out=big_p)
+    term = np.subtract(w, c, out=t)
+    term *= big_p
+    s0 += term
+    big_h = np.subtract(w, c, out=term)
+    np.multiply(big_h, big_h, out=big_h)
+    big_h *= -0.5
+    np.exp(big_h, out=big_h)
+    big_p -= big_h
     g += big_p
     g *= 2.0
-    num = np.multiply(c, s0, out=hi)
+    term = np.add(w, c, out=big_p)
+    term *= big_h
+    s0 += term
+    num = np.multiply(c, s0, out=term)
     num -= g
-    den = np.multiply(c, c, out=sm)
+    np.copyto(w, 0.0, where=np.equal(p, 0.0))  # no w^3 to overflow where r is 0
+    r = np.power(w, 3, out=w)
+    r *= p / (1.0 - p) * (4.0 / 3.0)
+    den = np.multiply(c, c, out=c)
     den *= -0.5
     np.exp(den, out=den)
     den *= r
     s0 += den
     num /= s0
     return num
-
-
-def _beta_point_mass(p: float, w):
-    """r = p / (1 - p) (4 / 3) w^3, the point mass's weight in `_beta_two`;
-    exactly 0 at p = 0, whatever w."""
-    if p == 0.0:
-        return np.zeros_like(w, dtype=float)
-    return p / (1.0 - p) * (4.0 / 3.0) * np.power(w, 3)
 
 
 def _beta_series(c, w, p: float):
@@ -635,21 +651,22 @@ def _beta_series(c, w, p: float):
 _BETA_OUTSIDE = float(np.sqrt(49.5))
 
 
-def _beta_kernel(arr, p, w, r, sigma: float):
+def _beta_kernel(arr, p, w, sigma: float):
     """The beta rule at the coefficients ``arr`` from resolved values: the
-    mixture weight p, w = m / sigma and r = `_beta_point_mass` (p, w), each a
-    scalar or an array broadcasting against ``arr``, and the scalar sigma.
-    Every coefficient's result is its own: the closed form and the series
-    are elementwise, whatever else is in ``arr``."""
-    c = np.abs(arr) / sigma
+    mixture weight p, a scalar or an array broadcasting against ``arr``,
+    w = m / sigma, an array of ``arr``'s shape that the kernel overwrites,
+    and the scalar sigma.  Every coefficient's result is its own: the closed
+    form and the series are elementwise, whatever else is in ``arr``."""
+    c = np.abs(arr)
+    c /= sigma
     narrow = w < 0.3
     if not np.any(narrow):
-        out = _beta_two(c, w, r)
+        out = _beta_two(c, w, p)
     else:
-        c, p, w, r, narrow = np.broadcast_arrays(c, p, w, r, narrow)
+        p = np.broadcast_to(p, c.shape)
         wide = ~narrow
         out = np.empty(c.shape)
-        out[wide] = _beta_two(c[wide], w[wide], r[wide])
+        out[wide] = _beta_two(c[wide], w[wide], p[wide])
         out[narrow] = _beta_series(c[narrow], w[narrow], p[narrow])
     out *= sigma
     return np.copysign(out, arr, out=out)
@@ -677,7 +694,7 @@ def beta_rule(d, spec: Beta, *, p: float, m: float):
     if np.any(np.abs(arr) / sigma > w + _BETA_OUTSIDE):
         raise ValueError(f"beta_rule: coefficients lie more than {_BETA_OUTSIDE:.3g} "
                          f"sigma outside the support [-m, m] of the beta prior")
-    out = _beta_kernel(arr, p, w, _beta_point_mass(p, w), sigma)
+    out = _beta_kernel(arr, p, np.full(arr.shape, w), sigma)
     return out.item() if scalar else out
 
 
@@ -749,7 +766,7 @@ def bams_rule(d, spec: Bams):
     where m(d) is the convolution of the two double exponentials.  The
     common exponential factor is cancelled analytically so the evaluation
     never under- or overflows for large |d|.  The terms are evaluated in
-    place, in four whole-array buffers.
+    place, in three whole-array buffers.
     """
     sigma = float(_sigma(spec))
     tau, mu = 3.0 * sigma, 1.0 / sigma ** 2
@@ -765,21 +782,24 @@ def bams_rule(d, spec: Bams):
     # delta's numerator: tau tqdiff d r_tau + 2 s^2 tau^2 sgn(d) (r_s - r_tau)
     term = np.sign(arr)
     term *= 2.0 * s * s * tau * tau
-    spread = np.subtract(r, 1.0)  # r_s - r_tau
-    term *= spread
-    num = np.multiply(arr, tau * tqdiff)
-    # from here on, spread = tau r_tau - s r_s, and noise = alpha r_s / (2 s)
-    np.multiply(r, s, out=spread)
-    np.subtract(tau, spread, out=spread)
-    noise = r
-    noise /= 2.0 * s
-    noise *= BAMS_ALPHA
+    num = np.subtract(r, 1.0)  # r_s - r_tau
+    term *= num
+    np.multiply(arr, tau * tqdiff, out=num)
     num += term
-    num /= np.multiply(spread, tqdiff, out=term)  # delta
-    weight = spread
+    # delta = num / (spread tqdiff), spread = tau r_tau - s r_s, taken twice
+    # from r: a kept copy would be a fourth buffer
+    spread = np.multiply(r, s, out=term)
+    np.subtract(tau, spread, out=spread)
+    spread *= tqdiff
+    num /= spread
+    weight = np.multiply(r, s, out=term)
+    np.subtract(tau, weight, out=weight)
     weight /= 2.0 * tqdiff                        # the marginal m(d)
     weight *= 1.0 - BAMS_ALPHA
     num *= weight
+    noise = r                                     # alpha r_s / (2 s)
+    noise /= 2.0 * s
+    noise *= BAMS_ALPHA
     weight += noise
     num /= weight
     return num.item() if scalar else num
@@ -853,9 +873,7 @@ def shrink_pyramid(pyr: Pyramid, rule: RuleSpec,
             fixed = (table,)
         else:
             sigma = _sigma(rule)
-            w = np.where(live, peaks, 1.0) / sigma
-            per_level = (np.reshape(p, column), w,
-                         np.stack([_beta_point_mass(pj, wj) for pj, wj in zip(p, w)]))
+            per_level = (np.reshape(p, column), np.where(live, peaks, 1.0) / sigma)
             fixed = (sigma,)
 
     out = np.empty_like(pyr.flat)

@@ -193,7 +193,8 @@ def _available_cpus() -> int:
 def _run_replicate(config: StudyConfig, est_configs: dict, gamma: np.ndarray,
                    spec: DatasetSpec, snr_index: int, rep: int):
     """(results, failures) of every rule of the study on one replicate
-    dataset, prepared once, in rule order."""
+    dataset, prepared once, in rule order.  The raw dataset is freed once it
+    is prepared, so that the rules run beside the prepared one alone."""
     dataset = generate_dataset(spec, spawn_key=(spec.M, snr_index, rep))
     snr = config.snr_values[snr_index]
     try:  # the rules' configs differ in the rule alone
@@ -201,6 +202,7 @@ def _run_replicate(config: StudyConfig, est_configs: dict, gamma: np.ndarray,
     except PipelineError as exc:  # every rule fails with it, as each call would
         return [], [ReplicateFailure(config.study, rule_name, spec.M, snr, rep, exc.stage,
                                      str(exc)) for rule_name in est_configs]
+    del dataset
     results: list[ReplicateResult] = []
     failures: list[ReplicateFailure] = []
     for rule_name, est_config in est_configs.items():

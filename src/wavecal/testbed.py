@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .shrinkage import check_integer, check_real
 
@@ -86,7 +85,7 @@ COMPONENT_NAMES = tuple(_EVALUATORS)
 def eval_component(name: str, x):
     """Evaluate one component function, named in any case and padding, at x
     in [0, 1]: a float for a scalar x, an array otherwise."""
-    key = name.strip().lower()
+    key = name.strip().lower() if isinstance(name, str) else None
     if key not in _EVALUATORS:
         raise ValueError(f"unknown component {name!r}; choose from {COMPONENT_NAMES}")
     arr = np.asarray(x, dtype=float)
@@ -110,6 +109,8 @@ def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     Above 1/2 the sum rounds half to even, and k = 2^53 - 1 would round to
     1.0, where ndtri is +inf; that one uniform is clamped to 1 - 2^-53
     (variate 8.21).  Each step works in place on the one uniform array."""
+    from scipy.special import ndtri  # loaded by the first draw, not by `import wavecal`
+
     u = rng.random(shape)
     u += 2.0 ** -54
     np.minimum(u, 1.0 - 2.0 ** -53, out=u)

@@ -177,12 +177,12 @@ def make_filter(family: str, vanishing_moments: int) -> WaveletFilter:
     Supported: ``daubechies`` with 1 <= vanishing_moments <= 10 (V = 1 is
     the Haar filter).
     """
-    if family.strip().lower() != "daubechies":
+    if not isinstance(family, str) or family.strip().lower() != "daubechies":
         raise UnsupportedFilterError(f"unsupported filter family {family!r}")
     if (isinstance(vanishing_moments, bool) or not isinstance(vanishing_moments, (int, np.integer))
             or vanishing_moments not in DAUBECHIES_LOWPASS):
         raise UnsupportedFilterError(
-            f"unsupported filter: daubechies with {vanishing_moments} vanishing "
+            f"unsupported filter: daubechies with {vanishing_moments!r} vanishing "
             f"moments (supported: 1..10)")
     return _daubechies(int(vanishing_moments))
 

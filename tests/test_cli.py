@@ -403,6 +403,27 @@ def write_scaled_dataset(tmp_path, scale):
             "--weights", str(tmp_path / "y.csv"), "--out", str(tmp_path / "o")]
 
 
+def test_scipy_special_is_loaded_only_where_used(tmp_path):
+    # `rules`, and `estimate` with lpm, abe, bams or log at sigma-hat <= 2 tau,
+    # never import scipy.special, about 0.25 s of a fresh process's start;
+    # `beta`, log's sigma > 2 tau sums and data generation do
+    argv = write_scaled_dataset(tmp_path, 1.0)
+    code = "\n".join([
+        "import json, sys",
+        "from wavecal import cli, testbed",
+        "argv = json.loads(sys.argv[1])",
+        "assert cli.main(['rules']) == 0",
+        "for rule in ('lpm', 'abe', 'bams', 'log'):",
+        "    assert cli.main([*argv, '--rule', rule]) == 0",
+        "assert 'scipy.special' not in sys.modules",
+        "testbed.generate_dataset(testbed.DatasetSpec(('bumps',), M=8, I=1, snr=3.0))",
+        "assert 'scipy.special' in sys.modules",
+    ])
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 ESTIMATE_GOLDEN = os.path.join(os.path.dirname(__file__), "data",
                                "estimate_study1_m64_i12_seed3")
 

@@ -46,6 +46,12 @@ BAMS_SPOT = 0.5988928684802048
 ALL_RULES = tuple(shrinkage.RULES)
 
 
+def beta_kernel(d, p, w, sigma):
+    """`shrinkage._beta_kernel` with w = m / sigma broadcast against d into a
+    new array, which the kernel overwrites."""
+    return shrinkage._beta_kernel(d, p, np.broadcast_to(w, np.shape(d)).copy(), sigma)
+
+
 # ---------------------------------------------------------------------------
 # the beta rule's references: truncated normal moments and Gauss-Legendre
 # ---------------------------------------------------------------------------
@@ -315,9 +321,39 @@ class TestBetaRule:
             for j, d in enumerate(pyr.details, start=3):
                 p, m = shrinkage._mixture_weight(j, 3), np.max(np.abs(d), axis=0)
                 w = m / sigma
-                got = shrinkage._beta_kernel(d, p, w, shrinkage._beta_point_mass(p, w), sigma)
+                got = beta_kernel(d, p, w, sigma)
                 want = self.moments_reference(d, p, m, sigma)
                 assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(d) + sigma))
+
+    @staticmethod
+    def three_terms_reference(c, w, p):
+        """`_beta_two` as whole-array expressions, before it ran in place."""
+        hi, sm = w - c, w + c
+        g = (ndtr(hi) - ndtr(-sm)) * SQRT_2PI
+        big_p, big_h = np.exp(sm * sm * -0.5), np.exp(hi * hi * -0.5)
+        s0 = (hi * sm - 1.0) * g + hi * big_p + sm * big_h
+        num = c * s0 - (g * c + (big_p - big_h)) * 2.0
+        r = np.where(np.equal(p, 0.0), 0.0, p / (1.0 - p) * (4.0 / 3.0) * np.power(w, 3))
+        return num / (s0 + np.exp(c * c * -0.5) * r)
+
+    def test_in_place_matches_whole_array_form(self):
+        # c out to w + 7.04 on supports from the series switch to 1e4, p one
+        # scalar or one value per row as `shrink_pyramid` gives it; at p = 0
+        # the point mass is exactly 0 even where w^3 overflows
+        rng = np.random.default_rng(37)
+        w = np.concatenate([[0.3, 1.9, 1e4], rng.uniform(0.3, 60.0, 37)])
+        c = rng.uniform(0.0, 1.0, (300, 40)) * (w + shrinkage._BETA_OUTSIDE)
+        c[:3] = np.array([0.0, 1.0, 1e-300])[:, None]
+        rows = np.array([0.0, 0.25, 0.75, 0.9375, 1e-300])[np.arange(300) % 5, None]
+        for p in (0.0, 0.3, 0.98, rows):
+            want = self.three_terms_reference(c, w, p)
+            got = shrinkage._beta_two(c.copy(), np.broadcast_to(w, c.shape).copy(), p)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        c = np.array([0.0, 1.0, 30.0])
+        got = shrinkage._beta_two(c.copy(), np.full(3, 1e120), 0.0)  # takes no w^3 at p = 0
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference's 0 w^3
+            np.testing.assert_array_equal(_bits(got),
+                                          _bits(self.three_terms_reference(c, 1e120, 0.0)))
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 0.98])
     def test_odd_bit_for_bit(self, p):
@@ -328,9 +364,7 @@ class TestBetaRule:
         w = rng.uniform(0.05, 30.0, 40)
         d = rng.uniform(-1.0, 1.0, (500, 40)) * (w + shrinkage._BETA_OUTSIDE)
 
-        def kernel(x):
-            return shrinkage._beta_kernel(x, p, w, shrinkage._beta_point_mass(p, w), 1.0)
-        np.testing.assert_array_equal(kernel(-d), -kernel(d))
+        np.testing.assert_array_equal(beta_kernel(-d, p, w, 1.0), -beta_kernel(d, p, w, 1.0))
 
     def test_far_outside_explicit_support_rejected(self):
         # past m + 7.04 sigma the closed form cancels; the rule refuses such d
@@ -723,9 +757,7 @@ def per_level_shrink(pyr, rule):
             return shrinkage._logistic_from_table(d, shrinkage._point_mass_log(p, table), table)
     elif isinstance(rule, Beta):
         def evaluate(d, p, m):
-            w = m / rule.sigma
-            return shrinkage._beta_kernel(d, p, w, shrinkage._beta_point_mass(p, w),
-                                          rule.sigma)
+            return beta_kernel(d, p, m / rule.sigma, rule.sigma)
     out = Pyramid(np.empty_like(pyr.flat), pyr.J0)
     out.coarse[...] = pyr.coarse
     for j, d, level in zip(range(pyr.J0, pyr.J), pyr.details, out.details):
@@ -1179,6 +1211,39 @@ class TestLogisticTable:
             shrinkage._logistic_table(Logistic(sigma=1e4), 1e8)
         assert time.perf_counter() - start < 1.0
         assert shrinkage._logistic_table(Logistic(sigma=1e3), 1e6).last == 8000
+
+    @staticmethod
+    def kernel_reference(arr, log_k, table):
+        """`_logistic_from_table` as whole-array expressions, before it ran in
+        place."""
+        tau, sigma, cutoff = shrinkage.LOGISTIC_TAU, table.sigma, table.cutoff
+        a = np.abs(arr)
+        t = np.fmin(a, cutoff) * table.scale
+        panel = np.minimum((0.5 * t).astype(np.intp), table.last)
+        t = t - (2.0 * panel + 1.0)
+        degree = shrinkage._CHEB_DEGREE
+        ell, ratio = (functools.reduce(lambda v, row: v * t + row.take(panel, mode="clip"),
+                                       coef[degree - 1::-1], coef[degree].take(panel, mode="clip"))
+                      for coef in (table.coef[:degree + 1], table.coef[degree + 1:]))
+        beyond = a >= cutoff
+        ell = np.where(beyond, sigma * sigma / (2.0 * tau * tau), ell)
+        ratio = np.where(beyond, 1.0 - sigma * sigma / (tau * np.fmax(a, cutoff)), ratio) * a
+        x = np.fmin(a, cutoff + 40.0 * sigma)
+        x = x * (1.0 / tau - x / (2.0 * sigma * sigma)) - ell + log_k
+        return np.copysign(ratio / (np.exp(np.minimum(x, 700.0)) + 1.0), arr)
+
+    @pytest.mark.parametrize("sigma", [0.4, 1.0, 2.0, 3.0, 30.0])
+    def test_in_place_kernel_matches_whole_array_form(self, sigma):
+        # both sums' tables, coefficients past the cutoff and +-inf among them,
+        # and log K one value per row, -inf (p = 0) included
+        table = shrinkage._logistic_table(Logistic(sigma=sigma), 80.0 * sigma)
+        rng = np.random.default_rng(41)
+        d = rng.uniform(-1.0, 1.0, (120, 30)) * (1.2 * table.cutoff + 50.0 * sigma)
+        d[0, :6] = [0.0, -0.0, np.inf, -np.inf, table.cutoff, -2.0 * table.cutoff]
+        log_k = np.array([-np.inf, -3.0, 0.5, 4.0])[np.arange(120) % 4, None]
+        want = self.kernel_reference(d, log_k, table)
+        np.testing.assert_array_equal(_bits(shrinkage._logistic_from_table(d, log_k, table)),
+                                      _bits(want))
 
     def test_asymptote_beyond_cutoff(self):
         # beyond the cutoff the asymptotes need no table

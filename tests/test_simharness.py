@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -500,3 +501,32 @@ def test_int_snrs_are_written_as_floats(tmp_path, monkeypatch):
             + [cell["snr"] for cell in payload["incomplete_cells"]])
     assert snrs == [3.0, 9.0, 3.0, 9.0, 3.0, 3.0, 9.0, 9.0]
     assert all(type(snr) is float for snr in snrs)
+
+
+def test_one_replicate_peaks_below_its_working_set():
+    # one warmed study-3 replicate (M = 1024, I = 50, all five rules) holds
+    # one dataset at a time: the raw one is freed once prepared, and the
+    # rules' row blocks (2 of 25400 coefficients, 203 kB an array) run in at
+    # most six arrays.  Holding the raw dataset through the rules, with nine
+    # arrays in `beta`'s block, peaked 3.2 MB above the replicate's start
+    cfg = StudyConfig(study=3, m_values=(1024,), snr_values=(3.0,), replicates=2)
+    filt = make_filter("daubechies", sh.VANISHING_MOMENTS)
+    configs = {name: EstimationConfig(filter=filt, rule=RULES[name](), J0=cfg.J0,
+                                      output="coefficients") for name in cfg.rules}
+    gamma = sh._truth_coefficients(cfg.components, 1024, cfg.J0)
+    spec = DatasetSpec(cfg.components, M=1024, I=50, snr=3.0, seed=0)
+    sh._run_replicate(cfg, configs, gamma, spec, 0, 0)  # fills the per-process caches
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        results, failures = sh._run_replicate(cfg, configs, gamma, spec, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(results) == 5 * 6 and not failures
+    assert peak < 2.3e6
+

@@ -100,8 +100,9 @@ class TestComponentFunctions:
             eval_component("doppler", np.array([0.5, np.nan]))
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown component"):
-            eval_component("wiggles", 0.5)
+        for name in ("wiggles", None, 3):
+            with pytest.raises(ValueError, match="unknown component"):
+                eval_component(name, 0.5)
 
 
 class TestSampleGrid:

@@ -75,6 +75,8 @@ class TestMakeFilter:
             for v in (11, 0, True, 10.0):  # True == 1 and 10.0 == 10, yet neither is an int V
                 with pytest.raises(UnsupportedFilterError):
                     make_filter("daubechies", v)
+        with pytest.raises(UnsupportedFilterError, match="daubechies with '4' vanishing"):
+            make_filter("daubechies", "4")  # a string is named as one, not as the int 4
 
     def test_one_shared_filter_per_moment_count(self):
         f = make_filter("daubechies", 10)
@@ -87,7 +89,7 @@ class TestMakeFilter:
                                                    f.analysis_block, f.synthesis_block))
 
     def test_unsupported_family(self):
-        for family, v in (("coiflet", 2), ("haar", 1), ("db", 10)):
+        for family, v in (("coiflet", 2), ("haar", 1), ("db", 10), (None, 4), (4, 4)):
             with pytest.raises(UnsupportedFilterError):
                 make_filter(family, v)
 
